@@ -16,7 +16,8 @@ from .chow import ChowError
 from .fixtures import all_fixtures
 from .models import hirzebruch, hypersurface, is_nef, projective_space
 from .search import (DEFAULT_HYP_BOUNDS, DEFAULT_PN_BOUNDS, SearchConfig,
-                     SearchSpaceError, enumerate_hypersurface, enumerate_pn)
+                     SearchSpaceError, VerificationError,
+                     enumerate_hypersurface, enumerate_pn)
 from .serialize import (InputError, bounds_fields, case_record, cycle_display,
                         dump_record, format_rational, parse_document,
                         report_record)
@@ -239,6 +240,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return VERIFY_ERROR
 
 
 if __name__ == "__main__":

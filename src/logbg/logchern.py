@@ -21,13 +21,17 @@ from .models import (AmbientModel, ChernData, default_polarization,
                      hypersurface, projective_space, tangent_chern)
 
 
-def _is_effective(model: AmbientModel, cls: CycleClass) -> bool:
+def _is_prime_class(model: AmbientModel, cls: CycleClass) -> bool:
+    """Whether some prime divisor has this class.  On F_m those are C0, f
+    and aC0 + bf with a >= 1, b >= am (Hartshorne, Algebraic Geometry,
+    V.2.18); on the Picard-rank-one models, the positive multiples of the
+    generator."""
     coeffs = cls.coeffs
     if any(c.denominator != 1 for c in coeffs):
         return False
     if model.kind == "hirzebruch":
         a, b = coeffs
-        return a >= 0 and b >= 0 and (a, b) != (0, 0)
+        return (a, b) in ((1, 0), (0, 1)) or (a >= 1 and b >= a * model.m)
     return coeffs[0] >= 1
 
 
@@ -52,7 +56,7 @@ class LogPair:
                     f"not {self.model}")
             if cls.grade != 1:
                 raise GradeError(f"component {label!r} must have grade 1")
-            if not _is_effective(self.model, cls):
+            if not _is_prime_class(self.model, cls):
                 raise ChowError(
                     f"component {label!r} = {cls} is not an effective "
                     "prime-divisor class on this model")
@@ -90,14 +94,16 @@ def log_c1(pair: LogPair) -> CycleClass:
 
 def log_c2(pair: LogPair) -> CycleClass:
     tangent = tangent_chern(pair.model)
-    D = pair.boundary()
-    K = -tangent.c1
-    result = tangent.c2 + chow.mul(K, D) + chow.mul(D, D)
     classes = pair.classes
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            result = result - chow.mul(classes[i], classes[j])
-    return result
+    # sum_{i<j} D_i.D_j as one product per component against the sum of
+    # the components before it: O(l) products, and D is that running sum.
+    D = classes[0] if classes else pair.model.zero(1)
+    result = tangent.c2
+    for cls in classes[1:]:
+        result = result - chow.mul(D, cls)
+        D = D + cls
+    K = -tangent.c1
+    return result + chow.mul(K, D) + chow.mul(D, D)
 
 
 def log_chern(pair: LogPair) -> ChernData:

@@ -2,9 +2,12 @@
 
 Two families: hypersurface arrangements of degrees d_1 >= ... >= d_l on
 P^n, and arrangements of l degree-1 sections on a degree-q hypersurface
-in P^{n+1}.  Candidates are screened by an integer closed form; every
-hit is then re-evaluated through the full cycle-arithmetic pipeline, so
-the emitted reports never depend on the screen.
+in P^{n+1}.  The equality conditions are integer equations, so the
+search solves them instead of scanning the box: on P^n for the sum of
+squares of the degrees at each degree sum, on a hypersurface for the
+integer roots of a quadratic in l.  Every solution is then re-evaluated
+through the full cycle-arithmetic pipeline, so the emitted reports
+never depend on the solver.
 
 The search box is partitioned by n; worker count never changes the
 output because partial results are merged in canonical sort order.
@@ -12,8 +15,10 @@ output because partial results are merged in canonical sort order.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from math import isqrt
 
 from .bg import BGReport, full_report
 from .chow import ChowError
@@ -28,6 +33,10 @@ MODES = ("n", "n1", "either")
 
 class SearchSpaceError(ChowError):
     """Invalid or contradictory search configuration."""
+
+
+class VerificationError(Exception):
+    """A closed form disagrees with the full cycle-arithmetic pipeline."""
 
 
 @dataclass(frozen=True)
@@ -83,14 +92,16 @@ class EqualityCase:
         return (self.n, self.q, len(self.partition))
 
 
-# -- closed-form screens ---------------------------------------------------
+# -- closed forms ----------------------------------------------------------
 #
-# On P^n with degrees d (sum s, e2 the second elementary symmetric
-# function): c1 = (n+1-s) H and c2 = (C(n+1,2) - (n+1)s + s^2 - e2) H^2.
-# On a degree-q hypersurface with l degree-1 components: c1 = (n+2-q-l) h
-# and c2 = (C(n+2,2) - q(n+2) + q^2 - (n+2-q)l + l^2 - C(l,2)) h^2, with
-# the common factor deg(h^n) = q cancelling from the vanishing condition.
-# Clearing denominators leaves pure integer tests.
+# On P^n with degrees d (sum s, p2 the sum of squares): c1 = (n+1-s) H and
+# 2 c2 = (n(n+1) - 2(n+1)s + s^2 + p2) H^2.  On a degree-q hypersurface
+# with l degree-1 components: c1 = (n+2-q-l) h and
+# 2 c2 = (a - 2bl + l^2 + l) h^2 with a = (n+2)(n+1) - 2q(n+2) + 2q^2 and
+# b = n+2-q, the common factor deg(h^n) = q cancelling from the vanishing
+# condition.  With t the c1 coefficient, the rank-k discriminant vanishes
+# iff k * (2 c2) == (k-1) * t^2: a pure integer test, at k = n for mode
+# "n" and k = n+1 for mode "n1".
 
 
 def pn_modes_closed_form(n: int, partition: tuple[int, ...]) -> tuple[str, ...]:
@@ -128,7 +139,7 @@ def report_modes(report: BGReport) -> tuple[str, ...]:
 
 
 def direct_modes(pair: LogPair) -> tuple[str, ...]:
-    """Full cycle-arithmetic evaluation; the oracle for the screens."""
+    """Full cycle-arithmetic evaluation; the oracle for the closed forms."""
     return report_modes(full_report(pair))
 
 
@@ -138,41 +149,97 @@ def _mode_hit(modes: tuple[str, ...], wanted: str) -> bool:
     return wanted in modes
 
 
-def partitions_with_sum_at_most(s_max: int):
-    """Non-increasing positive integer partitions with sum <= s_max,
-    including the empty partition."""
-
-    def gen(remaining: int, largest: int):
-        yield ()
-        for first in range(min(largest, remaining), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    yield from gen(s_max, s_max)
+def _ranks(n: int, mode: str) -> tuple[int, ...]:
+    return {"n": (n,), "n1": (n + 1,), "either": (n, n + 1)}[mode]
 
 
-def _verify_hit(pair: LogPair, modes: tuple[str, ...]) -> BGReport:
+# -- solvers ---------------------------------------------------------------
+#
+# Both closed forms are solved for the free quantity instead of scanning
+# it.  On P^n the test fixes p2 given (n, s, k); on a hypersurface it is
+# the monic quadratic l^2 + (k - 2b) l + k a - (k-1) b^2 = 0 in l.
+
+
+def _pn_square_sums(n: int, s: int, mode: str) -> set[int]:
+    """The sums of squares p2 at which a partition of s meets `mode` on
+    P^n (at most one per rank)."""
+    t = n + 1 - s
+    base = n * (n + 1) - 2 * (n + 1) * s + s * s
+    targets = set()
+    for k in _ranks(n, mode):
+        p2, rem = divmod((k - 1) * t * t - k * base, k)
+        if rem == 0:
+            targets.add(p2)
+    return targets
+
+
+def _partitions_with_square_sum(s: int, p2: int):
+    """Non-increasing positive integer partitions of s whose squares sum
+    to p2 (the empty partition when s = p2 = 0)."""
+
+    # r is the part sum still to place and p its sum of squares; with
+    # every part in [1, largest], r <= p <= largest * r must hold.
+    def gen(r: int, p: int, largest: int):
+        if r == 0:
+            yield ()
+            return
+        for first in range(min(largest, r), -(-p // r) - 1, -1):
+            rest_r, rest_p = r - first, p - first * first
+            if rest_r <= rest_p <= first * rest_r:
+                for rest in gen(rest_r, rest_p, first):
+                    yield (first,) + rest
+
+    if s <= p2 <= s * s:
+        yield from gen(s, p2, s)
+
+
+def _hyp_component_counts(n: int, q: int, mode: str) -> set[int]:
+    """The integers l >= 0 at which l degree-1 components on a degree-q
+    hypersurface meet `mode` (at most two per rank)."""
+    a = (n + 2) * (n + 1) - 2 * q * (n + 2) + 2 * q * q
+    b = n + 2 - q
+    roots = set()
+    for k in _ranks(n, mode):
+        lin, const = k - 2 * b, k * a - (k - 1) * b * b
+        disc = lin * lin - 4 * const
+        if disc < 0:
+            continue
+        root = isqrt(disc)
+        # disc = lin^2 mod 4, so a square root has the parity of lin
+        if root * root == disc:
+            roots.update(l for l in ((-lin - root) // 2, (-lin + root) // 2)
+                         if l >= 0)
+    return roots
+
+
+def _verified_case(family: str, n: int, q: int, partition: tuple[int, ...],
+                   modes: tuple[str, ...]) -> EqualityCase:
+    pair = (pn_pair(n, partition) if family == "pn"
+            else hypersurface_pair(n, q, len(partition)))
     report = full_report(pair)
     if report_modes(report) != modes:
-        raise AssertionError(
-            f"closed-form screen disagrees with direct evaluation on {pair}")
-    return report
+        raise VerificationError(
+            f"closed form gives modes {modes} but full_report gives "
+            f"{report_modes(report)} on ({family}, n={n}, q={q}, "
+            f"partition={partition})")
+    return EqualityCase(family, n, q, partition, modes,
+                        report.minus_k_plus_d_nef, report)
 
 
 def _pn_slice(args) -> list[EqualityCase]:
     config, n = args
+    s_cap = config.degree_cap(n)
+    if config.require_nef:
+        s_cap = min(s_cap, n + 1)
     cases = []
-    for partition in partitions_with_sum_at_most(config.degree_cap(n)):
-        if config.exclude_trivial and partition in ((), (1,)):
-            continue
-        if config.require_nef and sum(partition) > n + 1:
-            continue
-        modes = pn_modes_closed_form(n, partition)
-        if not _mode_hit(modes, config.mode):
-            continue
-        report = _verify_hit(pn_pair(n, partition), modes)
-        cases.append(EqualityCase("pn", n, 1, partition, modes,
-                                  report.minus_k_plus_d_nef, report))
+    for s in range(s_cap + 1):
+        for p2 in _pn_square_sums(n, s, config.mode):
+            for partition in _partitions_with_square_sum(s, p2):
+                if config.exclude_trivial and partition in ((), (1,)):
+                    continue
+                modes = pn_modes_closed_form(n, partition)
+                if _mode_hit(modes, config.mode):
+                    cases.append(_verified_case("pn", n, 1, partition, modes))
     cases.sort(key=EqualityCase.key)
     return cases
 
@@ -184,22 +251,29 @@ def _hyp_slice(args) -> list[EqualityCase]:
         l_cap = config.degree_cap(n)
         if config.require_nef:
             l_cap = min(l_cap, n + 2 - q)
-        for l in range(0, max(l_cap, 0) + 1):
-            if config.exclude_trivial and l == 0:
+        for l in _hyp_component_counts(n, q, config.mode):
+            if l > l_cap or (config.exclude_trivial and l == 0):
                 continue
             modes = hyp_modes_closed_form(n, q, l)
-            if not _mode_hit(modes, config.mode):
-                continue
-            report = _verify_hit(hypersurface_pair(n, q, l), modes)
-            cases.append(EqualityCase("hypersurface", n, q, (1,) * l, modes,
-                                      report.minus_k_plus_d_nef, report))
+            if _mode_hit(modes, config.mode):
+                cases.append(_verified_case("hypersurface", n, q, (1,) * l,
+                                            modes))
     cases.sort(key=EqualityCase.key)
     return cases
 
 
+def pool_size(workers: int, slices: int) -> int:
+    """Worker processes for `slices` n-slices: the request clamped to the
+    slice count and the CPU count."""
+    if workers < 1:
+        raise SearchSpaceError(f"workers must be at least 1, got {workers}")
+    return min(workers, slices, os.cpu_count() or 1)
+
+
 def _run(slice_fn, config: SearchConfig, workers: int) -> list[EqualityCase]:
     jobs = [(config, n) for n in range(config.n_min, config.n_max + 1)]
-    if workers <= 1:
+    workers = pool_size(workers, len(jobs))
+    if workers == 1:
         slices = [slice_fn(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

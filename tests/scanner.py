@@ -1,0 +1,58 @@
+"""The scan-then-screen search that the solvers in logbg.search replaced.
+
+It walks every candidate in a search box and keeps those the integer
+closed forms accept, so it is only usable on boxes small enough to
+scan.  Tests compare the solvers against it.
+"""
+
+from logbg.search import hyp_modes_closed_form, pn_modes_closed_form
+
+
+def partitions_with_sum_at_most(s_max: int):
+    """Non-increasing positive integer partitions with sum <= s_max,
+    including the empty partition."""
+
+    def gen(remaining: int, largest: int):
+        yield ()
+        for first in range(min(largest, remaining), 0, -1):
+            for rest in gen(remaining - first, first):
+                yield (first,) + rest
+
+    yield from gen(s_max, s_max)
+
+
+def _mode_hit(modes, wanted):
+    return bool(modes) if wanted == "either" else wanted in modes
+
+
+def scan_pn(config):
+    """(n, 1, partition, modes) for every screened hit, in canonical order."""
+    hits = []
+    for n in range(config.n_min, config.n_max + 1):
+        for partition in partitions_with_sum_at_most(config.degree_cap(n)):
+            if config.exclude_trivial and partition in ((), (1,)):
+                continue
+            if config.require_nef and sum(partition) > n + 1:
+                continue
+            modes = pn_modes_closed_form(n, partition)
+            if _mode_hit(modes, config.mode):
+                hits.append((n, 1, partition, modes))
+    return sorted(hits, key=lambda h: (h[0], len(h[2]), h[2]))
+
+
+def scan_hypersurface(config):
+    """(n, q, (1,) * l, modes) for every screened hit, in canonical order."""
+    hits = []
+    for n in range(config.n_min, config.n_max + 1):
+        for q in range(config.q_min, config.q_max + 1):
+            l_cap = config.degree_cap(n)
+            if config.require_nef:
+                l_cap = min(l_cap, n + 2 - q)
+            for l in range(0, max(l_cap, 0) + 1):
+                if config.exclude_trivial and l == 0:
+                    continue
+                modes = hyp_modes_closed_form(n, q, l)
+                if _mode_hit(modes, config.mode):
+                    hits.append((n, q, (1,) * l, modes))
+    return hits
+

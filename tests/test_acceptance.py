@@ -21,7 +21,8 @@ from logbg.models import (ChernData, c_infinity, canonical_class,
 from logbg.search import (DEFAULT_HYP_BOUNDS, DEFAULT_PN_BOUNDS, SearchConfig,
                           count_remark_claims, direct_modes,
                           enumerate_hypersurface, enumerate_pn,
-                          partitions_with_sum_at_most, pn_modes_closed_form)
+                          pn_modes_closed_form)
+from scanner import partitions_with_sum_at_most
 
 
 def announce(criterion, ok, detail=""):

@@ -109,6 +109,22 @@ class TestReportCommand:
                         record["minus_k_plus_d_nef"]))
         assert fields == {("0", "0", "0", True, True, True)}
 
+    @pytest.mark.parametrize("cls", [{"C0": 2}, {"C0": 1, "f": 1}])
+    def test_non_prime_hirzebruch_class_exit_2(self, tmp_path, capsys, cls):
+        doc = {"ambient": {"kind": "hirzebruch", "m": 2},
+               "divisors": [{"label": "D", "class": cls}]}
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path)]) == 2
+        assert "prime" in capsys.readouterr().err
+
+    def test_prime_hirzebruch_class_accepted(self, tmp_path):
+        doc = {"ambient": {"kind": "hirzebruch", "m": 2},
+               "divisors": [{"label": "D", "class": {"C0": 1, "f": 2}}]}
+        code, text = run_report(tmp_path, doc)
+        assert code == 0
+        assert json.loads(text)["equality_n"] is False
+
     def test_malformed_document_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"ambient": {"kind": "projective_space"}}')
@@ -141,6 +157,25 @@ class TestEnumerateCommand:
     def test_q_with_pn_rejected(self, capsys):
         assert main(["enumerate", "--family", "pn", "--n", "2..3",
                      "--q", "2..3"]) == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_2(self, capsys, workers):
+        assert main(["enumerate", "--family", "pn", "--n", "2..3",
+                     "--workers", workers]) == 2
+        assert "workers" in capsys.readouterr().err
+
+    def test_verification_failure_exit_1(self, monkeypatch, capsys):
+        from logbg import search
+        monkeypatch.setattr(search, "pn_modes_closed_form",
+                            lambda n, partition: ("n", "n1"))
+        assert main(["enumerate", "--family", "pn", "--n", "7..7"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "(pn, n=7, q=1, partition=(2, 1, 1))" in err
+
+    def test_default_box_without_nef_filter(self, capsys):
+        assert main(["enumerate", "--family", "pn", "--no-nef"]) == 0
+        assert "found 65 equality case(s)" in capsys.readouterr().out
 
     def test_byte_identical_across_runs_and_workers(self, tmp_path):
         texts = []

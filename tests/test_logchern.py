@@ -3,7 +3,9 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
+from logbg import chow
 from logbg.chow import ChowError
 from logbg.logchern import (LogPair, extension_chern, hypersurface_pair,
                             log_c1, log_c2, pn_pair, slope,
@@ -33,6 +35,18 @@ class TestLogPairValidation:
         f2 = hirzebruch(2)
         with pytest.raises(ChowError):
             LogPair(f2, (("D", f2.divisor(0, 0)),))
+
+    def test_non_prime_hirzebruch_classes_rejected(self):
+        # 2C0 and C0 + f are effective on F_2 but no prime divisor has them
+        f2 = hirzebruch(2)
+        for a, b in ((2, 0), (1, 1), (0, 2)):
+            with pytest.raises(ChowError, match="prime"):
+                LogPair(f2, (("D", f2.divisor(a, b)),))
+
+    def test_prime_hirzebruch_classes_accepted(self):
+        f2 = hirzebruch(2)
+        for a, b in ((1, 0), (0, 1), (1, 2), (1, 5), (2, 4), (3, 7)):
+            LogPair(f2, (("D", f2.divisor(a, b)),))
 
     def test_foreign_class_rejected(self):
         with pytest.raises(ChowError):
@@ -87,6 +101,60 @@ class TestLogC2:
         assert log_c1(split) == log_c1(merged)
         delta = log_c2(merged) - log_c2(split)
         assert delta == projective_space(n).cycle(2, 4 * 3)
+
+
+def pairwise_log_c2(pair):
+    """c2(T_X) + K.D + D^2 - sum_{i<j} D_i.D_j with every pair multiplied
+    out: the O(l^2) form of log_c2."""
+    tangent = tangent_chern(pair.model)
+    D = pair.boundary()
+    result = tangent.c2 + chow.mul(-tangent.c1, D) + chow.mul(D, D)
+    classes = pair.classes
+    for i in range(len(classes)):
+        for j in range(i + 1, len(classes)):
+            result = result - chow.mul(classes[i], classes[j])
+    return result
+
+
+@st.composite
+def small_pairs(draw):
+    family = draw(st.sampled_from(["pn", "hyp", "fm"]))
+    if family == "fm":
+        m = draw(st.integers(1, 6))
+        model = hirzebruch(m)
+        prime = st.one_of(
+            st.sampled_from([(1, 0), (0, 1)]),
+            st.integers(1, 4).flatmap(lambda a: st.tuples(
+                st.just(a), st.integers(a * m, a * m + 5))))
+        classes = draw(st.lists(prime, max_size=8))
+    else:
+        n = draw(st.integers(2, 8))
+        model = (projective_space(n) if family == "pn"
+                 else hypersurface(n, draw(st.integers(1, 5))))
+        classes = draw(st.lists(st.tuples(st.integers(1, 6)), max_size=8))
+    return LogPair(model, tuple((f"D{i}", model.divisor(*c))
+                                for i, c in enumerate(classes)))
+
+
+class TestLinearLogC2:
+    @given(small_pairs())
+    def test_matches_pairwise_sum(self, pair):
+        assert log_c2(pair) == pairwise_log_c2(pair)
+
+    def test_product_count_is_linear(self, monkeypatch):
+        calls = []
+        real_mul = chow.mul
+
+        def counting_mul(a, b):
+            calls.append(1)
+            return real_mul(a, b)
+
+        monkeypatch.setattr(chow, "mul", counting_mul)
+        for l in range(6):
+            calls.clear()
+            log_c2(pn_pair(5, [1] * l))
+            # K.D and D^2, then one product per component after the first
+            assert len(calls) == 2 + max(l - 1, 0)
 
 
 class TestExtensionChern:

@@ -1,10 +1,17 @@
+from dataclasses import replace
+
 import pytest
 
+from logbg import search
 from logbg.logchern import hypersurface_pair, pn_pair
-from logbg.search import (EqualityCase, SearchConfig, SearchSpaceError,
-                          direct_modes, enumerate_hypersurface, enumerate_pn,
-                          hyp_modes_closed_form,
-                          partitions_with_sum_at_most, pn_modes_closed_form)
+from logbg.search import (DEFAULT_HYP_BOUNDS, DEFAULT_PN_BOUNDS, EqualityCase,
+                          SearchConfig, SearchSpaceError, VerificationError,
+                          count_remark_claims, direct_modes,
+                          enumerate_hypersurface, enumerate_pn,
+                          hyp_modes_closed_form, pn_modes_closed_form,
+                          pool_size)
+from scanner import (partitions_with_sum_at_most, scan_hypersurface,
+                     scan_pn)
 
 
 def pn_config(**kwargs):
@@ -152,3 +159,78 @@ class TestEmittedReports:
         for case in enumerate_pn(pn_config(n_min=2, n_max=10)):
             assert case.nef == case.report.minus_k_plus_d_nef
             assert case.nef  # nef was required
+
+
+def solved(cases):
+    return [(c.n, c.q, c.partition, c.modes) for c in cases]
+
+
+class TestSolverMatchesScanner:
+    # Every box here is small enough for the scanner to finish.
+    @pytest.mark.parametrize("mode", ["n", "n1", "either"])
+    @pytest.mark.parametrize("exclude_trivial", [True, False])
+    @pytest.mark.parametrize("require_nef", [True, False])
+    def test_full_boxes(self, mode, exclude_trivial, require_nef):
+        flags = dict(mode=mode, exclude_trivial=exclude_trivial,
+                     require_nef=require_nef)
+        config = pn_config(n_max=22 if require_nef else 9, **flags)
+        assert solved(enumerate_pn(config)) == scan_pn(config)
+        hconfig = hyp_config(n_max=40, q_min=1, q_max=40, **flags)
+        assert solved(enumerate_hypersurface(hconfig)) == \
+            scan_hypersurface(hconfig)
+
+    @pytest.mark.parametrize("s_max", [1, 3, 5, 12])
+    @pytest.mark.parametrize("require_nef", [True, False])
+    def test_degree_caps(self, s_max, require_nef):
+        flags = dict(s_max=s_max, require_nef=require_nef,
+                     exclude_trivial=False)
+        config = pn_config(n_max=22, **flags)
+        assert solved(enumerate_pn(config)) == scan_pn(config)
+        hconfig = hyp_config(n_max=40, q_min=1, q_max=40, **flags)
+        assert solved(enumerate_hypersurface(hconfig)) == \
+            scan_hypersurface(hconfig)
+
+
+class TestUnfilteredBoxes:
+    def test_default_pn_box_without_nef_filter(self):
+        # 2.08e9 candidates for the scanner
+        cases = enumerate_pn(replace(DEFAULT_PN_BOUNDS, require_nef=False))
+        assert len(cases) == 65
+
+    def test_count_fallback_widens_to_no_nef_filter(self):
+        counts = count_remark_claims(
+            pn_bounds=SearchConfig(family="pn", n_min=2, n_max=9),
+            hyp_bounds=DEFAULT_HYP_BOUNDS)
+        assert counts.pn_count == 14
+        assert counts.pn_regime == "widened, no nef filter"
+        assert not counts.pn_bounds.require_nef
+        assert counts.hyp_regime == "nef-filtered"
+
+
+class TestVerificationFailure:
+    # The P^n side is tested through the CLI exit code in test_cli.py.
+    def test_hypersurface_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(search, "hyp_modes_closed_form",
+                            lambda n, q, l: ("n", "n1"))
+        with pytest.raises(VerificationError, match="hypersurface, n=7, q=2"):
+            enumerate_hypersurface(hyp_config(n_min=7, n_max=7))
+
+
+class TestPoolSize:
+    def test_clamped_to_slices_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+        assert pool_size(1, 29) == 1
+        assert pool_size(3, 29) == 3
+        assert pool_size(8, 29) == 4
+        assert pool_size(8, 2) == 2
+
+    def test_unknown_cpu_count_runs_serially(self, monkeypatch):
+        monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+        assert pool_size(8, 29) == 1
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_below_one_rejected(self, workers):
+        with pytest.raises(SearchSpaceError, match="workers"):
+            pool_size(workers, 29)
+        with pytest.raises(SearchSpaceError, match="workers"):
+            enumerate_pn(pn_config(), workers=workers)
