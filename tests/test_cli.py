@@ -195,6 +195,22 @@ class TestVerifyPaperCommand:
         assert "FAIL" not in out
         assert out.strip().endswith("fixtures passed")
 
+    def test_failed_fixture_exit_1(self, monkeypatch, capsys):
+        from fractions import Fraction
+
+        from logbg import fixtures
+        monkeypatch.setattr(fixtures, "wedge_cotangent_slope",
+                            lambda n, r: Fraction(5, 3))
+        assert main(["verify-paper"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("[FAIL]")]
+        assert len(failed) == 1
+        assert "slope of wedge^r cotangent" in failed[0]
+        assert "computed (n,r)=(2,1): 5/3;" in failed[0]
+        assert failed[0].endswith("(Section 4.1)")
+        total = len(lines) - 1
+        assert lines[-1] == f"{total - 1}/{total} fixtures passed"
+
 
 class TestNefCommand:
     def test_fiber_class_nef(self, capsys):

@@ -1,0 +1,117 @@
+"""Byte-level output gate for the CLI.
+
+Each case runs `logbg.cli.main` in-process and compares the sha256 of
+its stdout, and its exit code, with tests/golden.json.  The digests pin
+`enumerate` (both families, both formats, with and without the nef
+filter, single modes with trivial cases kept), `verify-paper`, `report`
+in both formats on a document from all three families, and `nef`
+queries.  A change that alters one of these outputs on purpose updates
+its digest and says why.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+
+import pytest
+
+from logbg.cli import main
+
+with open(os.path.join(os.path.dirname(__file__), "golden.json")) as _fh:
+    GOLDEN = json.load(_fh)
+
+REPORT_DOCUMENT = {"pairs": [
+    {"ambient": {"kind": "projective_space", "n": 7},
+     "divisors": [{"label": f"D{i}", "class": {"H": d}}
+                  for i, d in enumerate([2, 1, 1])]},
+    {"ambient": {"kind": "projective_space", "n": 3}, "divisors": []},
+    {"ambient": {"kind": "projective_space", "n": 2},
+     "divisors": [{"label": "Q", "class": {"H": 4}}]},
+    {"ambient": {"kind": "hypersurface", "n": 7, "q": 2},
+     "divisors": [{"label": f"L{i}", "class": {"h": 1}} for i in range(3)]},
+    {"ambient": {"kind": "hypersurface", "n": 4, "q": 3},
+     "divisors": [{"label": "A", "class": {"h": 2}},
+                  {"label": "B", "class": {"h": 5}}]},
+    {"ambient": {"kind": "hirzebruch", "m": 2},
+     "divisors": [{"label": "C0", "class": {"C0": 1}},
+                  {"label": "Cinf", "class": {"C0": 1, "f": 2}}]},
+    {"ambient": {"kind": "hirzebruch", "m": 3},
+     "divisors": [{"label": "F", "class": {"f": 1}},
+                  {"label": "S", "class": {"C0": 2, "f": 7}}]},
+]}
+
+ENUM = ("enumerate", "--family")
+CASES = {
+    "enum-pn-table": ENUM + ("pn",),
+    "enum-pn-records": ENUM + ("pn", "--format", "records"),
+    "enum-hyp-table": ENUM + ("hypersurface",),
+    "enum-hyp-records": ENUM + ("hypersurface", "--format", "records"),
+    "enum-pn-no-nef-table": ENUM + ("pn", "--no-nef"),
+    "enum-pn-no-nef-records": ENUM + ("pn", "--no-nef", "--format",
+                                      "records"),
+    "enum-hyp-no-nef-table": ENUM + ("hypersurface", "--no-nef"),
+    "enum-hyp-no-nef-records": ENUM + ("hypersurface", "--no-nef",
+                                       "--format", "records"),
+    "enum-pn-mode-n-trivial": ENUM + ("pn", "--n", "2..14", "--mode", "n",
+                                      "--include-trivial", "--format",
+                                      "records"),
+    "enum-pn-mode-n1-trivial": ENUM + ("pn", "--n", "2..14", "--mode", "n1",
+                                       "--include-trivial", "--format",
+                                       "records"),
+    "enum-hyp-mode-n-trivial": ENUM + ("hypersurface", "--n", "2..30",
+                                       "--q", "1..30", "--mode", "n",
+                                       "--include-trivial", "--format",
+                                       "records"),
+    "enum-hyp-mode-n1-trivial": ENUM + ("hypersurface", "--n", "2..30",
+                                        "--q", "1..30", "--mode", "n1",
+                                        "--include-trivial", "--format",
+                                        "records"),
+    "enum-pn-s-max-table": ENUM + ("pn", "--n", "2..12", "--s-max", "3",
+                                   "--no-nef", "--include-trivial"),
+    "enum-pn-with-q": ENUM + ("pn", "--n", "2..3", "--q", "2..3"),
+    "verify-paper": ("verify-paper",),
+    "report-table": ("report", "{doc}"),
+    "report-records": ("report", "{doc}", "--format", "records"),
+    "nef-fiber": ("nef", "--kind", "hirzebruch", "--m", "2",
+                  "--divisor", "0,2"),
+    "nef-section": ("nef", "--kind", "hirzebruch", "--m", "3",
+                    "--divisor", "1,0"),
+    "nef-cinf": ("nef", "--kind", "hirzebruch", "--m", "3",
+                 "--divisor", "1,3"),
+    "nef-pn": ("nef", "--kind", "projective_space", "--n", "7",
+               "--divisor", "4"),
+    "nef-pn-negative": ("nef", "--kind", "projective_space", "--n", "7",
+                        "--divisor", "-1"),
+    "nef-hyp": ("nef", "--kind", "hypersurface", "--n", "3", "--q", "2",
+                "--divisor", "1"),
+    "nef-missing-n": ("nef", "--kind", "projective_space", "--divisor", "1"),
+    "nef-bad-divisor": ("nef", "--kind", "hirzebruch", "--m", "2",
+                        "--divisor", "1,x"),
+    "nef-wrong-length": ("nef", "--kind", "hirzebruch", "--m", "2",
+                         "--divisor", "1"),
+}
+
+
+def run_case(name, directory):
+    """(sha256 of stdout, exit code) of one case."""
+    doc = os.path.join(directory, "pairs.json")
+    with open(doc, "w") as fh:
+        json.dump(REPORT_DOCUMENT, fh)
+    argv = [arg.format(doc=doc) for arg in CASES[name]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return hashlib.sha256(out.getvalue().encode()).hexdigest(), code
+
+
+def test_every_case_has_a_digest():
+    assert sorted(GOLDEN) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, tmp_path):
+    digest, code = run_case(name, str(tmp_path))
+    assert code == GOLDEN[name]["exit"]
+    assert digest == GOLDEN[name]["sha256"]
