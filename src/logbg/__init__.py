@@ -1,6 +1,8 @@
 """Exact calculator and search tool for logarithmic Chern classes and
 Bogomolov-Gieseker discriminants of log smooth pairs."""
 
+__version__ = "0.1.0"  # imported by serialize: keep above the imports
+
 from .bg import (BGReport, check_equality_n, check_equality_n_plus_1,
                  discriminant, full_report)
 from .chow import (ChowError, CycleClass, GradeError, ModelMismatchError,
@@ -14,5 +16,3 @@ from .models import (AmbientModel, ChernData, c_infinity, canonical_class,
 from .search import (EqualityCase, RemarkCounts, SearchConfig,
                      count_remark_claims, enumerate_hypersurface,
                      enumerate_pn)
-
-__version__ = "0.1.0"

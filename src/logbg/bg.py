@@ -18,9 +18,8 @@ from fractions import Fraction
 
 from . import chow
 from .chow import ChowError, CycleClass, GradeError
-from .logchern import LogPair, log_c1, log_c2
-from .models import (AmbientModel, ChernData, canonical_class,
-                     default_polarization, is_nef)
+from .logchern import LogPair, log_chern
+from .models import ChernData, default_polarization, is_nef
 
 
 @dataclass(frozen=True)
@@ -48,45 +47,39 @@ def evaluate_pair(chern: ChernData, H: CycleClass) -> tuple[Fraction, Fraction]:
     return c1_sq, c2_eval
 
 
+def _at_rank(rank: int, c1_sq: Fraction, c2_eval: Fraction) -> Fraction:
+    return c2_eval - Fraction(rank - 1, 2 * rank) * c1_sq
+
+
 def discriminant(chern: ChernData, H: CycleClass) -> Fraction:
-    c1_sq, c2_eval = evaluate_pair(chern, H)
-    r = chern.rank
-    return c2_eval - Fraction(r - 1, 2 * r) * c1_sq
-
-
-def _equality(pair: LogPair, H: CycleClass | None, rank: int) -> bool:
-    model = pair.model
-    if H is None:
-        H = default_polarization(model)
-    chern = ChernData(rank, log_c1(pair), log_c2(pair))
-    return discriminant(chern, H) == 0
-
-
-def check_equality_n(pair: LogPair, H: CycleClass | None = None) -> bool:
-    """Vanishing at the rank-n coefficient (n-1)/2n."""
-    return _equality(pair, H, pair.model.dim)
-
-
-def check_equality_n_plus_1(pair: LogPair, H: CycleClass | None = None) -> bool:
-    """Vanishing at the rank-(n+1) coefficient n/(2(n+1))."""
-    return _equality(pair, H, pair.model.dim + 1)
+    return _at_rank(chern.rank, *evaluate_pair(chern, H))
 
 
 def full_report(pair: LogPair, H: CycleClass | None = None) -> BGReport:
-    model = pair.model
     if H is None:
-        H = default_polarization(model)
-    n = model.dim
-    chern = ChernData(n, log_c1(pair), log_c2(pair))
+        H = default_polarization(pair.model)
+    chern = log_chern(pair)
     c1_sq, c2_eval = evaluate_pair(chern, H)
-    anti_log_canonical = -canonical_class(model) - pair.boundary()
+    n = chern.rank
+    value = _at_rank(n, c1_sq, c2_eval)
     return BGReport(
         rank=n,
         c1_sq=c1_sq,
         c2_eval=c2_eval,
-        discriminant=c2_eval - Fraction(n - 1, 2 * n) * c1_sq,
-        equality_n=(c2_eval - Fraction(n - 1, 2 * n) * c1_sq == 0),
-        equality_n_plus_1=(c2_eval - Fraction(n, 2 * (n + 1)) * c1_sq == 0),
-        minus_k_plus_d_nef=is_nef(model, anti_log_canonical),
+        discriminant=value,
+        equality_n=value == 0,
+        equality_n_plus_1=_at_rank(n + 1, c1_sq, c2_eval) == 0,
+        # c1 = -(K + D)
+        minus_k_plus_d_nef=is_nef(pair.model, chern.c1),
         polarization=H,
     )
+
+
+def check_equality_n(pair: LogPair, H: CycleClass | None = None) -> bool:
+    """Vanishing at the rank-n coefficient (n-1)/2n."""
+    return full_report(pair, H).equality_n
+
+
+def check_equality_n_plus_1(pair: LogPair, H: CycleClass | None = None) -> bool:
+    """Vanishing at the rank-(n+1) coefficient n/(2(n+1))."""
+    return full_report(pair, H).equality_n_plus_1

@@ -126,23 +126,17 @@ def mul(a: CycleClass, b: CycleClass) -> CycleClass:
         return b.scale(a.coeffs[0])
     if b.grade == 0:
         return a.scale(b.coeffs[0])
-    if model.kind == "hirzebruch":
-        # only 1+1 remains on a surface: C0^2 = -m, C0.f = 1, f^2 = 0
-        (a0, a1), (b0, b1) = a.coeffs, b.coeffs
-        pt = a0 * b0 * (-model.m) + a0 * b1 + a1 * b0
-        return CycleClass(model, 2, (pt,))
-    return CycleClass(model, g, (a.coeffs[0] * b.coeffs[0],))
+    return CycleClass(model, g, (model.intersect(a, b),))
 
 
 def degree(a: CycleClass) -> Fraction:
-    """Degree of a top-codimension class (deg h^n = q on a hypersurface)."""
+    """Degree of a top-codimension class (deg h^n = q on a hypersurface,
+    and q = 1 on the other models)."""
     model = a.model
     if a.grade != model.dim:
         raise GradeError(
             f"degree needs codimension {model.dim}, got {a.grade}")
-    if model.kind == "hypersurface":
-        return model.q * a.coeffs[0]
-    return a.coeffs[0]
+    return model.q * a.coeffs[0]
 
 
 def pair_with_polarization(a: CycleClass, H: CycleClass, k: int) -> Fraction:

@@ -9,18 +9,19 @@ input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .bg import full_report
 from .chow import ChowError
 from .fixtures import all_fixtures
-from .models import hirzebruch, hypersurface, is_nef, projective_space
+from .models import FAMILIES, is_nef
 from .search import (DEFAULT_HYP_BOUNDS, DEFAULT_PN_BOUNDS, SearchConfig,
                      SearchSpaceError, VerificationError,
                      enumerate_hypersurface, enumerate_pn)
 from .serialize import (InputError, bounds_fields, case_record, cycle_display,
-                        dump_record, format_rational, parse_document,
-                        report_record)
+                        dump_record, format_rational, parse_ambient,
+                        parse_document, report_record)
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -40,7 +41,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _out_stream(args):
     if args.out:
         return open(args.out, "w")
-    return sys.stdout
+    return contextlib.nullcontext(sys.stdout)
 
 
 def _pair_summary(pair) -> str:
@@ -50,13 +51,13 @@ def _pair_summary(pair) -> str:
 
 def cmd_report(args) -> int:
     if args.input == "-":
-        text = sys.stdin.read()
+        # bytes when stdin has them, so parse_document checks the UTF-8
+        data = getattr(sys.stdin, "buffer", sys.stdin).read()
     else:
-        with open(args.input) as fh:
-            text = fh.read()
-    pairs = parse_document(text)
-    out = _out_stream(args)
-    try:
+        with open(args.input, "rb") as fh:
+            data = fh.read()
+    pairs = parse_document(data)
+    with _out_stream(args) as out:
         for pair in pairs:
             report = full_report(pair)
             if args.format == "records":
@@ -71,9 +72,6 @@ def cmd_report(args) -> int:
                     f"  equality(rank n) = {report.equality_n}"
                     f"  equality(rank n+1) = {report.equality_n_plus_1}"
                     f"  -(K+D) nef = {report.minus_k_plus_d_nef}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -86,9 +84,8 @@ def _search_config(args) -> SearchConfig:
     q_min, q_max = (defaults.q_min, defaults.q_max)
     if args.q is not None:
         q_min, q_max = _parse_range(args.q)
-    mode = {"n": "n", "n1": "n1", "either": "either"}[args.mode]
     return SearchConfig(
-        family=args.family, n_min=n_min, n_max=n_max, mode=mode,
+        family=args.family, n_min=n_min, n_max=n_max, mode=args.mode,
         require_nef=args.nef, exclude_trivial=not args.include_trivial,
         s_max=args.s_max,
         q_min=q_min if args.family == "hypersurface" else 2,
@@ -110,8 +107,7 @@ def cmd_enumerate(args) -> int:
         cases = enumerate_pn(config, workers=args.workers)
     else:
         cases = enumerate_hypersurface(config, workers=args.workers)
-    out = _out_stream(args)
-    try:
+    with _out_stream(args) as out:
         if args.format == "records":
             for case in cases:
                 out.write(dump_record(case_record(case, config)) + "\n")
@@ -129,9 +125,6 @@ def cmd_enumerate(args) -> int:
                          else ", no nef filter"))
             out.write(f"found {len(cases)} equality case(s); bounds: "
                       f"{bounds}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -151,18 +144,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_nef(args) -> int:
-    if args.kind == "projective_space":
-        if args.n is None:
-            raise InputError("--n is required for projective_space")
-        model = projective_space(args.n)
-    elif args.kind == "hypersurface":
-        if args.n is None or args.q_deg is None:
-            raise InputError("--n and --q are required for hypersurface")
-        model = hypersurface(args.n, args.q_deg)
-    else:
-        if args.m is None:
-            raise InputError("--m is required for hirzebruch")
-        model = hirzebruch(args.m)
+    ambient = {"kind": args.kind}
+    ambient.update((key, getattr(args, key)) for key in ("n", "q", "m")
+                   if getattr(args, key) is not None)
+    model = parse_ambient(ambient)
     try:
         coeffs = [int(c) for c in args.divisor.split(",")]
     except ValueError:
@@ -216,12 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_nef = sub.add_parser("nef", help="test a divisor class for nefness")
-    p_nef.add_argument("--kind",
-                       choices=("projective_space", "hypersurface",
-                                "hirzebruch"),
-                       required=True)
+    p_nef.add_argument("--kind", choices=tuple(FAMILIES), required=True)
     p_nef.add_argument("--n", type=int, default=None)
-    p_nef.add_argument("--q", dest="q_deg", type=int, default=None)
+    p_nef.add_argument("--q", type=int, default=None)
     p_nef.add_argument("--m", type=int, default=None)
     p_nef.add_argument("--divisor", required=True,
                        help="comma-separated integer coefficients")

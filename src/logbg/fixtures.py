@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from . import chow
 from .bg import check_equality_n, check_equality_n_plus_1, discriminant, full_report
-from .logchern import (LogPair, hypersurface_pair, log_c1, log_c2, pn_pair,
-                       slope, wedge_cotangent_slope)
+from .logchern import (LogPair, hypersurface_pair, log_c1, log_chern,
+                       pn_pair, slope, wedge_cotangent_slope)
 from .models import (ChernData, c_infinity, canonical_class, hirzebruch,
                      is_nef, projective_space, tangent_chern)
 
@@ -49,10 +49,11 @@ def lemma_4_1_suite() -> list[FixtureResult]:
     for n in range(2, 13):
         pair = pn_pair(n, [1])
         model = pair.model
-        if log_c1(pair) != model.divisor(n):
-            bad_c1.append(f"n={n}: {log_c1(pair)}")
-        if log_c2(pair) != model.cycle(2, Fraction(n * (n - 1), 2)):
-            bad_c2.append(f"n={n}: {log_c2(pair)}")
+        chern = log_chern(pair)
+        if chern.c1 != model.divisor(n):
+            bad_c1.append(f"n={n}: {chern.c1}")
+        if chern.c2 != model.cycle(2, Fraction(n * (n - 1), 2)):
+            bad_c2.append(f"n={n}: {chern.c2}")
         report = full_report(pair)
         if report.discriminant != 0:
             bad_disc.append(f"n={n}: {report.discriminant}")
@@ -80,7 +81,8 @@ def lemma_4_4_suite() -> list[FixtureResult]:
         if tangent_chern(model).c2 != model.point(4):
             bad["c2T"].append(f"m={m}: {tangent_chern(model).c2}")
         pair = _hirzebruch_boundary(m)
-        c1, c2 = log_c1(pair), log_c2(pair)
+        chern = log_chern(pair)
+        c1, c2 = chern.c1, chern.c2
         if c1 != model.divisor(0, 2):
             bad["logc1"].append(f"m={m}: {c1}")
         if c2 != model.point(0):

@@ -18,21 +18,8 @@ from math import comb
 from . import chow
 from .chow import ChowError, CycleClass, GradeError
 from .models import (AmbientModel, ChernData, default_polarization,
-                     hypersurface, projective_space, tangent_chern)
-
-
-def _is_prime_class(model: AmbientModel, cls: CycleClass) -> bool:
-    """Whether some prime divisor has this class.  On F_m those are C0, f
-    and aC0 + bf with a >= 1, b >= am (Hartshorne, Algebraic Geometry,
-    V.2.18); on the Picard-rank-one models, the positive multiples of the
-    generator."""
-    coeffs = cls.coeffs
-    if any(c.denominator != 1 for c in coeffs):
-        return False
-    if model.kind == "hirzebruch":
-        a, b = coeffs
-        return (a, b) in ((1, 0), (0, 1)) or (a >= 1 and b >= a * model.m)
-    return coeffs[0] >= 1
+                     hypersurface, is_prime_class, projective_space,
+                     tangent_chern)
 
 
 @dataclass(frozen=True)
@@ -56,7 +43,7 @@ class LogPair:
                     f"not {self.model}")
             if cls.grade != 1:
                 raise GradeError(f"component {label!r} must have grade 1")
-            if not _is_prime_class(self.model, cls):
+            if not is_prime_class(self.model, cls):
                 raise ChowError(
                     f"component {label!r} = {cls} is not an effective "
                     "prime-divisor class on this model")
@@ -89,32 +76,34 @@ def hypersurface_pair(n: int, q: int, l: int) -> LogPair:
 
 
 def log_c1(pair: LogPair) -> CycleClass:
-    return tangent_chern(pair.model).c1 - pair.boundary()
+    return log_chern(pair).c1
 
 
 def log_c2(pair: LogPair) -> CycleClass:
+    return log_chern(pair).c2
+
+
+def log_chern(pair: LogPair) -> ChernData:
+    """(rank, c1, c2) of the logarithmic tangent bundle itself."""
     tangent = tangent_chern(pair.model)
     classes = pair.classes
     # sum_{i<j} D_i.D_j as one product per component against the sum of
     # the components before it: O(l) products, and D is that running sum.
     D = classes[0] if classes else pair.model.zero(1)
-    result = tangent.c2
+    c2 = tangent.c2
     for cls in classes[1:]:
-        result = result - chow.mul(D, cls)
+        c2 = c2 - chow.mul(D, cls)
         D = D + cls
     K = -tangent.c1
-    return result + chow.mul(K, D) + chow.mul(D, D)
-
-
-def log_chern(pair: LogPair) -> ChernData:
-    """(rank, c1, c2) of the logarithmic tangent bundle itself."""
-    return ChernData(pair.model.dim, log_c1(pair), log_c2(pair))
+    c2 = c2 + chow.mul(K, D) + chow.mul(D, D)
+    return ChernData(pair.model.dim, tangent.c1 - D, c2)
 
 
 def extension_chern(pair: LogPair) -> ChernData:
     """Chern data of the rank-(dim+1) extension by the trivial sheaf;
     c1 and c2 agree with the logarithmic tangent bundle."""
-    return ChernData(pair.model.dim + 1, log_c1(pair), log_c2(pair))
+    chern = log_chern(pair)
+    return ChernData(chern.rank + 1, chern.c1, chern.c2)
 
 
 def slope(model: AmbientModel, c1: CycleClass, rank: int,

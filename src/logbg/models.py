@@ -1,9 +1,17 @@
 """The three ambient families: P^n, degree-q hypersurfaces in P^{n+1},
 and Hirzebruch surfaces F_m, together with their intrinsic data.
 
-Hypersurface classes live in the truncated subring generated by the
-hyperplane section h with deg(h^n) = q; smoothness and genericity are
-modeling assumptions and are not checked.
+This is the only module that tells the families apart.  FAMILIES holds
+what the descriptor, display and basis layers need; the rules that
+differ (the F_m intersection form, tangent data, default polarization,
+nef and prime-class tests, C_inf) are the only `kind` branches.
+
+Numerically P^n is the q = 1 hypersurface, and every model stores n and
+q (n = 2, q = 1 on F_m), so the degree of a top class is q times its
+coefficient on every model and the Picard-rank-one models share one
+tangent formula.  Hypersurface classes live in the truncated subring
+generated by the hyperplane section h with deg(h^n) = q; smoothness and
+genericity are modeling assumptions and are not checked.
 """
 
 from __future__ import annotations
@@ -11,42 +19,51 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from types import MappingProxyType
+from typing import Callable
 
 from .chow import ChowError, CycleClass, GradeError, Scalar
 
 
 @dataclass(frozen=True)
 class AmbientModel:
-    kind: str  # "projective_space" | "hypersurface" | "hirzebruch"
-    n: int = 0  # dimension (projective_space, hypersurface)
-    q: int = 0  # hypersurface degree
+    kind: str  # a key of FAMILIES
+    n: int  # dimension
+    q: int = 1  # degree: deg(generator^n) on the Picard-rank-one models
     m: int = 0  # Hirzebruch twist
 
     @property
+    def family(self) -> "Family":
+        return FAMILIES[self.kind]
+
+    @property
     def dim(self) -> int:
-        return 2 if self.kind == "hirzebruch" else self.n
+        return self.n
 
     def basis_size(self, grade: int) -> int:
-        if self.kind == "hirzebruch" and grade == 1:
-            return 2
-        return 1
+        # every CycleClass checks its length here, so skip the property
+        return len(FAMILIES[self.kind].generators) if grade == 1 else 1
 
     def basis_names(self, grade: int) -> tuple[str, ...]:
-        if self.kind == "hirzebruch":
-            return {0: ("",), 1: ("C0", "f"), 2: ("pt",)}[grade]
-        gen = "H" if self.kind == "projective_space" else "h"
+        generators = self.family.generators
         if grade == 0:
             return ("",)
         if grade == 1:
-            return (gen,)
-        return (f"{gen}^{grade}",)
+            return generators
+        if len(generators) > 1:
+            return ("pt",)
+        return (f"{generators[0]}^{grade}",)
 
     def __str__(self) -> str:
-        if self.kind == "projective_space":
-            return f"P^{self.n}"
-        if self.kind == "hypersurface":
-            return f"X_{self.q} in P^{self.n + 1}"
-        return f"F_{self.m}"
+        return self.family.label(self)
+
+    def intersect(self, a: CycleClass, b: CycleClass) -> Fraction:
+        """The one coefficient of a.b for a, b of positive grade."""
+        if self.kind == "hirzebruch":
+            # only 1+1 remains on a surface: C0^2 = -m, C0.f = 1, f^2 = 0
+            (a0, a1), (b0, b1) = a.coeffs, b.coeffs
+            return a0 * b0 * (-self.m) + a0 * b1 + a1 * b0
+        return a.coeffs[0] * b.coeffs[0]
 
     # -- class constructors ------------------------------------------------
 
@@ -98,7 +115,25 @@ def hypersurface(n: int, q: int) -> AmbientModel:
 def hirzebruch(m: int) -> AmbientModel:
     if m < 1:
         raise ChowError(f"Hirzebruch surface needs m >= 1, got {m}")
-    return AmbientModel("hirzebruch", m=m)
+    return AmbientModel("hirzebruch", n=2, m=m)
+
+
+@dataclass(frozen=True)
+class Family:
+    fields: tuple[str, ...]  # descriptor keys besides "kind", in order
+    generators: tuple[str, ...]  # names of the codimension-1 basis
+    label: Callable[[AmbientModel], str]
+    build: Callable[..., AmbientModel]  # constructor taking `fields`
+
+
+FAMILIES = MappingProxyType({
+    "projective_space": Family(("n",), ("H",), lambda x: f"P^{x.n}",
+                               projective_space),
+    "hypersurface": Family(("n", "q"), ("h",),
+                           lambda x: f"X_{x.q} in P^{x.n + 1}", hypersurface),
+    "hirzebruch": Family(("m",), ("C0", "f"), lambda x: f"F_{x.m}",
+                         hirzebruch),
+})
 
 
 def c_infinity(model: AmbientModel) -> CycleClass:
@@ -108,22 +143,23 @@ def c_infinity(model: AmbientModel) -> CycleClass:
     return model.divisor(1, model.m)
 
 
+def is_c_infinity(cls: CycleClass) -> bool:
+    return cls.model.kind == "hirzebruch" and cls == c_infinity(cls.model)
+
+
 def tangent_chern(model: AmbientModel) -> ChernData:
     """Rank, c1 and c2 of the tangent bundle.
 
-    Hypersurface values truncate (1+h)^{n+2} / (1+qh): c1 = (n+2-q)h,
-    c2 = (C(n+2,2) - q(n+2) + q^2) h^2.  On F_m, c2 equals the Euler
-    number 4 and c1 = 2C0 + (m+2)f.
+    On the Picard-rank-one models the values truncate
+    (1+h)^{n+2} / (1+qh): c1 = (n+2-q)h, c2 = (C(n+2,2) - q(n+2) + q^2) h^2,
+    which at q = 1 are (n+1)H and C(n+1,2) H^2 on P^n.  On F_m, c2 equals
+    the Euler number 4 and c1 = 2C0 + (m+2)f.
     """
-    if model.kind == "projective_space":
-        n = model.n
-        return ChernData(n, model.divisor(n + 1),
-                         model.cycle(2, comb(n + 1, 2)))
-    if model.kind == "hypersurface":
-        n, q = model.n, model.q
-        c2 = comb(n + 2, 2) - q * (n + 2) + q * q
-        return ChernData(n, model.divisor(n + 2 - q), model.cycle(2, c2))
-    return ChernData(2, model.divisor(2, model.m + 2), model.point(4))
+    if model.kind == "hirzebruch":
+        return ChernData(2, model.divisor(2, model.m + 2), model.point(4))
+    n, q = model.n, model.q
+    c2 = comb(n + 2, 2) - q * (n + 2) + q * q
+    return ChernData(n, model.divisor(n + 2 - q), model.cycle(2, c2))
 
 
 def canonical_class(model: AmbientModel) -> CycleClass:
@@ -149,3 +185,17 @@ def is_nef(model: AmbientModel, divisor: CycleClass) -> bool:
         a, b = divisor.coeffs
         return a >= 0 and b - a * model.m >= 0
     return divisor.coeffs[0] >= 0
+
+
+def is_prime_class(model: AmbientModel, cls: CycleClass) -> bool:
+    """Whether some prime divisor has this class.  On F_m those are C0, f
+    and aC0 + bf with a >= 1, b >= am (Hartshorne, Algebraic Geometry,
+    V.2.18); on the Picard-rank-one models, the positive multiples of the
+    generator."""
+    coeffs = cls.coeffs
+    if any(c.denominator != 1 for c in coeffs):
+        return False
+    if model.kind == "hirzebruch":
+        a, b = coeffs
+        return (a, b) in ((1, 0), (0, 1)) or (a >= 1 and b >= a * model.m)
+    return coeffs[0] >= 1

@@ -16,7 +16,6 @@ output because partial results are merged in canonical sort order.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from math import isqrt
 
@@ -94,39 +93,35 @@ class EqualityCase:
 
 # -- closed forms ----------------------------------------------------------
 #
-# On P^n with degrees d (sum s, p2 the sum of squares): c1 = (n+1-s) H and
-# 2 c2 = (n(n+1) - 2(n+1)s + s^2 + p2) H^2.  On a degree-q hypersurface
-# with l degree-1 components: c1 = (n+2-q-l) h and
-# 2 c2 = (a - 2bl + l^2 + l) h^2 with a = (n+2)(n+1) - 2q(n+2) + 2q^2 and
-# b = n+2-q, the common factor deg(h^n) = q cancelling from the vanishing
-# condition.  With t the c1 coefficient, the rank-k discriminant vanishes
-# iff k * (2 c2) == (k-1) * t^2: a pure integer test, at k = n for mode
-# "n" and k = n+1 for mode "n1".
+# P^n is numerically the degree-1 hypersurface, so one formula covers
+# both families.  On a degree-q hypersurface in P^{n+1} (P^n at q = 1)
+# with components of degrees d_i, sum s and sum of squares p2:
+# c1 = (n+2-q-s) h and 2 c2 = (a - 2bs + s^2 + p2) h^2 with
+# a = (n+2)(n+1) - 2qb and b = n+2-q, the common factor deg(h^n) = q
+# cancelling from the vanishing condition.  The hypersurface family has
+# l degree-1 components, so s = p2 = l.  With t the c1 coefficient, the
+# rank-k discriminant vanishes iff k * (2 c2) == (k-1) * t^2: a pure
+# integer test, at k = n for mode "n" and k = n+1 for mode "n1".
+
+
+def _c2_x2(n: int, q: int, s: int, p2: int) -> int:
+    b = n + 2 - q
+    return (n + 2) * (n + 1) - 2 * q * b - 2 * b * s + s * s + p2
+
+
+def _modes(n: int, q: int, s: int, p2: int) -> tuple[str, ...]:
+    t = n + 2 - q - s
+    c2_x2 = _c2_x2(n, q, s, p2)
+    return tuple(mode for mode, k in (("n", n), ("n1", n + 1))
+                 if k * c2_x2 == (k - 1) * t * t)
 
 
 def pn_modes_closed_form(n: int, partition: tuple[int, ...]) -> tuple[str, ...]:
-    s = sum(partition)
-    e2 = (s * s - sum(d * d for d in partition)) // 2
-    t = n + 1 - s
-    c2_x2 = n * (n + 1) - 2 * (n + 1) * s + 2 * s * s - 2 * e2
-    modes = []
-    if n * c2_x2 == (n - 1) * t * t:
-        modes.append("n")
-    if (n + 1) * c2_x2 == n * t * t:
-        modes.append("n1")
-    return tuple(modes)
+    return _modes(n, 1, sum(partition), sum(d * d for d in partition))
 
 
 def hyp_modes_closed_form(n: int, q: int, l: int) -> tuple[str, ...]:
-    t = n + 2 - q - l
-    c2_x2 = ((n + 2) * (n + 1) - 2 * q * (n + 2) + 2 * q * q
-             - 2 * (n + 2 - q) * l + 2 * l * l - l * (l - 1))
-    modes = []
-    if n * c2_x2 == (n - 1) * t * t:
-        modes.append("n")
-    if (n + 1) * c2_x2 == n * t * t:
-        modes.append("n1")
-    return tuple(modes)
+    return _modes(n, q, l, l)
 
 
 def report_modes(report: BGReport) -> tuple[str, ...]:
@@ -156,21 +151,19 @@ def _ranks(n: int, mode: str) -> tuple[int, ...]:
 # -- solvers ---------------------------------------------------------------
 #
 # Both closed forms are solved for the free quantity instead of scanning
-# it.  On P^n the test fixes p2 given (n, s, k); on a hypersurface it is
-# the monic quadratic l^2 + (k - 2b) l + k a - (k-1) b^2 = 0 in l.
+# it.  On P^n the rank-k test fixes p2 given (n, s); on a hypersurface it
+# is the monic quadratic l^2 + (k - 2b) l + k a - (k-1) b^2 = 0 in l.
+# The solutions are taken in integers, rounding down, and kept only where
+# the closed form holds.
 
 
 def _pn_square_sums(n: int, s: int, mode: str) -> set[int]:
     """The sums of squares p2 at which a partition of s meets `mode` on
     P^n (at most one per rank)."""
     t = n + 1 - s
-    base = n * (n + 1) - 2 * (n + 1) * s + s * s
-    targets = set()
-    for k in _ranks(n, mode):
-        p2, rem = divmod((k - 1) * t * t - k * base, k)
-        if rem == 0:
-            targets.add(p2)
-    return targets
+    base = _c2_x2(n, 1, s, 0)
+    candidates = {((k - 1) * t * t - k * base) // k for k in _ranks(n, mode)}
+    return {p2 for p2 in candidates if _mode_hit(_modes(n, 1, s, p2), mode)}
 
 
 def _partitions_with_square_sum(s: int, p2: int):
@@ -196,20 +189,17 @@ def _partitions_with_square_sum(s: int, p2: int):
 def _hyp_component_counts(n: int, q: int, mode: str) -> set[int]:
     """The integers l >= 0 at which l degree-1 components on a degree-q
     hypersurface meet `mode` (at most two per rank)."""
-    a = (n + 2) * (n + 1) - 2 * q * (n + 2) + 2 * q * q
+    a = _c2_x2(n, q, 0, 0)
     b = n + 2 - q
-    roots = set()
+    candidates = set()
     for k in _ranks(n, mode):
         lin, const = k - 2 * b, k * a - (k - 1) * b * b
         disc = lin * lin - 4 * const
-        if disc < 0:
-            continue
-        root = isqrt(disc)
-        # disc = lin^2 mod 4, so a square root has the parity of lin
-        if root * root == disc:
-            roots.update(l for l in ((-lin - root) // 2, (-lin + root) // 2)
-                         if l >= 0)
-    return roots
+        if disc >= 0:
+            root = isqrt(disc)
+            candidates.update(((-lin - root) // 2, (-lin + root) // 2))
+    return {l for l in candidates
+            if l >= 0 and _mode_hit(_modes(n, q, l, l), mode)}
 
 
 def _verified_case(family: str, n: int, q: int, partition: tuple[int, ...],
@@ -238,8 +228,7 @@ def _pn_slice(args) -> list[EqualityCase]:
                 if config.exclude_trivial and partition in ((), (1,)):
                     continue
                 modes = pn_modes_closed_form(n, partition)
-                if _mode_hit(modes, config.mode):
-                    cases.append(_verified_case("pn", n, 1, partition, modes))
+                cases.append(_verified_case("pn", n, 1, partition, modes))
     cases.sort(key=EqualityCase.key)
     return cases
 
@@ -255,9 +244,8 @@ def _hyp_slice(args) -> list[EqualityCase]:
             if l > l_cap or (config.exclude_trivial and l == 0):
                 continue
             modes = hyp_modes_closed_form(n, q, l)
-            if _mode_hit(modes, config.mode):
-                cases.append(_verified_case("hypersurface", n, q, (1,) * l,
-                                            modes))
+            cases.append(_verified_case("hypersurface", n, q, (1,) * l,
+                                        modes))
     cases.sort(key=EqualityCase.key)
     return cases
 
@@ -276,6 +264,9 @@ def _run(slice_fn, config: SearchConfig, workers: int) -> list[EqualityCase]:
     if workers == 1:
         slices = [slice_fn(job) for job in jobs]
     else:
+        # imported here: the pool loads multiprocessing, which a serial
+        # run never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             slices = list(pool.map(slice_fn, jobs))
     return [case for chunk in slices for case in chunk]

@@ -11,13 +11,12 @@ import json
 from dataclasses import asdict
 from fractions import Fraction
 
+from . import __version__
 from .bg import BGReport
 from .chow import CycleClass
 from .logchern import LogPair
-from .models import AmbientModel, hirzebruch, hypersurface, projective_space
+from .models import FAMILIES, AmbientModel, is_c_infinity
 from .search import EqualityCase, SearchConfig
-
-TOOL_VERSION = "0.1.0"
 
 
 class InputError(ValueError):
@@ -34,29 +33,14 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(s)
 
 
-_GENERATORS = {
-    "projective_space": ("H",),
-    "hypersurface": ("h",),
-    "hirzebruch": ("C0", "f"),
-}
-
-
 def cycle_to_dict(cls: CycleClass) -> dict:
-    names = _GENERATORS[cls.model.kind] if cls.grade == 1 else \
-        cls.model.basis_names(cls.grade)
+    names = cls.model.basis_names(cls.grade)
     return {name: format_rational(c) for name, c in zip(names, cls.coeffs)}
 
 
 def cycle_display(cls: CycleClass) -> str:
-    """Human form of a divisor class; names the C_inf alias on F_m."""
-    model = cls.model
-    if model.kind == "hirzebruch" and cls.grade == 1:
-        a, b = cls.coeffs
-        text = f"{format_rational(a)}*C0 + {format_rational(b)}*f"
-        if (a, b) == (1, model.m):
-            text += " (= Cinf)"
-        return text
-    return str(cls)
+    """Human form of a class; names the C_inf alias on F_m."""
+    return f"{cls} (= Cinf)" if is_c_infinity(cls) else str(cls)
 
 
 def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
@@ -82,17 +66,12 @@ def parse_ambient(obj) -> AmbientModel:
     if not isinstance(obj, dict):
         raise InputError("'ambient' must be an object")
     kind = _require(obj, "kind", "ambient")
-    if kind == "projective_space":
-        _check_keys(obj, {"kind", "n"}, "ambient")
-        return projective_space(_int_field(obj, "n", "ambient"))
-    if kind == "hypersurface":
-        _check_keys(obj, {"kind", "n", "q"}, "ambient")
-        return hypersurface(_int_field(obj, "n", "ambient"),
-                            _int_field(obj, "q", "ambient"))
-    if kind == "hirzebruch":
-        _check_keys(obj, {"kind", "m"}, "ambient")
-        return hirzebruch(_int_field(obj, "m", "ambient"))
-    raise InputError(f"unknown ambient kind {kind!r}")
+    if not isinstance(kind, str) or kind not in FAMILIES:
+        raise InputError(f"unknown ambient kind {kind!r}")
+    family = FAMILIES[kind]
+    _check_keys(obj, {"kind", *family.fields}, "ambient")
+    return family.build(*(_int_field(obj, key, "ambient")
+                          for key in family.fields))
 
 
 def parse_divisor(obj, model: AmbientModel, index: int) -> tuple[str, CycleClass]:
@@ -106,7 +85,7 @@ def parse_divisor(obj, model: AmbientModel, index: int) -> tuple[str, CycleClass
     cls = _require(obj, "class", where)
     if not isinstance(cls, dict):
         raise InputError(f"key 'class' in {where} must be an object")
-    generators = _GENERATORS[model.kind]
+    generators = model.basis_names(1)
     _check_keys(cls, set(generators), f"{where}.class")
     coeffs = []
     for gen in generators:
@@ -131,10 +110,15 @@ def parse_pair(obj, where: str = "document") -> LogPair:
     return LogPair(model, components)
 
 
-def parse_document(text: str) -> list[LogPair]:
+def parse_document(data: str | bytes) -> list[LogPair]:
+    """The pairs of a descriptor document; bytes must be UTF-8."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes)
+                         else data)
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON, bytes that are not UTF-8, or an
+        # integer over the interpreter's digit limit; RecursionError:
+        # nesting deeper than the decoder's recursion limit
         raise InputError(f"not valid JSON: {exc}") from exc
     if isinstance(doc, dict) and "pairs" in doc:
         _check_keys(doc, {"pairs"}, "document")
@@ -150,12 +134,8 @@ def parse_document(text: str) -> list[LogPair]:
 
 def pair_echo(pair: LogPair) -> dict:
     model = pair.model
-    if model.kind == "projective_space":
-        ambient = {"kind": model.kind, "n": model.n}
-    elif model.kind == "hypersurface":
-        ambient = {"kind": model.kind, "n": model.n, "q": model.q}
-    else:
-        ambient = {"kind": model.kind, "m": model.m}
+    ambient = {"kind": model.kind}
+    ambient.update((key, getattr(model, key)) for key in model.family.fields)
     return {
         "ambient": ambient,
         "divisors": [{"label": label,
@@ -179,7 +159,7 @@ def report_fields(report: BGReport) -> dict:
 
 
 def report_record(pair: LogPair, report: BGReport) -> dict:
-    record = {"input": pair_echo(pair), "tool_version": TOOL_VERSION}
+    record = {"input": pair_echo(pair), "tool_version": __version__}
     record.update(report_fields(report))
     return record
 
@@ -201,7 +181,7 @@ def case_record(case: EqualityCase, config: SearchConfig) -> dict:
         "modes": list(case.modes),
         "nef": case.nef,
         "bounds": bounds_fields(config),
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
     }
     record.update(report_fields(case.report))
     return record

@@ -13,11 +13,12 @@ import pytest
 
 from logbg import chow
 from logbg.bg import discriminant, full_report
+from logbg.fixtures import (lemma_4_1_suite, lemma_4_4_suite,
+                            remark_tuple_suite)
 from logbg.logchern import (LogPair, hypersurface_pair, log_c1, log_c2,
                             pn_pair, slope, wedge_cotangent_slope)
-from logbg.models import (ChernData, c_infinity, canonical_class,
-                          default_polarization, hirzebruch, hypersurface,
-                          is_nef, projective_space, tangent_chern)
+from logbg.models import (ChernData, default_polarization, hirzebruch,
+                          hypersurface, projective_space, tangent_chern)
 from logbg.search import (DEFAULT_HYP_BOUNDS, DEFAULT_PN_BOUNDS, SearchConfig,
                           count_remark_claims, direct_modes,
                           enumerate_hypersurface, enumerate_pn,
@@ -32,56 +33,29 @@ def announce(criterion, ok, detail=""):
     assert ok
 
 
-def hirzebruch_boundary(m):
-    model = hirzebruch(m)
-    return LogPair(model, (("C0", model.divisor(1, 0)),
-                           ("Cinf", c_infinity(model))))
+def announce_fixtures(criterion, suite, detail):
+    failed = [f"{r.name}: computed {r.computed}" for r in suite
+              if not r.passed]
+    announce(criterion, bool(suite) and not failed,
+             "; ".join(failed) or detail)
 
 
 def test_criterion_1_projective_hyperplane_suite():
-    ok = True
-    for n in range(2, 13):
-        pair = pn_pair(n, [1])
-        model = pair.model
-        report = full_report(pair)
-        ok &= log_c1(pair) == model.divisor(n)
-        ok &= log_c2(pair) == model.cycle(2, Fraction(n * (n - 1), 2))
-        ok &= report.discriminant == 0
-        ok &= report.minus_k_plus_d_nef
-    announce(1, ok, "(P^n, H) for n=2..12")
+    # log c1 = nH, log c2 = n(n-1)/2 H^2, rank-n discriminant 0 and
+    # -(K + H) nef on (P^n, H)
+    announce_fixtures(1, lemma_4_1_suite(), "(P^n, H) for n=2..12")
 
 
 def test_criterion_2_hirzebruch_suite():
-    ok = True
-    for m in range(1, 51):
-        model = hirzebruch(m)
-        pair = hirzebruch_boundary(m)
-        c1, c2 = log_c1(pair), log_c2(pair)
-        ok &= tangent_chern(model).c2 == model.point(4)
-        ok &= c2.is_zero()
-        ok &= chow.degree(c1 * c1) == 0
-        H = default_polarization(model)
-        ok &= discriminant(ChernData(2, c1, c2), H) == 0
-        ok &= discriminant(ChernData(3, c1, c2), H) == 0
-        ok &= c1 == model.divisor(0, 2) and is_nef(model, c1)
-        k_plus_d = canonical_class(model) + pair.boundary()
-        ok &= chow.degree(k_plus_d * model.divisor(1, 0)) == -2
-        ok &= chow.degree(k_plus_d * model.divisor(0, 1)) == 0
-    announce(2, ok, "(F_m, C0+Cinf) for m=1..50")
+    # the intersection table, c2(T) = 4, log c1 = 2f nef, log c2 = 0,
+    # c1^2 = 0, both discriminants 0 and (K + D).C0 = -2, (K + D).f = 0
+    # on (F_m, C0 + Cinf)
+    announce_fixtures(2, lemma_4_4_suite(), "(F_m, C0+Cinf) for m=1..50")
 
 
 def test_criterion_3_remark_tuples():
-    reports = {
-        "P^7 (2,1,1)": full_report(pn_pair(7, [2, 1, 1])),
-        "P^8 (2,1,1,1)": full_report(pn_pair(8, [2, 1, 1, 1])),
-        "hyp (7,2,3)": full_report(hypersurface_pair(7, 2, 3)),
-        "hyp (8,2,4)": full_report(hypersurface_pair(8, 2, 4)),
-    }
-    ok = (reports["P^7 (2,1,1)"].equality_n_plus_1
-          and reports["P^8 (2,1,1,1)"].equality_n
-          and reports["hyp (7,2,3)"].equality_n_plus_1
-          and reports["hyp (8,2,4)"].equality_n)
-    announce(3, ok, "all four explicit tuples, exactly 0")
+    announce_fixtures(3, remark_tuple_suite(),
+                      "all four explicit tuples, exactly 0")
 
 
 def test_criterion_4_count_floors():

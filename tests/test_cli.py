@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -131,6 +132,29 @@ class TestReportCommand:
         assert main(["report", str(path)]) == 2
         assert "n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data", [
+        b'{"ambient": {"kind": "hirzebruch\xff", "m": 2}, "divisors": []}',
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"ambient": {"kind": "projective_space", "n": 3}, "divisors": '
+        b'[{"label": "D", "class": {"H": ' + b"9" * 5000 + b"}}]}",
+    ], ids=["not-utf8", "nested-100000", "int-5000-digits"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_undecodable_document_exit_2(self, tmp_path, monkeypatch, capsys,
+                                         data, source):
+        if source == "file":
+            path = tmp_path / "bad.json"
+            path.write_bytes(data)
+            argv = ["report", str(path)]
+        else:
+            monkeypatch.setattr(sys, "stdin",
+                                io.TextIOWrapper(io.BytesIO(data)))
+            argv = ["report", "-"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not valid JSON:")
+        assert captured.err.count("\n") == 1
+
 
 class TestEnumerateCommand:
     def test_table_summary(self, capsys):
@@ -227,8 +251,42 @@ class TestNefCommand:
         assert main(["nef", "--kind", "projective_space",
                      "--divisor", "1"]) == 2
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--kind", "projective_space"], "'n'"),
+        (["--kind", "hypersurface", "--n", "3"], "'q'"),
+        (["--kind", "hypersurface", "--q", "2"], "'n'"),
+        (["--kind", "hirzebruch"], "'m'"),
+    ])
+    def test_missing_field_named(self, capsys, argv, field):
+        assert main(["nef", *argv, "--divisor", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "missing" in err and field in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--kind", "projective_space", "--n", "3", "--q", "4"], "'q'"),
+        (["--kind", "projective_space", "--n", "3", "--m", "1"], "'m'"),
+        (["--kind", "hypersurface", "--n", "3", "--q", "2", "--m", "1"],
+         "'m'"),
+        (["--kind", "hirzebruch", "--m", "2", "--n", "2"], "'n'"),
+    ])
+    def test_flag_of_another_kind_exit_2(self, capsys, argv, flag):
+        assert main(["nef", *argv, "--divisor", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+
 
 class TestEntryPoint:
+    def test_import_does_not_load_process_pool(self):
+        # the pool is only needed for --workers above 1
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, logbg.cli; "
+             "print('concurrent.futures.process' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "logbg.cli", "nef", "--kind",
