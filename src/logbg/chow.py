@@ -140,12 +140,20 @@ def degree(a: CycleClass) -> Fraction:
 
 
 def pair_with_polarization(a: CycleClass, H: CycleClass, k: int) -> Fraction:
-    """deg(a . H^k); the identity pairing when k = 0 on a surface."""
+    """deg(a . H^k); the identity pairing when k = 0 on a surface.
+
+    Where every graded piece has rank one (P^n and hypersurfaces, whose H
+    has one coefficient h0) a . H^k = a0 h0^k times the top generator, so
+    the degree is q a0 h0^k in closed form, at any n.  On F_m the product
+    is taken, in at most two steps."""
     if H.grade != 1:
         raise GradeError("polarization must have codimension 1")
     if a.grade + k != a.model.dim:
         raise GradeError(
             f"codimension {a.grade} + {k} != dim {a.model.dim}")
+    a._check_same_model(H)
+    if len(H.coeffs) == 1:
+        return a.model.q * a.coeffs[0] * H.coeffs[0] ** k
     result = a
     for _ in range(k):
         result = mul(result, H)

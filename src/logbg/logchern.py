@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from math import comb
 
 from . import chow
@@ -70,9 +71,9 @@ def pn_pair(n: int, degrees) -> LogPair:
 
 def hypersurface_pair(n: int, q: int, l: int) -> LogPair:
     """Convenience: degree-q hypersurface with l degree-1 components."""
-    model = hypersurface(n, q)
-    comps = tuple((f"D{i + 1}", model.divisor(1)) for i in range(l))
-    return LogPair(model, comps)
+    h = hypersurface(n, q).divisor(1)
+    comps = tuple((f"D{i + 1}", h) for i in range(l))
+    return LogPair(h.model, comps)
 
 
 def log_c1(pair: LogPair) -> CycleClass:
@@ -84,16 +85,30 @@ def log_c2(pair: LogPair) -> CycleClass:
 
 
 def log_chern(pair: LogPair) -> ChernData:
-    """(rank, c1, c2) of the logarithmic tangent bundle itself."""
+    """(rank, c1, c2) of the logarithmic tangent bundle itself.
+
+    sum_{i<j} D_i.D_j is taken over runs of equal consecutive classes: a
+    run of k copies of E meets the components before it, whose sum is D,
+    in k (D.E), and itself in C(k, 2) E^2.  That is one product for each
+    run after the first and one for each run longer than one, then K.D
+    and D^2: three products for l equal components, 2 + (l - 1) for l
+    distinct ones.  A run of one does the work of one component.
+    """
     tangent = tangent_chern(pair.model)
-    classes = pair.classes
-    # sum_{i<j} D_i.D_j as one product per component against the sum of
-    # the components before it: O(l) products, and D is that running sum.
-    D = classes[0] if classes else pair.model.zero(1)
+    D = None  # the sum of the components seen so far
     c2 = tangent.c2
-    for cls in classes[1:]:
-        c2 = c2 - chow.mul(D, cls)
-        D = D + cls
+    for E, run in groupby(pair.classes):
+        k = sum(1 for _ in run)
+        kE = E if k == 1 else E.scale(k)
+        if D is None:
+            D = kE
+        else:
+            c2 = c2 - chow.mul(D, kE)
+            D = D + kE
+        if k > 1:
+            c2 = c2 - chow.mul(E, E).scale(comb(k, 2))
+    if D is None:
+        D = pair.model.zero(1)
     K = -tangent.c1
     c2 = c2 + chow.mul(K, D) + chow.mul(D, D)
     return ChernData(pair.model.dim, tangent.c1 - D, c2)

@@ -234,9 +234,12 @@ def _pn_slice(args) -> list[EqualityCase]:
 
 
 def _hyp_slice(args) -> list[EqualityCase]:
+    """The cases at one n.  Under the nef filter l is capped at n + 2 - q,
+    which is negative past q = n + 2, so q stops there."""
     config, n = args
+    q_max = min(config.q_max, n + 2) if config.require_nef else config.q_max
     cases = []
-    for q in range(config.q_min, config.q_max + 1):
+    for q in range(config.q_min, q_max + 1):
         l_cap = config.degree_cap(n)
         if config.require_nef:
             l_cap = min(l_cap, n + 2 - q)

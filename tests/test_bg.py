@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -7,7 +8,8 @@ import pytest
 from logbg.bg import (check_equality_n, check_equality_n_plus_1, discriminant,
                       full_report)
 from logbg.chow import GradeError, mul
-from logbg.logchern import LogPair, pn_pair
+from logbg.cli import main
+from logbg.logchern import LogPair, hypersurface_pair, pn_pair
 from logbg.models import (ChernData, c_infinity, hirzebruch, hypersurface,
                           projective_space)
 
@@ -153,3 +155,33 @@ class TestFullReport:
         first = dump_record(report_record(pair, full_report(pair)))
         second = dump_record(report_record(pair, full_report(pair)))
         assert first == second
+
+
+class TestProductCount:
+    """The products behind one report do not grow with n or with the
+    number of equal components: D.E for a second run of classes or E^2
+    for a run of more than one, K.D, D^2 and c1^2."""
+
+    def test_full_report_independent_of_n(self, mul_calls):
+        for n in (3, 100000):
+            mul_calls.clear()
+            full_report(pn_pair(n, [2, 1]))
+            assert len(mul_calls) == 4
+
+    def test_cli_report_independent_of_n(self, mul_calls, tmp_path):
+        path = tmp_path / "pair.json"
+        for n in (3, 100000):
+            path.write_text(json.dumps({
+                "ambient": {"kind": "projective_space", "n": n},
+                "divisors": [{"label": "A", "class": {"H": 2}},
+                             {"label": "B", "class": {"H": 1}}]}))
+            mul_calls.clear()
+            assert main(["report", str(path),
+                         "--out", str(tmp_path / "out.txt")]) == 0
+            assert len(mul_calls) == 4
+
+    def test_full_report_independent_of_l(self, mul_calls):
+        for n, q, l in ((3, 2, 2), (160, 2, 117)):
+            mul_calls.clear()
+            full_report(hypersurface_pair(n, q, l))
+            assert len(mul_calls) == 4

@@ -105,6 +105,24 @@ class TestPairing:
         with pytest.raises(GradeError):
             chow.pair_with_polarization(P7.cycle(2, 1), P7.divisor(1), 3)
 
+    @pytest.mark.parametrize("model, H", [
+        (P7, hypersurface(7, 2).divisor(1)),
+        (hirzebruch(1), F2.divisor(1, 3))])
+    def test_model_mismatch_rejected_at_every_k(self, model, H):
+        for grade in range(model.dim + 1):
+            a = model.cycle(grade, *(3,) * model.basis_size(grade))
+            with pytest.raises(ModelMismatchError):
+                chow.pair_with_polarization(a, H, model.dim - grade)
+
+
+def iterated_pairing(a, H, k):
+    """deg(a . H^k) with one product per factor of H: the oracle for the
+    closed form of pair_with_polarization."""
+    result = a
+    for _ in range(k):
+        result = chow.mul(result, H)
+    return chow.degree(result)
+
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12)
@@ -150,3 +168,35 @@ class TestAlgebraicProperties:
             assert c.denominator > 0
             from math import gcd
             assert gcd(abs(c.numerator), c.denominator) == 1
+
+
+@st.composite
+def pairing_inputs(draw):
+    """(a, H, k) on any family, at any grade, with non-unit and negative
+    coefficients in both a and H."""
+    family = draw(st.sampled_from(["pn", "hyp", "fm"]))
+    if family == "fm":
+        model = hirzebruch(draw(st.integers(1, 6)))
+    elif family == "pn":
+        model = projective_space(draw(st.integers(2, 12)))
+    else:
+        model = hypersurface(draw(st.integers(2, 12)), draw(st.integers(1, 6)))
+    grade = draw(st.integers(0, model.dim))
+    coeffs = draw(st.lists(rationals, min_size=model.basis_size(grade),
+                           max_size=model.basis_size(grade)))
+    H = model.divisor(*draw(st.lists(rationals, min_size=model.basis_size(1),
+                                     max_size=model.basis_size(1))))
+    return model.cycle(grade, *coeffs), H, model.dim - grade
+
+
+class TestClosedFormPairing:
+    @given(pairing_inputs())
+    def test_matches_iterated_products(self, inputs):
+        a, H, k = inputs
+        assert chow.pair_with_polarization(a, H, k) == iterated_pairing(a, H, k)
+
+    def test_non_unit_polarization(self):
+        model = hypersurface(9, 3)
+        a, H = model.cycle(2, Fraction(-5, 2)), model.divisor(3)
+        assert chow.pair_with_polarization(a, H, 7) == \
+            iterated_pairing(a, H, 7) == 3 * Fraction(-5, 2) * 3 ** 7

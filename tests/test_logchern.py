@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from logbg import chow
 from logbg.chow import ChowError
@@ -136,25 +136,43 @@ def small_pairs(draw):
                                 for i, c in enumerate(classes)))
 
 
+@st.composite
+def pairs_with_runs(draw):
+    """Pairs whose components repeat a few classes, in runs of up to 40
+    equal classes, either consecutive or shuffled."""
+    pair = draw(small_pairs())
+    runs = draw(st.lists(st.tuples(st.sampled_from(pair.classes),
+                                   st.integers(1, 40)), max_size=3)
+                if pair.classes else st.just([]))
+    classes = [cls for cls, k in runs for _ in range(k)]
+    if draw(st.booleans()):
+        classes = draw(st.permutations(classes))
+    return LogPair(pair.model, tuple((f"D{i}", cls)
+                                     for i, cls in enumerate(classes)))
+
+
 class TestLinearLogC2:
     @given(small_pairs())
     def test_matches_pairwise_sum(self, pair):
         assert log_c2(pair) == pairwise_log_c2(pair)
 
-    def test_product_count_is_linear(self, monkeypatch):
-        calls = []
-        real_mul = chow.mul
+    @settings(deadline=None)
+    @given(pairs_with_runs())
+    def test_runs_match_pairwise_sum(self, pair):
+        assert log_c2(pair) == pairwise_log_c2(pair)
 
-        def counting_mul(a, b):
-            calls.append(1)
-            return real_mul(a, b)
-
-        monkeypatch.setattr(chow, "mul", counting_mul)
-        for l in range(6):
-            calls.clear()
-            log_c2(pn_pair(5, [1] * l))
+    def test_products_per_run(self, mul_calls):
+        for l in [*range(40), 117, 1000]:
+            for pair in (pn_pair(5, [2] * l), hypersurface_pair(5, 3, l)):
+                mul_calls.clear()
+                log_c2(pair)
+                # one run: E^2 when l > 1, then K.D and D^2
+                assert len(mul_calls) == (3 if l > 1 else 2)
+        for l in range(1, 12):
+            mul_calls.clear()
+            log_c2(pn_pair(5, range(l, 0, -1)))
             # K.D and D^2, then one product per component after the first
-            assert len(calls) == 2 + max(l - 1, 0)
+            assert len(mul_calls) == 2 + (l - 1)
 
 
 class TestExtensionChern:

@@ -1,8 +1,10 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from logbg import search
+from logbg.bg import full_report
 from logbg.logchern import hypersurface_pair, pn_pair
 from logbg.search import (DEFAULT_HYP_BOUNDS, DEFAULT_PN_BOUNDS, EqualityCase,
                           SearchConfig, SearchSpaceError, VerificationError,
@@ -189,6 +191,60 @@ class TestSolverMatchesScanner:
         hconfig = hyp_config(n_max=40, q_min=1, q_max=40, **flags)
         assert solved(enumerate_hypersurface(hconfig)) == \
             scan_hypersurface(hconfig)
+
+
+def direct_cases(config, n, q, partitions):
+    """(n, q, partition, modes) for each partition the full pipeline puts
+    in `config`, in canonical order: the oracle beyond the scan boxes."""
+    trivial = ((), (1,)) if config.family == "pn" else ((),)
+    hits = []
+    for partition in partitions:
+        if config.exclude_trivial and partition in trivial:
+            continue
+        pair = (pn_pair(n, partition) if config.family == "pn"
+                else hypersurface_pair(n, q, len(partition)))
+        report = full_report(pair)
+        modes = search.report_modes(report)
+        if config.require_nef and not report.minus_k_plus_d_nef:
+            continue
+        if modes and (config.mode == "either" or config.mode in modes):
+            hits.append((n, q, partition, modes))
+    return sorted(hits, key=lambda h: (len(h[2]), h[2]))
+
+
+search_flags = st.fixed_dictionaries({
+    "mode": st.sampled_from(["n", "n1", "either"]),
+    "exclude_trivial": st.booleans()})
+
+
+@st.composite
+def nef_hypersurfaces(draw):
+    """(n, q) with q <= 400 and a nef cap n + 2 - q >= 0."""
+    q = draw(st.integers(1, 400))
+    return draw(st.integers(max(2, q - 2), 400)), q
+
+
+class TestSolverMatchesDirectPipeline:
+    # Every candidate in the box goes through full_report, not the closed
+    # form, on boxes past the ones the scanner covers.
+    @settings(deadline=None)
+    @given(box=nef_hypersurfaces(), flags=search_flags)
+    @example(box=(120, 6), flags={"mode": "either", "exclude_trivial": True})
+    def test_hypersurface_nef_box(self, box, flags):
+        n, q = box
+        config = hyp_config(n_min=n, n_max=n, q_min=q, q_max=q, **flags)
+        ones = [(1,) * l for l in range(n + 3 - q)]
+        assert solved(enumerate_hypersurface(config)) == \
+            direct_cases(config, n, q, ones)
+
+    @settings(deadline=None)
+    @given(n=st.integers(23, 200), s_max=st.integers(1, 12),
+           require_nef=st.booleans(), flags=search_flags)
+    def test_pn_degree_capped_box(self, n, s_max, require_nef, flags):
+        config = pn_config(n_min=n, n_max=n, s_max=s_max,
+                           require_nef=require_nef, **flags)
+        assert solved(enumerate_pn(config)) == direct_cases(
+            config, n, 1, partitions_with_sum_at_most(s_max))
 
 
 class TestUnfilteredBoxes:
