@@ -4,8 +4,9 @@ Each case runs `logbg.cli.main` in-process and compares the sha256 of
 its stdout, and its exit code, with tests/golden.json.  The digests pin
 `enumerate` (both families, both formats, with and without the nef
 filter, single modes with trivial cases kept), `verify-paper`, `report`
-in both formats on a document from all three families, and `nef`
-queries.  A change that alters one of these outputs on purpose updates
+in both formats on two documents from all three families (one with at
+most three components per pair, one with 9 to 40 per pair, repeating
+classes both in runs and interleaved), and `nef` queries.  A change that alters one of these outputs on purpose updates
 its digest and says why.
 """
 
@@ -42,6 +43,39 @@ REPORT_DOCUMENT = {"pairs": [
                   {"label": "S", "class": {"C0": 2, "f": 7}}]},
 ]}
 
+
+def _pn(n, degrees):
+    return {"ambient": {"kind": "projective_space", "n": n},
+            "divisors": [{"label": f"D{i}", "class": {"H": d}}
+                         for i, d in enumerate(degrees)]}
+
+
+def _hyp(n, q, degrees):
+    return {"ambient": {"kind": "hypersurface", "n": n, "q": q},
+            "divisors": [{"label": f"L{i}", "class": {"h": d}}
+                         for i, d in enumerate(degrees)]}
+
+
+def _hirz(m, classes):
+    return {"ambient": {"kind": "hirzebruch", "m": m},
+            "divisors": [{"label": f"E{i}", "class": {"C0": a, "f": b}}
+                         for i, (a, b) in enumerate(classes)]}
+
+
+MANY_COMPONENTS_DOCUMENT = {"pairs": [
+    _pn(7, [1] * 5 + [2, 1, 2, 1, 3, 3, 3, 1]),
+    _pn(2, [3, 1, 1, 4, 1, 1, 3, 2, 2]),
+    _pn(30, [1] * 40),
+    _pn(12, [5, 4, 3, 2, 1] * 4 + [1] * 6),
+    _hyp(5, 3, [1, 2] * 5 + [5, 5, 5]),
+    _hyp(40, 2, [1] * 38 + [2, 2]),
+    _hyp(3, 7, [2, 2, 1, 2, 2, 1, 1, 1, 3, 2, 1, 3]),
+    _hirz(2, [(1, 0), (0, 1), (1, 2), (0, 1), (0, 1), (1, 0), (2, 5),
+              (0, 1), (1, 2), (1, 2), (1, 2), (0, 1)]),
+    _hirz(1, [(1, 0), (0, 1)] * 10 + [(3, 4)] * 3),
+    _hirz(5, [(0, 1)] * 9 + [(1, 5), (1, 0), (1, 5), (2, 13)] * 2),
+]}
+
 ENUM = ("enumerate", "--family")
 CASES = {
     "enum-pn-table": ENUM + ("pn",),
@@ -74,6 +108,8 @@ CASES = {
     "verify-paper": ("verify-paper",),
     "report-table": ("report", "{doc}"),
     "report-records": ("report", "{doc}", "--format", "records"),
+    "report-many-table": ("report", "{many}"),
+    "report-many-records": ("report", "{many}", "--format", "records"),
     "nef-fiber": ("nef", "--kind", "hirzebruch", "--m", "2",
                   "--divisor", "0,2"),
     "nef-section": ("nef", "--kind", "hirzebruch", "--m", "3",
@@ -96,10 +132,13 @@ CASES = {
 
 def run_case(name, directory):
     """(sha256 of stdout, exit code) of one case."""
-    doc = os.path.join(directory, "pairs.json")
-    with open(doc, "w") as fh:
-        json.dump(REPORT_DOCUMENT, fh)
-    argv = [arg.format(doc=doc) for arg in CASES[name]]
+    paths = {}
+    for key, document in (("doc", REPORT_DOCUMENT),
+                          ("many", MANY_COMPONENTS_DOCUMENT)):
+        paths[key] = os.path.join(directory, f"{key}.json")
+        with open(paths[key], "w") as fh:
+            json.dump(document, fh)
+    argv = [arg.format(**paths) for arg in CASES[name]]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
