@@ -126,7 +126,7 @@ def mul(a: CycleClass, b: CycleClass) -> CycleClass:
         return b.scale(a.coeffs[0])
     if b.grade == 0:
         return a.scale(b.coeffs[0])
-    return CycleClass(model, g, (model.intersect(a, b),))
+    return CycleClass(model, g, (model.intersect(a.coeffs, b.coeffs),))
 
 
 def degree(a: CycleClass) -> Fraction:

@@ -17,7 +17,6 @@ genericity are modeling assumptions and are not checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from types import MappingProxyType
 from typing import Callable
@@ -57,18 +56,19 @@ class AmbientModel:
     def __str__(self) -> str:
         return self.family.label(self)
 
-    def intersect(self, a: CycleClass, b: CycleClass) -> Fraction:
-        """The one coefficient of a.b for a, b of positive grade."""
+    def intersect(self, a: tuple, b: tuple) -> Scalar:
+        """The one coefficient of a.b, from the coefficient tuples of two
+        classes of positive grade; integral on integral input."""
         if self.kind == "hirzebruch":
             # only 1+1 remains on a surface: C0^2 = -m, C0.f = 1, f^2 = 0
-            (a0, a1), (b0, b1) = a.coeffs, b.coeffs
+            (a0, a1), (b0, b1) = a, b
             return a0 * b0 * (-self.m) + a0 * b1 + a1 * b0
-        return a.coeffs[0] * b.coeffs[0]
+        return a[0] * b[0]
 
     # -- class constructors ------------------------------------------------
 
     def cycle(self, grade: int, *coeffs: Scalar) -> CycleClass:
-        return CycleClass(self, grade, tuple(Fraction(c) for c in coeffs))
+        return CycleClass(self, grade, coeffs)
 
     def zero(self, grade: int) -> CycleClass:
         return CycleClass(self, grade, (0,) * self.basis_size(grade))
@@ -144,7 +144,8 @@ def c_infinity(model: AmbientModel) -> CycleClass:
 
 
 def is_c_infinity(cls: CycleClass) -> bool:
-    return cls.model.kind == "hirzebruch" and cls == c_infinity(cls.model)
+    return (cls.model.kind == "hirzebruch" and cls.grade == 1
+            and cls.coeffs == (1, cls.model.m))
 
 
 def tangent_chern(model: AmbientModel) -> ChernData:

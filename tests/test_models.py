@@ -4,9 +4,9 @@ from math import comb
 import pytest
 
 from logbg.chow import ChowError, GradeError
-from logbg.models import (canonical_class, default_polarization, hirzebruch,
-                          hypersurface, is_nef, projective_space,
-                          tangent_chern)
+from logbg.models import (c_infinity, canonical_class, default_polarization,
+                          hirzebruch, hypersurface, is_c_infinity, is_nef,
+                          projective_space, tangent_chern)
 
 
 def tangent_series_oracle(n, q):
@@ -132,3 +132,41 @@ class TestIsNef:
     def test_wrong_grade_rejected(self):
         with pytest.raises(GradeError):
             is_nef(hirzebruch(1), hirzebruch(1).point())
+
+
+class TestConstructors:
+    """cycle, divisor and point take ints and Fractions only; the one
+    coercion is CycleClass's."""
+
+    @pytest.mark.parametrize("bad", [0.1, 0.5, "1/3", "2"])
+    def test_floats_and_strings_rejected(self, bad):
+        P3, F2 = projective_space(3), hirzebruch(2)
+        with pytest.raises(TypeError):
+            P3.cycle(1, bad)
+        with pytest.raises(TypeError):
+            P3.divisor(bad)
+        with pytest.raises(TypeError):
+            P3.point(bad)
+        with pytest.raises(TypeError):
+            F2.divisor(1, bad)
+
+    def test_ints_and_fractions_accepted(self):
+        P3, F2 = projective_space(3), hirzebruch(2)
+        assert P3.cycle(1, 2).coeffs == (Fraction(2),)
+        assert P3.divisor(Fraction(1, 3)).coeffs == (Fraction(1, 3),)
+        assert P3.point(Fraction(-5, 2)).coeffs == (Fraction(-5, 2),)
+        assert F2.divisor(1, Fraction(3, 2)).coeffs == (1, Fraction(3, 2))
+        assert all(type(c) is Fraction
+                   for c in P3.cycle(2, 7).coeffs + F2.divisor(1, 2).coeffs)
+
+
+class TestCInfinity:
+    def test_only_the_class_c0_plus_mf(self):
+        for m in range(1, 6):
+            model = hirzebruch(m)
+            assert is_c_infinity(c_infinity(model))
+            assert is_c_infinity(model.divisor(1, m))
+            for a, b in ((1, 0), (0, 1), (1, m + 1), (2, 2 * m), (0, m)):
+                assert not is_c_infinity(model.divisor(a, b))
+            assert not is_c_infinity(model.cycle(2, 1))
+        assert not is_c_infinity(projective_space(3).divisor(1))
