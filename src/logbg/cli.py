@@ -81,15 +81,12 @@ def _search_config(args) -> SearchConfig:
         raise SearchSpaceError("--q only applies to --family hypersurface")
     n_min, n_max = _parse_range(args.n) if args.n else (
         defaults.n_min, defaults.n_max)
-    q_min, q_max = (defaults.q_min, defaults.q_max)
-    if args.q is not None:
-        q_min, q_max = _parse_range(args.q)
+    q_min, q_max = _parse_range(args.q) if args.q is not None else (
+        defaults.q_min, defaults.q_max)
     return SearchConfig(
         family=args.family, n_min=n_min, n_max=n_max, mode=args.mode,
         require_nef=args.nef, exclude_trivial=not args.include_trivial,
-        s_max=args.s_max,
-        q_min=q_min if args.family == "hypersurface" else 2,
-        q_max=q_max if args.family == "hypersurface" else None)
+        s_max=args.s_max, q_min=q_min, q_max=q_max)
 
 
 def _case_summary(case) -> str:

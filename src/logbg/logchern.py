@@ -1,4 +1,4 @@
-"""Logarithmic Chern classes, the extension-sheaf Chern data, and slopes.
+"""Logarithmic Chern classes and slopes.
 
 For a pair (X, D) with D = sum D_i simple normal crossing:
 
@@ -10,8 +10,9 @@ All of it is integral: prime-divisor classes and the tangent data have
 integer coefficients, and D^2 - sum_i D_i^2 = 2 sum_{i<j} D_i.D_j, so
 D^2 = sum_i D_i^2 mod 2 and the halving is exact.
 
-The extension of T_X(-log D) by the trivial sheaf has the same c1 and
-c2 for every extension class, so no extension class appears in the API.
+The rank-(n+1) extension of T_X(-log D) by the trivial sheaf shares
+its c1 and c2 for every extension class, so no extension class appears
+in the API: bg reads the same c1 and c2 at rank n+1.
 """
 
 from __future__ import annotations
@@ -110,13 +111,6 @@ def log_chern(pair: LogPair) -> ChernData:
           + (intersect(D, D) + squares) // 2)
     c1 = model.divisor(*(t - d for t, d in zip(t1, D)))
     return ChernData(model.dim, c1, model.cycle(2, c2))
-
-
-def extension_chern(pair: LogPair) -> ChernData:
-    """Chern data of the rank-(dim+1) extension by the trivial sheaf;
-    c1 and c2 agree with the logarithmic tangent bundle."""
-    chern = log_chern(pair)
-    return ChernData(chern.rank + 1, chern.c1, chern.c2)
 
 
 def slope(model: AmbientModel, c1: CycleClass, rank: int,

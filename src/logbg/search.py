@@ -16,16 +16,12 @@ output because partial results are merged in canonical sort order.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isqrt
 
 from .bg import BGReport, full_report
 from .chow import ChowError
-from .logchern import LogPair, hypersurface_pair, pn_pair
-
-# Floors claimed for the two families under the default bounds.
-PN_FLOOR = 18
-HYP_FLOOR = 90
+from .logchern import hypersurface_pair, pn_pair
 
 MODES = ("n", "n1", "either")
 
@@ -68,11 +64,12 @@ class SearchConfig:
                 raise SearchSpaceError(
                     f"invalid degree range [{self.q_min}, {self.q_max}]")
 
-    def degree_cap(self, n: int) -> int:
-        """Cap on the total boundary degree at dimension n."""
-        if self.s_max is not None:
-            return self.s_max
-        return n + 1 if self.require_nef else 3 * (n + 1)
+    def degree_cap(self, n: int, q: int = 1) -> int:
+        """Cap on the total boundary degree at dimension n on a degree-q
+        hypersurface (P^n at q = 1).  Under the nef filter -(K + D) is nef
+        only up to degree n + 2 - q, which may be negative."""
+        cap = 3 * (n + 1) if self.s_max is None else self.s_max
+        return min(cap, n + 2 - q) if self.require_nef else cap
 
 
 @dataclass(frozen=True)
@@ -131,11 +128,6 @@ def report_modes(report: BGReport) -> tuple[str, ...]:
     if report.equality_n_plus_1:
         modes.append("n1")
     return tuple(modes)
-
-
-def direct_modes(pair: LogPair) -> tuple[str, ...]:
-    """Full cycle-arithmetic evaluation; the oracle for the closed forms."""
-    return report_modes(full_report(pair))
 
 
 def _mode_hit(modes: tuple[str, ...], wanted: str) -> bool:
@@ -218,11 +210,8 @@ def _verified_case(family: str, n: int, q: int, partition: tuple[int, ...],
 
 def _pn_slice(args) -> list[EqualityCase]:
     config, n = args
-    s_cap = config.degree_cap(n)
-    if config.require_nef:
-        s_cap = min(s_cap, n + 1)
     cases = []
-    for s in range(s_cap + 1):
+    for s in range(config.degree_cap(n) + 1):
         for p2 in _pn_square_sums(n, s, config.mode):
             for partition in _partitions_with_square_sum(s, p2):
                 if config.exclude_trivial and partition in ((), (1,)):
@@ -240,9 +229,7 @@ def _hyp_slice(args) -> list[EqualityCase]:
     q_max = min(config.q_max, n + 2) if config.require_nef else config.q_max
     cases = []
     for q in range(config.q_min, q_max + 1):
-        l_cap = config.degree_cap(n)
-        if config.require_nef:
-            l_cap = min(l_cap, n + 2 - q)
+        l_cap = config.degree_cap(n, q)
         for l in _hyp_component_counts(n, q, config.mode):
             if l > l_cap or (config.exclude_trivial and l == 0):
                 continue
@@ -289,51 +276,8 @@ def enumerate_hypersurface(config: SearchConfig,
     return _run(_hyp_slice, config, workers)
 
 
-# -- headline counts -------------------------------------------------------
+# -- default boxes ---------------------------------------------------------
 
 DEFAULT_PN_BOUNDS = SearchConfig(family="pn", n_min=2, n_max=30)
 DEFAULT_HYP_BOUNDS = SearchConfig(family="hypersurface", n_min=2, n_max=160,
                                   q_min=2, q_max=160)
-
-
-@dataclass(frozen=True)
-class RemarkCounts:
-    pn_count: int
-    hyp_count: int
-    pn_bounds: SearchConfig
-    hyp_bounds: SearchConfig
-    pn_regime: str
-    hyp_regime: str
-
-    @property
-    def meets_floors(self) -> bool:
-        return self.pn_count >= PN_FLOOR and self.hyp_count >= HYP_FLOOR
-
-
-def _count_with_fallback(config: SearchConfig, enumerate_fn, floor: int,
-                         workers: int):
-    cases = enumerate_fn(config, workers=workers)
-    if len(cases) >= floor or not config.require_nef:
-        return len(cases), config, "nef-filtered"
-    # Disclosed fallback: the nef filter is a tool-side convention, so a
-    # shortfall triggers one unfiltered rerun with a widened degree cap.
-    widened = replace(config, require_nef=False, s_max=None)
-    cases = enumerate_fn(widened, workers=workers)
-    return len(cases), widened, "widened, no nef filter"
-
-
-def count_remark_claims(pn_bounds: SearchConfig = DEFAULT_PN_BOUNDS,
-                        hyp_bounds: SearchConfig = DEFAULT_HYP_BOUNDS,
-                        workers: int = 1) -> RemarkCounts:
-    """Count distinct equality cases per family, with the bounds used.
-
-    Counts are lower bounds for the families' full solution sets; the
-    bounds travel with the result so callers can never quote a count
-    without its box.
-    """
-    pn_count, pn_used, pn_regime = _count_with_fallback(
-        pn_bounds, enumerate_pn, PN_FLOOR, workers)
-    hyp_count, hyp_used, hyp_regime = _count_with_fallback(
-        hyp_bounds, enumerate_hypersurface, HYP_FLOOR, workers)
-    return RemarkCounts(pn_count, hyp_count, pn_used, hyp_used,
-                        pn_regime, hyp_regime)

@@ -29,10 +29,6 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def cycle_to_dict(cls: CycleClass) -> dict:
     names = cls.model.basis_names(cls.grade)
     return {name: format_rational(c) for name, c in zip(names, cls.coeffs)}

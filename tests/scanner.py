@@ -2,10 +2,18 @@
 
 It walks every candidate in a search box and keeps those the integer
 closed forms accept, so it is only usable on boxes small enough to
-scan.  Tests compare the solvers against it.
+scan.  Tests compare the solvers against it, and the closed forms
+against `direct_modes`.
 """
 
-from logbg.search import hyp_modes_closed_form, pn_modes_closed_form
+from logbg.bg import full_report
+from logbg.search import (hyp_modes_closed_form, pn_modes_closed_form,
+                          report_modes)
+
+
+def direct_modes(pair):
+    """Full cycle-arithmetic evaluation; the oracle for the closed forms."""
+    return report_modes(full_report(pair))
 
 
 def partitions_with_sum_at_most(s_max: int):

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logbg import chow
+from logbg.bg import discriminant, full_report
 from logbg.chow import ChowError
-from logbg.logchern import (LogPair, extension_chern, hypersurface_pair,
-                            log_c1, log_c2, pn_pair, slope,
-                            wedge_cotangent_slope)
-from logbg.models import (c_infinity, default_polarization, hirzebruch,
-                          hypersurface, projective_space, tangent_chern)
+from logbg.logchern import (LogPair, hypersurface_pair, log_c1, log_c2,
+                            log_chern, pn_pair, slope, wedge_cotangent_slope)
+from logbg.models import (ChernData, c_infinity, default_polarization,
+                          hirzebruch, hypersurface, projective_space,
+                          tangent_chern)
 
 
 def hirzebruch_boundary(m):
@@ -186,19 +187,29 @@ class TestLinearLogC2:
 
 
 class TestExtensionChern:
+    """The rank-(n+1) extension of T_X(-log D) by the trivial sheaf shares
+    c1 and c2 with it; full_report's rank-(n+1) predicate is that
+    extension's discriminant."""
+
     def test_rank_bump_and_shared_classes(self):
         for pair in (pn_pair(5, []), pn_pair(7, [2, 1, 1]),
-                     hirzebruch_boundary(4), hypersurface_pair(7, 2, 3)):
-            data = extension_chern(pair)
-            assert data.rank == pair.model.dim + 1
-            assert data.c1 == log_c1(pair)
-            assert data.c2 == log_c2(pair)
+                     hirzebruch_boundary(4), hypersurface_pair(7, 2, 3),
+                     pn_pair(5, [2]), hypersurface_pair(7, 2, 1)):
+            chern = log_chern(pair)
+            assert chern.rank == pair.model.dim
+            extension = ChernData(chern.rank + 1, chern.c1, chern.c2)
+            H = default_polarization(pair.model)
+            assert full_report(pair).equality_n_plus_1 == \
+                (discriminant(extension, H) == 0)
 
     def test_empty_divisor_projective(self):
-        data = extension_chern(pn_pair(6, []))
-        assert data.rank == 7
-        assert data.c1 == projective_space(6).divisor(7)
-        assert data.c2 == projective_space(6).cycle(2, comb(7, 2))
+        pair = pn_pair(6, [])
+        chern = log_chern(pair)
+        assert chern.c1 == projective_space(6).divisor(7)
+        assert chern.c2 == projective_space(6).cycle(2, comb(7, 2))
+        extension = ChernData(7, chern.c1, chern.c2)
+        assert discriminant(extension, default_polarization(pair.model)) == 0
+        assert full_report(pair).equality_n_plus_1
 
 
 class TestSlope:

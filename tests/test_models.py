@@ -138,7 +138,8 @@ class TestConstructors:
     """cycle, divisor and point take ints and Fractions only; the one
     coercion is CycleClass's."""
 
-    @pytest.mark.parametrize("bad", [0.1, 0.5, "1/3", "2"])
+    # bool is an int subclass, but True is not the coefficient 1
+    @pytest.mark.parametrize("bad", [0.1, 0.5, "1/3", "2", True, False])
     def test_floats_and_strings_rejected(self, bad):
         P3, F2 = projective_space(3), hirzebruch(2)
         with pytest.raises(TypeError):

@@ -6,14 +6,12 @@ from hypothesis import example, given, settings, strategies as st
 from logbg import search
 from logbg.bg import full_report
 from logbg.logchern import hypersurface_pair, pn_pair
-from logbg.search import (DEFAULT_HYP_BOUNDS, DEFAULT_PN_BOUNDS, EqualityCase,
-                          SearchConfig, SearchSpaceError, VerificationError,
-                          count_remark_claims, direct_modes,
-                          enumerate_hypersurface, enumerate_pn,
-                          hyp_modes_closed_form, pn_modes_closed_form,
-                          pool_size)
-from scanner import (partitions_with_sum_at_most, scan_hypersurface,
-                     scan_pn)
+from logbg.search import (DEFAULT_PN_BOUNDS, SearchConfig, SearchSpaceError,
+                          VerificationError, enumerate_hypersurface,
+                          enumerate_pn, hyp_modes_closed_form,
+                          pn_modes_closed_form, pool_size)
+from scanner import (direct_modes, partitions_with_sum_at_most,
+                     scan_hypersurface, scan_pn)
 
 
 def pn_config(**kwargs):
@@ -48,6 +46,19 @@ class TestConfigValidation:
     def test_missing_q_range_rejected(self):
         with pytest.raises(SearchSpaceError):
             SearchConfig(family="hypersurface", n_min=2, n_max=3)
+
+
+class TestDegreeCap:
+    def test_nef_cap_is_n_plus_2_minus_q(self):
+        assert pn_config().degree_cap(7) == 8
+        assert hyp_config().degree_cap(7, 3) == 6
+        assert hyp_config().degree_cap(7, 10) == -1
+        assert hyp_config(s_max=4).degree_cap(7, 3) == 4
+        assert hyp_config(s_max=4).degree_cap(7, 6) == 3
+
+    def test_unfiltered_cap_ignores_q(self):
+        assert hyp_config(require_nef=False).degree_cap(7, 3) == 24
+        assert hyp_config(require_nef=False, s_max=40).degree_cap(7, 3) == 40
 
 
 class TestEnumeratePn:
@@ -253,14 +264,8 @@ class TestUnfilteredBoxes:
         cases = enumerate_pn(replace(DEFAULT_PN_BOUNDS, require_nef=False))
         assert len(cases) == 65
 
-    def test_count_fallback_widens_to_no_nef_filter(self):
-        counts = count_remark_claims(
-            pn_bounds=SearchConfig(family="pn", n_min=2, n_max=9),
-            hyp_bounds=DEFAULT_HYP_BOUNDS)
-        assert counts.pn_count == 14
-        assert counts.pn_regime == "widened, no nef filter"
-        assert not counts.pn_bounds.require_nef
-        assert counts.hyp_regime == "nef-filtered"
+    def test_small_pn_box_without_nef_filter(self):
+        assert len(enumerate_pn(pn_config(n_max=9, require_nef=False))) == 14
 
 
 class TestVerificationFailure:
