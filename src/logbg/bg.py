@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chow
-from .chow import ChowError, CycleClass, GradeError
+from .chow import ChowError, CycleClass, GradeError, Scalar
 from .logchern import LogPair, log_chern
 from .models import ChernData, default_polarization, is_nef
 
@@ -25,8 +25,8 @@ from .models import ChernData, default_polarization, is_nef
 @dataclass(frozen=True)
 class BGReport:
     rank: int  # dim X: rank of the logarithmic tangent bundle
-    c1_sq: Fraction  # c1^2 . H^{n-2}
-    c2_eval: Fraction  # c2 . H^{n-2}
+    c1_sq: Scalar  # c1^2 . H^{n-2}
+    c2_eval: Scalar  # c2 . H^{n-2}
     discriminant: Fraction
     equality_n: bool
     equality_n_plus_1: bool
@@ -34,7 +34,7 @@ class BGReport:
     polarization: CycleClass
 
 
-def evaluate_pair(chern: ChernData, H: CycleClass) -> tuple[Fraction, Fraction]:
+def evaluate_pair(chern: ChernData, H: CycleClass) -> tuple[Scalar, Scalar]:
     """(c1^2 . H^{n-2}, c2 . H^{n-2}) as exact rationals."""
     if H.grade != 1:
         raise GradeError("polarization must have grade 1")
@@ -47,8 +47,8 @@ def evaluate_pair(chern: ChernData, H: CycleClass) -> tuple[Fraction, Fraction]:
     return c1_sq, c2_eval
 
 
-def _at_rank(rank: int, c1_sq: Fraction, c2_eval: Fraction) -> Fraction:
-    return c2_eval - Fraction(rank - 1, 2 * rank) * c1_sq
+def _at_rank(rank: int, c1_sq: Scalar, c2_eval: Scalar) -> Fraction:
+    return Fraction(2 * rank * c2_eval - (rank - 1) * c1_sq, 2 * rank)
 
 
 def discriminant(chern: ChernData, H: CycleClass) -> Fraction:

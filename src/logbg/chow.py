@@ -1,6 +1,7 @@
 """Exact cycle-class arithmetic on the supported ambient models.
 
-All coefficients are `fractions.Fraction`; no floats appear anywhere.
+A coefficient is an int, or a `fractions.Fraction` where it is not
+integral; never a float.
 A CycleClass is a graded vector in the fixed codimension basis of its
 owning model: rank one in every codimension for projective spaces and
 hypersurfaces, and (C0, f) in codimension one on a Hirzebruch surface.
@@ -30,11 +31,12 @@ class GradeError(ChowError):
     """Operation is not defined at these codimensions."""
 
 
-def _as_fraction(x: Scalar) -> Fraction:
+def _int_or_fraction(x: Scalar) -> Scalar:
+    """x as an int when it is integral, else as a Fraction."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
+        return x
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
@@ -42,7 +44,7 @@ def _as_fraction(x: Scalar) -> Fraction:
 class CycleClass:
     model: "AmbientModel"
     grade: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Scalar, ...]  # int, or Fraction where non-integral
 
     def __post_init__(self):
         if not 0 <= self.grade <= self.model.dim:
@@ -53,8 +55,10 @@ class CycleClass:
             raise ChowError(
                 f"{self.model} needs {expected} coefficient(s) at "
                 f"codimension {self.grade}, got {len(self.coeffs)}")
-        object.__setattr__(
-            self, "coeffs", tuple(_as_fraction(c) for c in self.coeffs))
+        # a bool fails `type(c) is int`, so the coercion rejects it
+        if not all(type(c) is int for c in self.coeffs):
+            object.__setattr__(self, "coeffs",
+                               tuple(_int_or_fraction(c) for c in self.coeffs))
 
     def _check_same_model(self, other: "CycleClass") -> None:
         if self.model != other.model:
@@ -80,7 +84,7 @@ class CycleClass:
         return self + (-other)
 
     def scale(self, t: Scalar) -> "CycleClass":
-        t = _as_fraction(t)
+        t = _int_or_fraction(t)
         return CycleClass(
             self.model, self.grade, tuple(t * c for c in self.coeffs))
 
@@ -129,7 +133,7 @@ def mul(a: CycleClass, b: CycleClass) -> CycleClass:
     return CycleClass(model, g, (model.intersect(a.coeffs, b.coeffs),))
 
 
-def degree(a: CycleClass) -> Fraction:
+def degree(a: CycleClass) -> Scalar:
     """Degree of a top-codimension class (deg h^n = q on a hypersurface,
     and q = 1 on the other models)."""
     model = a.model
@@ -139,7 +143,7 @@ def degree(a: CycleClass) -> Fraction:
     return model.q * a.coeffs[0]
 
 
-def pair_with_polarization(a: CycleClass, H: CycleClass, k: int) -> Fraction:
+def pair_with_polarization(a: CycleClass, H: CycleClass, k: int) -> Scalar:
     """deg(a . H^k); the identity pairing when k = 0 on a surface.
 
     Where every graded piece has rank one (P^n and hypersurfaces, whose H

@@ -79,7 +79,7 @@ def _search_config(args) -> SearchConfig:
     defaults = DEFAULT_PN_BOUNDS if args.family == "pn" else DEFAULT_HYP_BOUNDS
     if args.family == "pn" and args.q is not None:
         raise SearchSpaceError("--q only applies to --family hypersurface")
-    n_min, n_max = _parse_range(args.n) if args.n else (
+    n_min, n_max = _parse_range(args.n) if args.n is not None else (
         defaults.n_min, defaults.n_max)
     q_min, q_max = _parse_range(args.q) if args.q is not None else (
         defaults.q_min, defaults.q_max)

@@ -25,7 +25,7 @@ from . import chow
 from .chow import ChowError, CycleClass, GradeError
 from .models import (AmbientModel, ChernData, default_polarization,
                      hypersurface, is_prime_class, projective_space,
-                     tangent_chern)
+                     tangent_coefficients)
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,9 @@ class LogPair:
 def pn_pair(n: int, degrees) -> LogPair:
     """Convenience: (P^n, D) with D_i of the given degrees."""
     model = projective_space(n)
-    comps = tuple((f"D{i + 1}", model.divisor(d))
-                  for i, d in enumerate(degrees))
+    degrees = tuple(degrees)
+    divisor = {d: model.divisor(d) for d in set(degrees)}
+    comps = tuple((f"D{i + 1}", divisor[d]) for i, d in enumerate(degrees))
     return LogPair(model, comps)
 
 
@@ -98,17 +99,15 @@ def log_chern(pair: LogPair) -> ChernData:
     cycle classes built.  No chow.mul is taken.
     """
     model = pair.model
-    tangent = tangent_chern(model)
+    t1, t2 = tangent_coefficients(model)
     intersect = model.intersect
-    components = [tuple(c.numerator for c in cls.coeffs)
-                  for cls in pair.classes]
+    # prime classes are integral, so every coefficient here is an int
+    components = [cls.coeffs for cls in pair.classes]
     D = tuple(sum(E[i] for E in components)
               for i in range(model.basis_size(1)))
     squares = sum(intersect(E, E) for E in components)
-    t1 = tuple(c.numerator for c in tangent.c1.coeffs)
     # K.D = -c1(T).D
-    c2 = (tangent.c2.coeffs[0].numerator - intersect(t1, D)
-          + (intersect(D, D) + squares) // 2)
+    c2 = t2 - intersect(t1, D) + (intersect(D, D) + squares) // 2
     c1 = model.divisor(*(t - d for t, d in zip(t1, D)))
     return ChernData(model.dim, c1, model.cycle(2, c2))
 
@@ -120,7 +119,8 @@ def slope(model: AmbientModel, c1: CycleClass, rank: int,
         raise ChowError("rank must be positive")
     if c1.grade != 1 or H.grade != 1:
         raise GradeError("slope needs grade-1 classes")
-    return chow.pair_with_polarization(c1, H, model.dim - 1) / rank
+    # int / int would be a float
+    return Fraction(chow.pair_with_polarization(c1, H, model.dim - 1), rank)
 
 
 def wedge_cotangent_slope(n: int, r: int) -> Fraction:

@@ -148,8 +148,8 @@ def is_c_infinity(cls: CycleClass) -> bool:
             and cls.coeffs == (1, cls.model.m))
 
 
-def tangent_chern(model: AmbientModel) -> ChernData:
-    """Rank, c1 and c2 of the tangent bundle.
+def tangent_coefficients(model: AmbientModel) -> tuple[tuple[int, ...], int]:
+    """The integer c1 coefficients and c2 of the tangent bundle.
 
     On the Picard-rank-one models the values truncate
     (1+h)^{n+2} / (1+qh): c1 = (n+2-q)h, c2 = (C(n+2,2) - q(n+2) + q^2) h^2,
@@ -157,10 +157,15 @@ def tangent_chern(model: AmbientModel) -> ChernData:
     the Euler number 4 and c1 = 2C0 + (m+2)f.
     """
     if model.kind == "hirzebruch":
-        return ChernData(2, model.divisor(2, model.m + 2), model.point(4))
+        return (2, model.m + 2), 4
     n, q = model.n, model.q
-    c2 = comb(n + 2, 2) - q * (n + 2) + q * q
-    return ChernData(n, model.divisor(n + 2 - q), model.cycle(2, c2))
+    return (n + 2 - q,), comb(n + 2, 2) - q * (n + 2) + q * q
+
+
+def tangent_chern(model: AmbientModel) -> ChernData:
+    """Rank (the dimension), c1 and c2 of the tangent bundle."""
+    c1, c2 = tangent_coefficients(model)
+    return ChernData(model.dim, model.divisor(*c1), model.cycle(2, c2))
 
 
 def canonical_class(model: AmbientModel) -> CycleClass:

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
-from fractions import Fraction
 
 from . import __version__
 from .bg import BGReport
-from .chow import CycleClass
+from .chow import CycleClass, Scalar
 from .logchern import LogPair
 from .models import FAMILIES, AmbientModel, is_c_infinity
 from .search import EqualityCase, SearchConfig
@@ -23,7 +22,7 @@ class InputError(ValueError):
     """Malformed descriptor document."""
 
 
-def format_rational(x: Fraction) -> str:
+def format_rational(x: Scalar) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

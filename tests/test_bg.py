@@ -9,7 +9,7 @@ from logbg.bg import (check_equality_n, check_equality_n_plus_1, discriminant,
                       full_report)
 from logbg.chow import GradeError, mul
 from logbg.cli import main
-from logbg.logchern import LogPair, hypersurface_pair, pn_pair
+from logbg.logchern import LogPair, hypersurface_pair, log_chern, pn_pair
 from logbg.models import (ChernData, c_infinity, hirzebruch, hypersurface,
                           projective_space)
 
@@ -185,3 +185,44 @@ class TestProductCount:
             mul_calls.clear()
             full_report(hypersurface_pair(n, q, l))
             assert len(mul_calls) == 1
+
+
+class TestConstructionCount:
+    """A report builds at most four cycle classes, log c1, log c2, the
+    polarization H and c1^2, at any n and any number of components;
+    log_chern reads the tangent data as integers and builds only c1 and
+    c2."""
+
+    def pairs(self):
+        F3 = hirzebruch(3)
+        many_fm = LogPair(F3, tuple((f"D{i}", F3.divisor(1, 3 + i % 4))
+                                    for i in range(40)))
+        return (pn_pair(3, []), pn_pair(3, [2, 1]), pn_pair(100000, [2, 1]),
+                pn_pair(30, [1] * 31), pn_pair(12, range(12, 0, -1)),
+                hypersurface_pair(3, 2, 2), hypersurface_pair(160, 2, 117),
+                hirzebruch_boundary(2), many_fm)
+
+    def test_full_report_builds_at_most_four(self, cycle_calls):
+        for pair in self.pairs():
+            cycle_calls.clear()
+            full_report(pair)
+            assert len(cycle_calls) <= 4, pair.model
+
+    def test_log_chern_builds_c1_and_c2_only(self, cycle_calls, monkeypatch):
+        from logbg import logchern, models
+
+        def refuse(model):
+            raise AssertionError("log_chern called tangent_chern")
+
+        monkeypatch.setattr(models, "tangent_chern", refuse)
+        monkeypatch.setattr(logchern, "tangent_chern", refuse, raising=False)
+        for pair in self.pairs():
+            cycle_calls.clear()
+            log_chern(pair)
+            assert len(cycle_calls) == 2, pair.model
+
+    def test_pn_pair_builds_one_class_per_degree(self, cycle_calls):
+        pair = pn_pair(9, [3, 2, 2, 1, 1, 1, 1])
+        assert len(cycle_calls) == 3
+        assert [cls.coeffs for cls in pair.classes] == \
+            [(3,), (2,), (2,), (1,), (1,), (1,), (1,)]

@@ -179,6 +179,16 @@ class TestEnumerateCommand:
     def test_empty_range_usage_error(self, capsys):
         assert main(["enumerate", "--family", "pn", "--n", "5..4"]) == 2
 
+    @pytest.mark.parametrize("argv", [["--family", "pn", "--n", ""],
+                                      ["--family", "hypersurface", "--n", ""],
+                                      ["--family", "hypersurface", "--q", ""]])
+    def test_empty_range_string_usage_error(self, capsys, argv):
+        """An empty --n is a malformed range, not a request for the
+        default box."""
+        assert main(["enumerate", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "range '' is not 'A..B'" in err
+
     def test_q_with_pn_rejected(self, capsys):
         assert main(["enumerate", "--family", "pn", "--n", "2..3",
                      "--q", "2..3"]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 from math import comb
@@ -13,6 +14,9 @@ from logbg.logchern import (LogPair, hypersurface_pair, log_c1, log_c2,
 from logbg.models import (ChernData, c_infinity, default_polarization,
                           hirzebruch, hypersurface, projective_space,
                           tangent_chern)
+from logbg.search import (DEFAULT_HYP_BOUNDS, DEFAULT_PN_BOUNDS, EqualityCase,
+                          report_modes)
+from logbg.serialize import case_record, report_record
 
 
 def hirzebruch_boundary(m):
@@ -184,6 +188,55 @@ class TestLinearLogC2:
             mul_calls.clear()
             log_c2(pn_pair(5, range(l, 0, -1)))
             assert len(mul_calls) == 0
+
+
+def floats_in(value):
+    """Every float reachable from value through dataclass fields (a
+    CycleClass's coefficients among them), dicts, lists and tuples."""
+    if isinstance(value, float):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from floats_in(getattr(value, f.name))
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from floats_in(key)
+            yield from floats_in(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from floats_in(item)
+
+
+class TestNoFloat:
+    """Exact values are ints, or Fractions where non-integral; an int / int
+    anywhere in the pipeline would show up here as a float."""
+
+    @settings(deadline=None)
+    @given(small_pairs(), st.integers(1, 12))
+    def test_no_value_is_a_float(self, pair, rank):
+        model = pair.model
+        H = default_polarization(model)
+        chern = log_chern(pair)
+        report = full_report(pair)
+        values = [report, report_record(pair, report),
+                  discriminant(chern, H),
+                  discriminant(ChernData(rank, chern.c1, chern.c2), H),
+                  slope(model, chern.c1, rank, H),
+                  slope(model, -chern.c1, chern.rank, H)]
+        if model.kind == "projective_space":
+            values += [wedge_cotangent_slope(model.n, r)
+                       for r in range(1, model.n + 1)]
+        if model.kind != "hirzebruch":
+            family, config = (("pn", DEFAULT_PN_BOUNDS)
+                              if model.kind == "projective_space"
+                              else ("hypersurface", DEFAULT_HYP_BOUNDS))
+            partition = tuple(sorted((cls.coeffs[0] for cls in pair.classes),
+                                     reverse=True))
+            case = EqualityCase(family, model.n, model.q, partition,
+                                report_modes(report),
+                                report.minus_k_plus_d_nef, report)
+            values.append(case_record(case, config))
+        assert list(floats_in(values)) == []
 
 
 class TestExtensionChern:

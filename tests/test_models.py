@@ -4,9 +4,10 @@ from math import comb
 import pytest
 
 from logbg.chow import ChowError, GradeError
-from logbg.models import (c_infinity, canonical_class, default_polarization,
-                          hirzebruch, hypersurface, is_c_infinity, is_nef,
-                          projective_space, tangent_chern)
+from logbg.models import (ChernData, c_infinity, canonical_class,
+                          default_polarization, hirzebruch, hypersurface,
+                          is_c_infinity, is_nef, projective_space,
+                          tangent_chern)
 
 
 def tangent_series_oracle(n, q):
@@ -55,6 +56,24 @@ class TestTangentChern:
         assert flat.rank == proj.rank
         assert flat.c1.coeffs == proj.c1.coeffs
         assert flat.c2.coeffs == proj.c2.coeffs
+
+    # (model, c1 coefficients, c2): P^n has (n+1)H and C(n+1,2)H^2; the
+    # quintic threefold and the quartic K3 have c1 = 0 and c2 = 10h^2 and
+    # 6h^2 (Euler number 4 * 6 = 24); F_m has 2C0 + (m+2)f and 4
+    @pytest.mark.parametrize("model,c1,c2", [
+        (projective_space(2), (3,), 3), (projective_space(7), (8,), 28),
+        (projective_space(40), (41,), 820), (hypersurface(7, 2), (7,), 22),
+        (hypersurface(4, 3), (3,), 6), (hypersurface(3, 5), (0,), 10),
+        (hypersurface(2, 4), (0,), 6), (hirzebruch(1), (2, 3), 4),
+        (hirzebruch(5), (2, 7), 4)],
+        ids=["P2", "P7", "P40", "X2inP8", "X3inP5", "X5inP4", "X4inP3", "F1",
+             "F5"])
+    def test_pinned_closed_forms(self, model, c1, c2):
+        data = tangent_chern(model)
+        assert data == ChernData(model.dim, model.divisor(*c1),
+                                 model.cycle(2, c2))
+        assert data.c1.coeffs == c1 and data.c2.coeffs == (c2,)
+        assert all(type(c) is int for c in data.c1.coeffs + data.c2.coeffs)
 
     def test_surface_euler_numbers(self):
         for m in range(1, 51):
@@ -136,7 +155,8 @@ class TestIsNef:
 
 class TestConstructors:
     """cycle, divisor and point take ints and Fractions only; the one
-    coercion is CycleClass's."""
+    coercion is CycleClass's.  A stored coefficient is an int, or a
+    Fraction whose denominator is not 1."""
 
     # bool is an int subclass, but True is not the coefficient 1
     @pytest.mark.parametrize("bad", [0.1, 0.5, "1/3", "2", True, False])
@@ -150,15 +170,38 @@ class TestConstructors:
             P3.point(bad)
         with pytest.raises(TypeError):
             F2.divisor(1, bad)
+        with pytest.raises(TypeError):
+            P3.divisor(2).scale(bad)
+        with pytest.raises(TypeError):
+            bad * F2.divisor(1, 2)
+        with pytest.raises(TypeError):
+            F2.divisor(1, 2) * bad
 
     def test_ints_and_fractions_accepted(self):
         P3, F2 = projective_space(3), hirzebruch(2)
-        assert P3.cycle(1, 2).coeffs == (Fraction(2),)
+        assert P3.cycle(1, 2).coeffs == (2,)
         assert P3.divisor(Fraction(1, 3)).coeffs == (Fraction(1, 3),)
         assert P3.point(Fraction(-5, 2)).coeffs == (Fraction(-5, 2),)
         assert F2.divisor(1, Fraction(3, 2)).coeffs == (1, Fraction(3, 2))
-        assert all(type(c) is Fraction
-                   for c in P3.cycle(2, 7).coeffs + F2.divisor(1, 2).coeffs)
+        assert P3.divisor(Fraction(4, 2)).coeffs == (2,)
+        classes = (P3.cycle(2, 7), F2.divisor(1, 2), P3.divisor(Fraction(4, 2)),
+                   F2.divisor(Fraction(-6, 3), Fraction(1, 2)),
+                   Fraction(1, 2) * P3.divisor(4), P3.divisor(3).scale(
+                       Fraction(1, 2)), F2.divisor(Fraction(1, 3), 1) * 3)
+        for cls in classes:
+            for c in cls.coeffs:
+                assert type(c) is int or (type(c) is Fraction
+                                          and c.denominator != 1), cls
+
+    def test_integral_fraction_is_the_int(self):
+        for model in (projective_space(3), hypersurface(4, 2), hirzebruch(2)):
+            size = model.basis_size(1)
+            as_fraction = model.divisor(*[Fraction(2)] * size)
+            as_int = model.divisor(*[2] * size)
+            assert as_fraction == as_int
+            assert hash(as_fraction) == hash(as_int)
+            assert as_fraction.coeffs == (2,) * size
+            assert all(type(c) is int for c in as_fraction.coeffs)
 
 
 class TestCInfinity:
