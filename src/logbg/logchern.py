@@ -69,9 +69,8 @@ class LogPair:
 def pn_pair(n: int, degrees) -> LogPair:
     """Convenience: (P^n, D) with D_i of the given degrees."""
     model = projective_space(n)
-    degrees = tuple(degrees)
-    divisor = {d: model.divisor(d) for d in set(degrees)}
-    comps = tuple((f"D{i + 1}", divisor[d]) for i, d in enumerate(degrees))
+    comps = tuple((f"D{i + 1}", model.divisor(d))
+                  for i, d in enumerate(degrees))
     return LogPair(model, comps)
 
 

@@ -220,9 +220,3 @@ class TestConstructionCount:
             cycle_calls.clear()
             log_chern(pair)
             assert len(cycle_calls) == 2, pair.model
-
-    def test_pn_pair_builds_one_class_per_degree(self, cycle_calls):
-        pair = pn_pair(9, [3, 2, 2, 1, 1, 1, 1])
-        assert len(cycle_calls) == 3
-        assert [cls.coeffs for cls in pair.classes] == \
-            [(3,), (2,), (2,), (1,), (1,), (1,), (1,)]

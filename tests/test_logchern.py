@@ -61,6 +61,13 @@ class TestLogPairValidation:
         pair = pn_pair(7, [1, 1])
         assert len(pair.components) == 2
 
+    # True == 1 == 1.0, so a degree must not be matched up by value
+    @pytest.mark.parametrize("degrees", [[1, True], [True, 1], [1, 1.0],
+                                         [1.0, 1], [2, 1, False]])
+    def test_pn_pair_rejects_non_integer_degrees(self, degrees):
+        with pytest.raises(TypeError):
+            pn_pair(3, degrees)
+
 
 class TestLogC1:
     def test_projective_hyperplane(self):
