@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import re
 import sys
 
 from .bg import full_report
@@ -27,12 +28,23 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def integer(text: str) -> int:
+    """An optional sign and ASCII digits, nothing else: int() would also
+    take '1_0', surrounding whitespace and non-ASCII digits."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return int(lo), int(hi)
-        value = int(text)
+            return integer(lo), integer(hi)
+        value = integer(text)
         return value, value
     except ValueError:
         raise InputError(f"range {text!r} is not 'A..B' or a single integer")
@@ -106,11 +118,12 @@ def cmd_enumerate(args) -> int:
         cases = enumerate_hypersurface(config, workers=args.workers)
     with _out_stream(args) as out:
         if args.format == "records":
+            run_bounds = bounds_fields(config)
             for case in cases:
-                out.write(dump_record(case_record(case, config)) + "\n")
+                out.write(dump_record(case_record(case, run_bounds)) + "\n")
             summary = {"summary": {"family": config.family,
                                    "count": len(cases),
-                                   "bounds": bounds_fields(config)}}
+                                   "bounds": run_bounds}}
             out.write(dump_record(summary) + "\n")
         else:
             for case in cases:
@@ -146,7 +159,7 @@ def cmd_nef(args) -> int:
                    if getattr(args, key) is not None)
     model = parse_ambient(ambient)
     try:
-        coeffs = [int(c) for c in args.divisor.split(",")]
+        coeffs = [integer(c) for c in args.divisor.split(",")]
     except ValueError:
         raise InputError(f"divisor {args.divisor!r} must be integers")
     divisor = model.divisor(*coeffs)
@@ -184,10 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
     nef_group.add_argument("--no-nef", dest="nef", action="store_false")
     p_enum.add_argument("--n", default=None, metavar="A..B")
     p_enum.add_argument("--q", default=None, metavar="A..B")
-    p_enum.add_argument("--s-max", type=int, default=None)
+    p_enum.add_argument("--s-max", type=integer, default=None)
     p_enum.add_argument("--include-trivial", action="store_true",
                         help="keep D = 0 and, on P^n, D = H")
-    p_enum.add_argument("--workers", type=int, default=1)
+    p_enum.add_argument("--workers", type=integer, default=1)
     p_enum.add_argument("--format", choices=("table", "records"),
                         default="table")
     p_enum.add_argument("--out", default=None)
@@ -199,9 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_nef = sub.add_parser("nef", help="test a divisor class for nefness")
     p_nef.add_argument("--kind", choices=tuple(FAMILIES), required=True)
-    p_nef.add_argument("--n", type=int, default=None)
-    p_nef.add_argument("--q", type=int, default=None)
-    p_nef.add_argument("--m", type=int, default=None)
+    p_nef.add_argument("--n", type=integer, default=None)
+    p_nef.add_argument("--q", type=integer, default=None)
+    p_nef.add_argument("--m", type=integer, default=None)
     p_nef.add_argument("--divisor", required=True,
                        help="comma-separated integer coefficients")
     p_nef.set_defaults(func=cmd_nef)

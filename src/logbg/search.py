@@ -5,9 +5,12 @@ P^n, and arrangements of l degree-1 sections on a degree-q hypersurface
 in P^{n+1}.  The equality conditions are integer equations, so the
 search solves them instead of scanning the box: on P^n for the sum of
 squares of the degrees at each degree sum, on a hypersurface for the
-integer roots of a quadratic in l.  Every solution is then re-evaluated
-through the full cycle-arithmetic pipeline, so the emitted reports
-never depend on the solver.
+integer roots of a quadratic in the c1 coefficient t = n + 2 - q - l.
+That quadratic has real roots only while 4 q (q - 1) <= n + 1 (its
+largest rank), so the hypersurface work at each n stops there, however
+large the q box is.
+Every solution is then re-evaluated through the full cycle-arithmetic
+pipeline, so the emitted reports never depend on the solver.
 
 The search box is partitioned by n; worker count never changes the
 output because partial results are merged in canonical sort order.
@@ -143,10 +146,21 @@ def _ranks(n: int, mode: str) -> tuple[int, ...]:
 # -- solvers ---------------------------------------------------------------
 #
 # Both closed forms are solved for the free quantity instead of scanning
-# it.  On P^n the rank-k test fixes p2 given (n, s); on a hypersurface it
-# is the monic quadratic l^2 + (k - 2b) l + k a - (k-1) b^2 = 0 in l.
-# The solutions are taken in integers, rounding down, and kept only where
-# the closed form holds.
+# it.  On P^n the rank-k test fixes p2 given (n, s).  On a hypersurface,
+# s = p2 = l and t = b - l.  Then a - b^2 = q^2 - (n + 2) and
+# s^2 - 2 b s = t^2 - b^2, so
+#   2 c2 = t^2 + q^2 - (n + 2) + (b - t) = t^2 - t + q (q - 1),
+# and k * (2 c2) == (k-1) * t^2 becomes
+#   t^2 - k t + k q (q - 1) = 0.
+# Its discriminant k^2 - 4 k q (q - 1) is negative once 4 q (q - 1) > k,
+# that is once (2q - 1)^2 > k + 1, or q > (isqrt(k + 1) + 1) // 2.  With
+# k the mode's largest rank (at most n + 1), no q past that bound can
+# give a case.  Both
+# roots are at least q (q - 1) >= 0: their sum is k and their product
+# k q (q - 1), so the smaller is k q (q - 1) / (larger) >= q (q - 1).
+# Hence l <= n + 2 - q, and the nef filter never drops a hypersurface
+# case.  The solutions are taken in integers, rounding down, and kept
+# only where the closed form holds.
 
 
 def _pn_square_sums(n: int, s: int, mode: str) -> set[int]:
@@ -178,18 +192,22 @@ def _partitions_with_square_sum(s: int, p2: int):
         yield from gen(s, p2, s)
 
 
+def _hyp_q_top(n: int, mode: str) -> int:
+    """The largest q at which t^2 - k t + k q (q - 1) = 0 has real roots
+    for some rank k of `mode` at dimension n."""
+    return (isqrt(max(_ranks(n, mode)) + 1) + 1) // 2
+
+
 def _hyp_component_counts(n: int, q: int, mode: str) -> set[int]:
     """The integers l >= 0 at which l degree-1 components on a degree-q
     hypersurface meet `mode` (at most two per rank)."""
-    a = _c2_x2(n, q, 0, 0)
     b = n + 2 - q
     candidates = set()
     for k in _ranks(n, mode):
-        lin, const = k - 2 * b, k * a - (k - 1) * b * b
-        disc = lin * lin - 4 * const
+        disc = k * k - 4 * k * q * (q - 1)
         if disc >= 0:
             root = isqrt(disc)
-            candidates.update(((-lin - root) // 2, (-lin + root) // 2))
+            candidates.update((b - (k - root) // 2, b - (k + root) // 2))
     return {l for l in candidates
             if l >= 0 and _mode_hit(_modes(n, q, l, l), mode)}
 
@@ -223,10 +241,10 @@ def _pn_slice(args) -> list[EqualityCase]:
 
 
 def _hyp_slice(args) -> list[EqualityCase]:
-    """The cases at one n.  Under the nef filter l is capped at n + 2 - q,
-    which is negative past q = n + 2, so q stops there."""
+    """The cases at one n; q stops at _hyp_q_top, past which no rank has
+    a real root."""
     config, n = args
-    q_max = min(config.q_max, n + 2) if config.require_nef else config.q_max
+    q_max = min(config.q_max, _hyp_q_top(n, config.mode))
     cases = []
     for q in range(config.q_min, q_max + 1):
         l_cap = config.degree_cap(n, q)

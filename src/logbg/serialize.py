@@ -167,7 +167,9 @@ def bounds_fields(config: SearchConfig) -> dict:
     return fields
 
 
-def case_record(case: EqualityCase, config: SearchConfig) -> dict:
+def case_record(case: EqualityCase, bounds: dict) -> dict:
+    """The record of one case; `bounds` is bounds_fields of the run's
+    config, built once per run and shared by every record."""
     record = {
         "family": case.family,
         "n": case.n,
@@ -175,7 +177,7 @@ def case_record(case: EqualityCase, config: SearchConfig) -> dict:
         "partition": list(case.partition),
         "modes": list(case.modes),
         "nef": case.nef,
-        "bounds": bounds_fields(config),
+        "bounds": bounds,
         "tool_version": __version__,
     }
     record.update(report_fields(case.report))

@@ -223,6 +223,47 @@ class TestEnumerateCommand:
         assert texts[0] == texts[1] == texts[2]
 
 
+class TestIntegerArguments:
+    """Integer arguments are an optional sign and ASCII digits; the '_'
+    separators, whitespace and non-ASCII digits that int() takes are
+    usage errors."""
+
+    @staticmethod
+    def exit_code(argv):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse rejects a bad type= value
+            return exc.code
+
+    NEF = ["nef", "--kind", "projective_space"]
+    PN = ["enumerate", "--family", "pn"]
+
+    @pytest.mark.parametrize("argv", [
+        NEF + ["--n", "3", "--divisor", "1_0"],
+        NEF + ["--n", "3", "--divisor", " 1"],
+        NEF + ["--n", "3", "--divisor", "\u0661"],
+        NEF + ["--n", "3", "--divisor", "+-1"],
+        NEF + ["--n", "1_0", "--divisor", "1"],
+        NEF + ["--n", "\u0663", "--divisor", "1"],
+        ["nef", "--kind", "hirzebruch", "--m", "2 ", "--divisor", "0,1"],
+        PN + ["--n", "1_0..1_2"],
+        PN + ["--n", "2.. 3"],
+        PN + ["--n", "\uff12..\uff13"],
+        ["enumerate", "--family", "hypersurface", "--q", "2..1_0"],
+        PN + ["--n", "2..3", "--s-max", "1_0"],
+        PN + ["--n", "2..3", "--workers", "\t1"],
+    ])
+    def test_malformed_integer_exit_2(self, capsys, argv):
+        assert self.exit_code(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_signed_integers_accepted(self, capsys):
+        assert main(self.NEF + ["--n", "+3", "--divisor", "-2"]) == 0
+        assert capsys.readouterr().out == "-2*H on P^3: not nef\n"
+        assert main(self.PN + ["--n", "+7..7", "--s-max", "+4"]) == 0
+        assert "degrees=(2,1,1)" in capsys.readouterr().out
+
+
 class TestVerifyPaperCommand:
     def test_all_fixtures_pass(self, capsys):
         assert main(["verify-paper"]) == 0

@@ -3,7 +3,8 @@
 Each case runs `logbg.cli.main` in-process and compares the sha256 of
 its stdout, and its exit code, with tests/golden.json.  The digests pin
 `enumerate` (both families, both formats, with and without the nef
-filter, single modes with trivial cases kept), `verify-paper`, `report`
+filter, single modes with trivial cases kept, and an unfiltered
+hypersurface box out to q = 400), `verify-paper`, `report`
 in both formats on two documents from all three families (one with at
 most three components per pair, one with 9 to 40 per pair, repeating
 classes both in runs and interleaved), and `nef` queries.  A change that alters one of these outputs on purpose updates
@@ -102,6 +103,10 @@ CASES = {
                                         "--q", "1..30", "--mode", "n1",
                                         "--include-trivial", "--format",
                                         "records"),
+    "enum-hyp-wide-no-nef-trivial": ENUM + ("hypersurface", "--n", "2..60",
+                                            "--q", "1..400", "--no-nef",
+                                            "--include-trivial", "--format",
+                                            "records"),
     "enum-pn-s-max-table": ENUM + ("pn", "--n", "2..12", "--s-max", "3",
                                    "--no-nef", "--include-trivial"),
     "enum-pn-with-q": ENUM + ("pn", "--n", "2..3", "--q", "2..3"),

@@ -16,7 +16,7 @@ from logbg.models import (ChernData, c_infinity, default_polarization,
                           tangent_chern)
 from logbg.search import (DEFAULT_HYP_BOUNDS, DEFAULT_PN_BOUNDS, EqualityCase,
                           report_modes)
-from logbg.serialize import case_record, report_record
+from logbg.serialize import bounds_fields, case_record, report_record
 
 
 def hirzebruch_boundary(m):
@@ -242,7 +242,7 @@ class TestNoFloat:
             case = EqualityCase(family, model.n, model.q, partition,
                                 report_modes(report),
                                 report.minus_k_plus_d_nef, report)
-            values.append(case_record(case, config))
+            values.append(case_record(case, bounds_fields(config)))
         assert list(floats_in(values)) == []
 
 

@@ -6,10 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 from logbg import search
 from logbg.bg import full_report
 from logbg.logchern import hypersurface_pair, pn_pair
-from logbg.search import (DEFAULT_PN_BOUNDS, SearchConfig, SearchSpaceError,
-                          VerificationError, enumerate_hypersurface,
-                          enumerate_pn, hyp_modes_closed_form,
-                          pn_modes_closed_form, pool_size)
+from logbg.search import (DEFAULT_HYP_BOUNDS, DEFAULT_PN_BOUNDS, SearchConfig,
+                          SearchSpaceError, VerificationError,
+                          enumerate_hypersurface, enumerate_pn,
+                          hyp_modes_closed_form, pn_modes_closed_form,
+                          pool_size)
 from scanner import (direct_modes, partitions_with_sum_at_most,
                      scan_hypersurface, scan_pn)
 
@@ -256,6 +257,64 @@ class TestSolverMatchesDirectPipeline:
                            require_nef=require_nef, **flags)
         assert solved(enumerate_pn(config)) == direct_cases(
             config, n, 1, partitions_with_sum_at_most(s_max))
+
+
+class TestHypersurfaceBound:
+    """Past q = _hyp_q_top(n) no rank has a real root of
+    t^2 - k t + k q (q - 1) = 0, so the solver's q loop stops there."""
+
+    @pytest.mark.parametrize("mode", ["n", "n1", "either"])
+    def test_q_top_is_the_last_q_with_real_roots(self, mode):
+        for n in range(2, 400):
+            k = max(search._ranks(n, mode))
+            q = search._hyp_q_top(n, mode)
+            assert 4 * q * (q - 1) <= k < 4 * (q + 1) * q
+
+    # each example sends up to 904 pairs through full_report
+    @settings(deadline=None, max_examples=10)
+    @given(n=st.integers(2, 300),
+           q=st.one_of(st.integers(1, 10), st.integers(1, 10 ** 4)),
+           flags=search_flags)
+    @example(n=120, q=6, flags={"mode": "either", "exclude_trivial": True})
+    @example(n=119, q=6, flags={"mode": "n1", "exclude_trivial": False})
+    def test_unfiltered_solver_matches_direct_pipeline(self, n, q, flags):
+        config = hyp_config(n_min=n, n_max=n, q_min=q, q_max=q,
+                            require_nef=False, **flags)
+        ones = [(1,) * l for l in range(3 * (n + 1) + 1)]
+        assert solved(enumerate_hypersurface(config)) == \
+            direct_cases(config, n, q, ones)
+
+    @pytest.mark.parametrize("mode", ["n", "n1", "either"])
+    def test_nef_filter_keeps_every_case(self, mode):
+        # every root has t >= q (q - 1) >= 0, so l <= n + 2 - q
+        config = hyp_config(n_max=200, q_min=1, q_max=200, mode=mode,
+                            exclude_trivial=False)
+        unfiltered = replace(config, require_nef=False)
+        assert solved(enumerate_hypersurface(config)) == \
+            solved(enumerate_hypersurface(unfiltered))
+
+    @staticmethod
+    def solver_points(monkeypatch, config):
+        points = []
+        solve = search._hyp_component_counts
+
+        def counting(n, q, mode):
+            points.append((n, q))
+            return solve(n, q, mode)
+
+        monkeypatch.setattr(search, "_hyp_component_counts", counting)
+        return enumerate_hypersurface(config), points
+
+    def test_default_box_work(self, monkeypatch):
+        cases, points = self.solver_points(monkeypatch, DEFAULT_HYP_BOUNDS)
+        assert len(cases) == 98
+        assert len(points) == 530
+
+    def test_work_does_not_grow_with_q_max(self, monkeypatch):
+        config = hyp_config(n_max=3, q_max=3_000_000, require_nef=False)
+        cases, points = self.solver_points(monkeypatch, config)
+        assert cases == []
+        assert len(points) <= 4
 
 
 class TestUnfilteredBoxes:
