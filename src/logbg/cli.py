@@ -16,13 +16,13 @@ import sys
 from .bg import full_report
 from .chow import ChowError
 from .fixtures import all_fixtures
-from .models import FAMILIES, is_nef
+from .models import FAMILIES, default_polarization, is_nef
 from .search import (DEFAULT_HYP_BOUNDS, DEFAULT_PN_BOUNDS, SearchConfig,
                      SearchSpaceError, VerificationError,
                      enumerate_hypersurface, enumerate_pn)
-from .serialize import (InputError, bounds_fields, case_record, cycle_display,
-                        dump_record, format_rational, parse_ambient,
-                        parse_document, report_record)
+from .serialize import (Echoes, InputError, bounds_fields, case_record,
+                        cycle_display, dump_record, format_rational,
+                        parse_ambient, parse_document, report_record)
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -56,9 +56,20 @@ def _out_stream(args):
     return contextlib.nullcontext(sys.stdout)
 
 
-def _pair_summary(pair) -> str:
-    divisors = ", ".join(cycle_display(cls) for _, cls in pair.components)
+def _pair_summary(pair, echoes) -> str:
+    divisors = ", ".join(echoes[cls][1] for _, cls in pair.components)
     return f"({pair.model}, D = [{divisors}])"
+
+
+def _report_table(pair, report, echoes) -> str:
+    return (f"{_pair_summary(pair, echoes)}\n"
+            f"  rank {report.rank}"
+            f"  c1^2.H^(n-2) = {format_rational(report.c1_sq)}"
+            f"  c2.H^(n-2) = {format_rational(report.c2_eval)}\n"
+            f"  discriminant = {format_rational(report.discriminant)}"
+            f"  equality(rank n) = {report.equality_n}"
+            f"  equality(rank n+1) = {report.equality_n_plus_1}"
+            f"  -(K+D) nef = {report.minus_k_plus_d_nef}\n")
 
 
 def cmd_report(args) -> int:
@@ -69,21 +80,32 @@ def cmd_report(args) -> int:
         with open(args.input, "rb") as fh:
             data = fh.read()
     pairs = parse_document(data)
+    # for this command only: the echo of each distinct class, and the
+    # default polarization of each distinct model
+    echoes = Echoes()
+    polarizations = {}
     with _out_stream(args) as out:
-        for pair in pairs:
-            report = full_report(pair)
-            if args.format == "records":
-                out.write(dump_record(report_record(pair, report)) + "\n")
-            else:
-                out.write(f"{_pair_summary(pair)}\n")
-                out.write(f"  rank {report.rank}"
-                          f"  c1^2.H^(n-2) = {format_rational(report.c1_sq)}"
-                          f"  c2.H^(n-2) = {format_rational(report.c2_eval)}\n")
-                out.write(
-                    f"  discriminant = {format_rational(report.discriminant)}"
-                    f"  equality(rank n) = {report.equality_n}"
-                    f"  equality(rank n+1) = {report.equality_n_plus_1}"
-                    f"  -(K+D) nef = {report.minus_k_plus_d_nef}\n")
+        for i, pair in enumerate(pairs):
+            H = polarizations.get(pair.model)
+            if H is None:
+                H = polarizations[pair.model] = default_polarization(
+                    pair.model)
+            report = full_report(pair, H)
+            try:
+                if args.format == "records":
+                    text = dump_record(report_record(pair, report, echoes))
+                    text += "\n"
+                else:
+                    text = _report_table(pair, report, echoes)
+            except ValueError:
+                # the only one formatting raises: int-to-str past the
+                # interpreter's digit limit
+                raise InputError(
+                    f"pair {i + 1} of {len(pairs)}: its report holds an "
+                    "integer over the interpreter's "
+                    f"{sys.get_int_max_str_digits()}-digit limit for "
+                    "printing")
+            out.write(text)
     return 0
 
 

@@ -43,7 +43,8 @@ class LogPair:
         if len(set(labels)) != len(labels):
             raise ChowError(f"duplicate component labels in {labels}")
         for label, cls in self.components:
-            if cls.model != self.model:
+            # parse_document hands out one model per distinct ambient
+            if cls.model is not self.model and cls.model != self.model:
                 raise ChowError(
                     f"component {label!r} lives on {cls.model}, "
                     f"not {self.model}")

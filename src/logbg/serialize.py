@@ -57,19 +57,27 @@ def _int_field(obj: dict, key: str, where: str) -> int:
     return value
 
 
-def parse_ambient(obj) -> AmbientModel:
+def _ambient_key(obj) -> tuple:
+    """(kind, *field values) of a checked ambient descriptor."""
     if not isinstance(obj, dict):
         raise InputError("'ambient' must be an object")
     kind = _require(obj, "kind", "ambient")
     if not isinstance(kind, str) or kind not in FAMILIES:
         raise InputError(f"unknown ambient kind {kind!r}")
-    family = FAMILIES[kind]
-    _check_keys(obj, {"kind", *family.fields}, "ambient")
-    return family.build(*(_int_field(obj, key, "ambient")
-                          for key in family.fields))
+    fields = FAMILIES[kind].fields
+    _check_keys(obj, {"kind", *fields}, "ambient")
+    return (kind, *(_int_field(obj, key, "ambient") for key in fields))
 
 
-def parse_divisor(obj, model: AmbientModel, index: int) -> tuple[str, CycleClass]:
+def parse_ambient(obj) -> AmbientModel:
+    kind, *values = _ambient_key(obj)
+    return FAMILIES[kind].build(*values)
+
+
+def parse_divisor(obj, model: AmbientModel, memo: dict,
+                  index: int) -> tuple[str, CycleClass]:
+    """A checked component; `memo` is parse_document's, and hands out one
+    class per (model, coefficients) once the checks have passed."""
     where = f"divisors[{index}]"
     if not isinstance(obj, dict):
         raise InputError(f"{where} must be an object")
@@ -89,24 +97,39 @@ def parse_divisor(obj, model: AmbientModel, index: int) -> tuple[str, CycleClass
             raise InputError(
                 f"coefficient {gen!r} in {where}.class must be an integer")
         coeffs.append(c)
-    return label, model.divisor(*coeffs)
+    # every coefficient is an int here, so True and 1.0 never reach the key
+    key = (model, tuple(coeffs))
+    divisor = memo.get(key)
+    if divisor is None:
+        divisor = memo[key] = model.divisor(*coeffs)
+    return label, divisor
 
 
-def parse_pair(obj, where: str = "document") -> LogPair:
+def parse_pair(obj, memo: dict, where: str = "document") -> LogPair:
+    """One pair; `memo` is parse_document's, and hands out one model per
+    distinct ambient."""
     if not isinstance(obj, dict):
         raise InputError(f"{where} must be an object")
     _check_keys(obj, {"ambient", "divisors"}, where)
-    model = parse_ambient(_require(obj, "ambient", where))
+    key = _ambient_key(_require(obj, "ambient", where))
+    model = memo.get(key)
+    if model is None:
+        kind, *values = key
+        model = memo[key] = FAMILIES[kind].build(*values)
     divisors = _require(obj, "divisors", where)
     if not isinstance(divisors, list):
         raise InputError(f"key 'divisors' in {where} must be a list")
-    components = tuple(parse_divisor(d, model, i)
+    components = tuple(parse_divisor(d, model, memo, i)
                        for i, d in enumerate(divisors))
     return LogPair(model, components)
 
 
 def parse_document(data: str | bytes) -> list[LogPair]:
-    """The pairs of a descriptor document; bytes must be UTF-8."""
+    """The pairs of a descriptor document; bytes must be UTF-8.
+
+    Equal ambients in one document share one model, and equal classes
+    on it one CycleClass.  The memo lives for this call only, so two
+    calls share no object."""
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes)
                          else data)
@@ -115,32 +138,44 @@ def parse_document(data: str | bytes) -> list[LogPair]:
         # integer over the interpreter's digit limit; RecursionError:
         # nesting deeper than the decoder's recursion limit
         raise InputError(f"not valid JSON: {exc}") from exc
+    # ambient keys (kind, *fields) -> AmbientModel, and
+    # (model, coefficients) -> CycleClass; the two never collide
+    memo: dict = {}
     if isinstance(doc, dict) and "pairs" in doc:
         _check_keys(doc, {"pairs"}, "document")
         if not isinstance(doc["pairs"], list):
             raise InputError("key 'pairs' must be a list")
-        return [parse_pair(p, f"pairs[{i}]")
+        return [parse_pair(p, memo, f"pairs[{i}]")
                 for i, p in enumerate(doc["pairs"])]
-    return [parse_pair(doc)]
+    return [parse_pair(doc, memo)]
 
 
 # -- output records --------------------------------------------------------
 
 
-def pair_echo(pair: LogPair) -> dict:
+class Echoes(dict):
+    """The echo (cycle_to_dict, cycle_display) of each class, formatted
+    on first use; one instance serves one command."""
+
+    def __missing__(self, cls: CycleClass) -> tuple[dict, str]:
+        echo = self[cls] = (cycle_to_dict(cls), cycle_display(cls))
+        return echo
+
+
+def pair_echo(pair: LogPair, echoes: Echoes) -> dict:
     model = pair.model
     ambient = {"kind": model.kind}
     ambient.update((key, getattr(model, key)) for key in model.family.fields)
-    return {
-        "ambient": ambient,
-        "divisors": [{"label": label,
-                      "class": cycle_to_dict(cls),
-                      "display": cycle_display(cls)}
-                     for label, cls in pair.components],
-    }
+    divisors = []
+    for label, cls in pair.components:
+        as_dict, display = echoes[cls]
+        divisors.append({"label": label, "class": as_dict,
+                         "display": display})
+    return {"ambient": ambient, "divisors": divisors}
 
 
-def report_fields(report: BGReport) -> dict:
+def report_fields(report: BGReport, polarization: dict) -> dict:
+    """The report's fields; `polarization` is cycle_to_dict of its H."""
     return {
         "rank": report.rank,
         "c1_sq": format_rational(report.c1_sq),
@@ -149,13 +184,13 @@ def report_fields(report: BGReport) -> dict:
         "equality_n": report.equality_n,
         "equality_n_plus_1": report.equality_n_plus_1,
         "minus_k_plus_d_nef": report.minus_k_plus_d_nef,
-        "polarization": cycle_to_dict(report.polarization),
+        "polarization": polarization,
     }
 
 
-def report_record(pair: LogPair, report: BGReport) -> dict:
-    record = {"input": pair_echo(pair), "tool_version": __version__}
-    record.update(report_fields(report))
+def report_record(pair: LogPair, report: BGReport, echoes: Echoes) -> dict:
+    record = {"input": pair_echo(pair, echoes), "tool_version": __version__}
+    record.update(report_fields(report, echoes[report.polarization][0]))
     return record
 
 
@@ -180,7 +215,8 @@ def case_record(case: EqualityCase, bounds: dict) -> dict:
         "bounds": bounds,
         "tool_version": __version__,
     }
-    record.update(report_fields(case.report))
+    record.update(report_fields(case.report,
+                                cycle_to_dict(case.report.polarization)))
     return record
 
 

@@ -150,10 +150,11 @@ class TestFullReport:
             assert scaled.equality_n_plus_1 == base.equality_n_plus_1
 
     def test_deterministic_serialization(self):
-        from logbg.serialize import dump_record, report_record
+        from logbg.serialize import Echoes, dump_record, report_record
         pair = pn_pair(8, [2, 1, 1, 1])
-        first = dump_record(report_record(pair, full_report(pair)))
-        second = dump_record(report_record(pair, full_report(pair)))
+        first = dump_record(report_record(pair, full_report(pair), Echoes()))
+        second = dump_record(report_record(pair, full_report(pair),
+                                           Echoes()))
         assert first == second
 
 

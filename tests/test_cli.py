@@ -8,7 +8,9 @@ import pytest
 
 import logbg
 from logbg.cli import main
+from logbg.models import FAMILIES
 from logbg.serialize import InputError, format_rational, parse_document
+from test_golden import REPEATED_DOCUMENT
 
 HIRZEBRUCH_DOC = {
     "ambient": {"kind": "hirzebruch", "m": 2},
@@ -155,6 +157,121 @@ class TestReportCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: not valid JSON:")
         assert captured.err.count("\n") == 1
+
+
+class TestDigitLimit:
+    """A valid document whose report holds an integer past Python's
+    4300-digit int-to-str limit is an input error, not a traceback."""
+
+    @pytest.mark.parametrize("fmt", ["table", "records"])
+    def test_huge_n_exit_2(self, tmp_path, capsys, fmt):
+        doc = {"ambient": {"kind": "projective_space", "n": int("9" * 3000)},
+               "divisors": [{"label": "A", "class": {"H": 1}}]}
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: pair 1 of 1: ")
+        assert "4300-digit" in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["table", "records"])
+    def test_earlier_pairs_written_and_later_pair_named(self, tmp_path,
+                                                          capsys, fmt):
+        small = {"ambient": {"kind": "projective_space", "n": 3},
+                 "divisors": []}
+        huge = {"ambient": {"kind": "projective_space", "n": int("9" * 3000)},
+                "divisors": []}
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"pairs": [small, huge]}))
+        assert main(["report", str(path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert "P^3" in captured.out or '"n":3' in captured.out
+        assert captured.err.startswith("error: pair 2 of 2: ")
+        assert captured.err.count("\n") == 1
+
+
+def _distinct_classes(document):
+    """The distinct (ambient, class) pairs of a document, each written
+    out over its family's fields and generators."""
+    keys = set()
+    for pair in document["pairs"]:
+        ambient = pair["ambient"]
+        family = FAMILIES[ambient["kind"]]
+        model = (ambient["kind"], *(ambient[f] for f in family.fields))
+        for divisor in pair["divisors"]:
+            cls = divisor["class"]
+            keys.add((model, tuple(cls.get(g, 0) for g in family.generators)))
+    return keys
+
+
+class TestParseMemo:
+    """parse_document builds one model per distinct ambient and one class
+    per distinct (ambient, class), but still checks every component."""
+
+    @pytest.mark.parametrize("cls", [{"H": True}, {"H": 1.0},
+                                     {"H": 1, "x": 0}])
+    def test_bad_class_after_valid_copy_exit_2(self, tmp_path, capsys, cls):
+        doc = {"ambient": {"kind": "projective_space", "n": 3},
+               "divisors": [{"label": "A", "class": {"H": 1}},
+                            {"label": "B", "class": cls}]}
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "divisors[1]" in captured.err
+
+    def test_non_prime_after_prime_copy_exit_2(self, tmp_path, capsys):
+        prime = {"label": "A", "class": {"C0": 1, "f": 2}}
+        doc = {"pairs": [
+            {"ambient": {"kind": "hirzebruch", "m": 2}, "divisors": [prime]},
+            {"ambient": {"kind": "hirzebruch", "m": 2},
+             "divisors": [prime, {"label": "B", "class": {"C0": 1, "f": 1}}]},
+        ]}
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'B'" in captured.err and "prime" in captured.err
+
+    def test_duplicate_label_after_memo_hit_exit_2(self, tmp_path, capsys):
+        doc = {"ambient": {"kind": "projective_space", "n": 3},
+               "divisors": [{"label": "A", "class": {"H": 1}},
+                            {"label": "A", "class": {"H": 1}}]}
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path)]) == 2
+        assert "duplicate" in capsys.readouterr().err
+
+    def test_one_object_per_distinct_ambient_and_class(self):
+        pairs = parse_document(json.dumps(REPEATED_DOCUMENT))
+        models = {}
+        classes = {}
+        for pair in pairs:
+            assert models.setdefault(pair.model, pair.model) is pair.model
+            for _, cls in pair.components:
+                assert classes.setdefault(cls, cls) is cls
+        assert len(classes) == len(_distinct_classes(REPEATED_DOCUMENT))
+
+    def test_calls_share_no_object(self):
+        text = json.dumps(REPEATED_DOCUMENT)
+        first, second = parse_document(text), parse_document(text)
+        assert first == second
+        ids = [{id(obj) for pair in pairs
+                for obj in (pair.model, *pair.classes)}
+               for pairs in (first, second)]
+        assert not ids[0] & ids[1]
+
+    def test_builds_one_class_per_distinct_class(self, cycle_calls):
+        distinct = _distinct_classes(REPEATED_DOCUMENT)
+        components = sum(len(pair["divisors"])
+                         for pair in REPEATED_DOCUMENT["pairs"])
+        assert len(distinct) < components
+        parse_document(json.dumps(REPEATED_DOCUMENT))
+        assert len(cycle_calls) == len(distinct)
 
 
 class TestEnumerateCommand:

@@ -5,10 +5,13 @@ its stdout, and its exit code, with tests/golden.json.  The digests pin
 `enumerate` (both families, both formats, with and without the nef
 filter, single modes with trivial cases kept, and an unfiltered
 hypersurface box out to q = 400), `verify-paper`, `report`
-in both formats on two documents from all three families (one with at
-most three components per pair, one with 9 to 40 per pair, repeating
-classes both in runs and interleaved), and `nef` queries.  A change that alters one of these outputs on purpose updates
-its digest and says why.
+in both formats on three documents from all three families (one with at
+most three components per pair; one with 9 to 40 per pair, repeating
+classes both in runs and interleaved; one that repeats the same P^n,
+X_q and F_m ambients and the same classes across pairs, has C_inf on
+two values of m and pairs with no components), and `nef` queries.  A
+change that alters one of these outputs on purpose updates its digest
+and says why.
 """
 
 import contextlib
@@ -77,6 +80,30 @@ MANY_COMPONENTS_DOCUMENT = {"pairs": [
     _hirz(5, [(0, 1)] * 9 + [(1, 5), (1, 0), (1, 5), (2, 13)] * 2),
 ]}
 
+REPEATED_DOCUMENT = {"pairs": [
+    _pn(5, [1, 1, 1]),
+    _hirz(2, [(1, 0), (1, 2), (0, 1)]),
+    _hyp(4, 2, [1, 1, 2]),
+    _pn(5, [1, 2, 1, 1]),
+    _hirz(3, [(1, 3), (0, 1), (1, 0)]),
+    _pn(5, []),
+    _hyp(4, 2, [1, 2, 1, 1]),
+    _hirz(2, [(0, 1), (1, 2), (0, 1), (1, 0), (1, 2)]),
+    _pn(9, [1] * 6 + [2, 2]),
+    {"ambient": {"q": 2, "n": 4, "kind": "hypersurface"},
+     "divisors": [{"label": "A", "class": {"h": 2}},
+                  {"label": "B", "class": {"h": 1}}]},
+    _hyp(6, 3, [1, 1]),
+    _hirz(3, [(1, 3)] * 3 + [(0, 1), (1, 3)]),
+    _pn(5, [1, 1, 1]),
+    _hyp(4, 2, []),
+    _hirz(2, []),
+    _pn(9, [2, 1, 2, 1, 1]),
+    _hyp(6, 3, [1, 3, 1]),
+    _hirz(3, [(1, 0), (0, 1)] * 2),
+    _pn(5, [2, 2]),
+]}
+
 ENUM = ("enumerate", "--family")
 CASES = {
     "enum-pn-table": ENUM + ("pn",),
@@ -115,6 +142,9 @@ CASES = {
     "report-records": ("report", "{doc}", "--format", "records"),
     "report-many-table": ("report", "{many}"),
     "report-many-records": ("report", "{many}", "--format", "records"),
+    "report-repeated-table": ("report", "{repeated}"),
+    "report-repeated-records": ("report", "{repeated}", "--format",
+                                "records"),
     "nef-fiber": ("nef", "--kind", "hirzebruch", "--m", "2",
                   "--divisor", "0,2"),
     "nef-section": ("nef", "--kind", "hirzebruch", "--m", "3",
@@ -139,7 +169,8 @@ def run_case(name, directory):
     """(sha256 of stdout, exit code) of one case."""
     paths = {}
     for key, document in (("doc", REPORT_DOCUMENT),
-                          ("many", MANY_COMPONENTS_DOCUMENT)):
+                          ("many", MANY_COMPONENTS_DOCUMENT),
+                          ("repeated", REPEATED_DOCUMENT)):
         paths[key] = os.path.join(directory, f"{key}.json")
         with open(paths[key], "w") as fh:
             json.dump(document, fh)

@@ -16,7 +16,8 @@ from logbg.models import (ChernData, c_infinity, default_polarization,
                           tangent_chern)
 from logbg.search import (DEFAULT_HYP_BOUNDS, DEFAULT_PN_BOUNDS, EqualityCase,
                           report_modes)
-from logbg.serialize import bounds_fields, case_record, report_record
+from logbg.serialize import (Echoes, bounds_fields, case_record,
+                             report_record)
 
 
 def hirzebruch_boundary(m):
@@ -225,7 +226,7 @@ class TestNoFloat:
         H = default_polarization(model)
         chern = log_chern(pair)
         report = full_report(pair)
-        values = [report, report_record(pair, report),
+        values = [report, report_record(pair, report, Echoes()),
                   discriminant(chern, H),
                   discriminant(ChernData(rank, chern.c1, chern.c2), H),
                   slope(model, chern.c1, rank, H),
