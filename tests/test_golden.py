@@ -3,8 +3,10 @@
 Each case runs `logbg.cli.main` in-process and compares the sha256 of
 its stdout, and its exit code, with tests/golden.json.  The digests pin
 `enumerate` (both families, both formats, with and without the nef
-filter, single modes with trivial cases kept, and an unfiltered
-hypersurface box out to q = 400), `verify-paper`, `report`
+filter, single modes with trivial cases kept, an unfiltered
+hypersurface box out to q = 400, and wide boxes: P^n to n = 100 and,
+unfiltered in mode n with trivial cases, to n = 40, hypersurfaces to
+n = 220 and q = 400), `verify-paper`, `report`
 in both formats on three documents from all three families (one with at
 most three components per pair; one with 9 to 40 per pair, repeating
 classes both in runs and interleaved; one that repeats the same P^n,
@@ -137,6 +139,14 @@ CASES = {
     "enum-pn-s-max-table": ENUM + ("pn", "--n", "2..12", "--s-max", "3",
                                    "--no-nef", "--include-trivial"),
     "enum-pn-with-q": ENUM + ("pn", "--n", "2..3", "--q", "2..3"),
+    "enum-pn-wide-records": ENUM + ("pn", "--n", "2..100", "--format",
+                                    "records"),
+    "enum-pn-no-nef-mode-n-trivial-records": ENUM + (
+        "pn", "--n", "2..40", "--mode", "n", "--no-nef",
+        "--include-trivial", "--format", "records"),
+    "enum-hyp-wide-records": ENUM + ("hypersurface", "--n", "2..220",
+                                     "--q", "1..400", "--format",
+                                     "records"),
     "verify-paper": ("verify-paper",),
     "report-table": ("report", "{doc}"),
     "report-records": ("report", "{doc}", "--format", "records"),
