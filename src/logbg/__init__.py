@@ -12,5 +12,4 @@ from .logchern import (LogPair, hypersurface_pair, log_c1, log_c2, log_chern,
 from .models import (AmbientModel, ChernData, c_infinity, canonical_class,
                      default_polarization, hirzebruch, hypersurface, is_nef,
                      projective_space, tangent_chern)
-from .search import (EqualityCase, SearchConfig, enumerate_hypersurface,
-                     enumerate_pn)
+from .search import EqualityCase, SearchConfig, enumerate_cases

@@ -17,9 +17,8 @@ from .bg import full_report
 from .chow import ChowError
 from .fixtures import all_fixtures
 from .models import FAMILIES, default_polarization, is_nef
-from .search import (DEFAULT_HYP_BOUNDS, DEFAULT_PN_BOUNDS, SearchConfig,
-                     SearchSpaceError, VerificationError,
-                     enumerate_hypersurface, enumerate_pn)
+from .search import (DEFAULT_BOUNDS, MODES, SearchConfig, VerificationError,
+                     enumerate_cases)
 from .serialize import (Echoes, InputError, bounds_fields, case_record,
                         cycle_display, dump_record, format_rational,
                         parse_ambient, parse_document, report_record)
@@ -110,9 +109,7 @@ def cmd_report(args) -> int:
 
 
 def _search_config(args) -> SearchConfig:
-    defaults = DEFAULT_PN_BOUNDS if args.family == "pn" else DEFAULT_HYP_BOUNDS
-    if args.family == "pn" and args.q is not None:
-        raise SearchSpaceError("--q only applies to --family hypersurface")
+    defaults = DEFAULT_BOUNDS[args.family]
     n_min, n_max = _parse_range(args.n) if args.n is not None else (
         defaults.n_min, defaults.n_max)
     q_min, q_max = _parse_range(args.q) if args.q is not None else (
@@ -134,10 +131,7 @@ def _case_summary(case) -> str:
 
 def cmd_enumerate(args) -> int:
     config = _search_config(args)
-    if config.family == "pn":
-        cases = enumerate_pn(config, workers=args.workers)
-    else:
-        cases = enumerate_hypersurface(config, workers=args.workers)
+    cases = enumerate_cases(config, workers=args.workers)
     with _out_stream(args) as out:
         if args.format == "records":
             run_bounds = bounds_fields(config)
@@ -208,10 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.set_defaults(func=cmd_report)
 
     p_enum = sub.add_parser("enumerate", help="search for equality cases")
-    p_enum.add_argument("--family", choices=("pn", "hypersurface"),
+    p_enum.add_argument("--family", choices=tuple(DEFAULT_BOUNDS),
                         required=True)
-    p_enum.add_argument("--mode", choices=("n", "n1", "either"),
-                        default="either")
+    p_enum.add_argument("--mode", choices=MODES, default="either")
     nef_group = p_enum.add_mutually_exclusive_group()
     nef_group.add_argument("--nef", dest="nef", action="store_true",
                            default=True,
@@ -248,10 +241,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ChowError, SearchSpaceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
+    except (InputError, ChowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except VerificationError as exc:

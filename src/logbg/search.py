@@ -9,11 +9,13 @@ integer roots of a quadratic in the c1 coefficient t = n + 2 - q - l.
 That quadratic has real roots only while 4 q (q - 1) <= n + 1 (its
 largest rank), so the hypersurface work at each n stops there, however
 large the q box is.
-Every solution is then re-evaluated through the full cycle-arithmetic
-pipeline, so the emitted reports never depend on the solver.
 
-The search box is partitioned by n; worker count never changes the
-output because partial results are merged in canonical sort order.
+Both families share one pipeline.  A per-family generator in
+_SOLUTIONS yields the (q, partition, modes) solutions at one n; _slice
+re-evaluates each through the full cycle-arithmetic pipeline, so the
+emitted reports never depend on the solver, and sorts them.
+enumerate_cases partitions the box by n; worker count never changes the
+output because the slices are merged in canonical sort order.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class VerificationError(Exception):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    family: str  # "pn" | "hypersurface"
+    family: str  # a key of _SOLUTIONS
     n_min: int
     n_max: int
     mode: str = "either"
@@ -50,7 +52,7 @@ class SearchConfig:
     q_max: int | None = None
 
     def __post_init__(self):
-        if self.family not in ("pn", "hypersurface"):
+        if self.family not in _SOLUTIONS:
             raise SearchSpaceError(f"unknown family {self.family!r}")
         if self.mode not in MODES:
             raise SearchSpaceError(f"unknown mode {self.mode!r}")
@@ -86,9 +88,7 @@ class EqualityCase:
     report: BGReport
 
     def key(self):
-        if self.family == "pn":
-            return (self.n, len(self.partition), self.partition)
-        return (self.n, self.q, len(self.partition))
+        return (self.n, self.q, len(self.partition), self.partition)
 
 
 # -- closed forms ----------------------------------------------------------
@@ -226,34 +226,36 @@ def _verified_case(family: str, n: int, q: int, partition: tuple[int, ...],
                         report.minus_k_plus_d_nef, report)
 
 
-def _pn_slice(args) -> list[EqualityCase]:
-    config, n = args
-    cases = []
+def _pn_solutions(config: SearchConfig, n: int):
+    """(q, partition, modes) of each P^n case at dimension n."""
     for s in range(config.degree_cap(n) + 1):
         for p2 in _pn_square_sums(n, s, config.mode):
             for partition in _partitions_with_square_sum(s, p2):
                 if config.exclude_trivial and partition in ((), (1,)):
                     continue
-                modes = pn_modes_closed_form(n, partition)
-                cases.append(_verified_case("pn", n, 1, partition, modes))
-    cases.sort(key=EqualityCase.key)
-    return cases
+                yield 1, partition, pn_modes_closed_form(n, partition)
 
 
-def _hyp_slice(args) -> list[EqualityCase]:
-    """The cases at one n; q stops at _hyp_q_top, past which no rank has
-    a real root."""
-    config, n = args
+def _hyp_solutions(config: SearchConfig, n: int):
+    """(q, partition, modes) of each hypersurface case at dimension n; q
+    stops at _hyp_q_top, past which no rank has a real root."""
     q_max = min(config.q_max, _hyp_q_top(n, config.mode))
-    cases = []
     for q in range(config.q_min, q_max + 1):
         l_cap = config.degree_cap(n, q)
         for l in _hyp_component_counts(n, q, config.mode):
             if l > l_cap or (config.exclude_trivial and l == 0):
                 continue
-            modes = hyp_modes_closed_form(n, q, l)
-            cases.append(_verified_case("hypersurface", n, q, (1,) * l,
-                                        modes))
+            yield q, (1,) * l, hyp_modes_closed_form(n, q, l)
+
+
+_SOLUTIONS = {"pn": _pn_solutions, "hypersurface": _hyp_solutions}
+
+
+def _slice(args) -> list[EqualityCase]:
+    """The verified cases at one n, in canonical order."""
+    config, n = args
+    cases = [_verified_case(config.family, n, q, partition, modes)
+             for q, partition, modes in _SOLUTIONS[config.family](config, n)]
     cases.sort(key=EqualityCase.key)
     return cases
 
@@ -266,36 +268,23 @@ def pool_size(workers: int, slices: int) -> int:
     return min(workers, slices, os.cpu_count() or 1)
 
 
-def _run(slice_fn, config: SearchConfig, workers: int) -> list[EqualityCase]:
+def enumerate_cases(config: SearchConfig,
+                    workers: int = 1) -> list[EqualityCase]:
     jobs = [(config, n) for n in range(config.n_min, config.n_max + 1)]
     workers = pool_size(workers, len(jobs))
     if workers == 1:
-        slices = [slice_fn(job) for job in jobs]
+        slices = [_slice(job) for job in jobs]
     else:
         # imported here: the pool loads multiprocessing, which a serial
         # run never needs
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            slices = list(pool.map(slice_fn, jobs))
+            slices = list(pool.map(_slice, jobs))
     return [case for chunk in slices for case in chunk]
 
 
-def enumerate_pn(config: SearchConfig, workers: int = 1) -> list[EqualityCase]:
-    if config.family != "pn":
-        raise SearchSpaceError("enumerate_pn needs family='pn'")
-    return _run(_pn_slice, config, workers)
-
-
-def enumerate_hypersurface(config: SearchConfig,
-                           workers: int = 1) -> list[EqualityCase]:
-    if config.family != "hypersurface":
-        raise SearchSpaceError(
-            "enumerate_hypersurface needs family='hypersurface'")
-    return _run(_hyp_slice, config, workers)
-
-
-# -- default boxes ---------------------------------------------------------
-
-DEFAULT_PN_BOUNDS = SearchConfig(family="pn", n_min=2, n_max=30)
-DEFAULT_HYP_BOUNDS = SearchConfig(family="hypersurface", n_min=2, n_max=160,
-                                  q_min=2, q_max=160)
+DEFAULT_BOUNDS = {
+    "pn": SearchConfig(family="pn", n_min=2, n_max=30),
+    "hypersurface": SearchConfig(family="hypersurface", n_min=2, n_max=160,
+                                 q_min=2, q_max=160),
+}

@@ -74,10 +74,11 @@ def parse_ambient(obj) -> AmbientModel:
     return FAMILIES[kind].build(*values)
 
 
-def parse_divisor(obj, model: AmbientModel, memo: dict,
+def parse_divisor(obj, model: AmbientModel, classes: dict,
                   index: int) -> tuple[str, CycleClass]:
-    """A checked component; `memo` is parse_document's, and hands out one
-    class per (model, coefficients) once the checks have passed."""
+    """A checked component; `classes` (coefficients -> CycleClass) is
+    parse_document's for this model, and hands out one class per
+    coefficient tuple once the checks have passed."""
     where = f"divisors[{index}]"
     if not isinstance(obj, dict):
         raise InputError(f"{where} must be an object")
@@ -98,28 +99,29 @@ def parse_divisor(obj, model: AmbientModel, memo: dict,
                 f"coefficient {gen!r} in {where}.class must be an integer")
         coeffs.append(c)
     # every coefficient is an int here, so True and 1.0 never reach the key
-    key = (model, tuple(coeffs))
-    divisor = memo.get(key)
+    key = tuple(coeffs)
+    divisor = classes.get(key)
     if divisor is None:
-        divisor = memo[key] = model.divisor(*coeffs)
+        divisor = classes[key] = model.divisor(*coeffs)
     return label, divisor
 
 
 def parse_pair(obj, memo: dict, where: str = "document") -> LogPair:
-    """One pair; `memo` is parse_document's, and hands out one model per
-    distinct ambient."""
+    """One pair; `memo` is parse_document's, and hands out one model, and
+    one dict of its classes, per distinct ambient."""
     if not isinstance(obj, dict):
         raise InputError(f"{where} must be an object")
     _check_keys(obj, {"ambient", "divisors"}, where)
     key = _ambient_key(_require(obj, "ambient", where))
-    model = memo.get(key)
-    if model is None:
+    entry = memo.get(key)
+    if entry is None:
         kind, *values = key
-        model = memo[key] = FAMILIES[kind].build(*values)
+        entry = memo[key] = (FAMILIES[kind].build(*values), {})
+    model, classes = entry
     divisors = _require(obj, "divisors", where)
     if not isinstance(divisors, list):
         raise InputError(f"key 'divisors' in {where} must be a list")
-    components = tuple(parse_divisor(d, model, memo, i)
+    components = tuple(parse_divisor(d, model, classes, i)
                        for i, d in enumerate(divisors))
     return LogPair(model, components)
 
@@ -138,8 +140,7 @@ def parse_document(data: str | bytes) -> list[LogPair]:
         # integer over the interpreter's digit limit; RecursionError:
         # nesting deeper than the decoder's recursion limit
         raise InputError(f"not valid JSON: {exc}") from exc
-    # ambient keys (kind, *fields) -> AmbientModel, and
-    # (model, coefficients) -> CycleClass; the two never collide
+    # (kind, *fields) -> (AmbientModel, {coefficients: CycleClass})
     memo: dict = {}
     if isinstance(doc, dict) and "pairs" in doc:
         _check_keys(doc, {"pairs"}, "document")

@@ -19,8 +19,7 @@ from logbg.logchern import (LogPair, hypersurface_pair, log_c1, log_c2,
                             pn_pair, slope, wedge_cotangent_slope)
 from logbg.models import (ChernData, default_polarization, hirzebruch,
                           hypersurface, projective_space, tangent_chern)
-from logbg.search import (DEFAULT_HYP_BOUNDS, DEFAULT_PN_BOUNDS, SearchConfig,
-                          enumerate_hypersurface, enumerate_pn,
+from logbg.search import (DEFAULT_BOUNDS, SearchConfig, enumerate_cases,
                           pn_modes_closed_form)
 from scanner import direct_modes, partitions_with_sum_at_most
 
@@ -60,9 +59,10 @@ def test_criterion_3_remark_tuples():
 def test_criterion_4_count_floors():
     # the Section 5 remark's floors, on the boxes `logbg enumerate` uses
     # by default
-    pn_bounds, hyp_bounds = DEFAULT_PN_BOUNDS, DEFAULT_HYP_BOUNDS
-    pn_count = len(enumerate_pn(pn_bounds))
-    hyp_count = len(enumerate_hypersurface(hyp_bounds))
+    pn_bounds = DEFAULT_BOUNDS["pn"]
+    hyp_bounds = DEFAULT_BOUNDS["hypersurface"]
+    pn_count = len(enumerate_cases(pn_bounds))
+    hyp_count = len(enumerate_cases(hyp_bounds))
     detail = (
         f"P^n family: {pn_count} cases "
         f"[n in [{pn_bounds.n_min},{pn_bounds.n_max}], -(K+D) nef]; "
@@ -71,7 +71,7 @@ def test_criterion_4_count_floors():
         f"q in [{hyp_bounds.q_min},{hyp_bounds.q_max}], -(K+D) nef]")
     # every emitted case was re-verified against the direct cycle
     # pipeline inside the enumerator; spot-check that again here
-    sample = enumerate_pn(SearchConfig(family="pn", n_min=7, n_max=8))
+    sample = enumerate_cases(SearchConfig(family="pn", n_min=7, n_max=8))
     ok = all(direct_modes(pn_pair(c.n, c.partition)) == c.modes
              for c in sample)
     ok &= pn_bounds.require_nef and hyp_bounds.require_nef
@@ -153,11 +153,11 @@ def test_criterion_6_property_suites():
         bounds = bounds_fields(cfg)
         return "\n".join(dump_record(case_record(c, bounds)) for c in cases)
 
-    first = render(enumerate_pn(config, workers=1), config)
-    second = render(enumerate_pn(config, workers=1), config)
-    fanned = render(enumerate_pn(config, workers=4), config)
+    first = render(enumerate_cases(config, workers=1), config)
+    second = render(enumerate_cases(config, workers=1), config)
+    fanned = render(enumerate_cases(config, workers=4), config)
     ok &= first == second == fanned
-    ok &= render(enumerate_hypersurface(hconfig, workers=1), hconfig) == \
-        render(enumerate_hypersurface(hconfig, workers=4), hconfig)
+    ok &= render(enumerate_cases(hconfig, workers=1), hconfig) == \
+        render(enumerate_cases(hconfig, workers=4), hconfig)
 
     announce(6, ok, "oracle and invariant property suites")

@@ -14,8 +14,7 @@ from logbg.logchern import (LogPair, hypersurface_pair, log_c1, log_c2,
 from logbg.models import (ChernData, c_infinity, default_polarization,
                           hirzebruch, hypersurface, projective_space,
                           tangent_chern)
-from logbg.search import (DEFAULT_HYP_BOUNDS, DEFAULT_PN_BOUNDS, EqualityCase,
-                          report_modes)
+from logbg.search import DEFAULT_BOUNDS, EqualityCase, report_modes
 from logbg.serialize import (Echoes, bounds_fields, case_record,
                              report_record)
 
@@ -235,9 +234,9 @@ class TestNoFloat:
             values += [wedge_cotangent_slope(model.n, r)
                        for r in range(1, model.n + 1)]
         if model.kind != "hirzebruch":
-            family, config = (("pn", DEFAULT_PN_BOUNDS)
-                              if model.kind == "projective_space"
-                              else ("hypersurface", DEFAULT_HYP_BOUNDS))
+            family = ("pn" if model.kind == "projective_space"
+                      else "hypersurface")
+            config = DEFAULT_BOUNDS[family]
             partition = tuple(sorted((cls.coeffs[0] for cls in pair.classes),
                                      reverse=True))
             case = EqualityCase(family, model.n, model.q, partition,

@@ -6,9 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 from logbg import search
 from logbg.bg import full_report
 from logbg.logchern import hypersurface_pair, pn_pair
-from logbg.search import (DEFAULT_HYP_BOUNDS, DEFAULT_PN_BOUNDS, SearchConfig,
-                          SearchSpaceError, VerificationError,
-                          enumerate_hypersurface, enumerate_pn,
+from logbg.search import (DEFAULT_BOUNDS, SearchConfig, SearchSpaceError,
+                          VerificationError, enumerate_cases,
                           hyp_modes_closed_form, pn_modes_closed_form,
                           pool_size)
 from scanner import (direct_modes, partitions_with_sum_at_most,
@@ -64,21 +63,21 @@ class TestDegreeCap:
 
 class TestEnumeratePn:
     def test_finds_remark_tuple_n7(self):
-        cases = enumerate_pn(pn_config(n_min=7, n_max=7, mode="n1"))
+        cases = enumerate_cases(pn_config(n_min=7, n_max=7, mode="n1"))
         assert (7, 1, (2, 1, 1)) in keys(cases)
 
     def test_finds_remark_tuple_n8(self):
-        cases = enumerate_pn(pn_config(n_min=8, n_max=8, mode="n"))
+        cases = enumerate_cases(pn_config(n_min=8, n_max=8, mode="n"))
         assert (8, 1, (2, 1, 1, 1)) in keys(cases)
 
     def test_hyperplane_included_without_trivial_filter(self):
-        cases = enumerate_pn(pn_config(n_min=2, n_max=6, mode="n",
+        cases = enumerate_cases(pn_config(n_min=2, n_max=6, mode="n",
                                        exclude_trivial=False))
         for n in range(2, 7):
             assert (n, 1, (1,)) in keys(cases)
 
     def test_trivial_filter_drops_empty_and_hyperplane(self):
-        cases = enumerate_pn(pn_config(n_min=2, n_max=6))
+        cases = enumerate_cases(pn_config(n_min=2, n_max=6))
         assert all(c.partition not in ((), (1,)) for c in cases)
 
     def test_n2_brute_force_oracle(self):
@@ -91,38 +90,35 @@ class TestEnumeratePn:
             modes = direct_modes(pn_pair(2, partition))
             if modes:
                 expected.append((2, 1, partition))
-        cases = enumerate_pn(pn_config(n_min=2, n_max=2))
+        cases = enumerate_cases(pn_config(n_min=2, n_max=2))
         assert keys(cases) == expected
 
     def test_canonical_order(self):
-        cases = enumerate_pn(pn_config(n_min=2, n_max=9))
+        cases = enumerate_cases(pn_config(n_min=2, n_max=9))
         assert [c.key() for c in cases] == sorted(c.key() for c in cases)
 
     def test_monotone_bounds(self):
-        small = keys(enumerate_pn(pn_config(n_min=2, n_max=6)))
-        large = keys(enumerate_pn(pn_config(n_min=2, n_max=9)))
+        small = keys(enumerate_cases(pn_config(n_min=2, n_max=6)))
+        large = keys(enumerate_cases(pn_config(n_min=2, n_max=9)))
         assert set(small) <= set(large)
-
-    def test_family_mismatch_rejected(self):
-        with pytest.raises(SearchSpaceError):
-            enumerate_pn(hyp_config())
 
 
 class TestEnumerateHypersurface:
     def test_finds_remark_tuples(self):
-        cases = enumerate_hypersurface(
+        cases = enumerate_cases(
             hyp_config(n_min=7, n_max=7, mode="n1"))
         assert (7, 2, (1, 1, 1)) in keys(cases)
-        cases = enumerate_hypersurface(
+        cases = enumerate_cases(
             hyp_config(n_min=8, n_max=8, mode="n"))
         assert (8, 2, (1, 1, 1, 1)) in keys(cases)
 
     def test_q1_rows_match_pn_all_ones(self):
         # lifting the q >= 2 floor must reproduce the all-ones P^n rows
-        hyp = enumerate_hypersurface(
+        hyp = enumerate_cases(
             hyp_config(n_min=2, n_max=8, q_min=1, q_max=1))
         # the "D = H" trivial filter only applies on the P^n family
-        pn = enumerate_pn(pn_config(n_min=2, n_max=8, exclude_trivial=False))
+        pn = enumerate_cases(pn_config(n_min=2, n_max=8,
+                                       exclude_trivial=False))
         pn_all_ones = [(c.n, c.partition) for c in pn
                        if c.partition and set(c.partition) == {1}]
         assert [(c.n, c.partition) for c in hyp] == pn_all_ones
@@ -146,21 +142,21 @@ class TestFastPathAgreement:
 class TestDeterminismAndWorkers:
     def test_identical_runs(self):
         config = pn_config(n_min=2, n_max=10)
-        assert enumerate_pn(config) == enumerate_pn(config)
+        assert enumerate_cases(config) == enumerate_cases(config)
 
     def test_worker_count_does_not_change_output(self):
         config = pn_config(n_min=2, n_max=12)
-        assert enumerate_pn(config, workers=1) == \
-            enumerate_pn(config, workers=4)
+        assert enumerate_cases(config, workers=1) == \
+            enumerate_cases(config, workers=4)
         hconfig = hyp_config(n_min=2, n_max=20, q_max=20)
-        assert enumerate_hypersurface(hconfig, workers=1) == \
-            enumerate_hypersurface(hconfig, workers=4)
+        assert enumerate_cases(hconfig, workers=1) == \
+            enumerate_cases(hconfig, workers=4)
 
 
 class TestEmittedReports:
     def test_every_case_has_vanishing_discriminant(self):
-        cases = enumerate_pn(pn_config(n_min=2, n_max=12))
-        cases += enumerate_hypersurface(hyp_config(n_min=2, n_max=12,
+        cases = enumerate_cases(pn_config(n_min=2, n_max=12))
+        cases += enumerate_cases(hyp_config(n_min=2, n_max=12,
                                                    q_max=12))
         assert cases
         for case in cases:
@@ -170,7 +166,7 @@ class TestEmittedReports:
                 assert report.discriminant == 0
 
     def test_nef_flag_matches_report(self):
-        for case in enumerate_pn(pn_config(n_min=2, n_max=10)):
+        for case in enumerate_cases(pn_config(n_min=2, n_max=10)):
             assert case.nef == case.report.minus_k_plus_d_nef
             assert case.nef  # nef was required
 
@@ -188,9 +184,9 @@ class TestSolverMatchesScanner:
         flags = dict(mode=mode, exclude_trivial=exclude_trivial,
                      require_nef=require_nef)
         config = pn_config(n_max=22 if require_nef else 9, **flags)
-        assert solved(enumerate_pn(config)) == scan_pn(config)
+        assert solved(enumerate_cases(config)) == scan_pn(config)
         hconfig = hyp_config(n_max=40, q_min=1, q_max=40, **flags)
-        assert solved(enumerate_hypersurface(hconfig)) == \
+        assert solved(enumerate_cases(hconfig)) == \
             scan_hypersurface(hconfig)
 
     @pytest.mark.parametrize("s_max", [1, 3, 5, 12])
@@ -199,9 +195,9 @@ class TestSolverMatchesScanner:
         flags = dict(s_max=s_max, require_nef=require_nef,
                      exclude_trivial=False)
         config = pn_config(n_max=22, **flags)
-        assert solved(enumerate_pn(config)) == scan_pn(config)
+        assert solved(enumerate_cases(config)) == scan_pn(config)
         hconfig = hyp_config(n_max=40, q_min=1, q_max=40, **flags)
-        assert solved(enumerate_hypersurface(hconfig)) == \
+        assert solved(enumerate_cases(hconfig)) == \
             scan_hypersurface(hconfig)
 
 
@@ -246,7 +242,7 @@ class TestSolverMatchesDirectPipeline:
         n, q = box
         config = hyp_config(n_min=n, n_max=n, q_min=q, q_max=q, **flags)
         ones = [(1,) * l for l in range(n + 3 - q)]
-        assert solved(enumerate_hypersurface(config)) == \
+        assert solved(enumerate_cases(config)) == \
             direct_cases(config, n, q, ones)
 
     @settings(deadline=None)
@@ -255,7 +251,7 @@ class TestSolverMatchesDirectPipeline:
     def test_pn_degree_capped_box(self, n, s_max, require_nef, flags):
         config = pn_config(n_min=n, n_max=n, s_max=s_max,
                            require_nef=require_nef, **flags)
-        assert solved(enumerate_pn(config)) == direct_cases(
+        assert solved(enumerate_cases(config)) == direct_cases(
             config, n, 1, partitions_with_sum_at_most(s_max))
 
 
@@ -281,7 +277,7 @@ class TestHypersurfaceBound:
         config = hyp_config(n_min=n, n_max=n, q_min=q, q_max=q,
                             require_nef=False, **flags)
         ones = [(1,) * l for l in range(3 * (n + 1) + 1)]
-        assert solved(enumerate_hypersurface(config)) == \
+        assert solved(enumerate_cases(config)) == \
             direct_cases(config, n, q, ones)
 
     @pytest.mark.parametrize("mode", ["n", "n1", "either"])
@@ -290,8 +286,8 @@ class TestHypersurfaceBound:
         config = hyp_config(n_max=200, q_min=1, q_max=200, mode=mode,
                             exclude_trivial=False)
         unfiltered = replace(config, require_nef=False)
-        assert solved(enumerate_hypersurface(config)) == \
-            solved(enumerate_hypersurface(unfiltered))
+        assert solved(enumerate_cases(config)) == \
+            solved(enumerate_cases(unfiltered))
 
     @staticmethod
     def solver_points(monkeypatch, config):
@@ -303,10 +299,11 @@ class TestHypersurfaceBound:
             return solve(n, q, mode)
 
         monkeypatch.setattr(search, "_hyp_component_counts", counting)
-        return enumerate_hypersurface(config), points
+        return enumerate_cases(config), points
 
     def test_default_box_work(self, monkeypatch):
-        cases, points = self.solver_points(monkeypatch, DEFAULT_HYP_BOUNDS)
+        cases, points = self.solver_points(monkeypatch,
+                                           DEFAULT_BOUNDS["hypersurface"])
         assert len(cases) == 98
         assert len(points) == 530
 
@@ -320,11 +317,13 @@ class TestHypersurfaceBound:
 class TestUnfilteredBoxes:
     def test_default_pn_box_without_nef_filter(self):
         # 2.08e9 candidates for the scanner
-        cases = enumerate_pn(replace(DEFAULT_PN_BOUNDS, require_nef=False))
+        cases = enumerate_cases(replace(DEFAULT_BOUNDS["pn"],
+                                        require_nef=False))
         assert len(cases) == 65
 
     def test_small_pn_box_without_nef_filter(self):
-        assert len(enumerate_pn(pn_config(n_max=9, require_nef=False))) == 14
+        cases = enumerate_cases(pn_config(n_max=9, require_nef=False))
+        assert len(cases) == 14
 
 
 class TestVerificationFailure:
@@ -333,7 +332,7 @@ class TestVerificationFailure:
         monkeypatch.setattr(search, "hyp_modes_closed_form",
                             lambda n, q, l: ("n", "n1"))
         with pytest.raises(VerificationError, match="hypersurface, n=7, q=2"):
-            enumerate_hypersurface(hyp_config(n_min=7, n_max=7))
+            enumerate_cases(hyp_config(n_min=7, n_max=7))
 
 
 class TestPoolSize:
@@ -353,4 +352,4 @@ class TestPoolSize:
         with pytest.raises(SearchSpaceError, match="workers"):
             pool_size(workers, 29)
         with pytest.raises(SearchSpaceError, match="workers"):
-            enumerate_pn(pn_config(), workers=workers)
+            enumerate_cases(pn_config(), workers=workers)
