@@ -56,7 +56,7 @@ def _out_stream(args):
 
 
 def _pair_summary(pair, echoes) -> str:
-    divisors = ", ".join(echoes[cls][1] for _, cls in pair.components)
+    divisors = ", ".join(echoes.of(cls)[1] for _, cls in pair.components)
     return f"({pair.model}, D = [{divisors}])"
 
 
@@ -80,14 +80,15 @@ def cmd_report(args) -> int:
             data = fh.read()
     pairs = parse_document(data)
     # for this command only: the echo of each distinct class, and the
-    # default polarization of each distinct model
+    # default polarization of each distinct model, keyed by id(model),
+    # which hashes in C; `pairs` holds every model until the command ends
     echoes = Echoes()
     polarizations = {}
     with _out_stream(args) as out:
         for i, pair in enumerate(pairs):
-            H = polarizations.get(pair.model)
+            H = polarizations.get(id(pair.model))
             if H is None:
-                H = polarizations[pair.model] = default_polarization(
+                H = polarizations[id(pair.model)] = default_polarization(
                     pair.model)
             report = full_report(pair, H)
             try:

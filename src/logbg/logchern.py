@@ -32,17 +32,31 @@ from .models import (AmbientModel, ChernData, default_polarization,
 class LogPair:
     """An ambient model with an ordered list of labeled prime-divisor
     classes. Distinct components may share a class (two hyperplanes are
-    two components); the SNC hypothesis is a modeling assumption."""
+    two components); the SNC hypothesis is a modeling assumption.
+
+    Validation runs once per distinct class object, at its first
+    occurrence, so an error names the first offending label; `groups`
+    holds each distinct object's integer coefficients with its
+    multiplicity, in order of first occurrence."""
 
     model: AmbientModel
     components: tuple[tuple[str, CycleClass], ...] = field(default=())
+    groups: tuple[tuple[tuple[int, ...], int], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
         labels = [label for label, _ in self.components]
         if len(set(labels)) != len(labels):
             raise ChowError(f"duplicate component labels in {labels}")
+        # id(class) -> multiplicity; every class stays alive in components
+        counts = {}
+        distinct = []
         for label, cls in self.components:
+            key = id(cls)
+            if key in counts:
+                counts[key] += 1
+                continue
             # parse_document hands out one model per distinct ambient
             if cls.model is not self.model and cls.model != self.model:
                 raise ChowError(
@@ -54,25 +68,42 @@ class LogPair:
                 raise ChowError(
                     f"component {label!r} = {cls} is not an effective "
                     "prime-divisor class on this model")
+            counts[key] = 1
+            distinct.append(cls)
+        object.__setattr__(self, "groups", tuple(
+            (cls.coeffs, counts[id(cls)]) for cls in distinct))
 
     @property
     def classes(self) -> tuple[CycleClass, ...]:
         return tuple(cls for _, cls in self.components)
 
+    def _boundary_coeffs(self) -> tuple[int, ...]:
+        # prime classes are integral, so every coefficient is an int
+        return tuple(sum(k * E[i] for E, k in self.groups)
+                     for i in range(self.model.basis_size(1)))
+
     def boundary(self) -> CycleClass:
         """The total divisor D = sum D_i (zero if there are no components)."""
-        total = self.model.zero(1)
-        for cls in self.classes:
-            total = total + cls
-        return total
+        return self.model.divisor(*self._boundary_coeffs())
 
 
 def pn_pair(n: int, degrees) -> LogPair:
-    """Convenience: (P^n, D) with D_i of the given degrees."""
+    """Convenience: (P^n, D) with D_i of the given degrees; one class per
+    distinct integer degree."""
     model = projective_space(n)
-    comps = tuple((f"D{i + 1}", model.divisor(d))
-                  for i, d in enumerate(degrees))
-    return LogPair(model, comps)
+    # the memo takes ints only: True and 1.0 equal 1 as keys, and must
+    # reach model.divisor, which rejects them
+    classes = {}
+    comps = []
+    for i, d in enumerate(degrees):
+        if type(d) is int:
+            cls = classes.get(d)
+            if cls is None:
+                cls = classes[d] = model.divisor(d)
+        else:
+            cls = model.divisor(d)
+        comps.append((f"D{i + 1}", cls))
+    return LogPair(model, tuple(comps))
 
 
 def hypersurface_pair(n: int, q: int, l: int) -> LogPair:
@@ -93,19 +124,17 @@ def log_c2(pair: LogPair) -> CycleClass:
 def log_chern(pair: LogPair) -> ChernData:
     """(rank, c1, c2) of the logarithmic tangent bundle itself.
 
-    One pass over the components' integer coefficients sums D and
-    sum_i D_i^2 through the model's intersection form; c2 is then the
-    closed form of the module docstring, and c1 and c2 are the only
-    cycle classes built.  No chow.mul is taken.
+    D and sum_i D_i^2 are sums over the pair's distinct class objects,
+    each term times its multiplicity, of integer coefficients and of the
+    model's intersection form; c2 is then the closed form of the module
+    docstring, and c1 and c2 are the only cycle classes built.  No
+    chow.mul is taken.
     """
     model = pair.model
     t1, t2 = tangent_coefficients(model)
     intersect = model.intersect
-    # prime classes are integral, so every coefficient here is an int
-    components = [cls.coeffs for cls in pair.classes]
-    D = tuple(sum(E[i] for E in components)
-              for i in range(model.basis_size(1)))
-    squares = sum(intersect(E, E) for E in components)
+    D = pair._boundary_coeffs()
+    squares = sum(k * intersect(E, E) for E, k in pair.groups)
     # K.D = -c1(T).D
     c2 = t2 - intersect(t1, D) + (intersect(D, D) + squares) // 2
     c1 = model.divisor(*(t - d for t, d in zip(t1, D)))

@@ -156,11 +156,18 @@ def parse_document(data: str | bytes) -> list[LogPair]:
 
 class Echoes(dict):
     """The echo (cycle_to_dict, cycle_display) of each class, formatted
-    on first use; one instance serves one command."""
+    on first use; one instance serves one command.
 
-    def __missing__(self, cls: CycleClass) -> tuple[dict, str]:
-        echo = self[cls] = (cycle_to_dict(cls), cycle_display(cls))
-        return echo
+    Keyed by id(class), which hashes in C; a frozen dataclass would hash
+    its field tuple and its model again on every lookup.  Each entry
+    holds its class, so no id is reused while the instance lives."""
+
+    def of(self, cls: CycleClass) -> tuple[dict, str]:
+        entry = self.get(id(cls))
+        if entry is None:
+            entry = self[id(cls)] = (
+                cls, (cycle_to_dict(cls), cycle_display(cls)))
+        return entry[1]
 
 
 def pair_echo(pair: LogPair, echoes: Echoes) -> dict:
@@ -169,7 +176,7 @@ def pair_echo(pair: LogPair, echoes: Echoes) -> dict:
     ambient.update((key, getattr(model, key)) for key in model.family.fields)
     divisors = []
     for label, cls in pair.components:
-        as_dict, display = echoes[cls]
+        as_dict, display = echoes.of(cls)
         divisors.append({"label": label, "class": as_dict,
                          "display": display})
     return {"ambient": ambient, "divisors": divisors}
@@ -191,7 +198,7 @@ def report_fields(report: BGReport, polarization: dict) -> dict:
 
 def report_record(pair: LogPair, report: BGReport, echoes: Echoes) -> dict:
     record = {"input": pair_echo(pair, echoes), "tool_version": __version__}
-    record.update(report_fields(report, echoes[report.polarization][0]))
+    record.update(report_fields(report, echoes.of(report.polarization)[0]))
     return record
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from logbg.bg import (check_equality_n, check_equality_n_plus_1, discriminant,
                       full_report)
-from logbg.chow import GradeError, mul
+from logbg.chow import CycleClass, GradeError, mul
 from logbg.cli import main
 from logbg.logchern import LogPair, hypersurface_pair, log_chern, pn_pair
 from logbg.models import (ChernData, c_infinity, hirzebruch, hypersurface,
@@ -221,3 +221,45 @@ class TestConstructionCount:
             cycle_calls.clear()
             log_chern(pair)
             assert len(cycle_calls) == 2, pair.model
+
+    def test_counts_independent_of_l(self, cycle_calls, monkeypatch):
+        """pn_pair builds one class per distinct degree, and a pair runs
+        is_prime_class once per distinct class object, for any l."""
+        from logbg import logchern
+
+        prime_calls = []
+        real_is_prime_class = logchern.is_prime_class
+
+        def counting_is_prime_class(model, cls):
+            prime_calls.append(1)
+            return real_is_prime_class(model, cls)
+
+        monkeypatch.setattr(logchern, "is_prime_class",
+                            counting_is_prime_class)
+        for l in (1, 117, 1000):
+            cycle_calls.clear()
+            prime_calls.clear()
+            pn_pair(30, [2] * l + [1] * l)
+            assert (len(cycle_calls), len(prime_calls)) == (2, 2), l
+            cycle_calls.clear()
+            prime_calls.clear()
+            hypersurface_pair(160, 2, l)
+            assert (len(cycle_calls), len(prime_calls)) == (1, 1), l
+
+    def test_sharing_leaves_reports_unchanged(self):
+        """A fresh class object per component and one shared object per
+        coefficient tuple give the report and boundary of the pair as
+        built, and its boundary is the sum of its classes."""
+        for pair in self.pairs():
+            shared = {}
+            variants = (
+                [(label, CycleClass(cls.model, cls.grade, cls.coeffs))
+                 for label, cls in pair.components],
+                [(label, shared.setdefault(cls.coeffs, cls))
+                 for label, cls in pair.components])
+            report, boundary = full_report(pair), pair.boundary()
+            assert boundary == sum(pair.classes, pair.model.zero(1))
+            for components in variants:
+                other = LogPair(pair.model, tuple(components))
+                assert full_report(other) == report, pair.model
+                assert other.boundary() == boundary, pair.model

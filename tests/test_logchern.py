@@ -61,6 +61,29 @@ class TestLogPairValidation:
         pair = pn_pair(7, [1, 1])
         assert len(pair.components) == 2
 
+    def test_repeated_rejected_class_names_first_label(self):
+        # each class object is checked once, at its first occurrence
+        f2, p3 = hirzebruch(2), projective_space(3)
+        good, not_prime = f2.divisor(1, 0), f2.divisor(1, 1)
+        foreign, point = p3.divisor(1), f2.point()
+        for bad, error in ((not_prime, "prime"), (foreign, "lives on"),
+                           (point, "grade 1")):
+            with pytest.raises(ChowError, match=f"component 'B' .*{error}"):
+                LogPair(f2, (("A", good), ("B", bad), ("C", good),
+                             ("D", bad), ("E", bad)))
+
+    def test_equal_distinct_objects_match_one_shared_object(self):
+        for model, coeffs in ((hypersurface(7, 2), (1,)),
+                              (projective_space(5), (2,)),
+                              (hirzebruch(3), (1, 4))):
+            shared = model.divisor(*coeffs)
+            one = LogPair(model, (("A", shared), ("B", shared)))
+            two = LogPair(model, (("A", model.divisor(*coeffs)),
+                                  ("B", model.divisor(*coeffs))))
+            assert (len(one.groups), len(two.groups)) == (1, 2)
+            assert log_chern(one) == log_chern(two)
+            assert one == two
+
     # True == 1 == 1.0, so a degree must not be matched up by value
     @pytest.mark.parametrize("degrees", [[1, True], [True, 1], [1, 1.0],
                                          [1.0, 1], [2, 1, False]])
@@ -119,7 +142,7 @@ def pairwise_log_c2(pair):
     """c2(T_X) + K.D + D^2 - sum_{i<j} D_i.D_j with every pair multiplied
     out: the O(l^2) form of log_c2."""
     tangent = tangent_chern(pair.model)
-    D = pair.boundary()
+    D = sum(pair.classes, pair.model.zero(1))
     result = tangent.c2 + chow.mul(-tangent.c1, D) + chow.mul(D, D)
     classes = pair.classes
     for i in range(len(classes)):
