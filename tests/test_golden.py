@@ -6,7 +6,8 @@ its stdout, and its exit code, with tests/golden.json.  The digests pin
 filter, single modes with trivial cases kept, an unfiltered
 hypersurface box out to q = 400, and wide boxes: P^n to n = 100 and,
 unfiltered in mode n with trivial cases, to n = 40, hypersurfaces to
-n = 220 and q = 400), `verify-paper`, `report`
+n = 220 and q = 400, and --s-max caps on both families with and
+without the nef filter), `verify-paper`, `report`
 in both formats on three documents from all three families (one with at
 most three components per pair; one with 9 to 40 per pair, repeating
 classes both in runs and interleaved; one that repeats the same P^n,
@@ -139,6 +140,15 @@ CASES = {
     "enum-pn-s-max-table": ENUM + ("pn", "--n", "2..12", "--s-max", "3",
                                    "--no-nef", "--include-trivial"),
     "enum-pn-with-q": ENUM + ("pn", "--n", "2..3", "--q", "2..3"),
+    "enum-hyp-s-max-trivial-records": ENUM + (
+        "hypersurface", "--n", "2..120", "--q", "1..60", "--s-max", "9",
+        "--include-trivial", "--format", "records"),
+    "enum-pn-s-max-mode-n1-records": ENUM + (
+        "pn", "--n", "2..60", "--s-max", "12", "--mode", "n1", "--format",
+        "records"),
+    "enum-pn-s-max-no-nef-trivial-records": ENUM + (
+        "pn", "--n", "2..60", "--s-max", "12", "--no-nef",
+        "--include-trivial", "--format", "records"),
     "enum-pn-wide-records": ENUM + ("pn", "--n", "2..100", "--format",
                                     "records"),
     "enum-pn-no-nef-mode-n-trivial-records": ENUM + (
