@@ -2,13 +2,15 @@
 
 Two families: hypersurface arrangements of degrees d_1 >= ... >= d_l on
 P^n, and arrangements of l degree-1 sections on a degree-q hypersurface
-in P^{n+1}.  The equality conditions are integer equations, so the
-search solves them instead of scanning the box: on P^n for the sum of
-squares of the degrees at each degree sum, on a hypersurface for the
-integer roots of a quadratic in the c1 coefficient t = n + 2 - q - l.
-That quadratic has real roots only while 4 q (q - 1) <= n + 1 (its
-largest rank), so the hypersurface work at each n stops there, however
-large the q box is.
+in P^{n+1}.  The search does not scan its box.  In both families, with
+t the c1 coefficient and B = q (q - 1) + sum d_i (d_i - 1) (q = 1 on
+P^n), rank-k equality is the integer quadratic t^2 - k t + k B = 0, so
+one root finder, _roots, serves both: on P^n it is solved at each
+B <= k / 4 and each root is spread over the partitions of B into pronic
+parts d (d - 1); on a hypersurface B = q (q - 1), which has real roots
+only while 4 q (q - 1) <= k, so the work at each n stops there however
+large the q box is.  Every root has 0 <= t <= k, so -(K + D) = t h is
+nef at every solution, and the nef filter never drops a case.
 
 Both families share one pipeline.  A per-family generator in
 _SOLUTIONS yields the (q, partition, modes) solutions at one n; _slice
@@ -36,7 +38,8 @@ class SearchSpaceError(ChowError):
 
 
 class VerificationError(Exception):
-    """A closed form disagrees with the full cycle-arithmetic pipeline."""
+    """The full cycle-arithmetic pipeline disagrees with the solver: on a
+    closed form's modes, or on the nefness of -(K + D)."""
 
 
 @dataclass(frozen=True)
@@ -69,13 +72,6 @@ class SearchConfig:
                 raise SearchSpaceError(
                     f"invalid degree range [{self.q_min}, {self.q_max}]")
 
-    def degree_cap(self, n: int, q: int = 1) -> int:
-        """Cap on the total boundary degree at dimension n on a degree-q
-        hypersurface (P^n at q = 1).  Under the nef filter -(K + D) is nef
-        only up to degree n + 2 - q, which may be negative."""
-        cap = 3 * (n + 1) if self.s_max is None else self.s_max
-        return min(cap, n + 2 - q) if self.require_nef else cap
-
 
 @dataclass(frozen=True)
 class EqualityCase:
@@ -91,29 +87,41 @@ class EqualityCase:
         return (self.n, self.q, len(self.partition), self.partition)
 
 
-# -- closed forms ----------------------------------------------------------
+# -- one quadratic for both families ---------------------------------------
 #
-# P^n is numerically the degree-1 hypersurface, so one formula covers
+# P^n is numerically the degree-1 hypersurface, so one derivation covers
 # both families.  On a degree-q hypersurface in P^{n+1} (P^n at q = 1)
-# with components of degrees d_i, sum s and sum of squares p2:
-# c1 = (n+2-q-s) h and 2 c2 = (a - 2bs + s^2 + p2) h^2 with
-# a = (n+2)(n+1) - 2qb and b = n+2-q, the common factor deg(h^n) = q
-# cancelling from the vanishing condition.  The hypersurface family has
-# l degree-1 components, so s = p2 = l.  With t the c1 coefficient, the
-# rank-k discriminant vanishes iff k * (2 c2) == (k-1) * t^2: a pure
-# integer test, at k = n for mode "n" and k = n+1 for mode "n1".
-
-
-def _c2_x2(n: int, q: int, s: int, p2: int) -> int:
-    b = n + 2 - q
-    return (n + 2) * (n + 1) - 2 * q * b - 2 * b * s + s * s + p2
+# with components of degrees d_i, sum s and sum of squares p2, put
+# b = n + 2 - q.  Then c1 = t h with t = b - s, and
+#   2 c2 = ((n+2)(n+1) - 2 q b - 2 b s + s^2 + p2) h^2,
+# the common factor deg(h^n) = q cancelling from the vanishing condition.
+# As s^2 - 2 b s = t^2 - b^2 and (n+2)(n+1) - 2 q b - b^2 = q^2 - (n+2)
+# = q^2 - q - s - t,
+#   2 c2 = t^2 - t + B,  B = q (q - 1) + (p2 - s)
+#                          = q (q - 1) + sum d_i (d_i - 1),
+# and rank-k equality, k * (2 c2) == (k - 1) * t^2, is
+#   t^2 - k t + k B = 0,
+# at k = n for mode "n" and k = n + 1 for mode "n1".  Each family fixes
+# one term of B: P^n has q = 1, so B is a sum of pronic numbers d (d - 1)
+# over the parts d >= 2; the hypersurface family has l degree-1
+# components (s = p2 = l), so B = q (q - 1).  The search solves for t.
+#
+# The roots sum to k and multiply to k B >= 0, so 0 <= t <= k and
+# B = t (k - t) / k <= k / 4: no B past k // 4, and no q with
+# (2q - 1)^2 > k + 1, that is past (isqrt(k + 1) + 1) // 2, has a real
+# root.  As t >= 0, -(K + D) = t h is nef at every solution, so the nef
+# filter never drops a case.  Every root fits a case.  On P^n,
+# s = n + 1 - t >= k - t >= t (k - t) / k = B >= sum d over the pronic
+# parts, so the ones that pad them to s never number below 0.  On a
+# hypersurface the smaller root is k B / (larger) >= B, so t <= k - B and
+# l = n + 2 - q - t >= (q - 1)^2 >= 0.
 
 
 def _modes(n: int, q: int, s: int, p2: int) -> tuple[str, ...]:
     t = n + 2 - q - s
-    c2_x2 = _c2_x2(n, q, s, p2)
+    B = q * (q - 1) + p2 - s
     return tuple(mode for mode, k in (("n", n), ("n1", n + 1))
-                 if k * c2_x2 == (k - 1) * t * t)
+                 if k * (t * t - t + B) == (k - 1) * t * t)
 
 
 def pn_modes_closed_form(n: int, partition: tuple[int, ...]) -> tuple[str, ...]:
@@ -133,83 +141,34 @@ def report_modes(report: BGReport) -> tuple[str, ...]:
     return tuple(modes)
 
 
-def _mode_hit(modes: tuple[str, ...], wanted: str) -> bool:
-    if wanted == "either":
-        return bool(modes)
-    return wanted in modes
-
-
 def _ranks(n: int, mode: str) -> tuple[int, ...]:
     return {"n": (n,), "n1": (n + 1,), "either": (n, n + 1)}[mode]
 
 
-# -- solvers ---------------------------------------------------------------
-#
-# Both closed forms are solved for the free quantity instead of scanning
-# it.  On P^n the rank-k test fixes p2 given (n, s).  On a hypersurface,
-# s = p2 = l and t = b - l.  Then a - b^2 = q^2 - (n + 2) and
-# s^2 - 2 b s = t^2 - b^2, so
-#   2 c2 = t^2 + q^2 - (n + 2) + (b - t) = t^2 - t + q (q - 1),
-# and k * (2 c2) == (k-1) * t^2 becomes
-#   t^2 - k t + k q (q - 1) = 0.
-# Its discriminant k^2 - 4 k q (q - 1) is negative once 4 q (q - 1) > k,
-# that is once (2q - 1)^2 > k + 1, or q > (isqrt(k + 1) + 1) // 2.  With
-# k the mode's largest rank (at most n + 1), no q past that bound can
-# give a case.  Both
-# roots are at least q (q - 1) >= 0: their sum is k and their product
-# k q (q - 1), so the smaller is k q (q - 1) / (larger) >= q (q - 1).
-# Hence l <= n + 2 - q, and the nef filter never drops a hypersurface
-# case.  The solutions are taken in integers, rounding down, and kept
-# only where the closed form holds.
+def _roots(k: int, B: int) -> tuple[int, ...]:
+    """The integers t with t^2 - k t + k B = 0."""
+    disc = k * k - 4 * k * B
+    root = isqrt(max(disc, 0))
+    if root * root != disc:
+        return ()
+    # root = k mod 2, as root^2 = k^2 mod 4
+    return (k - root) // 2, (k + root) // 2
 
 
-def _pn_square_sums(n: int, s: int, mode: str) -> set[int]:
-    """The sums of squares p2 at which a partition of s meets `mode` on
-    P^n (at most one per rank)."""
-    t = n + 1 - s
-    base = _c2_x2(n, 1, s, 0)
-    candidates = {((k - 1) * t * t - k * base) // k for k in _ranks(n, mode)}
-    return {p2 for p2 in candidates if _mode_hit(_modes(n, 1, s, p2), mode)}
+def _c1_roots(n: int, mode: str, B: int) -> set[int]:
+    """The c1 coefficients t at which some rank of `mode` meets equality."""
+    return {t for k in _ranks(n, mode) for t in _roots(k, B)}
 
 
-def _partitions_with_square_sum(s: int, p2: int):
-    """Non-increasing positive integer partitions of s whose squares sum
-    to p2 (the empty partition when s = p2 = 0)."""
-
-    # r is the part sum still to place and p its sum of squares; with
-    # every part in [1, largest], r <= p <= largest * r must hold.
-    def gen(r: int, p: int, largest: int):
-        if r == 0:
-            yield ()
-            return
-        for first in range(min(largest, r), -(-p // r) - 1, -1):
-            rest_r, rest_p = r - first, p - first * first
-            if rest_r <= rest_p <= first * rest_r:
-                for rest in gen(rest_r, rest_p, first):
-                    yield (first,) + rest
-
-    if s <= p2 <= s * s:
-        yield from gen(s, p2, s)
-
-
-def _hyp_q_top(n: int, mode: str) -> int:
-    """The largest q at which t^2 - k t + k q (q - 1) = 0 has real roots
-    for some rank k of `mode` at dimension n."""
-    return (isqrt(max(_ranks(n, mode)) + 1) + 1) // 2
-
-
-def _hyp_component_counts(n: int, q: int, mode: str) -> set[int]:
-    """The integers l >= 0 at which l degree-1 components on a degree-q
-    hypersurface meet `mode` (at most two per rank)."""
-    b = n + 2 - q
-    candidates = set()
-    for k in _ranks(n, mode):
-        disc = k * k - 4 * k * q * (q - 1)
-        if disc >= 0:
-            root = isqrt(disc)
-            candidates.update((b - (k - root) // 2, b - (k + root) // 2))
-    return {l for l in candidates
-            if l >= 0 and _mode_hit(_modes(n, q, l, l), mode)}
+def _pronic_partitions(B: int, largest: int):
+    """Non-increasing tuples of parts d in [2, largest] whose pronic
+    numbers d (d - 1) sum to B (the empty tuple at B = 0)."""
+    if B == 0:
+        yield ()
+        return
+    for d in range(min(largest, (1 + isqrt(4 * B + 1)) // 2), 1, -1):
+        for rest in _pronic_partitions(B - d * (d - 1), d):
+            yield (d,) + rest
 
 
 def _verified_case(family: str, n: int, q: int, partition: tuple[int, ...],
@@ -217,33 +176,43 @@ def _verified_case(family: str, n: int, q: int, partition: tuple[int, ...],
     pair = (pn_pair(n, partition) if family == "pn"
             else hypersurface_pair(n, q, len(partition)))
     report = full_report(pair)
+    where = f"({family}, n={n}, q={q}, partition={partition})"
     if report_modes(report) != modes:
         raise VerificationError(
             f"closed form gives modes {modes} but full_report gives "
-            f"{report_modes(report)} on ({family}, n={n}, q={q}, "
-            f"partition={partition})")
-    return EqualityCase(family, n, q, partition, modes,
-                        report.minus_k_plus_d_nef, report)
+            f"{report_modes(report)} on {where}")
+    if not report.minus_k_plus_d_nef:
+        raise VerificationError(
+            f"full_report gives -(K+D) not nef on {where}, but every "
+            "solution has t >= 0")
+    return EqualityCase(family, n, q, partition, modes, True, report)
 
 
 def _pn_solutions(config: SearchConfig, n: int):
-    """(q, partition, modes) of each P^n case at dimension n."""
-    for s in range(config.degree_cap(n) + 1):
-        for p2 in _pn_square_sums(n, s, config.mode):
-            for partition in _partitions_with_square_sum(s, p2):
+    """(q, partition, modes) of each P^n case at dimension n: the pronic
+    parts of each B, padded with ones to s = n + 1 - t."""
+    for B in range(max(_ranks(n, config.mode)) // 4 + 1):
+        for t in _c1_roots(n, config.mode, B):
+            s = n + 1 - t
+            if config.s_max is not None and s > config.s_max:
+                continue
+            for parts in _pronic_partitions(B, B):
+                partition = parts + (1,) * (s - sum(parts))
                 if config.exclude_trivial and partition in ((), (1,)):
                     continue
                 yield 1, partition, pn_modes_closed_form(n, partition)
 
 
 def _hyp_solutions(config: SearchConfig, n: int):
-    """(q, partition, modes) of each hypersurface case at dimension n; q
-    stops at _hyp_q_top, past which no rank has a real root."""
-    q_max = min(config.q_max, _hyp_q_top(n, config.mode))
-    for q in range(config.q_min, q_max + 1):
-        l_cap = config.degree_cap(n, q)
-        for l in _hyp_component_counts(n, q, config.mode):
-            if l > l_cap or (config.exclude_trivial and l == 0):
+    """(q, partition, modes) of each hypersurface case at dimension n: l
+    degree-1 components with l = n + 2 - q - t at B = q (q - 1)."""
+    k = max(_ranks(n, config.mode))
+    for q in range(config.q_min,
+                   min(config.q_max, (isqrt(k + 1) + 1) // 2) + 1):
+        for t in _c1_roots(n, config.mode, q * (q - 1)):
+            l = n + 2 - q - t
+            if ((config.s_max is not None and l > config.s_max)
+                    or (config.exclude_trivial and l == 0)):
                 continue
             yield q, (1,) * l, hyp_modes_closed_form(n, q, l)
 

@@ -33,14 +33,20 @@ def _mode_hit(modes, wanted):
     return bool(modes) if wanted == "either" else wanted in modes
 
 
+def _degree_cap(config, n, q=1):
+    """The largest total degree scanned at dimension n on a degree-q
+    hypersurface (P^n at q = 1): s_max, or 3 (n + 1) without it, and under
+    the nef filter at most n + 2 - q, past which -(K + D) is not nef."""
+    cap = 3 * (n + 1) if config.s_max is None else config.s_max
+    return min(cap, n + 2 - q) if config.require_nef else cap
+
+
 def scan_pn(config):
     """(n, 1, partition, modes) for every screened hit, in canonical order."""
     hits = []
     for n in range(config.n_min, config.n_max + 1):
-        for partition in partitions_with_sum_at_most(config.degree_cap(n)):
+        for partition in partitions_with_sum_at_most(_degree_cap(config, n)):
             if config.exclude_trivial and partition in ((), (1,)):
-                continue
-            if config.require_nef and sum(partition) > n + 1:
                 continue
             modes = pn_modes_closed_form(n, partition)
             if _mode_hit(modes, config.mode):
@@ -53,10 +59,7 @@ def scan_hypersurface(config):
     hits = []
     for n in range(config.n_min, config.n_max + 1):
         for q in range(config.q_min, config.q_max + 1):
-            l_cap = config.degree_cap(n)
-            if config.require_nef:
-                l_cap = min(l_cap, n + 2 - q)
-            for l in range(0, max(l_cap, 0) + 1):
+            for l in range(0, max(_degree_cap(config, n, q), 0) + 1):
                 if config.exclude_trivial and l == 0:
                     continue
                 modes = hyp_modes_closed_form(n, q, l)

@@ -325,6 +325,18 @@ class TestEnumerateCommand:
         assert err.count("\n") == 1
         assert "(pn, n=7, q=1, partition=(2, 1, 1))" in err
 
+    @pytest.mark.parametrize("nef_flag", ["--nef", "--no-nef"])
+    def test_non_nef_case_exit_1(self, monkeypatch, capsys, nef_flag):
+        """The solver puts t >= 0 at every case, so a report with -(K+D)
+        not nef is a verification failure, with or without the filter."""
+        from logbg import bg
+        monkeypatch.setattr(bg, "is_nef", lambda model, divisor: False)
+        assert main(["enumerate", "--family", "pn", "--n", "7..7",
+                     "--s-max", "4", nef_flag]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "not nef on (pn, n=7, q=1, partition=(2, 1, 1))" in err
+
     def test_default_box_without_nef_filter(self, capsys):
         assert main(["enumerate", "--family", "pn", "--no-nef"]) == 0
         assert "found 65 equality case(s)" in capsys.readouterr().out

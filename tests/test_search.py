@@ -1,4 +1,5 @@
 from dataclasses import replace
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -46,19 +47,6 @@ class TestConfigValidation:
     def test_missing_q_range_rejected(self):
         with pytest.raises(SearchSpaceError):
             SearchConfig(family="hypersurface", n_min=2, n_max=3)
-
-
-class TestDegreeCap:
-    def test_nef_cap_is_n_plus_2_minus_q(self):
-        assert pn_config().degree_cap(7) == 8
-        assert hyp_config().degree_cap(7, 3) == 6
-        assert hyp_config().degree_cap(7, 10) == -1
-        assert hyp_config(s_max=4).degree_cap(7, 3) == 4
-        assert hyp_config(s_max=4).degree_cap(7, 6) == 3
-
-    def test_unfiltered_cap_ignores_q(self):
-        assert hyp_config(require_nef=False).degree_cap(7, 3) == 24
-        assert hyp_config(require_nef=False, s_max=40).degree_cap(7, 3) == 40
 
 
 class TestEnumeratePn:
@@ -256,14 +244,15 @@ class TestSolverMatchesDirectPipeline:
 
 
 class TestHypersurfaceBound:
-    """Past q = _hyp_q_top(n) no rank has a real root of
-    t^2 - k t + k q (q - 1) = 0, so the solver's q loop stops there."""
+    """Past q = (isqrt(k + 1) + 1) // 2, with k the mode's largest rank, no
+    rank has a real root of t^2 - k t + k q (q - 1) = 0, so the solver's q
+    loop stops there."""
 
     @pytest.mark.parametrize("mode", ["n", "n1", "either"])
     def test_q_top_is_the_last_q_with_real_roots(self, mode):
         for n in range(2, 400):
             k = max(search._ranks(n, mode))
-            q = search._hyp_q_top(n, mode)
+            q = (isqrt(k + 1) + 1) // 2
             assert 4 * q * (q - 1) <= k < 4 * (q + 1) * q
 
     # each example sends up to 904 pairs through full_report
@@ -292,26 +281,49 @@ class TestHypersurfaceBound:
     @staticmethod
     def solver_points(monkeypatch, config):
         points = []
-        solve = search._hyp_component_counts
+        solve = search._roots
 
-        def counting(n, q, mode):
-            points.append((n, q))
-            return solve(n, q, mode)
+        def counting(k, B):
+            points.append((k, B))
+            return solve(k, B)
 
-        monkeypatch.setattr(search, "_hyp_component_counts", counting)
+        monkeypatch.setattr(search, "_roots", counting)
         return enumerate_cases(config), points
 
     def test_default_box_work(self, monkeypatch):
+        # one _roots call per rank (n and n + 1) at each of 530 (n, q)
         cases, points = self.solver_points(monkeypatch,
                                            DEFAULT_BOUNDS["hypersurface"])
         assert len(cases) == 98
-        assert len(points) == 530
+        assert len(points) == 1060
 
     def test_work_does_not_grow_with_q_max(self, monkeypatch):
         config = hyp_config(n_max=3, q_max=3_000_000, require_nef=False)
         cases, points = self.solver_points(monkeypatch, config)
         assert cases == []
         assert len(points) <= 4
+
+
+class TestPnNefFilter:
+    @pytest.mark.parametrize("mode", ["n", "n1", "either"])
+    def test_nef_filter_keeps_every_case(self, mode):
+        # every root has t >= 0, so s = n + 1 - t <= n + 1
+        config = pn_config(n_max=60, mode=mode, exclude_trivial=False)
+        unfiltered = replace(config, require_nef=False)
+        assert solved(enumerate_cases(config)) == \
+            solved(enumerate_cases(unfiltered))
+
+
+class TestPronicPartitions:
+    def test_matches_filtered_partitions(self):
+        expected = {B: [] for B in range(31)}
+        for partition in partitions_with_sum_at_most(30):
+            B = sum(d * (d - 1) for d in partition)
+            if 1 not in partition and B <= 30:
+                expected[B].append(partition)
+        for B, partitions in expected.items():
+            assert sorted(search._pronic_partitions(B, B)) == \
+                sorted(partitions)
 
 
 class TestUnfilteredBoxes:
