@@ -7,7 +7,9 @@ filter, single modes with trivial cases kept, an unfiltered
 hypersurface box out to q = 400, and wide boxes: P^n to n = 100 and,
 unfiltered in mode n with trivial cases, to n = 40, hypersurfaces to
 n = 220 and q = 400, and --s-max caps on both families with and
-without the nef filter), `verify-paper`, `report`
+without the nef filter, --workers 2 on the default hypersurface box,
+which must match its --workers 1 digest, and a rejected --workers 0),
+`verify-paper`, `report`
 in both formats on three documents from all three families (one with at
 most three components per pair; one with 9 to 40 per pair, repeating
 classes both in runs and interleaved; one that repeats the same P^n,
@@ -113,6 +115,9 @@ CASES = {
     "enum-pn-records": ENUM + ("pn", "--format", "records"),
     "enum-hyp-table": ENUM + ("hypersurface",),
     "enum-hyp-records": ENUM + ("hypersurface", "--format", "records"),
+    "enum-hyp-workers-2-records": ENUM + ("hypersurface", "--format",
+                                          "records", "--workers", "2"),
+    "enum-pn-workers-0": ENUM + ("pn", "--workers", "0"),
     "enum-pn-no-nef-table": ENUM + ("pn", "--no-nef"),
     "enum-pn-no-nef-records": ENUM + ("pn", "--no-nef", "--format",
                                       "records"),
