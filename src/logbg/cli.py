@@ -127,12 +127,14 @@ def _case_summary(case) -> str:
     head = (f"n={case.n} q={case.q}" if case.family == "hypersurface"
             else f"n={case.n}")
     return (f"{head} degrees=({partition}) equality={modes} "
-            f"nef={case.nef}")
+            f"nef={case.report.minus_k_plus_d_nef}")
 
 
 def cmd_enumerate(args) -> int:
+    if args.workers < 1:
+        raise InputError(f"workers must be at least 1, got {args.workers}")
     config = _search_config(args)
-    cases = enumerate_cases(config, workers=args.workers)
+    cases = enumerate_cases(config)
     with _out_stream(args) as out:
         if args.format == "records":
             run_bounds = bounds_fields(config)
@@ -216,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--s-max", type=integer, default=None)
     p_enum.add_argument("--include-trivial", action="store_true",
                         help="keep D = 0 and, on P^n, D = H")
-    p_enum.add_argument("--workers", type=integer, default=1)
+    p_enum.add_argument("--workers", type=integer, default=1,
+                        help="at least 1; the search runs in one process")
     p_enum.add_argument("--format", choices=("table", "records"),
                         default="table")
     p_enum.add_argument("--out", default=None)

@@ -13,16 +13,14 @@ large the q box is.  Every root has 0 <= t <= k, so -(K + D) = t h is
 nef at every solution, and the nef filter never drops a case.
 
 Both families share one pipeline.  A per-family generator in
-_SOLUTIONS yields the (q, partition, modes) solutions at one n; _slice
-re-evaluates each through the full cycle-arithmetic pipeline, so the
-emitted reports never depend on the solver, and sorts them.
-enumerate_cases partitions the box by n; worker count never changes the
-output because the slices are merged in canonical sort order.
+_SOLUTIONS yields the (q, partition, modes) solutions at one n;
+enumerate_cases re-evaluates each through the full cycle-arithmetic
+pipeline, so the emitted reports never depend on the solver, and sorts
+them once in canonical order.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import isqrt
 
@@ -80,7 +78,6 @@ class EqualityCase:
     q: int  # 1 for the P^n family
     partition: tuple[int, ...]  # component degrees, non-increasing
     modes: tuple[str, ...]  # subset of ("n", "n1")
-    nef: bool
     report: BGReport
 
     def key(self):
@@ -185,7 +182,7 @@ def _verified_case(family: str, n: int, q: int, partition: tuple[int, ...],
         raise VerificationError(
             f"full_report gives -(K+D) not nef on {where}, but every "
             "solution has t >= 0")
-    return EqualityCase(family, n, q, partition, modes, True, report)
+    return EqualityCase(family, n, q, partition, modes, report)
 
 
 def _pn_solutions(config: SearchConfig, n: int):
@@ -220,36 +217,14 @@ def _hyp_solutions(config: SearchConfig, n: int):
 _SOLUTIONS = {"pn": _pn_solutions, "hypersurface": _hyp_solutions}
 
 
-def _slice(args) -> list[EqualityCase]:
-    """The verified cases at one n, in canonical order."""
-    config, n = args
+def enumerate_cases(config: SearchConfig) -> list[EqualityCase]:
+    """The verified cases in the box, in canonical order."""
+    solutions = _SOLUTIONS[config.family]
     cases = [_verified_case(config.family, n, q, partition, modes)
-             for q, partition, modes in _SOLUTIONS[config.family](config, n)]
+             for n in range(config.n_min, config.n_max + 1)
+             for q, partition, modes in solutions(config, n)]
     cases.sort(key=EqualityCase.key)
     return cases
-
-
-def pool_size(workers: int, slices: int) -> int:
-    """Worker processes for `slices` n-slices: the request clamped to the
-    slice count and the CPU count."""
-    if workers < 1:
-        raise SearchSpaceError(f"workers must be at least 1, got {workers}")
-    return min(workers, slices, os.cpu_count() or 1)
-
-
-def enumerate_cases(config: SearchConfig,
-                    workers: int = 1) -> list[EqualityCase]:
-    jobs = [(config, n) for n in range(config.n_min, config.n_max + 1)]
-    workers = pool_size(workers, len(jobs))
-    if workers == 1:
-        slices = [_slice(job) for job in jobs]
-    else:
-        # imported here: the pool loads multiprocessing, which a serial
-        # run never needs
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            slices = list(pool.map(_slice, jobs))
-    return [case for chunk in slices for case in chunk]
 
 
 DEFAULT_BOUNDS = {

@@ -219,7 +219,7 @@ def case_record(case: EqualityCase, bounds: dict) -> dict:
         "q": case.q,
         "partition": list(case.partition),
         "modes": list(case.modes),
-        "nef": case.nef,
+        "nef": case.report.minus_k_plus_d_nef,
         "bounds": bounds,
         "tool_version": __version__,
     }

@@ -467,12 +467,16 @@ def run_python(*args):
 
 class TestEntryPoint:
     def test_import_does_not_load_process_pool(self):
-        # the pool is only needed for --workers above 1
-        proc = run_python(
-            "-c", "import sys, logbg.cli; "
-            "print('concurrent.futures.process' in sys.modules)")
+        # the search runs in one process, whatever --workers says
+        proc = run_python("-c", "\n".join([
+            "import contextlib, io, sys, logbg.cli",
+            "print('concurrent.futures' in sys.modules)",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    code = logbg.cli.main(['enumerate', '--family', 'pn',",
+            "                           '--n', '2..12', '--workers', '2'])",
+            "print(code, 'concurrent.futures' in sys.modules)"]))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.split("\n") == ["False", "0 False", ""]
 
     def test_module_invocation(self):
         proc = run_python("-m", "logbg.cli", "nef", "--kind",

@@ -263,8 +263,7 @@ class TestNoFloat:
             partition = tuple(sorted((cls.coeffs[0] for cls in pair.classes),
                                      reverse=True))
             case = EqualityCase(family, model.n, model.q, partition,
-                                report_modes(report),
-                                report.minus_k_plus_d_nef, report)
+                                report_modes(report), report)
             values.append(case_record(case, bounds_fields(config)))
         assert list(floats_in(values)) == []
 

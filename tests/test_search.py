@@ -9,8 +9,8 @@ from logbg.bg import full_report
 from logbg.logchern import hypersurface_pair, pn_pair
 from logbg.search import (DEFAULT_BOUNDS, SearchConfig, SearchSpaceError,
                           VerificationError, enumerate_cases,
-                          hyp_modes_closed_form, pn_modes_closed_form,
-                          pool_size)
+                          hyp_modes_closed_form, pn_modes_closed_form)
+from logbg.serialize import bounds_fields, case_record
 from scanner import (direct_modes, partitions_with_sum_at_most,
                      scan_hypersurface, scan_pn)
 
@@ -133,12 +133,14 @@ class TestDeterminismAndWorkers:
         assert enumerate_cases(config) == enumerate_cases(config)
 
     def test_worker_count_does_not_change_output(self):
-        config = pn_config(n_min=2, n_max=12)
-        assert enumerate_cases(config, workers=1) == \
-            enumerate_cases(config, workers=4)
-        hconfig = hyp_config(n_min=2, n_max=20, q_max=20)
-        assert enumerate_cases(hconfig, workers=1) == \
-            enumerate_cases(hconfig, workers=4)
+        """--workers selects nothing, and a box split by n still gives
+        the box's cases: its n-slices' cases, concatenated."""
+        for config in (pn_config(n_min=2, n_max=12),
+                       hyp_config(n_min=2, n_max=20, q_max=20)):
+            sliced = [case for n in range(config.n_min, config.n_max + 1)
+                      for case in enumerate_cases(
+                          replace(config, n_min=n, n_max=n))]
+            assert enumerate_cases(config) == sliced
 
 
 class TestEmittedReports:
@@ -154,9 +156,12 @@ class TestEmittedReports:
                 assert report.discriminant == 0
 
     def test_nef_flag_matches_report(self):
-        for case in enumerate_cases(pn_config(n_min=2, n_max=10)):
-            assert case.nef == case.report.minus_k_plus_d_nef
-            assert case.nef  # nef was required
+        config = pn_config(n_min=2, n_max=10)
+        bounds = bounds_fields(config)
+        for case in enumerate_cases(config):
+            record = case_record(case, bounds)
+            assert record["nef"] is case.report.minus_k_plus_d_nef
+            assert record["nef"]  # nef was required
 
 
 def solved(cases):
@@ -345,23 +350,3 @@ class TestVerificationFailure:
                             lambda n, q, l: ("n", "n1"))
         with pytest.raises(VerificationError, match="hypersurface, n=7, q=2"):
             enumerate_cases(hyp_config(n_min=7, n_max=7))
-
-
-class TestPoolSize:
-    def test_clamped_to_slices_and_cpus(self, monkeypatch):
-        monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
-        assert pool_size(1, 29) == 1
-        assert pool_size(3, 29) == 3
-        assert pool_size(8, 29) == 4
-        assert pool_size(8, 2) == 2
-
-    def test_unknown_cpu_count_runs_serially(self, monkeypatch):
-        monkeypatch.setattr(search.os, "cpu_count", lambda: None)
-        assert pool_size(8, 29) == 1
-
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_below_one_rejected(self, workers):
-        with pytest.raises(SearchSpaceError, match="workers"):
-            pool_size(workers, 29)
-        with pytest.raises(SearchSpaceError, match="workers"):
-            enumerate_cases(pn_config(), workers=workers)
