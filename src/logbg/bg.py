@@ -13,25 +13,30 @@ same c1 and c2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chow
-from .chow import ChowError, CycleClass, GradeError, Scalar
+from .chow import ChowError, CycleClass, GradeError, Scalar, Value, _set
 from .logchern import LogPair, log_chern
 from .models import ChernData, default_polarization, is_nef
 
 
-@dataclass(frozen=True)
-class BGReport:
-    rank: int  # dim X: rank of the logarithmic tangent bundle
-    c1_sq: Scalar  # c1^2 . H^{n-2}
-    c2_eval: Scalar  # c2 . H^{n-2}
-    discriminant: Fraction
-    equality_n: bool
-    equality_n_plus_1: bool
-    minus_k_plus_d_nef: bool
-    polarization: CycleClass
+class BGReport(Value):
+    __slots__ = ("rank", "c1_sq", "c2_eval", "discriminant", "equality_n",
+                 "equality_n_plus_1", "minus_k_plus_d_nef", "polarization")
+
+    def __init__(self, rank: int, c1_sq: Scalar, c2_eval: Scalar,
+                 discriminant: Fraction, equality_n: bool,
+                 equality_n_plus_1: bool, minus_k_plus_d_nef: bool,
+                 polarization: CycleClass):
+        _set(self, "rank", rank)  # dim X: rank of the log tangent bundle
+        _set(self, "c1_sq", c1_sq)  # c1^2 . H^{n-2}
+        _set(self, "c2_eval", c2_eval)  # c2 . H^{n-2}
+        _set(self, "discriminant", discriminant)
+        _set(self, "equality_n", equality_n)
+        _set(self, "equality_n_plus_1", equality_n_plus_1)
+        _set(self, "minus_k_plus_d_nef", minus_k_plus_d_nef)
+        _set(self, "polarization", polarization)
 
 
 def evaluate_pair(chern: ChernData, H: CycleClass) -> tuple[Scalar, Scalar]:

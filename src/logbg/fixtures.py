@@ -8,24 +8,27 @@ user-facing self-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chow
 from .bg import check_equality_n, check_equality_n_plus_1, discriminant, full_report
+from .chow import Value, _set
 from .logchern import (LogPair, hypersurface_pair, log_c1, log_chern,
                        pn_pair, slope, wedge_cotangent_slope)
 from .models import (ChernData, c_infinity, canonical_class, hirzebruch,
                      is_nef, projective_space, tangent_chern)
 
 
-@dataclass(frozen=True)
-class FixtureResult:
-    name: str
-    citation: str
-    expected: str
-    computed: str
-    passed: bool
+class FixtureResult(Value):
+    __slots__ = ("name", "citation", "expected", "computed", "passed")
+
+    def __init__(self, name: str, citation: str, expected: str,
+                 computed: str, passed: bool):
+        _set(self, "name", name)
+        _set(self, "citation", citation)
+        _set(self, "expected", expected)
+        _set(self, "computed", computed)
+        _set(self, "passed", passed)
 
 
 def _grid(name, citation, expected, mismatches) -> FixtureResult:

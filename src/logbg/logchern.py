@@ -17,19 +17,17 @@ in the API: bg reads the same c1 and c2 at rank n+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
 from . import chow
-from .chow import ChowError, CycleClass, GradeError
+from .chow import ChowError, CycleClass, GradeError, Value, _set
 from .models import (AmbientModel, ChernData, default_polarization,
                      hypersurface, is_prime_class, projective_space,
                      tangent_coefficients)
 
 
-@dataclass(frozen=True)
-class LogPair:
+class LogPair(Value):
     """An ambient model with an ordered list of labeled prime-divisor
     classes. Distinct components may share a class (two hyperplanes are
     two components); the SNC hypothesis is a modeling assumption.
@@ -37,40 +35,42 @@ class LogPair:
     Validation runs once per distinct class object, at its first
     occurrence, so an error names the first offending label; `groups`
     holds each distinct object's integer coefficients with its
-    multiplicity, in order of first occurrence."""
+    multiplicity, in order of first occurrence; it is derived, so it
+    takes no part in equality, hash or repr."""
 
-    model: AmbientModel
-    components: tuple[tuple[str, CycleClass], ...] = field(default=())
-    groups: tuple[tuple[tuple[int, ...], int], ...] = field(
-        init=False, repr=False, compare=False)
+    _fields = ("model", "components")
+    __slots__ = _fields + ("groups",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        labels = [label for label, _ in self.components]
+    def __init__(self, model: AmbientModel,
+                 components: tuple[tuple[str, CycleClass], ...] = ()):
+        components = tuple(components)
+        labels = [label for label, _ in components]
         if len(set(labels)) != len(labels):
             raise ChowError(f"duplicate component labels in {labels}")
         # id(class) -> multiplicity; every class stays alive in components
         counts = {}
         distinct = []
-        for label, cls in self.components:
+        for label, cls in components:
             key = id(cls)
             if key in counts:
                 counts[key] += 1
                 continue
             # parse_document hands out one model per distinct ambient
-            if cls.model is not self.model and cls.model != self.model:
+            if cls.model is not model and cls.model != model:
                 raise ChowError(
                     f"component {label!r} lives on {cls.model}, "
-                    f"not {self.model}")
+                    f"not {model}")
             if cls.grade != 1:
                 raise GradeError(f"component {label!r} must have grade 1")
-            if not is_prime_class(self.model, cls):
+            if not is_prime_class(model, cls):
                 raise ChowError(
                     f"component {label!r} = {cls} is not an effective "
                     "prime-divisor class on this model")
             counts[key] = 1
             distinct.append(cls)
-        object.__setattr__(self, "groups", tuple(
+        _set(self, "model", model)
+        _set(self, "components", components)
+        _set(self, "groups", tuple(
             (cls.coeffs, counts[id(cls)]) for cls in distinct))
 
     @property

@@ -16,20 +16,22 @@ genericity are modeling assumptions and are not checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from types import MappingProxyType
 from typing import Callable
 
-from .chow import ChowError, CycleClass, GradeError, Scalar
+from .chow import ChowError, CycleClass, GradeError, Scalar, Value, _set
 
 
-@dataclass(frozen=True)
-class AmbientModel:
-    kind: str  # a key of FAMILIES
-    n: int  # dimension
-    q: int = 1  # degree: deg(generator^n) on the Picard-rank-one models
-    m: int = 0  # Hirzebruch twist
+class AmbientModel(Value):
+    __slots__ = ("kind", "n", "q", "m")
+
+    def __init__(self, kind: str, n: int, q: int = 1, m: int = 0):
+        _set(self, "kind", kind)  # a key of FAMILIES
+        _set(self, "n", n)  # dimension
+        # degree: deg(generator^n) on the Picard-rank-one models
+        _set(self, "q", q)
+        _set(self, "m", m)  # Hirzebruch twist
 
     @property
     def family(self) -> "Family":
@@ -85,19 +87,19 @@ class AmbientModel:
         return self.cycle(1, *coeffs)
 
 
-@dataclass(frozen=True)
-class ChernData:
-    rank: int
-    c1: CycleClass
-    c2: CycleClass
+class ChernData(Value):
+    __slots__ = ("rank", "c1", "c2")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, c1: CycleClass, c2: CycleClass):
+        if rank < 1:
             raise ChowError("rank must be positive")
-        if self.c1.model != self.c2.model:
+        if c1.model != c2.model:
             raise ChowError("c1 and c2 must live on one model")
-        if self.c1.grade != 1 or self.c2.grade != 2:
+        if c1.grade != 1 or c2.grade != 2:
             raise GradeError("ChernData needs c1 in grade 1, c2 in grade 2")
+        _set(self, "rank", rank)
+        _set(self, "c1", c1)
+        _set(self, "c2", c2)
 
 
 def projective_space(n: int) -> AmbientModel:
@@ -118,12 +120,17 @@ def hirzebruch(m: int) -> AmbientModel:
     return AmbientModel("hirzebruch", n=2, m=m)
 
 
-@dataclass(frozen=True)
-class Family:
-    fields: tuple[str, ...]  # descriptor keys besides "kind", in order
-    generators: tuple[str, ...]  # names of the codimension-1 basis
-    label: Callable[[AmbientModel], str]
-    build: Callable[..., AmbientModel]  # constructor taking `fields`
+class Family(Value):
+    __slots__ = ("fields", "generators", "label", "build")
+
+    def __init__(self, fields: tuple[str, ...], generators: tuple[str, ...],
+                 label: Callable[[AmbientModel], str],
+                 build: Callable[..., AmbientModel]):
+        # descriptor keys besides "kind", in order
+        _set(self, "fields", fields)
+        _set(self, "generators", generators)  # the codimension-1 basis
+        _set(self, "label", label)
+        _set(self, "build", build)  # constructor taking `fields`
 
 
 FAMILIES = MappingProxyType({

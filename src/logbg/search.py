@@ -21,11 +21,10 @@ them once in canonical order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .bg import BGReport, full_report
-from .chow import ChowError
+from .chow import ChowError, Value, _set
 from .logchern import hypersurface_pair, pn_pair
 
 MODES = ("n", "n1", "either")
@@ -40,45 +39,54 @@ class VerificationError(Exception):
     closed form's modes, or on the nefness of -(K + D)."""
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    family: str  # a key of _SOLUTIONS
-    n_min: int
-    n_max: int
-    mode: str = "either"
-    require_nef: bool = True
-    exclude_trivial: bool = True
-    s_max: int | None = None
-    q_min: int = 2
-    q_max: int | None = None
+class SearchConfig(Value):
+    __slots__ = ("family", "n_min", "n_max", "mode", "require_nef",
+                 "exclude_trivial", "s_max", "q_min", "q_max")
 
-    def __post_init__(self):
-        if self.family not in _SOLUTIONS:
-            raise SearchSpaceError(f"unknown family {self.family!r}")
-        if self.mode not in MODES:
-            raise SearchSpaceError(f"unknown mode {self.mode!r}")
-        if self.n_min < 2 or self.n_min > self.n_max:
+    def __init__(self, family: str, n_min: int, n_max: int,
+                 mode: str = "either", require_nef: bool = True,
+                 exclude_trivial: bool = True, s_max: int | None = None,
+                 q_min: int = 2, q_max: int | None = None):
+        if family not in _SOLUTIONS:
+            raise SearchSpaceError(f"unknown family {family!r}")
+        if mode not in MODES:
+            raise SearchSpaceError(f"unknown mode {mode!r}")
+        if n_min < 2 or n_min > n_max:
             raise SearchSpaceError(
-                f"empty or invalid dimension range [{self.n_min}, {self.n_max}]")
-        if self.s_max is not None and self.s_max < 1:
+                f"empty or invalid dimension range [{n_min}, {n_max}]")
+        if s_max is not None and s_max < 1:
             raise SearchSpaceError("s_max must be positive")
-        if self.family == "pn":
-            if self.q_max is not None:
+        if family == "pn":
+            if q_max is not None:
                 raise SearchSpaceError("q bounds only apply to hypersurfaces")
         else:
-            if self.q_max is None or self.q_min < 1 or self.q_min > self.q_max:
+            if q_max is None or q_min < 1 or q_min > q_max:
                 raise SearchSpaceError(
-                    f"invalid degree range [{self.q_min}, {self.q_max}]")
+                    f"invalid degree range [{q_min}, {q_max}]")
+        _set(self, "family", family)  # a key of _SOLUTIONS
+        _set(self, "n_min", n_min)
+        _set(self, "n_max", n_max)
+        _set(self, "mode", mode)
+        _set(self, "require_nef", require_nef)
+        _set(self, "exclude_trivial", exclude_trivial)
+        _set(self, "s_max", s_max)
+        _set(self, "q_min", q_min)
+        _set(self, "q_max", q_max)
 
 
-@dataclass(frozen=True)
-class EqualityCase:
-    family: str
-    n: int
-    q: int  # 1 for the P^n family
-    partition: tuple[int, ...]  # component degrees, non-increasing
-    modes: tuple[str, ...]  # subset of ("n", "n1")
-    report: BGReport
+class EqualityCase(Value):
+    __slots__ = ("family", "n", "q", "partition", "modes", "report")
+
+    def __init__(self, family: str, n: int, q: int,
+                 partition: tuple[int, ...], modes: tuple[str, ...],
+                 report: BGReport):
+        _set(self, "family", family)
+        _set(self, "n", n)
+        _set(self, "q", q)  # 1 for the P^n family
+        # component degrees, non-increasing
+        _set(self, "partition", partition)
+        _set(self, "modes", modes)  # subset of ("n", "n1")
+        _set(self, "report", report)
 
     def key(self):
         return (self.n, self.q, len(self.partition), self.partition)

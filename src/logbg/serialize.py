@@ -8,7 +8,6 @@ denominator is one) and round-trip losslessly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 
 from . import __version__
 from .bg import BGReport
@@ -158,8 +157,8 @@ class Echoes(dict):
     """The echo (cycle_to_dict, cycle_display) of each class, formatted
     on first use; one instance serves one command.
 
-    Keyed by id(class), which hashes in C; a frozen dataclass would hash
-    its field tuple and its model again on every lookup.  Each entry
+    Keyed by id(class), which hashes in C; keying by the class itself
+    would hash its field tuple and its model on every lookup.  Each entry
     holds its class, so no id is reused while the instance lives."""
 
     def of(self, cls: CycleClass) -> tuple[dict, str]:
@@ -203,7 +202,7 @@ def report_record(pair: LogPair, report: BGReport, echoes: Echoes) -> dict:
 
 
 def bounds_fields(config: SearchConfig) -> dict:
-    fields = asdict(config)
+    fields = {name: getattr(config, name) for name in config._fields}
     if config.family == "pn":
         fields.pop("q_min")
         fields.pop("q_max")

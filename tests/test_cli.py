@@ -478,6 +478,23 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split("\n") == ["False", "0 False", ""]
 
+    def test_import_path_skips_dataclass_machinery(self):
+        # importing it and inspect once cost a third of CLI start-up
+        src = os.path.dirname(os.path.dirname(os.path.abspath(logbg.__file__)))
+        proc = subprocess.run([sys.executable, "-I", "-c", "\n".join([
+            "import sys",
+            "before = set(sys.modules)",
+            "sys.path.insert(0, sys.argv[1])",
+            "import logbg.cli",
+            "logbg.cli.build_parser()",
+            "print(*sorted(set(sys.modules) - before))"]), src],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.split()
+        assert "logbg.cli" in loaded and "logbg.serialize" in loaded
+        assert "dataclasses" not in loaded
+        assert "inspect" not in loaded
+
     def test_module_invocation(self):
         proc = run_python("-m", "logbg.cli", "nef", "--kind",
                           "projective_space", "--n", "7", "--divisor", "4")

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from fractions import Fraction
 from math import comb
@@ -8,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from logbg import chow
 from logbg.bg import discriminant, full_report
-from logbg.chow import ChowError
+from logbg.chow import ChowError, Value
 from logbg.logchern import (LogPair, hypersurface_pair, log_c1, log_c2,
                             log_chern, pn_pair, slope, wedge_cotangent_slope)
 from logbg.models import (ChernData, c_infinity, default_polarization,
@@ -221,13 +220,13 @@ class TestLinearLogC2:
 
 
 def floats_in(value):
-    """Every float reachable from value through dataclass fields (a
-    CycleClass's coefficients among them), dicts, lists and tuples."""
+    """Every float reachable from value through the slots of value classes
+    (a CycleClass's coefficients among them), dicts, lists and tuples."""
     if isinstance(value, float):
         yield value
-    elif dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):
-            yield from floats_in(getattr(value, f.name))
+    elif isinstance(value, Value):
+        for name in type(value).__slots__:
+            yield from floats_in(getattr(value, name))
     elif isinstance(value, dict):
         for key, item in value.items():
             yield from floats_in(key)
@@ -266,6 +265,13 @@ class TestNoFloat:
                                 report_modes(report), report)
             values.append(case_record(case, bounds_fields(config)))
         assert list(floats_in(values)) == []
+
+    def test_floats_in_sees_into_value_classes(self):
+        report = full_report(pn_pair(4, [2, 1]))
+        assert list(floats_in(report)) == []
+        object.__setattr__(report.polarization, "coeffs", (0.5,))
+        assert list(floats_in(report)) == [0.5]
+        assert list(floats_in([{"case": report}])) == [0.5]
 
 
 class TestExtensionChern:

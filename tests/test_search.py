@@ -1,4 +1,3 @@
-from dataclasses import replace
 from math import isqrt
 
 import pytest
@@ -138,8 +137,12 @@ class TestDeterminismAndWorkers:
         for config in (pn_config(n_min=2, n_max=12),
                        hyp_config(n_min=2, n_max=20, q_max=20)):
             sliced = [case for n in range(config.n_min, config.n_max + 1)
-                      for case in enumerate_cases(
-                          replace(config, n_min=n, n_max=n))]
+                      for case in enumerate_cases(SearchConfig(
+                          family=config.family, n_min=n, n_max=n,
+                          mode=config.mode, require_nef=config.require_nef,
+                          exclude_trivial=config.exclude_trivial,
+                          s_max=config.s_max, q_min=config.q_min,
+                          q_max=config.q_max))]
             assert enumerate_cases(config) == sliced
 
 
@@ -279,7 +282,9 @@ class TestHypersurfaceBound:
         # every root has t >= q (q - 1) >= 0, so l <= n + 2 - q
         config = hyp_config(n_max=200, q_min=1, q_max=200, mode=mode,
                             exclude_trivial=False)
-        unfiltered = replace(config, require_nef=False)
+        unfiltered = SearchConfig(family="hypersurface", n_min=2, n_max=200,
+                                  mode=mode, require_nef=False,
+                                  exclude_trivial=False, q_min=1, q_max=200)
         assert solved(enumerate_cases(config)) == \
             solved(enumerate_cases(unfiltered))
 
@@ -314,7 +319,8 @@ class TestPnNefFilter:
     def test_nef_filter_keeps_every_case(self, mode):
         # every root has t >= 0, so s = n + 1 - t <= n + 1
         config = pn_config(n_max=60, mode=mode, exclude_trivial=False)
-        unfiltered = replace(config, require_nef=False)
+        unfiltered = SearchConfig(family="pn", n_min=2, n_max=60, mode=mode,
+                                  require_nef=False, exclude_trivial=False)
         assert solved(enumerate_cases(config)) == \
             solved(enumerate_cases(unfiltered))
 
@@ -334,8 +340,12 @@ class TestPronicPartitions:
 class TestUnfilteredBoxes:
     def test_default_pn_box_without_nef_filter(self):
         # 2.08e9 candidates for the scanner
-        cases = enumerate_cases(replace(DEFAULT_BOUNDS["pn"],
-                                        require_nef=False))
+        box = DEFAULT_BOUNDS["pn"]
+        cases = enumerate_cases(SearchConfig(
+            family=box.family, n_min=box.n_min, n_max=box.n_max,
+            mode=box.mode, require_nef=False,
+            exclude_trivial=box.exclude_trivial, s_max=box.s_max,
+            q_min=box.q_min, q_max=box.q_max))
         assert len(cases) == 65
 
     def test_small_pn_box_without_nef_filter(self):

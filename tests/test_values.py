@@ -1,0 +1,127 @@
+"""The value-class contract: every record class compares, hashes, shows,
+freezes, pickles and copies by its fields, as a frozen dataclass would."""
+
+import copy
+import pickle
+
+import pytest
+
+from logbg.bg import BGReport, full_report
+from logbg.chow import CycleClass
+from logbg.fixtures import FixtureResult, remark_tuple_suite
+from logbg.logchern import LogPair, pn_pair
+from logbg.models import (AmbientModel, ChernData, Family, hirzebruch,
+                          hypersurface, projective_space, tangent_chern)
+from logbg.search import EqualityCase, SearchConfig, enumerate_cases
+
+# each factory builds a new instance, with new parts, on every call
+VALUES = {
+    CycleClass: (lambda: hirzebruch(3).divisor(1, 4),
+                 ("model", "grade", "coeffs")),
+    AmbientModel: (lambda: hypersurface(4, 3), ("kind", "n", "q", "m")),
+    ChernData: (lambda: tangent_chern(hypersurface(5, 2)),
+                ("rank", "c1", "c2")),
+    Family: (lambda: Family(("n",), ("H",), str, projective_space),
+             ("fields", "generators", "label", "build")),
+    LogPair: (lambda: pn_pair(7, [2, 1, 1]), ("model", "components")),
+    BGReport: (lambda: full_report(pn_pair(7, [2, 1, 1])),
+               ("rank", "c1_sq", "c2_eval", "discriminant", "equality_n",
+                "equality_n_plus_1", "minus_k_plus_d_nef", "polarization")),
+    SearchConfig: (lambda: SearchConfig("hypersurface", 2, 9, "n1", False,
+                                        False, 5, 3, 4),
+                   ("family", "n_min", "n_max", "mode", "require_nef",
+                    "exclude_trivial", "s_max", "q_min", "q_max")),
+    EqualityCase: (lambda: enumerate_cases(SearchConfig("pn", 7, 8))[-1],
+                   ("family", "n", "q", "partition", "modes", "report")),
+    FixtureResult: (lambda: remark_tuple_suite()[0],
+                    ("name", "citation", "expected", "computed", "passed")),
+}
+
+classes = pytest.mark.parametrize("cls", list(VALUES),
+                                  ids=lambda cls: cls.__name__)
+
+
+def build(cls):
+    make, fields = VALUES[cls]
+    return make(), fields
+
+
+@classes
+def test_equal_distinct_instances(cls):
+    a, b = build(cls)[0], build(cls)[0]
+    assert type(a) is type(b) is cls
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+
+
+@classes
+def test_not_equal_to_its_field_tuple(cls):
+    a, fields = build(cls)
+    values = tuple(getattr(a, name) for name in fields)
+    assert a != values and values != a
+    assert cls.__eq__(a, values) is NotImplemented
+
+
+@classes
+def test_constructor_takes_fields_in_order_and_by_name(cls):
+    a, fields = build(cls)
+    values = [getattr(a, name) for name in fields]
+    assert cls(*values) == a
+    assert cls(**dict(zip(fields, values))) == a
+
+
+@classes
+def test_fields_are_frozen(cls):
+    a, fields = build(cls)
+    before = getattr(a, fields[0])
+    with pytest.raises(AttributeError):
+        setattr(a, fields[0], before)
+    with pytest.raises(AttributeError):
+        delattr(a, fields[0])
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert getattr(a, fields[0]) is before
+
+
+@classes
+def test_pickle_and_copy_round_trip(cls):
+    a, _ = build(cls)
+    for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a),
+                 copy.deepcopy(a)):
+        assert type(twin) is cls
+        assert twin == a and hash(twin) == hash(a)
+
+
+def test_defaults():
+    assert AmbientModel("projective_space", 3) == \
+        AmbientModel("projective_space", 3, 1, 0)
+    model = projective_space(3)
+    assert LogPair(model) == LogPair(model, ())
+    assert SearchConfig("pn", 2, 5) == \
+        SearchConfig("pn", 2, 5, "either", True, True, None, 2, None)
+
+
+def test_reprs():
+    assert repr(hirzebruch(3).divisor(1, 0)) == (
+        "CycleClass(model=AmbientModel(kind='hirzebruch', n=2, q=1, m=3), "
+        "grade=1, coeffs=(1, 0))")
+    assert repr(hypersurface(4, 3)) == \
+        "AmbientModel(kind='hypersurface', n=4, q=3, m=0)"
+    assert repr(pn_pair(3, [2, 1])) == (
+        "LogPair(model=AmbientModel(kind='projective_space', n=3, q=1, m=0), "
+        "components=(('D1', CycleClass(model=AmbientModel("
+        "kind='projective_space', n=3, q=1, m=0), grade=1, coeffs=(2,))), "
+        "('D2', CycleClass(model=AmbientModel(kind='projective_space', n=3, "
+        "q=1, m=0), grade=1, coeffs=(1,)))))")
+
+
+def test_log_pair_groups_take_no_part_in_equality():
+    model = projective_space(5)
+    h = model.divisor(1)
+    shared = LogPair(model, (("D1", h), ("D2", h)))
+    apart = LogPair(model, (("D1", model.divisor(1)),
+                            ("D2", model.divisor(1))))
+    assert shared.groups == (((1,), 2),)
+    assert apart.groups == (((1,), 1), ((1,), 1))
+    assert shared == apart and hash(shared) == hash(apart)
