@@ -18,7 +18,9 @@ in the API: bg reads the same c1 and c2 at rank n+1.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, count, groupby, repeat
 from math import comb
+from operator import index
 
 from . import chow
 from .chow import ChowError, CycleClass, GradeError, Value, _set
@@ -32,46 +34,58 @@ class LogPair(Value):
     classes. Distinct components may share a class (two hyperplanes are
     two components); the SNC hypothesis is a modeling assumption.
 
-    Validation runs once per distinct class object, at its first
-    occurrence, so an error names the first offending label; `groups`
-    holds each distinct object's integer coefficients with its
-    multiplicity, in order of first occurrence; it is derived, so it
-    takes no part in equality, hash or repr."""
+    Every pair is checked and grouped by one function, _groups, from
+    runs ((class, multiplicity), ...) in component order: validation runs
+    once per distinct class object, at its first occurrence, so an error
+    names the first offending label, and `groups` holds each distinct
+    object's integer coefficients with its multiplicity, in order of
+    first occurrence.  The constructor hands over its explicit
+    components as runs of one; pn_pair and hypersurface_pair hand over
+    runs of equal degrees, so building and verifying a search pair costs
+    O(distinct classes), and its `components`, labeled D1..Dl, is built
+    when first read.  Only model and components take part in equality,
+    hash, repr and pickling."""
 
     _fields = ("model", "components")
-    __slots__ = _fields + ("groups",)
+    __slots__ = ("model", "groups", "_runs", "_components")
 
     def __init__(self, model: AmbientModel,
                  components: tuple[tuple[str, CycleClass], ...] = ()):
         components = tuple(components)
-        labels = [label for label, _ in components]
+        labels, classes = zip(*components) if components else ((), ())
         if len(set(labels)) != len(labels):
-            raise ChowError(f"duplicate component labels in {labels}")
-        # id(class) -> multiplicity; every class stays alive in components
-        counts = {}
-        distinct = []
-        for label, cls in components:
-            key = id(cls)
-            if key in counts:
-                counts[key] += 1
-                continue
-            # parse_document hands out one model per distinct ambient
-            if cls.model is not model and cls.model != model:
-                raise ChowError(
-                    f"component {label!r} lives on {cls.model}, "
-                    f"not {model}")
-            if cls.grade != 1:
-                raise GradeError(f"component {label!r} must have grade 1")
-            if not is_prime_class(model, cls):
-                raise ChowError(
-                    f"component {label!r} = {cls} is not an effective "
-                    "prime-divisor class on this model")
-            counts[key] = 1
-            distinct.append(cls)
+            raise ChowError(f"duplicate component labels in {list(labels)}")
+        # each component is a run of one; every class stays alive in
+        # components, so the ids _groups keys on stay valid
         _set(self, "model", model)
-        _set(self, "components", components)
-        _set(self, "groups", tuple(
-            (cls.coeffs, counts[id(cls)]) for cls in distinct))
+        _set(self, "groups", _groups(model, zip(classes, repeat(1)),
+                                     labels.__getitem__))
+        _set(self, "_runs", None)
+        _set(self, "_components", components)
+
+    @classmethod
+    def _from_runs(cls, model: AmbientModel,
+                   runs: tuple[tuple[CycleClass, int], ...]) -> "LogPair":
+        """The pair whose components, labeled D1..Dl, repeat each run's
+        class `multiplicity` times, in order; they are built when first
+        read."""
+        pair = cls.__new__(cls)
+        _set(pair, "model", model)
+        _set(pair, "groups", _groups(
+            model, runs, lambda j: f"D{1 + sum(k for _, k in runs[:j])}"))
+        _set(pair, "_runs", runs)
+        _set(pair, "_components", None)
+        return pair
+
+    @property
+    def components(self) -> tuple[tuple[str, CycleClass], ...]:
+        components = self._components
+        if components is None:
+            classes = chain.from_iterable(
+                repeat(cls, k) for cls, k in self._runs)
+            components = tuple(zip(map("D{}".format, count(1)), classes))
+            _set(self, "_components", components)
+        return components
 
     @property
     def classes(self) -> tuple[CycleClass, ...]:
@@ -87,30 +101,57 @@ class LogPair(Value):
         return self.model.divisor(*self._boundary_coeffs())
 
 
+def _groups(model: AmbientModel, runs, label_of) -> tuple:
+    """The (coefficients, multiplicity) of each distinct class object in
+    `runs`, ((class, multiplicity), ...), in order of first occurrence.
+    Each object is checked once, at its first run; label_of(j) names the
+    first component of run j, and only an error calls it."""
+    counts = {}  # id(class) -> [class, multiplicity]
+    for j, (cls, k) in enumerate(runs):
+        group = counts.get(id(cls))
+        if group is not None:
+            group[1] += k
+            continue
+        # parse_document hands out one model per distinct ambient
+        if cls.model is not model and cls.model != model:
+            raise ChowError(
+                f"component {label_of(j)!r} lives on {cls.model}, "
+                f"not {model}")
+        if cls.grade != 1:
+            raise GradeError(f"component {label_of(j)!r} must have grade 1")
+        if not is_prime_class(model, cls):
+            raise ChowError(
+                f"component {label_of(j)!r} = {cls} is not an effective "
+                "prime-divisor class on this model")
+        counts[id(cls)] = [cls, k]
+    return tuple((cls.coeffs, k) for cls, k in counts.values())
+
+
 def pn_pair(n: int, degrees) -> LogPair:
-    """Convenience: (P^n, D) with D_i of the given degrees; one class per
-    distinct integer degree."""
+    """Convenience: (P^n, D) with D_i of the given degrees, labeled
+    D1..Dl; one class per distinct integer degree and one run per stretch
+    of equal degrees, so its cost beyond one C-level pass over `degrees`
+    depends on the runs, not on l."""
     model = projective_space(n)
-    # the memo takes ints only: True and 1.0 equal 1 as keys, and must
-    # reach model.divisor, which rejects them
-    classes = {}
-    comps = []
-    for i, d in enumerate(degrees):
-        if type(d) is int:
-            cls = classes.get(d)
-            if cls is None:
-                cls = classes[d] = model.divisor(d)
-        else:
-            cls = model.divisor(d)
-        comps.append((f"D{i + 1}", cls))
-    return LogPair(model, tuple(comps))
+    degrees = tuple(degrees)
+    # True and 1.0 equal 1, so they must not share a class or a run with
+    # it: any degree that is not an int gets its own run, and
+    # model.divisor rejects it
+    if set(map(type, degrees)) <= {int}:
+        classes = {d: model.divisor(d) for d in set(degrees)}
+        runs = tuple((classes[d], len(list(run)))
+                     for d, run in groupby(degrees))
+    else:
+        runs = tuple((model.divisor(d), 1) for d in degrees)
+    return LogPair._from_runs(model, runs)
 
 
 def hypersurface_pair(n: int, q: int, l: int) -> LogPair:
-    """Convenience: degree-q hypersurface with l degree-1 components."""
+    """Convenience: degree-q hypersurface with l degree-1 components,
+    labeled D1..Dl; one run, at any l."""
     h = hypersurface(n, q).divisor(1)
-    comps = tuple((f"D{i + 1}", h) for i in range(l))
-    return LogPair(h.model, comps)
+    l = index(l)  # as range(l) did: no float, no str
+    return LogPair._from_runs(h.model, ((h, l),) if l > 0 else ())
 
 
 def log_c1(pair: LogPair) -> CycleClass:

@@ -133,13 +133,24 @@ class Family(Value):
         _set(self, "build", build)  # constructor taking `fields`
 
 
+# module-level label functions, so that a Family pickles by reference
+def _pn_label(x: AmbientModel) -> str:
+    return f"P^{x.n}"
+
+
+def _hypersurface_label(x: AmbientModel) -> str:
+    return f"X_{x.q} in P^{x.n + 1}"
+
+
+def _hirzebruch_label(x: AmbientModel) -> str:
+    return f"F_{x.m}"
+
+
 FAMILIES = MappingProxyType({
-    "projective_space": Family(("n",), ("H",), lambda x: f"P^{x.n}",
-                               projective_space),
-    "hypersurface": Family(("n", "q"), ("h",),
-                           lambda x: f"X_{x.q} in P^{x.n + 1}", hypersurface),
-    "hirzebruch": Family(("m",), ("C0", "f"), lambda x: f"F_{x.m}",
-                         hirzebruch),
+    "projective_space": Family(("n",), ("H",), _pn_label, projective_space),
+    "hypersurface": Family(("n", "q"), ("h",), _hypersurface_label,
+                           hypersurface),
+    "hirzebruch": Family(("m",), ("C0", "f"), _hirzebruch_label, hirzebruch),
 })
 
 

@@ -16,11 +16,16 @@ Both families share one pipeline.  A per-family generator in
 _SOLUTIONS yields the (q, partition, modes) solutions at one n;
 enumerate_cases re-evaluates each through the full cycle-arithmetic
 pipeline, so the emitted reports never depend on the solver, and sorts
-them once in canonical order.
+them once in canonical order.  The P^n screen reads the pronic parts and
+the count of ones, and pn_pair and hypersurface_pair build each pair
+from runs of equal classes, so building and verifying a case costs
+O(distinct classes), not O(l); the pair's components are built only if
+read, and only the emitted partition lists every part.
 """
 
 from __future__ import annotations
 
+import sys
 from math import isqrt
 
 from .bg import BGReport, full_report
@@ -54,6 +59,12 @@ class SearchConfig(Value):
         if n_min < 2 or n_min > n_max:
             raise SearchSpaceError(
                 f"empty or invalid dimension range [{n_min}, {n_max}]")
+        # a case has at most n + 1 components, and its partition is a
+        # tuple, whose length must be a sequence index
+        if n_max + 2 > sys.maxsize:
+            raise SearchSpaceError(
+                f"dimension {n_max} is too large: a partition of up to "
+                f"{n_max + 1} parts cannot be built")
         if s_max is not None and s_max < 1:
             raise SearchSpaceError("s_max must be positive")
         if family == "pn":
@@ -129,8 +140,12 @@ def _modes(n: int, q: int, s: int, p2: int) -> tuple[str, ...]:
                  if k * (t * t - t + B) == (k - 1) * t * t)
 
 
-def pn_modes_closed_form(n: int, partition: tuple[int, ...]) -> tuple[str, ...]:
-    return _modes(n, 1, sum(partition), sum(d * d for d in partition))
+def pn_modes_closed_form(n: int, parts: tuple[int, ...],
+                         ones: int = 0) -> tuple[str, ...]:
+    """The modes of P^n with components of degrees `parts` and `ones`
+    more hyperplanes; the search passes its pronic parts and the count of
+    ones, so the screen never walks the padded partition."""
+    return _modes(n, 1, sum(parts) + ones, sum(d * d for d in parts) + ones)
 
 
 def hyp_modes_closed_form(n: int, q: int, l: int) -> tuple[str, ...]:
@@ -202,10 +217,11 @@ def _pn_solutions(config: SearchConfig, n: int):
             if config.s_max is not None and s > config.s_max:
                 continue
             for parts in _pronic_partitions(B, B):
-                partition = parts + (1,) * (s - sum(parts))
-                if config.exclude_trivial and partition in ((), (1,)):
+                ones = s - sum(parts)
+                if config.exclude_trivial and not parts and ones <= 1:
                     continue
-                yield 1, partition, pn_modes_closed_form(n, partition)
+                yield 1, parts + (1,) * ones, pn_modes_closed_form(
+                    n, parts, ones)
 
 
 def _hyp_solutions(config: SearchConfig, n: int):

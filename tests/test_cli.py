@@ -306,6 +306,16 @@ class TestEnumerateCommand:
         err = capsys.readouterr().err
         assert "range '' is not 'A..B'" in err
 
+    @pytest.mark.parametrize("family", ["pn", "hypersurface"])
+    def test_dimension_past_sequence_index_exit_2(self, capsys, family):
+        huge = "99999999999999999999"
+        assert main(["enumerate", "--family", family,
+                     "--n", f"{huge}..{huge}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "too large" in err
+
     def test_q_with_pn_rejected(self, capsys):
         assert main(["enumerate", "--family", "pn", "--n", "2..3",
                      "--q", "2..3"]) == 2
@@ -319,7 +329,7 @@ class TestEnumerateCommand:
     def test_verification_failure_exit_1(self, monkeypatch, capsys):
         from logbg import search
         monkeypatch.setattr(search, "pn_modes_closed_form",
-                            lambda n, partition: ("n", "n1"))
+                            lambda n, parts, ones=0: ("n", "n1"))
         assert main(["enumerate", "--family", "pn", "--n", "7..7"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1

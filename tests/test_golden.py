@@ -8,7 +8,8 @@ hypersurface box out to q = 400, and wide boxes: P^n to n = 100 and,
 unfiltered in mode n with trivial cases, to n = 40, hypersurfaces to
 n = 220 and q = 400, and --s-max caps on both families with and
 without the nef filter, --workers 2 on the default hypersurface box,
-which must match its --workers 1 digest, and a rejected --workers 0),
+which must match its --workers 1 digest, a rejected --workers 0, and a
+rejected n = 10^20 - 1, past any partition length),
 `verify-paper`, `report`
 in both formats on three documents from all three families (one with at
 most three components per pair; one with 9 to 40 per pair, repeating
@@ -145,6 +146,8 @@ CASES = {
     "enum-pn-s-max-table": ENUM + ("pn", "--n", "2..12", "--s-max", "3",
                                    "--no-nef", "--include-trivial"),
     "enum-pn-with-q": ENUM + ("pn", "--n", "2..3", "--q", "2..3"),
+    "enum-pn-huge-n": ENUM + ("pn", "--n", "99999999999999999999.."
+                              "99999999999999999999"),
     "enum-hyp-s-max-trivial-records": ENUM + (
         "hypersurface", "--n", "2..120", "--q", "1..60", "--s-max", "9",
         "--include-trivial", "--format", "records"),

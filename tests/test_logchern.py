@@ -1,4 +1,6 @@
 import itertools
+import pickle
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -85,10 +87,88 @@ class TestLogPairValidation:
 
     # True == 1 == 1.0, so a degree must not be matched up by value
     @pytest.mark.parametrize("degrees", [[1, True], [True, 1], [1, 1.0],
-                                         [1.0, 1], [2, 1, False]])
+                                         [1.0, 1], [2, 1, False], [True],
+                                         [2.0, 2, 2], [1, 1, True, 1]])
     def test_pn_pair_rejects_non_integer_degrees(self, degrees):
         with pytest.raises(TypeError):
             pn_pair(3, degrees)
+
+    @pytest.mark.parametrize("l", [2.0, "2", None])
+    def test_hypersurface_pair_rejects_non_integer_count(self, l):
+        with pytest.raises(TypeError):
+            hypersurface_pair(7, 2, l)
+
+    @pytest.mark.parametrize("degrees, label", [
+        ([0], "D1"), ([1, 0, 2, 0], "D2"), ([1, 1, -1, -1, 2], "D3"),
+        ([2, 1, 2, 1, 0, 1, 0], "D5"), ([3] * 50 + [-2] * 50, "D51")])
+    def test_pn_pair_rejected_class_names_first_label(self, degrees, label):
+        with pytest.raises(ChowError, match=f"component '{label}' .*prime"):
+            pn_pair(3, degrees)
+
+
+def explicit_pair(model, degrees):
+    """LogPair(model, components) labeled D1..Dl, with one class object
+    per distinct degree, as the run-built pairs share them."""
+    shared = {d: model.divisor(d) for d in degrees}
+    return LogPair(model, tuple((f"D{i + 1}", shared[d])
+                                for i, d in enumerate(degrees)))
+
+
+RUN_BUILT = [
+    (lambda: pn_pair(5, []), lambda: explicit_pair(projective_space(5), [])),
+    (lambda: pn_pair(7, [2, 1, 1]),
+     lambda: explicit_pair(projective_space(7), [2, 1, 1])),
+    (lambda: pn_pair(7, [2, 1, 2]),
+     lambda: explicit_pair(projective_space(7), [2, 1, 2])),
+    (lambda: pn_pair(12, [3, 1, 3, 3, 2, 1, 1, 2]),
+     lambda: explicit_pair(projective_space(12), [3, 1, 3, 3, 2, 1, 1, 2])),
+    (lambda: pn_pair(30, range(12, 0, -1)),
+     lambda: explicit_pair(projective_space(30), list(range(12, 0, -1)))),
+    (lambda: hypersurface_pair(7, 2, 0),
+     lambda: explicit_pair(hypersurface(7, 2), [])),
+    (lambda: hypersurface_pair(7, 2, 3),
+     lambda: explicit_pair(hypersurface(7, 2), [1] * 3)),
+    (lambda: hypersurface_pair(160, 2, 117),
+     lambda: explicit_pair(hypersurface(160, 2), [1] * 117)),
+]
+
+
+class TestRunBuiltPairs:
+    """pn_pair and hypersurface_pair build their pairs from runs; each
+    equals, hashes, shows, groups and pickles as the pair built from its
+    explicit components."""
+
+    @pytest.mark.parametrize("make, make_explicit", RUN_BUILT)
+    def test_same_as_explicit_components(self, make, make_explicit):
+        explicit = make_explicit()
+        for pair in (make(), make()):
+            assert pair.groups == explicit.groups
+            assert pair == explicit and explicit == pair
+            assert hash(pair) == hash(explicit)
+            assert repr(pair) == repr(explicit)
+            assert pair.components == explicit.components
+        for pair in (make(), make()):
+            # first read of components is the pickling itself
+            assert pickle.dumps(pair) == pickle.dumps(explicit)
+            twin = pickle.loads(pickle.dumps(pair))
+            assert twin == explicit and twin.groups == explicit.groups
+
+    @pytest.mark.parametrize("make, make_explicit", RUN_BUILT)
+    def test_same_reports_as_explicit_components(self, make, make_explicit):
+        pair, explicit = make(), make_explicit()
+        assert full_report(pair) == full_report(explicit)
+        assert pair.boundary() == explicit.boundary()
+
+    def test_full_report_memory_independent_of_l(self):
+        """A search pair and its report take no per-component memory:
+        labeling 10^6 components would take tens of MB."""
+        tracemalloc.start()
+        try:
+            full_report(hypersurface_pair(10**6 + 2, 2, 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestLogC1:

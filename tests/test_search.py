@@ -43,6 +43,17 @@ class TestConfigValidation:
         with pytest.raises(SearchSpaceError):
             SearchConfig(family="quadric", n_min=2, n_max=3)
 
+    @pytest.mark.parametrize("family", ["pn", "hypersurface"])
+    def test_dimension_past_sequence_index_rejected(self, family):
+        """A partition of n_max + 1 parts must fit a tuple.  Only 10^20
+        is tried: a dimension that fits would start building tuples of n
+        ones."""
+        q_max = None if family == "pn" else 3
+        with pytest.raises(SearchSpaceError, match="too large"):
+            SearchConfig(family, 10**20, 10**20, q_max=q_max)
+        with pytest.raises(SearchSpaceError, match="too large"):
+            SearchConfig(family, 2, 10**20, q_max=q_max)
+
     def test_missing_q_range_rejected(self):
         with pytest.raises(SearchSpaceError):
             SearchConfig(family="hypersurface", n_min=2, n_max=3)

@@ -10,8 +10,9 @@ from logbg.bg import BGReport, full_report
 from logbg.chow import CycleClass
 from logbg.fixtures import FixtureResult, remark_tuple_suite
 from logbg.logchern import LogPair, pn_pair
-from logbg.models import (AmbientModel, ChernData, Family, hirzebruch,
-                          hypersurface, projective_space, tangent_chern)
+from logbg.models import (FAMILIES, AmbientModel, ChernData, Family,
+                          hirzebruch, hypersurface, projective_space,
+                          tangent_chern)
 from logbg.search import EqualityCase, SearchConfig, enumerate_cases
 
 # each factory builds a new instance, with new parts, on every call
@@ -125,3 +126,12 @@ def test_log_pair_groups_take_no_part_in_equality():
     assert shared.groups == (((1,), 2),)
     assert apart.groups == (((1,), 1), ((1,), 1))
     assert shared == apart and hash(shared) == hash(apart)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_family_table_pickles(kind):
+    family = FAMILIES[kind]
+    twin = pickle.loads(pickle.dumps(family))
+    assert twin == family and hash(twin) == hash(family)
+    assert twin.label is family.label
+    assert copy.deepcopy(family) == family
