@@ -15,7 +15,10 @@ in both formats on three documents from all three families (one with at
 most three components per pair; one with 9 to 40 per pair, repeating
 classes both in runs and interleaved; one that repeats the same P^n,
 X_q and F_m ambients and the same classes across pairs, has C_inf on
-two values of m and pairs with no components), and `nef` queries.  A
+two values of m and pairs with no components; one whose labels need
+JSON escaping: quotes, backslashes, control and non-ASCII characters, an
+astral character, a lone surrogate and the empty string), and `nef`
+queries.  A
 change that alters one of these outputs on purpose updates its digest
 and says why.
 """
@@ -110,6 +113,24 @@ REPEATED_DOCUMENT = {"pairs": [
     _pn(5, [2, 2]),
 ]}
 
+# one label per JSON escaping rule, across all three families; run_case
+# writes the document with json.dump, so the lone surrogate reaches the
+# file as the escape \ud800
+ESCAPED_DOCUMENT = {"pairs": [
+    {"ambient": {"kind": "projective_space", "n": 6},
+     "divisors": [{"label": label, "class": {"H": d}}
+                  for label, d in (('"', 1), ("\\", 2), ("/", 1),
+                                   ("\n", 1), ("\t", 3))]},
+    {"ambient": {"kind": "hypersurface", "n": 5, "q": 2},
+     "divisors": [{"label": label, "class": {"h": 1}}
+                  for label in ("\u0001", "\u00e9", "\x7f",
+                                'a"b\\c/\u00e9\U0001f600')]},
+    {"ambient": {"kind": "hirzebruch", "m": 2},
+     "divisors": [{"label": "\U0001f600", "class": {"C0": 1}},
+                  {"label": "\ud800", "class": {"C0": 1, "f": 2}},
+                  {"label": "", "class": {"f": 1}}]},
+]}
+
 ENUM = ("enumerate", "--family")
 CASES = {
     "enum-pn-table": ENUM + ("pn",),
@@ -173,6 +194,9 @@ CASES = {
     "report-repeated-table": ("report", "{repeated}"),
     "report-repeated-records": ("report", "{repeated}", "--format",
                                 "records"),
+    "report-escaped-table": ("report", "{escaped}"),
+    "report-escaped-records": ("report", "{escaped}", "--format",
+                               "records"),
     "nef-fiber": ("nef", "--kind", "hirzebruch", "--m", "2",
                   "--divisor", "0,2"),
     "nef-section": ("nef", "--kind", "hirzebruch", "--m", "3",
@@ -198,7 +222,8 @@ def run_case(name, directory):
     paths = {}
     for key, document in (("doc", REPORT_DOCUMENT),
                           ("many", MANY_COMPONENTS_DOCUMENT),
-                          ("repeated", REPEATED_DOCUMENT)):
+                          ("repeated", REPEATED_DOCUMENT),
+                          ("escaped", ESCAPED_DOCUMENT)):
         paths[key] = os.path.join(directory, f"{key}.json")
         with open(paths[key], "w") as fh:
             json.dump(document, fh)
