@@ -73,7 +73,8 @@ def full_report(pair: LogPair, H: CycleClass | None = None) -> BGReport:
         c2_eval=c2_eval,
         discriminant=value,
         equality_n=value == 0,
-        equality_n_plus_1=_at_rank(n + 1, c1_sq, c2_eval) == 0,
+        # _at_rank(n + 1, ...) == 0, without building the Fraction
+        equality_n_plus_1=2 * (n + 1) * c2_eval == n * c1_sq,
         # c1 = -(K + D)
         minus_k_plus_d_nef=is_nef(pair.model, chern.c1),
         polarization=H,

@@ -105,18 +105,20 @@ class CycleClass(Value):
         self.__post_init__()
 
     def __post_init__(self):
-        if not 0 <= self.grade <= self.model.dim:
-            raise GradeError(
-                f"grade {self.grade} out of range for {self.model}")
-        expected = self.model.basis_size(self.grade)
-        if len(self.coeffs) != expected:
+        # model.basis_size(grade), inlined: every class is checked here
+        model, grade, coeffs = self.model, self.grade, self.coeffs
+        if not 0 <= grade <= model.n:
+            raise GradeError(f"grade {grade} out of range for {model}")
+        expected = len(model.generators) if grade == 1 else 1
+        if len(coeffs) != expected:
             raise ChowError(
-                f"{self.model} needs {expected} coefficient(s) at "
-                f"codimension {self.grade}, got {len(self.coeffs)}")
+                f"{model} needs {expected} coefficient(s) at "
+                f"codimension {grade}, got {len(coeffs)}")
         # a bool fails `type(c) is int`, so the coercion rejects it
-        if not all(type(c) is int for c in self.coeffs):
-            _set(self, "coeffs",
-                 tuple(_int_or_fraction(c) for c in self.coeffs))
+        for c in coeffs:
+            if type(c) is not int:
+                _set(self, "coeffs", tuple(map(_int_or_fraction, coeffs)))
+                break
 
     def _check_same_model(self, other: "CycleClass") -> None:
         if self.model != other.model:

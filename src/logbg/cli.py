@@ -56,7 +56,7 @@ def _out_stream(args):
 
 
 def _pair_summary(pair, echoes) -> str:
-    divisors = ", ".join(echoes.of(cls)[1] for _, cls in pair.components)
+    divisors = ", ".join(echoes.of(cls)[0] for _, cls in pair.components)
     return f"({pair.model}, D = [{divisors}])"
 
 
@@ -79,9 +79,10 @@ def cmd_report(args) -> int:
         with open(args.input, "rb") as fh:
             data = fh.read()
     pairs = parse_document(data)
-    # for this command only: the echo of each distinct class, and the
-    # default polarization of each distinct model, keyed by id(model),
-    # which hashes in C; `pairs` holds every model until the command ends
+    # for this command only: the JSON fragments of each distinct class
+    # and model, and the default polarization of each distinct model,
+    # keyed by id(model), which hashes in C; `pairs` holds every model
+    # until the command ends
     echoes = Echoes()
     polarizations = {}
     with _out_stream(args) as out:
@@ -93,8 +94,7 @@ def cmd_report(args) -> int:
             report = full_report(pair, H)
             try:
                 if args.format == "records":
-                    text = dump_record(report_record(pair, report, echoes))
-                    text += "\n"
+                    text = report_record(pair, report, echoes) + "\n"
                 else:
                     text = _report_table(pair, report, echoes)
             except ValueError:
@@ -138,8 +138,9 @@ def cmd_enumerate(args) -> int:
     with _out_stream(args) as out:
         if args.format == "records":
             run_bounds = bounds_fields(config)
+            echoes = Echoes(run_bounds)
             for case in cases:
-                out.write(dump_record(case_record(case, run_bounds)) + "\n")
+                out.write(case_record(case, echoes) + "\n")
             summary = {"summary": {"family": config.family,
                                    "count": len(cases),
                                    "bounds": run_bounds}}

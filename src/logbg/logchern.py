@@ -151,6 +151,8 @@ def hypersurface_pair(n: int, q: int, l: int) -> LogPair:
     labeled D1..Dl; one run, at any l."""
     h = hypersurface(n, q).divisor(1)
     l = index(l)  # as range(l) did: no float, no str
+    if l < 0:
+        raise ChowError(f"component count must be non-negative, got {l}")
     return LogPair._from_runs(h.model, ((h, l),) if l > 0 else ())
 
 

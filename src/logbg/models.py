@@ -24,7 +24,8 @@ from .chow import ChowError, CycleClass, GradeError, Scalar, Value, _set
 
 
 class AmbientModel(Value):
-    __slots__ = ("kind", "n", "q", "m")
+    _fields = ("kind", "n", "q", "m")
+    __slots__ = _fields + ("generators",)
 
     def __init__(self, kind: str, n: int, q: int = 1, m: int = 0):
         _set(self, "kind", kind)  # a key of FAMILIES
@@ -32,6 +33,8 @@ class AmbientModel(Value):
         # degree: deg(generator^n) on the Picard-rank-one models
         _set(self, "q", q)
         _set(self, "m", m)  # Hirzebruch twist
+        # the family's codimension-1 basis, which every CycleClass reads
+        _set(self, "generators", FAMILIES[kind].generators)
 
     @property
     def family(self) -> "Family":
@@ -42,11 +45,10 @@ class AmbientModel(Value):
         return self.n
 
     def basis_size(self, grade: int) -> int:
-        # every CycleClass checks its length here, so skip the property
-        return len(FAMILIES[self.kind].generators) if grade == 1 else 1
+        return len(self.generators) if grade == 1 else 1
 
     def basis_names(self, grade: int) -> tuple[str, ...]:
-        generators = self.family.generators
+        generators = self.generators
         if grade == 0:
             return ("",)
         if grade == 1:

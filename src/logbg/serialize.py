@@ -3,11 +3,21 @@
 Pair descriptors are JSON; unknown keys are errors, not warnings.
 Rationals serialize as canonical "p/q" strings ("p" when the
 denominator is one) and round-trip losslessly.
+
+A record is one line with the bytes of json.dumps(record,
+sort_keys=True, separators=(",", ":")): keys sorted, no spaces, and
+non-ASCII and control characters as \\uXXXX escapes.  report_record and
+case_record write that line from a template around JSON fragments that
+one Echoes per command encodes once (each class's echo, each model's
+ambient, each polarization and the run's bounds); per line only labels,
+rationals, integers and flags are encoded.  dump_record encodes a whole
+dict, for the summary line.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .bg import BGReport
@@ -73,35 +83,44 @@ def parse_ambient(obj) -> AmbientModel:
     return FAMILIES[kind].build(*values)
 
 
-def parse_divisor(obj, model: AmbientModel, classes: dict,
-                  index: int) -> tuple[str, CycleClass]:
-    """A checked component; `classes` (coefficients -> CycleClass) is
-    parse_document's for this model, and hands out one class per
-    coefficient tuple once the checks have passed."""
+_DIVISOR_KEYS = frozenset(("label", "class"))
+
+
+def _divisor_error(obj: dict, allowed: frozenset, index: int):
+    """Raise the first error of a component object that failed
+    parse_divisor's one-line check, as the checks run in order."""
     where = f"divisors[{index}]"
-    if not isinstance(obj, dict):
-        raise InputError(f"{where} must be an object")
-    _check_keys(obj, {"label", "class"}, where)
-    label = _require(obj, "label", where)
-    if not isinstance(label, str):
+    _check_keys(obj, _DIVISOR_KEYS, where)
+    if not isinstance(_require(obj, "label", where), str):
         raise InputError(f"key 'label' in {where} must be a string")
-    cls = _require(obj, "class", where)
-    if not isinstance(cls, dict):
+    if not isinstance(_require(obj, "class", where), dict):
         raise InputError(f"key 'class' in {where} must be an object")
-    generators = model.basis_names(1)
-    _check_keys(cls, set(generators), f"{where}.class")
-    coeffs = []
-    for gen in generators:
-        c = cls.get(gen, 0)
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise InputError(
-                f"coefficient {gen!r} in {where}.class must be an integer")
-        coeffs.append(c)
-    # every coefficient is an int here, so True and 1.0 never reach the key
-    key = tuple(coeffs)
+    _check_keys(obj["class"], allowed, f"{where}.class")
+
+
+def parse_divisor(obj, entry: tuple, index: int) -> tuple[str, CycleClass]:
+    """A checked component; `entry` is parse_document's memo entry for
+    its ambient, (model, generators, their frozenset, {coefficients:
+    CycleClass}), and hands out one class per coefficient tuple once the
+    checks have passed."""
+    if not isinstance(obj, dict):
+        raise InputError(f"divisors[{index}] must be an object")
+    model, generators, allowed, classes = entry
+    label = obj.get("label")
+    cls = obj.get("class")
+    if not (isinstance(label, str) and isinstance(cls, dict)
+            and obj.keys() <= _DIVISOR_KEYS and cls.keys() <= allowed):
+        _divisor_error(obj, allowed, index)
+    key = tuple([cls.get(gen, 0) for gen in generators])
+    # True and 1.0 hash like 1, so every coefficient is checked before
+    # the key is looked up
+    for gen, c in zip(generators, key):
+        if type(c) is not int:
+            raise InputError(f"coefficient {gen!r} in divisors[{index}]"
+                             ".class must be an integer")
     divisor = classes.get(key)
     if divisor is None:
-        divisor = classes[key] = model.divisor(*coeffs)
+        divisor = classes[key] = model.divisor(*key)
     return label, divisor
 
 
@@ -115,14 +134,15 @@ def parse_pair(obj, memo: dict, where: str = "document") -> LogPair:
     entry = memo.get(key)
     if entry is None:
         kind, *values = key
-        entry = memo[key] = (FAMILIES[kind].build(*values), {})
-    model, classes = entry
+        model = FAMILIES[kind].build(*values)
+        generators = model.basis_names(1)
+        entry = memo[key] = (model, generators, frozenset(generators), {})
     divisors = _require(obj, "divisors", where)
     if not isinstance(divisors, list):
         raise InputError(f"key 'divisors' in {where} must be a list")
-    components = tuple(parse_divisor(d, model, classes, i)
-                       for i, d in enumerate(divisors))
-    return LogPair(model, components)
+    components = tuple([parse_divisor(d, entry, i)
+                        for i, d in enumerate(divisors)])
+    return LogPair(entry[0], components)
 
 
 def parse_document(data: str | bytes) -> list[LogPair]:
@@ -139,7 +159,8 @@ def parse_document(data: str | bytes) -> list[LogPair]:
         # integer over the interpreter's digit limit; RecursionError:
         # nesting deeper than the decoder's recursion limit
         raise InputError(f"not valid JSON: {exc}") from exc
-    # (kind, *fields) -> (AmbientModel, {coefficients: CycleClass})
+    # (kind, *fields) -> (AmbientModel, generators, frozenset of them,
+    # {coefficients: CycleClass})
     memo: dict = {}
     if isinstance(doc, dict) and "pairs" in doc:
         _check_keys(doc, {"pairs"}, "document")
@@ -152,53 +173,86 @@ def parse_document(data: str | bytes) -> list[LogPair]:
 
 # -- output records --------------------------------------------------------
 
+# json.dumps(record, sort_keys=True, separators=(",", ":")), for the
+# summary line and for the fragments an Echoes caches
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_VERSION = encode_basestring_ascii(__version__)
+
+
+def _bool(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+def _report_head(report: BGReport) -> str:
+    """The report's fields from c1_sq to equality_n_plus_1, which sort
+    together at the head of both kinds of record."""
+    return (f'"c1_sq":"{format_rational(report.c1_sq)}",'
+            f'"c2_eval":"{format_rational(report.c2_eval)}",'
+            f'"discriminant":"{format_rational(report.discriminant)}",'
+            f'"equality_n":{_bool(report.equality_n)},'
+            f'"equality_n_plus_1":{_bool(report.equality_n_plus_1)}')
+
 
 class Echoes(dict):
-    """The echo (cycle_to_dict, cycle_display) of each class, formatted
-    on first use; one instance serves one command.
+    """The JSON fragments of one command, each encoded on first use: per
+    class its display and the head of its divisor item, per model its
+    ambient echo, per polarization its class, and the run's `bounds`.
 
-    Keyed by id(class), which hashes in C; keying by the class itself
-    would hash its field tuple and its model on every lookup.  Each entry
-    holds its class, so no id is reused while the instance lives."""
+    Classes and models are keyed by id(object), which hashes in C;
+    keying by the object would hash its field tuple (and a class's model)
+    on every lookup.  Each of those entries holds its object, so no id is
+    reused while the instance lives.  A polarization is keyed by (kind,
+    coefficients), which fix its echo at grade 1, because every search
+    case builds its own."""
 
-    def of(self, cls: CycleClass) -> tuple[dict, str]:
+    __slots__ = ("bounds",)
+
+    def __init__(self, bounds: dict | None = None):
+        # bounds_fields of the run's config, for case_record
+        self.bounds = None if bounds is None else _ENCODER.encode(bounds)
+
+    def of(self, cls: CycleClass) -> tuple[str, str]:
+        """(display, divisor-item head) of a class; the head is the item's
+        JSON up to its label: {"class":...,"display":...,"label":"""
         entry = self.get(id(cls))
         if entry is None:
-            entry = self[id(cls)] = (
-                cls, (cycle_to_dict(cls), cycle_display(cls)))
+            display = cycle_display(cls)
+            head = (f'{{"class":{_ENCODER.encode(cycle_to_dict(cls))},'
+                    f'"display":{encode_basestring_ascii(display)},'
+                    '"label":')
+            entry = self[id(cls)] = (cls, (display, head))
         return entry[1]
 
+    def ambient(self, model: AmbientModel) -> str:
+        entry = self.get(id(model))
+        if entry is None:
+            echo = {"kind": model.kind}
+            echo.update((key, getattr(model, key))
+                        for key in model.family.fields)
+            entry = self[id(model)] = (model, _ENCODER.encode(echo))
+        return entry[1]
 
-def pair_echo(pair: LogPair, echoes: Echoes) -> dict:
-    model = pair.model
-    ambient = {"kind": model.kind}
-    ambient.update((key, getattr(model, key)) for key in model.family.fields)
-    divisors = []
-    for label, cls in pair.components:
-        as_dict, display = echoes.of(cls)
-        divisors.append({"label": label, "class": as_dict,
-                         "display": display})
-    return {"ambient": ambient, "divisors": divisors}
-
-
-def report_fields(report: BGReport, polarization: dict) -> dict:
-    """The report's fields; `polarization` is cycle_to_dict of its H."""
-    return {
-        "rank": report.rank,
-        "c1_sq": format_rational(report.c1_sq),
-        "c2_eval": format_rational(report.c2_eval),
-        "discriminant": format_rational(report.discriminant),
-        "equality_n": report.equality_n,
-        "equality_n_plus_1": report.equality_n_plus_1,
-        "minus_k_plus_d_nef": report.minus_k_plus_d_nef,
-        "polarization": polarization,
-    }
+    def polarization(self, H: CycleClass) -> str:
+        key = (H.model.kind, H.coeffs)
+        echo = self.get(key)
+        if echo is None:
+            echo = self[key] = _ENCODER.encode(cycle_to_dict(H))
+        return echo
 
 
-def report_record(pair: LogPair, report: BGReport, echoes: Echoes) -> dict:
-    record = {"input": pair_echo(pair, echoes), "tool_version": __version__}
-    record.update(report_fields(report, echoes.of(report.polarization)[0]))
-    return record
+def report_record(pair: LogPair, report: BGReport, echoes: Echoes) -> str:
+    """The record line of one report: json.dumps of the dict {"input":
+    {"ambient": ..., "divisors": [{"class", "display", "label"}, ...]},
+    "tool_version", and the report's fields}, keys sorted, no spaces."""
+    of = echoes.of
+    divisors = ",".join([f"{of(cls)[1]}{encode_basestring_ascii(label)}}}"
+                         for label, cls in pair.components])
+    return (f'{{{_report_head(report)},'
+            f'"input":{{"ambient":{echoes.ambient(pair.model)},'
+            f'"divisors":[{divisors}]}},'
+            f'"minus_k_plus_d_nef":{_bool(report.minus_k_plus_d_nef)},'
+            f'"polarization":{echoes.polarization(report.polarization)},'
+            f'"rank":{report.rank},"tool_version":{_VERSION}}}')
 
 
 def bounds_fields(config: SearchConfig) -> dict:
@@ -209,23 +263,24 @@ def bounds_fields(config: SearchConfig) -> dict:
     return fields
 
 
-def case_record(case: EqualityCase, bounds: dict) -> dict:
-    """The record of one case; `bounds` is bounds_fields of the run's
-    config, built once per run and shared by every record."""
-    record = {
-        "family": case.family,
-        "n": case.n,
-        "q": case.q,
-        "partition": list(case.partition),
-        "modes": list(case.modes),
-        "nef": case.report.minus_k_plus_d_nef,
-        "bounds": bounds,
-        "tool_version": __version__,
-    }
-    record.update(report_fields(case.report,
-                                cycle_to_dict(case.report.polarization)))
-    return record
+def case_record(case: EqualityCase, echoes: Echoes) -> str:
+    """The record line of one case: json.dumps of the dict of the case's
+    family, n, q, partition, modes and nef flag, the run's bounds (from
+    `echoes`, built with them once per run), "tool_version" and the
+    report's fields, keys sorted, no spaces."""
+    report = case.report
+    modes = ",".join(map(encode_basestring_ascii, case.modes))
+    partition = ",".join(map(str, case.partition))
+    return (f'{{"bounds":{echoes.bounds},{_report_head(report)},'
+            f'"family":{encode_basestring_ascii(case.family)},'
+            f'"minus_k_plus_d_nef":{_bool(report.minus_k_plus_d_nef)},'
+            f'"modes":[{modes}],"n":{case.n},'
+            f'"nef":{_bool(report.minus_k_plus_d_nef)},'
+            f'"partition":[{partition}],'
+            f'"polarization":{echoes.polarization(report.polarization)},'
+            f'"q":{case.q},"rank":{report.rank},'
+            f'"tool_version":{_VERSION}}}')
 
 
 def dump_record(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(record)

@@ -144,14 +144,14 @@ def test_criterion_6_property_suites():
                 direct_modes(pn_pair(n, partition))
 
     # byte-identical output across consecutive runs
-    from logbg.serialize import bounds_fields, case_record, dump_record
+    from logbg.serialize import Echoes, bounds_fields, case_record
     config = SearchConfig(family="pn", n_min=2, n_max=12)
     hconfig = SearchConfig(family="hypersurface", n_min=2, n_max=20,
                            q_min=2, q_max=20)
 
     def render(cases, cfg):
-        bounds = bounds_fields(cfg)
-        return "\n".join(dump_record(case_record(c, bounds)) for c in cases)
+        echoes = Echoes(bounds_fields(cfg))
+        return "\n".join(case_record(c, echoes) for c in cases)
 
     for cfg in (config, hconfig):
         ok &= render(enumerate_cases(cfg), cfg) == \

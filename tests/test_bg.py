@@ -150,12 +150,12 @@ class TestFullReport:
             assert scaled.equality_n_plus_1 == base.equality_n_plus_1
 
     def test_deterministic_serialization(self):
-        from logbg.serialize import Echoes, dump_record, report_record
+        from logbg.serialize import Echoes, report_record
         pair = pn_pair(8, [2, 1, 1, 1])
-        first = dump_record(report_record(pair, full_report(pair), Echoes()))
-        second = dump_record(report_record(pair, full_report(pair),
-                                           Echoes()))
+        first = report_record(pair, full_report(pair), Echoes())
+        second = report_record(pair, full_report(pair), Echoes())
         assert first == second
+        assert json.loads(first)["rank"] == 8
 
 
 class TestProductCount:

@@ -210,11 +210,16 @@ class TestParseMemo:
     """parse_document builds one model per distinct ambient and one class
     per distinct (ambient, class), but still checks every component."""
 
+    # True and 1.0 hash like 1; the last input takes the two-generator
+    # path, on F_1
     @pytest.mark.parametrize("cls", [{"H": True}, {"H": 1.0},
-                                     {"H": 1, "x": 0}])
+                                     {"H": 1, "x": 0}, {"C0": 1, "f": True}])
     def test_bad_class_after_valid_copy_exit_2(self, tmp_path, capsys, cls):
-        doc = {"ambient": {"kind": "projective_space", "n": 3},
-               "divisors": [{"label": "A", "class": {"H": 1}},
+        ambient, valid = (({"kind": "hirzebruch", "m": 1}, {"C0": 1, "f": 1})
+                          if "C0" in cls else
+                          ({"kind": "projective_space", "n": 3}, {"H": 1}))
+        doc = {"ambient": ambient,
+               "divisors": [{"label": "A", "class": valid},
                             {"label": "B", "class": cls}]}
         path = tmp_path / "pair.json"
         path.write_text(json.dumps(doc))

@@ -1,4 +1,5 @@
 import itertools
+import json
 import pickle
 import tracemalloc
 from fractions import Fraction
@@ -96,6 +97,11 @@ class TestLogPairValidation:
     @pytest.mark.parametrize("l", [2.0, "2", None])
     def test_hypersurface_pair_rejects_non_integer_count(self, l):
         with pytest.raises(TypeError):
+            hypersurface_pair(7, 2, l)
+
+    @pytest.mark.parametrize("l", [-1, -3])
+    def test_hypersurface_pair_rejects_negative_count(self, l):
+        with pytest.raises(ChowError, match=f"got {l}$"):
             hypersurface_pair(7, 2, l)
 
     @pytest.mark.parametrize("degrees, label", [
@@ -327,7 +333,8 @@ class TestNoFloat:
         H = default_polarization(model)
         chern = log_chern(pair)
         report = full_report(pair)
-        values = [report, report_record(pair, report, Echoes()),
+        # a record is a line of JSON: scan what it parses back to
+        values = [report, json.loads(report_record(pair, report, Echoes())),
                   discriminant(chern, H),
                   discriminant(ChernData(rank, chern.c1, chern.c2), H),
                   slope(model, chern.c1, rank, H),
@@ -343,7 +350,8 @@ class TestNoFloat:
                                      reverse=True))
             case = EqualityCase(family, model.n, model.q, partition,
                                 report_modes(report), report)
-            values.append(case_record(case, bounds_fields(config)))
+            values.append(json.loads(
+                case_record(case, Echoes(bounds_fields(config)))))
         assert list(floats_in(values)) == []
 
     def test_floats_in_sees_into_value_classes(self):

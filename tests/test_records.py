@@ -1,0 +1,104 @@
+"""Every `--format records` line equals json.dumps of the reference dict
+in records.py, keys sorted and no spaces, whatever its labels hold."""
+
+import contextlib
+import io
+import json
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import records
+from logbg import __version__
+from logbg.bg import full_report
+from logbg.cli import main
+from logbg.models import default_polarization
+from logbg.search import SearchConfig, enumerate_cases
+from logbg.serialize import parse_document
+
+# every code point, lone surrogates included
+labels = st.text(st.characters(exclude_categories=()), max_size=6)
+
+
+@st.composite
+def descriptors(draw):
+    """One pair on P^n, a hypersurface or F_m, with prime classes whose
+    zero coefficients are sometimes left out."""
+    kind = draw(st.sampled_from(["projective_space", "hypersurface",
+                                 "hirzebruch"]))
+    if kind == "hirzebruch":
+        m = draw(st.integers(1, 4))
+        ambient = {"kind": kind, "m": m}
+        prime = st.one_of(
+            st.sampled_from([(1, 0), (0, 1)]),
+            st.integers(1, 3).flatmap(lambda a: st.tuples(
+                st.just(a), st.integers(a * m, a * m + 4))))
+        classes = [dict(zip(("C0", "f"), c))
+                   for c in draw(st.lists(prime, max_size=5))]
+    else:
+        ambient = {"kind": kind, "n": draw(st.integers(2, 9))}
+        if kind == "hypersurface":
+            ambient["q"] = draw(st.integers(1, 4))
+        gen = "H" if kind == "projective_space" else "h"
+        classes = [{gen: d} for d in draw(st.lists(st.integers(1, 4),
+                                                   max_size=5))]
+    classes = [{k: v for k, v in c.items() if v or not draw(st.booleans())}
+               for c in classes]
+    names = draw(st.lists(labels, min_size=len(classes),
+                          max_size=len(classes), unique=True))
+    return {"ambient": ambient,
+            "divisors": [{"label": label, "class": c}
+                         for label, c in zip(names, classes)]}
+
+
+def run(argv, stdin=None) -> list[str]:
+    out = io.StringIO()
+    saved = sys.stdin
+    if stdin is not None:
+        sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+    finally:
+        sys.stdin = saved
+    return out.getvalue().splitlines()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(descriptors(), min_size=1, max_size=4))
+def test_report_lines_match_reference(pairs):
+    text = json.dumps({"pairs": pairs})
+    expected = []
+    for pair in parse_document(text):
+        report = full_report(pair, default_polarization(pair.model))
+        expected.append(records.dump(
+            records.report_record(pair, report, __version__)))
+    assert run(["report", "-", "--format", "records"], text) == expected
+
+
+# (argv, the SearchConfig that argv selects): two boxes per family
+BOXES = [
+    (("pn", "--n", "2..12"), dict(family="pn", n_min=2, n_max=12)),
+    (("pn", "--n", "2..14", "--mode", "n", "--no-nef", "--include-trivial"),
+     dict(family="pn", n_min=2, n_max=14, mode="n", require_nef=False,
+          exclude_trivial=False)),
+    (("hypersurface", "--n", "2..20", "--q", "2..20"),
+     dict(family="hypersurface", n_min=2, n_max=20, q_min=2, q_max=20)),
+    (("hypersurface", "--n", "2..30", "--q", "1..30", "--mode", "n1",
+      "--s-max", "9", "--include-trivial"),
+     dict(family="hypersurface", n_min=2, n_max=30, q_min=1, q_max=30,
+          mode="n1", s_max=9, exclude_trivial=False)),
+]
+
+
+@pytest.mark.parametrize("argv, fields", BOXES)
+def test_enumerate_lines_match_reference(argv, fields):
+    config = SearchConfig(**fields)
+    cases = enumerate_cases(config)
+    assert len(cases) > 1
+    expected = [records.dump(records.case_record(case, config, __version__))
+                for case in cases]
+    expected.append(records.dump(records.summary_record(config, len(cases))))
+    assert run(["enumerate", "--format", "records", "--family", *argv]) == \
+        expected

@@ -1,3 +1,4 @@
+import json
 from math import isqrt
 
 import pytest
@@ -9,7 +10,7 @@ from logbg.logchern import hypersurface_pair, pn_pair
 from logbg.search import (DEFAULT_BOUNDS, SearchConfig, SearchSpaceError,
                           VerificationError, enumerate_cases,
                           hyp_modes_closed_form, pn_modes_closed_form)
-from logbg.serialize import bounds_fields, case_record
+from logbg.serialize import Echoes, bounds_fields, case_record
 from scanner import (direct_modes, partitions_with_sum_at_most,
                      scan_hypersurface, scan_pn)
 
@@ -171,11 +172,11 @@ class TestEmittedReports:
 
     def test_nef_flag_matches_report(self):
         config = pn_config(n_min=2, n_max=10)
-        bounds = bounds_fields(config)
+        echoes = Echoes(bounds_fields(config))
         for case in enumerate_cases(config):
-            record = case_record(case, bounds)
-            assert record["nef"] is case.report.minus_k_plus_d_nef
-            assert record["nef"]  # nef was required
+            nef = json.loads(case_record(case, echoes))["nef"]
+            assert nef is case.report.minus_k_plus_d_nef
+            assert nef  # nef was required
 
 
 def solved(cases):
