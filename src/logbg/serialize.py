@@ -135,8 +135,8 @@ def parse_pair(obj, memo: dict, where: str = "document") -> LogPair:
     if entry is None:
         kind, *values = key
         model = FAMILIES[kind].build(*values)
-        generators = model.basis_names(1)
-        entry = memo[key] = (model, generators, frozenset(generators), {})
+        entry = memo[key] = (model, model.generators,
+                             frozenset(model.generators), {})
     divisors = _require(obj, "divisors", where)
     if not isinstance(divisors, list):
         raise InputError(f"key 'divisors' in {where} must be a list")
