@@ -6,8 +6,8 @@ from math import comb
 import pytest
 
 from logbg.bg import (check_equality_n, check_equality_n_plus_1, discriminant,
-                      full_report)
-from logbg.chow import CycleClass, GradeError, mul
+                      evaluate_pair, full_report)
+from logbg.chow import ChowError, CycleClass, GradeError, mul
 from logbg.cli import main
 from logbg.logchern import LogPair, hypersurface_pair, log_chern, pn_pair
 from logbg.models import (ChernData, c_infinity, hirzebruch, hypersurface,
@@ -65,6 +65,99 @@ class TestDiscriminant:
         chern = ChernData(2, model.divisor(1), model.cycle(2, 1))
         with pytest.raises(GradeError):
             discriminant(chern, model.cycle(2, 1))
+
+
+class TestPolarizationChecks:
+    """full_report checks H before any arithmetic: a grade other than 1
+    raises GradeError, then H on another model raises ChowError itself
+    (not a subclass); evaluate_pair keeps its checks, and its values at
+    any rank."""
+
+    def pairs_and_strangers(self):
+        F3 = hirzebruch(3)
+        return (
+            (pn_pair(4, [2, 1]), (projective_space(5).divisor(1),
+                                  hypersurface(4, 1).divisor(1),
+                                  hirzebruch(1).divisor(1, 2))),
+            (hypersurface_pair(5, 2, 3), (hypersurface(5, 3).divisor(1),
+                                          projective_space(5).divisor(1))),
+            (hirzebruch_boundary(3), (hirzebruch(4).divisor(1, 5),
+                                      projective_space(2).divisor(1))),
+            (LogPair(F3, ()), (hirzebruch(2).divisor(1, 3),)),
+        )
+
+    def test_grade_checked_first(self):
+        for pair, strangers in self.pairs_and_strangers():
+            model = pair.model
+            for H in (model.cycle(2, 1), model.unit(),
+                      strangers[0].model.cycle(2, 1)):
+                with pytest.raises(GradeError,
+                                   match="^polarization must have grade 1$"):
+                    full_report(pair, H)
+
+    def test_other_model_rejected(self):
+        for pair, strangers in self.pairs_and_strangers():
+            for H in strangers:
+                with pytest.raises(ChowError) as excinfo:
+                    full_report(pair, H)
+                assert excinfo.type is ChowError, (pair.model, H.model)
+                assert str(excinfo.value) == \
+                    "polarization lives on a different model"
+
+    def test_evaluate_pair_checks(self):
+        model = projective_space(4)
+        chern = ChernData(3, model.divisor(2), model.cycle(2, 1))
+        with pytest.raises(GradeError, match="^polarization must have grade 1$"):
+            evaluate_pair(chern, model.cycle(2, 1))
+        with pytest.raises(ChowError) as excinfo:
+            evaluate_pair(chern, projective_space(5).divisor(1))
+        assert excinfo.type is ChowError
+
+    @pytest.mark.parametrize("m", (1, 2, 7, 50))
+    def test_evaluate_pair_fm_rank_2_and_3(self, m):
+        """The Lemma 4.4 fixture's rank-2 and rank-3 discriminants on
+        (F_m, C0 + Cinf) against C0 + (m+1)f; rank 3 is not dim F_m."""
+        model = hirzebruch(m)
+        chern = log_chern(hirzebruch_boundary(m))
+        H = model.divisor(1, m + 1)
+        for rank in (2, 3):
+            data = ChernData(rank, chern.c1, chern.c2)
+            values = evaluate_pair(data, H)
+            assert values == (0, 0)
+            assert tuple(map(type, values)) == (int, int)
+            value = discriminant(data, H)
+            assert value == 0 and type(value) is Fraction
+
+    def test_evaluate_pair_values_and_types(self):
+        """Values and types at ranks other than dim, with integral,
+        Fraction and negative H, and with Fraction Chern classes whose
+        square is integral."""
+        P4, P2, F2 = projective_space(4), projective_space(2), hirzebruch(2)
+        X = hypersurface(3, 3)
+        half = Fraction(1, 2)
+        cases = (
+            (ChernData(3, P4.divisor(2), P4.cycle(2, 1)), P4.divisor(1),
+             (4, 1)),
+            (ChernData(3, P4.divisor(2), P4.cycle(2, 1)), P4.divisor(half),
+             (Fraction(1), Fraction(1, 4))),
+            (ChernData(5, P4.divisor(-3), P4.cycle(2, 7)), P4.divisor(-2),
+             (36, 28)),
+            (ChernData(4, P2.divisor(3), P2.cycle(2, 3)), P2.divisor(half),
+             (Fraction(9), Fraction(3))),
+            (ChernData(2, X.divisor(1), X.cycle(2, -2)), X.divisor(2),
+             (6, -12)),
+            (ChernData(2, X.divisor(half), X.cycle(2, half)), X.divisor(2),
+             (Fraction(3, 2), Fraction(3))),
+            (ChernData(3, F2.divisor(half, half), F2.cycle(2, 1)),
+             F2.divisor(1, 3), (0, 1)),
+            (ChernData(4, F2.divisor(1, 3), F2.cycle(2, half)),
+             F2.divisor(half, -1), (4, half)),
+        )
+        for chern, H, expected in cases:
+            values = evaluate_pair(chern, H)
+            assert values == expected, (chern, H)
+            assert tuple(map(type, values)) == tuple(map(type, expected)), \
+                (chern, H)
 
 
 class TestEqualityPredicates:
