@@ -9,16 +9,21 @@ two predicates test the rank-n and rank-(n+1) coefficients (n-1)/2n and
 n/(2(n+1)) on one shared (c1^2.H^{n-2}, c2.H^{n-2}) pair: the latter
 equals the discriminant of the trivial-sheaf extension, which has the
 same c1 and c2.
+
+One integer pairing, _pairing, serves full_report and evaluate_pair.  A
+report takes no chow.mul and builds no cycle class but the default H; it
+shares no code with the search's closed forms, which it re-verifies.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import chow
-from .chow import ChowError, CycleClass, GradeError, Scalar, Value, _set
-from .logchern import LogPair, log_chern
-from .models import ChernData, default_polarization, is_nef
+from .chow import (ChowError, CycleClass, GradeError, Scalar, Value,
+                   _int_or_fraction, _set)
+from .logchern import LogPair, _log_chern_coeffs
+from .models import (AmbientModel, ChernData, default_polarization,
+                     is_nef_coeffs)
 
 
 class BGReport(Value):
@@ -39,17 +44,31 @@ class BGReport(Value):
         _set(self, "polarization", polarization)
 
 
-def evaluate_pair(chern: ChernData, H: CycleClass) -> tuple[Scalar, Scalar]:
-    """(c1^2 . H^{n-2}, c2 . H^{n-2}) as exact rationals."""
+def _check_polarization(H: CycleClass, model: AmbientModel) -> None:
     if H.grade != 1:
         raise GradeError("polarization must have grade 1")
-    model = chern.c1.model
     if H.model != model:
         raise ChowError("polarization lives on a different model")
-    k = model.dim - 2
-    c1_sq = chow.pair_with_polarization(chow.mul(chern.c1, chern.c1), H, k)
-    c2_eval = chow.pair_with_polarization(chern.c2, H, k)
-    return c1_sq, c2_eval
+
+
+def _pairing(model: AmbientModel, c1: tuple[Scalar, ...], c2: Scalar,
+             H: CycleClass) -> tuple[Scalar, Scalar]:
+    """(c1^2 . H^{n-2}, c2 . H^{n-2}) from coefficients: q (c1.c1) h0^(n-2)
+    and q c2 h0^(n-2) for H = h0 h, no power of H on the surface F_m.  The
+    types match chow.pair_with_polarization of chow.mul's classes: c1.c1
+    is an int where integral, and the factors multiply in the same order."""
+    q = model.q
+    c1_sq = _int_or_fraction(model.intersect(c1, c1))
+    if len(H.coeffs) == 1:
+        hk = H.coeffs[0] ** (model.dim - 2)
+        return q * c1_sq * hk, q * c2 * hk
+    return q * c1_sq, q * c2
+
+
+def evaluate_pair(chern: ChernData, H: CycleClass) -> tuple[Scalar, Scalar]:
+    """(c1^2 . H^{n-2}, c2 . H^{n-2}) as exact rationals."""
+    _check_polarization(H, chern.c1.model)
+    return _pairing(chern.c1.model, chern.c1.coeffs, chern.c2.coeffs[0], H)
 
 
 def _at_rank(rank: int, c1_sq: Scalar, c2_eval: Scalar) -> Fraction:
@@ -61,24 +80,18 @@ def discriminant(chern: ChernData, H: CycleClass) -> Fraction:
 
 
 def full_report(pair: LogPair, H: CycleClass | None = None) -> BGReport:
+    model = pair.model
     if H is None:
-        H = default_polarization(pair.model)
-    chern = log_chern(pair)
-    c1_sq, c2_eval = evaluate_pair(chern, H)
-    n = chern.rank
+        H = default_polarization(model)
+    _check_polarization(H, model)
+    c1, c2 = _log_chern_coeffs(pair)
+    c1_sq, c2_eval = _pairing(model, c1, c2, H)
+    n = model.dim
     value = _at_rank(n, c1_sq, c2_eval)
-    return BGReport(
-        rank=n,
-        c1_sq=c1_sq,
-        c2_eval=c2_eval,
-        discriminant=value,
-        equality_n=value == 0,
-        # _at_rank(n + 1, ...) == 0, without building the Fraction
-        equality_n_plus_1=2 * (n + 1) * c2_eval == n * c1_sq,
-        # c1 = -(K + D)
-        minus_k_plus_d_nef=is_nef(pair.model, chern.c1),
-        polarization=H,
-    )
+    # rank n + 1: _at_rank(n + 1, ...) == 0 without a Fraction; c1 = -(K+D)
+    return BGReport(n, c1_sq, c2_eval, value, value == 0,
+                    2 * (n + 1) * c2_eval == n * c1_sq,
+                    is_nef_coeffs(model, c1), H)
 
 
 def check_equality_n(pair: LogPair, H: CycleClass | None = None) -> bool:

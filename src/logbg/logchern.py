@@ -165,14 +165,16 @@ def log_c2(pair: LogPair) -> CycleClass:
 
 
 def log_chern(pair: LogPair) -> ChernData:
-    """(rank, c1, c2) of the logarithmic tangent bundle itself.
+    """(rank, c1, c2) of the log tangent bundle, from _log_chern_coeffs."""
+    model = pair.model
+    c1, c2 = _log_chern_coeffs(pair)
+    return ChernData(model.dim, model.divisor(*c1), model.cycle(2, c2))
 
-    D and sum_i D_i^2 are sums over the pair's distinct class objects,
-    each term times its multiplicity, of integer coefficients and of the
-    model's intersection form; c2 is then the closed form of the module
-    docstring, and c1 and c2 are the only cycle classes built.  No
-    chow.mul is taken.
-    """
+
+def _log_chern_coeffs(pair: LogPair) -> tuple[tuple[int, ...], int]:
+    """Integer coefficients of log c1 and log c2, with no class built and
+    no chow.mul: D and sum_i D_i^2 sum over distinct class objects times
+    multiplicity, and c2 is the module docstring's closed form."""
     model = pair.model
     t1, t2 = tangent_coefficients(model)
     intersect = model.intersect
@@ -180,8 +182,7 @@ def log_chern(pair: LogPair) -> ChernData:
     squares = sum(k * intersect(E, E) for E, k in pair.groups)
     # K.D = -c1(T).D
     c2 = t2 - intersect(t1, D) + (intersect(D, D) + squares) // 2
-    c1 = model.divisor(*(t - d for t, d in zip(t1, D)))
-    return ChernData(model.dim, c1, model.cycle(2, c2))
+    return tuple(t - d for t, d in zip(t1, D)), c2
 
 
 def slope(model: AmbientModel, c1: CycleClass, rank: int,

@@ -201,16 +201,21 @@ def default_polarization(model: AmbientModel) -> CycleClass:
 
 
 def is_nef(model: AmbientModel, divisor: CycleClass) -> bool:
-    """Nefness against the Mori cone: a single sign on Picard-rank-one
-    models; on F_m, nonnegative pairing with both f and C0."""
+    """Whether a grade-1 class on `model` is nef, by is_nef_coeffs."""
     if divisor.model != model:
         raise ChowError("divisor does not live on this model")
     if divisor.grade != 1:
         raise GradeError("nefness is a codimension-1 question")
+    return is_nef_coeffs(model, divisor.coeffs)
+
+
+def is_nef_coeffs(model: AmbientModel, coeffs: tuple[Scalar, ...]) -> bool:
+    """Nefness of the divisor with these coefficients: a single sign on
+    Picard-rank-one models; on F_m, nonnegative pairing with f and C0."""
     if model.kind == "hirzebruch":
-        a, b = divisor.coeffs
+        a, b = coeffs
         return a >= 0 and b - a * model.m >= 0
-    return divisor.coeffs[0] >= 0
+    return coeffs[0] >= 0
 
 
 def is_prime_class(model: AmbientModel, cls: CycleClass) -> bool:

@@ -175,9 +175,9 @@ def _roots(k: int, B: int) -> tuple[int, ...]:
     return (k - root) // 2, (k + root) // 2
 
 
-def _c1_roots(n: int, mode: str, B: int) -> set[int]:
-    """The c1 coefficients t at which some rank of `mode` meets equality."""
-    return {t for k in _ranks(n, mode) for t in _roots(k, B)}
+def _c1_roots(ranks: tuple[int, ...], B: int) -> set[int]:
+    """The c1 coefficients t where some rank in `ranks` meets equality."""
+    return {t for k in ranks for t in _roots(k, B)}
 
 
 def _pronic_partitions(B: int, largest: int):
@@ -211,8 +211,9 @@ def _verified_case(family: str, n: int, q: int, partition: tuple[int, ...],
 def _pn_solutions(config: SearchConfig, n: int):
     """(q, partition, modes) of each P^n case at dimension n: the pronic
     parts of each B, padded with ones to s = n + 1 - t."""
-    for B in range(max(_ranks(n, config.mode)) // 4 + 1):
-        for t in _c1_roots(n, config.mode, B):
+    ranks = _ranks(n, config.mode)
+    for B in range(max(ranks) // 4 + 1):
+        for t in _c1_roots(ranks, B):
             s = n + 1 - t
             if config.s_max is not None and s > config.s_max:
                 continue
@@ -227,10 +228,10 @@ def _pn_solutions(config: SearchConfig, n: int):
 def _hyp_solutions(config: SearchConfig, n: int):
     """(q, partition, modes) of each hypersurface case at dimension n: l
     degree-1 components with l = n + 2 - q - t at B = q (q - 1)."""
-    k = max(_ranks(n, config.mode))
+    ranks = _ranks(n, config.mode)
     for q in range(config.q_min,
-                   min(config.q_max, (isqrt(k + 1) + 1) // 2) + 1):
-        for t in _c1_roots(n, config.mode, q * (q - 1)):
+                   min(config.q_max, (isqrt(max(ranks) + 1) + 1) // 2) + 1):
+        for t in _c1_roots(ranks, q * (q - 1)):
             l = n + 2 - q - t
             if ((config.s_max is not None and l > config.s_max)
                     or (config.exclude_trivial and l == 0)):

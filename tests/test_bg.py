@@ -4,14 +4,16 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from logbg import chow
 from logbg.bg import (check_equality_n, check_equality_n_plus_1, discriminant,
                       evaluate_pair, full_report)
 from logbg.chow import ChowError, CycleClass, GradeError, mul
 from logbg.cli import main
 from logbg.logchern import LogPair, hypersurface_pair, log_chern, pn_pair
-from logbg.models import (ChernData, c_infinity, hirzebruch, hypersurface,
-                          projective_space)
+from logbg.models import (ChernData, c_infinity, default_polarization,
+                          hirzebruch, hypersurface, is_nef, projective_space)
 
 
 def hirzebruch_boundary(m):
@@ -107,7 +109,8 @@ class TestPolarizationChecks:
     def test_evaluate_pair_checks(self):
         model = projective_space(4)
         chern = ChernData(3, model.divisor(2), model.cycle(2, 1))
-        with pytest.raises(GradeError, match="^polarization must have grade 1$"):
+        with pytest.raises(GradeError,
+                           match="^polarization must have grade 1$"):
             evaluate_pair(chern, model.cycle(2, 1))
         with pytest.raises(ChowError) as excinfo:
             evaluate_pair(chern, projective_space(5).divisor(1))
@@ -158,6 +161,62 @@ class TestPolarizationChecks:
             assert values == expected, (chern, H)
             assert tuple(map(type, values)) == tuple(map(type, expected)), \
                 (chern, H)
+
+
+@st.composite
+def pairs_and_polarizations(draw):
+    """A pair on P^n, a hypersurface or F_m with random components, and a
+    polarization on its model with int or Fraction coefficients, negative
+    ones and zero among them (None for the default)."""
+    family = draw(st.sampled_from(["pn", "hyp", "fm"]))
+    if family == "fm":
+        m = draw(st.integers(1, 6))
+        model = hirzebruch(m)
+        prime = st.one_of(
+            st.sampled_from([(1, 0), (0, 1)]),
+            st.integers(1, 4).flatmap(lambda a: st.tuples(
+                st.just(a), st.integers(a * m, a * m + 5))))
+    else:
+        n = draw(st.integers(2, 12))
+        model = (projective_space(n) if family == "pn"
+                 else hypersurface(n, draw(st.integers(1, 6))))
+        prime = st.tuples(st.integers(1, 6))
+    classes = draw(st.lists(prime, max_size=10))
+    pair = LogPair(model, tuple((f"D{i}", model.divisor(*c))
+                                for i, c in enumerate(classes)))
+    coefficient = st.one_of(st.integers(-7, 7), st.fractions(
+        min_value=-7, max_value=7, max_denominator=6))
+    H = draw(st.none() | st.lists(
+        coefficient, min_size=model.basis_size(1),
+        max_size=model.basis_size(1)).map(lambda c: model.divisor(*c)))
+    return pair, H
+
+
+class TestAgainstClassPipeline:
+    """full_report's integer pairing equals the class pipeline it
+    replaced, c1 and c2 from log_chern, c1^2 by chow.mul, each paired
+    with H by chow.pair_with_polarization, in value and in type."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(pairs_and_polarizations())
+    def test_report_matches_class_pipeline(self, pair_and_H):
+        pair, H = pair_and_H
+        report = full_report(pair, H)
+        if H is None:
+            H = default_polarization(pair.model)
+            assert report.polarization == H
+        else:
+            assert report.polarization is H
+        chern = log_chern(pair)
+        k = pair.model.dim - 2
+        c1_sq = chow.pair_with_polarization(chow.mul(chern.c1, chern.c1),
+                                            H, k)
+        c2_eval = chow.pair_with_polarization(chern.c2, H, k)
+        assert (report.c1_sq, report.c2_eval) == (c1_sq, c2_eval)
+        assert (type(report.c1_sq), type(report.c2_eval)) == \
+            (type(c1_sq), type(c2_eval))
+        assert report.discriminant == discriminant(chern, H)
+        assert report.minus_k_plus_d_nef is is_nef(pair.model, chern.c1)
 
 
 class TestEqualityPredicates:
@@ -252,15 +311,15 @@ class TestFullReport:
 
 
 class TestProductCount:
-    """The products behind one report do not grow with n or with the
-    number of components: log_chern takes none, and the report takes
-    one, c1^2."""
+    """A report takes no chow.mul, at any n and any number of
+    components: log c1, log c2 and c1^2 are integers from the model's
+    intersection form."""
 
     def test_full_report_independent_of_n(self, mul_calls):
         for n in (3, 100000):
             mul_calls.clear()
             full_report(pn_pair(n, [2, 1]))
-            assert len(mul_calls) == 1
+            assert len(mul_calls) == 0
 
     def test_cli_report_independent_of_n(self, mul_calls, tmp_path):
         path = tmp_path / "pair.json"
@@ -272,20 +331,20 @@ class TestProductCount:
             mul_calls.clear()
             assert main(["report", str(path),
                          "--out", str(tmp_path / "out.txt")]) == 0
-            assert len(mul_calls) == 1
+            assert len(mul_calls) == 0
 
     def test_full_report_independent_of_l(self, mul_calls):
         for n, q, l in ((3, 2, 2), (160, 2, 117)):
             mul_calls.clear()
             full_report(hypersurface_pair(n, q, l))
-            assert len(mul_calls) == 1
+            assert len(mul_calls) == 0
 
 
 class TestConstructionCount:
-    """A report builds at most four cycle classes, log c1, log c2, the
-    polarization H and c1^2, at any n and any number of components;
-    log_chern reads the tangent data as integers and builds only c1 and
-    c2."""
+    """A report builds no cycle class when H is given, and only the
+    default polarization when it is not, at any n and any number of
+    components; log_chern reads the tangent data as integers and builds
+    only c1 and c2."""
 
     def pairs(self):
         F3 = hirzebruch(3)
@@ -296,11 +355,15 @@ class TestConstructionCount:
                 hypersurface_pair(3, 2, 2), hypersurface_pair(160, 2, 117),
                 hirzebruch_boundary(2), many_fm)
 
-    def test_full_report_builds_at_most_four(self, cycle_calls):
+    def test_full_report_builds_only_default_polarization(self, cycle_calls):
         for pair in self.pairs():
+            H = pair.model.divisor(*(2,) * pair.model.basis_size(1))
             cycle_calls.clear()
             full_report(pair)
-            assert len(cycle_calls) <= 4, pair.model
+            assert len(cycle_calls) == 1, pair.model
+            cycle_calls.clear()
+            full_report(pair, H)
+            assert len(cycle_calls) == 0, pair.model
 
     def test_log_chern_builds_c1_and_c2_only(self, cycle_calls, monkeypatch):
         from logbg import logchern, models

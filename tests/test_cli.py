@@ -345,7 +345,7 @@ class TestEnumerateCommand:
         """The solver puts t >= 0 at every case, so a report with -(K+D)
         not nef is a verification failure, with or without the filter."""
         from logbg import bg
-        monkeypatch.setattr(bg, "is_nef", lambda model, divisor: False)
+        monkeypatch.setattr(bg, "is_nef_coeffs", lambda model, coeffs: False)
         assert main(["enumerate", "--family", "pn", "--n", "7..7",
                      "--s-max", "4", nef_flag]) == 1
         err = capsys.readouterr().err
