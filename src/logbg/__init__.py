@@ -3,8 +3,7 @@ Bogomolov-Gieseker discriminants of log smooth pairs."""
 
 __version__ = "0.1.0"  # imported by serialize: keep above the imports
 
-from .bg import (BGReport, check_equality_n, check_equality_n_plus_1,
-                 discriminant, full_report)
+from .bg import BGReport, discriminant, full_report
 from .chow import (ChowError, CycleClass, GradeError, ModelMismatchError,
                    degree, mul, pair_with_polarization)
 from .logchern import (LogPair, hypersurface_pair, log_c1, log_c2, log_chern,

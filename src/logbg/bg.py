@@ -1,18 +1,19 @@
-"""Bogomolov-Gieseker discriminants and the two equality predicates.
+"""Bogomolov-Gieseker discriminants and the two equality tests.
 
 For a rank-r sheaf the discriminant against a polarization H is
 
     (c2 - (r-1)/(2r) * c1^2) . H^{n-2}
 
-evaluated as an exact rational; on a surface H^0 is the identity.  The
-two predicates test the rank-n and rank-(n+1) coefficients (n-1)/2n and
-n/(2(n+1)) on one shared (c1^2.H^{n-2}, c2.H^{n-2}) pair: the latter
-equals the discriminant of the trivial-sheaf extension, which has the
-same c1 and c2.
+evaluated as an exact rational; on a surface H^0 is the identity.  A
+report's equality_n and equality_n_plus_1 test the rank-n and
+rank-(n+1) coefficients (n-1)/2n and n/(2(n+1)) on one shared
+(c1^2.H^{n-2}, c2.H^{n-2}) pair: the latter equals the discriminant of
+the trivial-sheaf extension, which has the same c1 and c2.
 
-One integer pairing, _pairing, serves full_report and evaluate_pair.  A
-report takes no chow.mul and builds no cycle class but the default H; it
-shares no code with the search's closed forms, which it re-verifies.
+One integer pairing, _pairing, serves full_report, evaluate_pair and
+the verify-paper fixtures.  A report takes no chow.mul and builds no
+cycle class but the default H; it shares no code with the search's
+closed forms, which it re-verifies.
 """
 
 from __future__ import annotations
@@ -92,13 +93,3 @@ def full_report(pair: LogPair, H: CycleClass | None = None) -> BGReport:
     return BGReport(n, c1_sq, c2_eval, value, value == 0,
                     2 * (n + 1) * c2_eval == n * c1_sq,
                     is_nef_coeffs(model, c1), H)
-
-
-def check_equality_n(pair: LogPair, H: CycleClass | None = None) -> bool:
-    """Vanishing at the rank-n coefficient (n-1)/2n."""
-    return full_report(pair, H).equality_n
-
-
-def check_equality_n_plus_1(pair: LogPair, H: CycleClass | None = None) -> bool:
-    """Vanishing at the rank-(n+1) coefficient n/(2(n+1))."""
-    return full_report(pair, H).equality_n_plus_1

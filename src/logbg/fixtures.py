@@ -2,21 +2,26 @@
 
 Each fixture carries the citation it reproduces, a pinned expected
 value, and the value the calculator computes; a failure prints all
-three.  These are the same facts the test suite asserts, exposed as a
-user-facing self-check.
+three.  The fixtures are one table of rows (name, citation, expected,
+check) under the grid each suite runs over.  A grid point computes its
+integer data once, by the core that `report` and `enumerate` use, which
+tests/test_bg.py::TestAgainstClassPipeline ties to the class pipeline.
+A check returns None where its row holds at the point, else the
+computed text, and builds a class only to print it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
+from types import SimpleNamespace
 
-from . import chow
-from .bg import check_equality_n, check_equality_n_plus_1, discriminant, full_report
+from .bg import _at_rank, _pairing, full_report
 from .chow import Value, _set
-from .logchern import (LogPair, hypersurface_pair, log_c1, log_chern,
+from .logchern import (LogPair, _log_chern_coeffs, hypersurface_pair,
                        pn_pair, slope, wedge_cotangent_slope)
-from .models import (ChernData, c_infinity, canonical_class, hirzebruch,
-                     is_nef, projective_space, tangent_chern)
+from .models import (c_infinity, default_polarization, hirzebruch,
+                     is_nef_coeffs, tangent_coefficients)
 
 
 class FixtureResult(Value):
@@ -31,14 +36,31 @@ class FixtureResult(Value):
         _set(self, "passed", passed)
 
 
-def _grid(name, citation, expected, mismatches) -> FixtureResult:
-    if mismatches:
-        computed = "; ".join(mismatches[:4])
+def _suite(points, rows) -> list[FixtureResult]:
+    """One result per row, from its check at every point: the first four
+    mismatches are shown, and a passing row shows its expected value."""
+    results = []
+    for name, citation, expected, check in rows:
+        mismatches = [text for text in map(check, points) if text is not None]
+        computed = "; ".join(mismatches[:4]) or expected
         if len(mismatches) > 4:
             computed += f"; ... ({len(mismatches)} mismatches)"
-    else:
-        computed = expected
-    return FixtureResult(name, citation, expected, computed, not mismatches)
+        results.append(FixtureResult(name, citation, expected, computed,
+                                     not mismatches))
+    return results
+
+
+def _mismatch(value, want, at: str | None = None) -> str | None:
+    if value == want:
+        return None
+    return str(value) if at is None else f"{at}: {value}"
+
+
+def _deg(model, a: tuple, b: tuple):  # deg(a.b) of two divisors
+    return model.q * model.intersect(a, b)
+
+
+_C0, _F = (1, 0), (0, 1)  # the basis divisors of F_m
 
 
 def _hirzebruch_boundary(m: int) -> LogPair:
@@ -47,117 +69,104 @@ def _hirzebruch_boundary(m: int) -> LogPair:
                            ("Cinf", c_infinity(model))))
 
 
+def _log_point(pair: LogPair, at: str, **data) -> SimpleNamespace:
+    """A pair's log Chern coefficients and their default-H pairing."""
+    model = pair.model
+    c1, c2 = _log_chern_coeffs(pair)
+    return SimpleNamespace(
+        at=at, model=model, c1=c1, c2=c2,
+        pairing=_pairing(model, c1, c2, default_polarization(model)), **data)
+
+
+def _boundary_point(m: int) -> SimpleNamespace:
+    pair = _hirzebruch_boundary(m)
+    t1, t2 = tangent_coefficients(pair.model)
+    # K + D from the tangent data and the boundary, not from log c1
+    k_plus_d = tuple(d - t for t, d in zip(t1, pair._boundary_coeffs()))
+    return _log_point(pair, f"m={m}", m=m, t2=t2, k_plus_d=k_plus_d)
+
+
+_PN, _FM = "(P^n, H), n=2..12", "(F_m, C0+Cinf), m=1..50"
+_S5 = "Section 5 remark"
+
+
 def lemma_4_1_suite() -> list[FixtureResult]:
-    bad_c1, bad_c2, bad_disc, bad_nef = [], [], [], []
-    for n in range(2, 13):
-        pair = pn_pair(n, [1])
-        model = pair.model
-        chern = log_chern(pair)
-        if chern.c1 != model.divisor(n):
-            bad_c1.append(f"n={n}: {chern.c1}")
-        if chern.c2 != model.cycle(2, Fraction(n * (n - 1), 2)):
-            bad_c2.append(f"n={n}: {chern.c2}")
-        report = full_report(pair)
-        if report.discriminant != 0:
-            bad_disc.append(f"n={n}: {report.discriminant}")
-        if not report.minus_k_plus_d_nef:
-            bad_nef.append(f"n={n}: not nef")
-    cite = "Lemma 4.1"
-    return [
-        _grid("log c1 on (P^n, H), n=2..12", cite, "n*H", bad_c1),
-        _grid("log c2 on (P^n, H), n=2..12", cite, "n(n-1)/2 * H^2", bad_c2),
-        _grid("rank-n discriminant on (P^n, H), n=2..12", cite, "0", bad_disc),
-        _grid("-(K + H) nef on P^n, n=2..12", cite, "nef", bad_nef),
-    ]
+    grid = [_log_point(pn_pair(n, [1]), f"n={n}", n=n) for n in range(2, 13)]
+    return _suite(grid, (
+        (f"log c1 on {_PN}", "Lemma 4.1", "n*H",
+         lambda p: None if p.c1 == (p.n,)
+         else f"{p.at}: {p.model.divisor(*p.c1)}"),
+        (f"log c2 on {_PN}", "Lemma 4.1", "n(n-1)/2 * H^2",
+         lambda p: None if p.c2 == comb(p.n, 2)
+         else f"{p.at}: {p.model.cycle(2, p.c2)}"),
+        (f"rank-n discriminant on {_PN}", "Lemma 4.1", "0",
+         lambda p: _mismatch(_at_rank(p.n, *p.pairing), 0, p.at)),
+        ("-(K + H) nef on P^n, n=2..12", "Lemma 4.1", "nef",
+         lambda p: None if is_nef_coeffs(p.model, p.c1)
+         else f"{p.at}: not nef"),
+    ))
 
 
 def lemma_4_4_suite() -> list[FixtureResult]:
-    bad = {key: [] for key in
-           ("table", "c2T", "logc1", "logc2", "c1sq", "disc2", "disc3",
-            "nef", "kd_c0", "kd_f")}
-    for m in range(1, 51):
-        model = hirzebruch(m)
-        C0, f = model.divisor(1, 0), model.divisor(0, 1)
-        if (chow.degree(C0 * C0), chow.degree(C0 * f),
-                chow.degree(f * f)) != (-m, 1, 0):
-            bad["table"].append(f"m={m}")
-        if tangent_chern(model).c2 != model.point(4):
-            bad["c2T"].append(f"m={m}: {tangent_chern(model).c2}")
-        pair = _hirzebruch_boundary(m)
-        chern = log_chern(pair)
-        c1, c2 = chern.c1, chern.c2
-        if c1 != model.divisor(0, 2):
-            bad["logc1"].append(f"m={m}: {c1}")
-        if c2 != model.point(0):
-            bad["logc2"].append(f"m={m}: {c2}")
-        if chow.degree(c1 * c1) != 0:
-            bad["c1sq"].append(f"m={m}")
-        H = model.divisor(1, m + 1)
-        for rank, key in ((2, "disc2"), (3, "disc3")):
-            value = discriminant(ChernData(rank, c1, c2), H)
-            if value != 0:
-                bad[key].append(f"m={m}: {value}")
-        if not is_nef(model, c1):
-            bad["nef"].append(f"m={m}")
-        k_plus_d = canonical_class(model) + pair.boundary()
-        if chow.degree(k_plus_d * C0) != -2:
-            bad["kd_c0"].append(f"m={m}: {chow.degree(k_plus_d * C0)}")
-        if chow.degree(k_plus_d * f) != 0:
-            bad["kd_f"].append(f"m={m}: {chow.degree(k_plus_d * f)}")
-    cite42, cite5 = "Lemma 4.4", "Section 5"
-    return [
-        _grid("intersection table C0^2, C0.f, f^2 on F_m, m=1..50",
-              "Section 4.2", "(-m, 1, 0)", bad["table"]),
-        _grid("c2 of the tangent bundle of F_m, m=1..50", cite42, "4",
-              bad["c2T"]),
-        _grid("log c1 on (F_m, C0+Cinf), m=1..50", cite42, "2f",
-              bad["logc1"]),
-        _grid("log c2 on (F_m, C0+Cinf), m=1..50", cite42, "0",
-              bad["logc2"]),
-        _grid("(2f)^2 on F_m, m=1..50", cite42, "0", bad["c1sq"]),
-        _grid("rank-2 discriminant on (F_m, C0+Cinf), m=1..50", cite42, "0",
-              bad["disc2"]),
-        _grid("rank-3 discriminant on (F_m, C0+Cinf), m=1..50", cite42, "0",
-              bad["disc3"]),
-        _grid("-(K + D) = 2f nef on F_m, m=1..50", cite42, "nef",
-              bad["nef"]),
-        _grid("(K + D).C0 on F_m, m=1..50", cite5, "-2", bad["kd_c0"]),
-        _grid("(K + D).f on F_m, m=1..50", cite5, "0", bad["kd_f"]),
-    ]
+    grid = list(map(_boundary_point, range(1, 51)))
+    return _suite(grid, (
+        ("intersection table C0^2, C0.f, f^2 on F_m, m=1..50",
+         "Section 4.2", "(-m, 1, 0)",
+         lambda p: None if (_deg(p.model, _C0, _C0), _deg(p.model, _C0, _F),
+                            _deg(p.model, _F, _F)) == (-p.m, 1, 0) else p.at),
+        ("c2 of the tangent bundle of F_m, m=1..50", "Lemma 4.4", "4",
+         lambda p: None if p.t2 == 4 else f"{p.at}: {p.model.point(p.t2)}"),
+        (f"log c1 on {_FM}", "Lemma 4.4", "2f",
+         lambda p: None if p.c1 == (0, 2)
+         else f"{p.at}: {p.model.divisor(*p.c1)}"),
+        (f"log c2 on {_FM}", "Lemma 4.4", "0",
+         lambda p: None if p.c2 == 0
+         else f"{p.at}: {p.model.cycle(2, p.c2)}"),
+        ("(2f)^2 on F_m, m=1..50", "Lemma 4.4", "0",
+         lambda p: None if _deg(p.model, p.c1, p.c1) == 0 else p.at),
+        (f"rank-2 discriminant on {_FM}", "Lemma 4.4", "0",
+         lambda p: _mismatch(_at_rank(2, *p.pairing), 0, p.at)),
+        (f"rank-3 discriminant on {_FM}", "Lemma 4.4", "0",
+         lambda p: _mismatch(_at_rank(3, *p.pairing), 0, p.at)),
+        ("-(K + D) = 2f nef on F_m, m=1..50", "Lemma 4.4", "nef",
+         lambda p: None if is_nef_coeffs(p.model, p.c1) else p.at),
+        ("(K + D).C0 on F_m, m=1..50", "Section 5", "-2",
+         lambda p: _mismatch(_deg(p.model, p.k_plus_d, _C0), -2, p.at)),
+        ("(K + D).f on F_m, m=1..50", "Section 5", "0",
+         lambda p: _mismatch(_deg(p.model, p.k_plus_d, _F), 0, p.at)),
+    ))
 
 
 def slope_suite() -> list[FixtureResult]:
-    bad = []
-    for n in range(2, 13):
-        for r in range(1, n + 1):
-            value = wedge_cotangent_slope(n, r)
-            if value != Fraction(-r * (n + 1), n):
-                bad.append(f"(n,r)=({n},{r}): {value}")
-    model = projective_space(3)
-    pair = pn_pair(3, [1])
-    log_slope = slope(model, -log_c1(pair), model.dim, model.divisor(1))
-    results = [
-        _grid("slope of wedge^r cotangent on P^n, n=2..12, r=1..n",
-              "Section 4.1", "-r(n+1)/n", bad),
-        FixtureResult("slope of Omega^1(log H) on P^3", "Section 4.1",
-                      "-1", str(log_slope), log_slope == -1),
-    ]
-    return results
+    grid = [SimpleNamespace(n=n, r=r, at=f"(n,r)=({n},{r})")
+            for n in range(2, 13) for r in range(1, n + 1)]
+    wedge = _suite(grid, (
+        ("slope of wedge^r cotangent on P^n, n=2..12, r=1..n",
+         "Section 4.1", "-r(n+1)/n",
+         lambda p: _mismatch(wedge_cotangent_slope(p.n, p.r),
+                             Fraction(-p.r * (p.n + 1), p.n), p.at)),
+    ))
+    return wedge + _suite([_log_point(pn_pair(3, [1]), "n=3")], (
+        ("slope of Omega^1(log H) on P^3", "Section 4.1", "-1",
+         lambda p: _mismatch(slope(p.model, -p.model.divisor(*p.c1),
+                                   p.model.dim, p.model.divisor(1)), -1)),
+    ))
 
 
 def remark_tuple_suite() -> list[FixtureResult]:
-    checks = [
-        ("(P^7, degrees (2,1,1)): rank n+1 equality",
-         check_equality_n_plus_1(pn_pair(7, [2, 1, 1]))),
-        ("(P^8, degrees (2,1,1,1)): rank n equality",
-         check_equality_n(pn_pair(8, [2, 1, 1, 1]))),
-        ("hypersurface (n,q,l)=(7,2,3): rank n+1 equality",
-         check_equality_n_plus_1(hypersurface_pair(7, 2, 3))),
-        ("hypersurface (n,q,l)=(8,2,4): rank n equality",
-         check_equality_n(hypersurface_pair(8, 2, 4))),
-    ]
-    return [FixtureResult(name, "Section 5 remark", "True", str(ok), ok)
-            for name, ok in checks]
+    pairs = (pn_pair(7, [2, 1, 1]), pn_pair(8, [2, 1, 1, 1]),
+             hypersurface_pair(7, 2, 3), hypersurface_pair(8, 2, 4))
+    # one point: the reports of the four pairs, in this order
+    return _suite([tuple(map(full_report, pairs))], (
+        ("(P^7, degrees (2,1,1)): rank n+1 equality", _S5, "True",
+         lambda r: _mismatch(r[0].equality_n_plus_1, True)),
+        ("(P^8, degrees (2,1,1,1)): rank n equality", _S5, "True",
+         lambda r: _mismatch(r[1].equality_n, True)),
+        ("hypersurface (n,q,l)=(7,2,3): rank n+1 equality", _S5, "True",
+         lambda r: _mismatch(r[2].equality_n_plus_1, True)),
+        ("hypersurface (n,q,l)=(8,2,4): rank n equality", _S5, "True",
+         lambda r: _mismatch(r[3].equality_n, True)),
+    ))
 
 
 def all_fixtures() -> list[FixtureResult]:

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logbg import chow
-from logbg.bg import (check_equality_n, check_equality_n_plus_1, discriminant,
-                      evaluate_pair, full_report)
+from logbg.bg import discriminant, evaluate_pair, full_report
 from logbg.chow import ChowError, CycleClass, GradeError, mul
 from logbg.cli import main
 from logbg.logchern import LogPair, hypersurface_pair, log_chern, pn_pair
@@ -222,24 +221,24 @@ class TestAgainstClassPipeline:
 class TestEqualityPredicates:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_hyperplane_pair_rank_n(self, n):
-        assert check_equality_n(pn_pair(n, [1]))
+        assert full_report(pn_pair(n, [1])).equality_n
 
     def test_remark_tuples(self):
-        assert check_equality_n_plus_1(pn_pair(7, [2, 1, 1]))
-        assert check_equality_n(pn_pair(8, [2, 1, 1, 1]))
+        assert full_report(pn_pair(7, [2, 1, 1])).equality_n_plus_1
+        assert full_report(pn_pair(8, [2, 1, 1, 1])).equality_n
 
     def test_p2_empty_divisor_rank_n_fails(self):
-        assert not check_equality_n(pn_pair(2, []))
+        assert not full_report(pn_pair(2, [])).equality_n
 
     @pytest.mark.parametrize("m", range(1, 51))
     def test_hirzebruch_boundary(self, m):
-        assert check_equality_n(hirzebruch_boundary(m))
+        assert full_report(hirzebruch_boundary(m)).equality_n
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_empty_divisor_rank_n_plus_1(self, n):
         # C(n+1,2) - n/(2(n+1)) * (n+1)^2 = 0 identically
         assert comb(n + 1, 2) - Fraction(n, 2 * (n + 1)) * (n + 1) ** 2 == 0
-        assert check_equality_n_plus_1(pn_pair(n, []))
+        assert full_report(pn_pair(n, [])).equality_n_plus_1
 
 
 class TestFullReport:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -19,6 +20,16 @@ HIRZEBRUCH_DOC = {
         {"label": "Cinf", "class": {"C0": 1, "f": 2}},
     ],
 }
+
+
+def mutate(monkeypatch, real, fake):
+    """Replace the function `real` in every logbg module that bound it,
+    as an edit of its source would."""
+    modules = [module for name, module in sys.modules.items()
+               if name == "logbg" or name.startswith("logbg.")]
+    for module in modules:
+        if getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, fake)
 
 
 def run_report(tmp_path, doc, fmt="records"):
@@ -430,6 +441,89 @@ class TestVerifyPaperCommand:
         assert failed[0].endswith("(Section 4.1)")
         total = len(lines) - 1
         assert lines[-1] == f"{total - 1}/{total} fixtures passed"
+
+    def test_fixtures_build_few_classes_and_no_products(self, cycle_calls,
+                                                        mul_calls):
+        # the rows compare integer coefficients: classes are built only
+        # for each grid point's pair and polarization and by the slopes
+        from logbg.fixtures import all_fixtures
+        all_fixtures()
+        assert len(cycle_calls) <= 400
+        assert len(mul_calls) == 0
+
+    # the rows that fail when log c2 on (F_m, C0 + C_inf) is 1, not 0
+    FM_LOG_C2_ONE = [
+        ("log c2 on (F_m, C0+Cinf), m=1..50", "0", "m=1: 1*pt; m=2: 1*pt; "
+         "m=3: 1*pt; m=4: 1*pt; ... (50 mismatches)", "Lemma 4.4"),
+        ("rank-2 discriminant on (F_m, C0+Cinf), m=1..50", "0",
+         "m=1: 1; m=2: 1; m=3: 1; m=4: 1; ... (50 mismatches)", "Lemma 4.4"),
+        ("rank-3 discriminant on (F_m, C0+Cinf), m=1..50", "0",
+         "m=1: 1; m=2: 1; m=3: 1; m=4: 1; ... (50 mismatches)", "Lemma 4.4"),
+    ]
+
+    def failed_rows(self, capsys):
+        """(name, expected, computed, citation) of each [FAIL] line of a
+        verify-paper run that exits 1."""
+        assert main(["verify-paper"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        rows = [re.fullmatch(r"\[FAIL\] (.+?) +expected (.+)  "
+                             r"computed (.+)  \((.+)\)", line).groups()
+                for line in lines if line.startswith("[FAIL]")]
+        total = len(lines) - 1
+        assert lines[-1] == f"{total - len(rows)}/{total} fixtures passed"
+        return rows
+
+    def test_wrong_c0_square_fails_its_rows(self, monkeypatch, capsys):
+        from logbg.models import AmbientModel
+        real = AmbientModel.intersect
+
+        def intersect(model, a, b):  # C0^2 = -(m + 1) on F_m
+            value = real(model, a, b)
+            return value - a[0] * b[0] if model.kind == "hirzebruch" else value
+
+        monkeypatch.setattr(AmbientModel, "intersect", intersect)
+        assert self.failed_rows(capsys) == [
+            ("intersection table C0^2, C0.f, f^2 on F_m, m=1..50",
+             "(-m, 1, 0)", "m=1; m=2; m=3; m=4; ... (50 mismatches)",
+             "Section 4.2"),
+        ] + self.FM_LOG_C2_ONE
+
+    def test_wrong_tangent_c2_fails_its_rows(self, monkeypatch, capsys):
+        from logbg import models
+        real = models.tangent_coefficients
+
+        def tangent_coefficients(model):  # c2(T) = 5 on F_m
+            c1, c2 = real(model)
+            return c1, c2 + 1 if model.kind == "hirzebruch" else c2
+
+        mutate(monkeypatch, real, tangent_coefficients)
+        assert self.failed_rows(capsys) == [
+            ("c2 of the tangent bundle of F_m, m=1..50", "4",
+             "m=1: 5*pt; m=2: 5*pt; m=3: 5*pt; m=4: 5*pt; ... "
+             "(50 mismatches)", "Lemma 4.4"),
+        ] + self.FM_LOG_C2_ONE
+
+    def test_wrong_pn_log_c2_fails_its_rows(self, monkeypatch, capsys):
+        from logbg import logchern
+        real = logchern._log_chern_coeffs
+
+        def log_chern_coeffs(pair):  # log c2 one too large on P^n
+            c1, c2 = real(pair)
+            return c1, c2 + 1 if pair.model.kind == "projective_space" else c2
+
+        mutate(monkeypatch, real, log_chern_coeffs)
+        assert self.failed_rows(capsys) == [
+            ("log c2 on (P^n, H), n=2..12", "n(n-1)/2 * H^2",
+             "n=2: 2*H^2; n=3: 4*H^2; n=4: 7*H^2; n=5: 11*H^2; ... "
+             "(11 mismatches)", "Lemma 4.1"),
+            ("rank-n discriminant on (P^n, H), n=2..12", "0",
+             "n=2: 1; n=3: 1; n=4: 1; n=5: 1; ... (11 mismatches)",
+             "Lemma 4.1"),
+            ("(P^7, degrees (2,1,1)): rank n+1 equality", "True", "False",
+             "Section 5 remark"),
+            ("(P^8, degrees (2,1,1,1)): rank n equality", "True", "False",
+             "Section 5 remark"),
+        ]
 
 
 class TestNefCommand:
