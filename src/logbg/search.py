@@ -2,25 +2,25 @@
 
 Two families: hypersurface arrangements of degrees d_1 >= ... >= d_l on
 P^n, and arrangements of l degree-1 sections on a degree-q hypersurface
-in P^{n+1}.  The search does not scan its box.  In both families, with
-t the c1 coefficient and B = q (q - 1) + sum d_i (d_i - 1) (q = 1 on
-P^n), rank-k equality is the integer quadratic t^2 - k t + k B = 0, so
-one root finder, _roots, serves both: on P^n it is solved at each
-B <= k / 4 and each root is spread over the partitions of B into pronic
-parts d (d - 1); on a hypersurface B = q (q - 1), which has real roots
-only while 4 q (q - 1) <= k, so the work at each n stops there however
-large the q box is.  Every root has 0 <= t <= k, so -(K + D) = t h is
-nef at every solution, and the nef filter never drops a case.
+in P^{n+1}.  The search does not scan its box.  In both families, with t
+the c1 coefficient and B = q (q - 1) + sum d_i (d_i - 1) (q = 1 on P^n),
+rank-k equality is the integer quadratic t^2 - k t + k B = 0, solved
+once per B from the divisors of B^2.  On P^n, B runs over 0..k_max / 4
+and each root is spread over the partitions of B into pronic parts
+d (d - 1), listed once per B; on a hypersurface B = q (q - 1) with
+4 B <= k_max, so the work is known before the run and does not grow with
+the q box.  Every root has 0 <= t <= k, so -(K + D) = t h is nef at
+every solution: the nef filter drops nothing.
 
-Both families share one pipeline.  A per-family generator in
-_SOLUTIONS yields the (q, partition, modes) solutions at one n;
-enumerate_cases re-evaluates each through the full cycle-arithmetic
-pipeline, so the emitted reports never depend on the solver, and sorts
-them once in canonical order.  The P^n screen reads the pronic parts and
-the count of ones, and pn_pair and hypersurface_pair build each pair
-from runs of equal classes, so building and verifying a case costs
-O(distinct classes), not O(l); the pair's components are built only if
-read, and only the emitted partition lists every part.
+Both families share one pipeline.  A per-family generator in _SOLUTIONS
+yields the (n, q, partition, modes) solutions in the box;
+enumerate_cases re-evaluates each, in canonical order, through the full
+cycle-arithmetic pipeline, so the emitted reports never depend on the
+solver.  The P^n screen reads the pronic parts and the count of ones,
+and pn_pair and hypersurface_pair build each pair from runs of equal
+classes, so building and verifying a case costs O(distinct classes), not
+O(l); the pair's components are built only if read, and only the emitted
+partition lists every part.
 """
 
 from __future__ import annotations
@@ -120,13 +120,18 @@ class EqualityCase(Value):
 # at k = n for mode "n" and k = n + 1 for mode "n1".  Each family fixes
 # one term of B: P^n has q = 1, so B is a sum of pronic numbers d (d - 1)
 # over the parts d >= 2; the hypersurface family has l degree-1
-# components (s = p2 = l), so B = q (q - 1).  The search solves for t.
+# components (s = p2 = l), so B = q (q - 1).
+#
+# Each B is solved for (k, t).  At B = 0 the roots are t = 0 and t = k at
+# every k.  At B > 0, k (t - B) = t^2 forces t > B, and u = t - B divides
+# (u + B)^2, hence B^2: the roots are t = u + B at k = u + 2 B + B^2 / u
+# for the divisors u of B^2, up to the box's largest rank k_max.
 #
 # The roots sum to k and multiply to k B >= 0, so 0 <= t <= k and
-# B = t (k - t) / k <= k / 4: no B past k // 4, and no q with
-# (2q - 1)^2 > k + 1, that is past (isqrt(k + 1) + 1) // 2, has a real
-# root.  As t >= 0, -(K + D) = t h is nef at every solution, so the nef
-# filter never drops a case.  Every root fits a case.  On P^n,
+# B = t (k - t) / k <= k / 4: no B past k_max // 4, and no q with
+# (2q - 1)^2 > k_max + 1, that is past (isqrt(k_max + 1) + 1) // 2, has a
+# real root.  As t >= 0, -(K + D) = t h is nef at every solution, so the
+# nef filter never drops a case.  Every root fits a case.  On P^n,
 # s = n + 1 - t >= k - t >= t (k - t) / k = B >= sum d over the pronic
 # parts, so the ones that pad them to s never number below 0.  On a
 # hypersurface the smaller root is k B / (larger) >= B, so t <= k - B and
@@ -161,23 +166,32 @@ def report_modes(report: BGReport) -> tuple[str, ...]:
     return tuple(modes)
 
 
-def _ranks(n: int, mode: str) -> tuple[int, ...]:
-    return {"n": (n,), "n1": (n + 1,), "either": (n, n + 1)}[mode]
+def _square_divisors(B: int) -> list[int]:
+    """The divisors of B^2, B >= 1, from the prime factors of B."""
+    divisors, p, rest = [1], 2, B
+    while p * p <= rest:
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        divisors = [d * p ** i for d in divisors for i in range(2 * e + 1)]
+        p += 1
+    if rest > 1:
+        divisors = [d * rest ** i for d in divisors for i in range(3)]
+    return divisors
 
 
-def _roots(k: int, B: int) -> tuple[int, ...]:
-    """The integers t with t^2 - k t + k B = 0."""
-    disc = k * k - 4 * k * B
-    root = isqrt(max(disc, 0))
-    if root * root != disc:
-        return ()
-    # root = k mod 2, as root^2 = k^2 mod 4
-    return (k - root) // 2, (k + root) // 2
-
-
-def _c1_roots(ranks: tuple[int, ...], B: int) -> set[int]:
-    """The c1 coefficients t where some rank in `ranks` meets equality."""
-    return {t for k in ranks for t in _roots(k, B)}
+def _solve(config: SearchConfig, B: int) -> set[tuple[int, int]]:
+    """The (n, t) with n in the box and t^2 - k t + k B = 0 at a rank k of
+    the mode: k = n for "n", k = n + 1 for "n1", either for "either"."""
+    if B:
+        roots = [(u + 2 * B + B * B // u, u + B) for u in _square_divisors(B)]
+    else:
+        roots = [(k, t) for k in range(config.n_min, config.n_max + 2)
+                 for t in (0, k)]
+    shifts = {"n": (0,), "n1": (1,), "either": (0, 1)}[config.mode]
+    return {(k - shift, t) for k, t in roots for shift in shifts
+            if config.n_min <= k - shift <= config.n_max}
 
 
 def _pronic_partitions(B: int, largest: int):
@@ -196,60 +210,59 @@ def _verified_case(family: str, n: int, q: int, partition: tuple[int, ...],
     pair = (pn_pair(n, partition) if family == "pn"
             else hypersurface_pair(n, q, len(partition)))
     report = full_report(pair)
+    if report_modes(report) == modes and report.minus_k_plus_d_nef:
+        return EqualityCase(family, n, q, partition, modes, report)
     where = f"({family}, n={n}, q={q}, partition={partition})"
     if report_modes(report) != modes:
         raise VerificationError(
             f"closed form gives modes {modes} but full_report gives "
             f"{report_modes(report)} on {where}")
-    if not report.minus_k_plus_d_nef:
-        raise VerificationError(
-            f"full_report gives -(K+D) not nef on {where}, but every "
-            "solution has t >= 0")
-    return EqualityCase(family, n, q, partition, modes, report)
+    raise VerificationError(
+        f"full_report gives -(K+D) not nef on {where}, but every "
+        "solution has t >= 0")
 
 
-def _pn_solutions(config: SearchConfig, n: int):
-    """(q, partition, modes) of each P^n case at dimension n: the pronic
-    parts of each B, padded with ones to s = n + 1 - t."""
-    ranks = _ranks(n, config.mode)
-    for B in range(max(ranks) // 4 + 1):
-        for t in _c1_roots(ranks, B):
+def _pn_solutions(config: SearchConfig):
+    """(n, q, partition, modes) of each P^n case: the pronic parts of each
+    B, listed once, padded with ones to s = n + 1 - t."""
+    for B in range((config.n_max + (config.mode != "n")) // 4 + 1):
+        partitions = list(_pronic_partitions(B, B))
+        for n, t in _solve(config, B):
             s = n + 1 - t
             if config.s_max is not None and s > config.s_max:
                 continue
-            for parts in _pronic_partitions(B, B):
+            for parts in partitions:
                 ones = s - sum(parts)
                 if config.exclude_trivial and not parts and ones <= 1:
                     continue
-                yield 1, parts + (1,) * ones, pn_modes_closed_form(
+                yield n, 1, parts + (1,) * ones, pn_modes_closed_form(
                     n, parts, ones)
 
 
-def _hyp_solutions(config: SearchConfig, n: int):
-    """(q, partition, modes) of each hypersurface case at dimension n: l
-    degree-1 components with l = n + 2 - q - t at B = q (q - 1)."""
-    ranks = _ranks(n, config.mode)
+def _hyp_solutions(config: SearchConfig):
+    """(n, q, partition, modes) of each hypersurface case: l degree-1
+    components with l = n + 2 - q - t at B = q (q - 1)."""
+    k_max = config.n_max + (config.mode != "n")
     for q in range(config.q_min,
-                   min(config.q_max, (isqrt(max(ranks) + 1) + 1) // 2) + 1):
-        for t in _c1_roots(ranks, q * (q - 1)):
+                   min(config.q_max, (isqrt(k_max + 1) + 1) // 2) + 1):
+        for n, t in _solve(config, q * (q - 1)):
             l = n + 2 - q - t
             if ((config.s_max is not None and l > config.s_max)
                     or (config.exclude_trivial and l == 0)):
                 continue
-            yield q, (1,) * l, hyp_modes_closed_form(n, q, l)
+            yield n, q, (1,) * l, hyp_modes_closed_form(n, q, l)
 
 
 _SOLUTIONS = {"pn": _pn_solutions, "hypersurface": _hyp_solutions}
 
 
 def enumerate_cases(config: SearchConfig) -> list[EqualityCase]:
-    """The verified cases in the box, in canonical order."""
-    solutions = _SOLUTIONS[config.family]
-    cases = [_verified_case(config.family, n, q, partition, modes)
-             for n in range(config.n_min, config.n_max + 1)
-             for q, partition, modes in solutions(config, n)]
-    cases.sort(key=EqualityCase.key)
-    return cases
+    """The verified cases in the box, in canonical order, which is also
+    the order they are verified in: a failure names the first."""
+    solutions = sorted(_SOLUTIONS[config.family](config),
+                       key=lambda s: (s[0], s[1], len(s[2]), s[2]))
+    return [_verified_case(config.family, *solution)
+            for solution in solutions]
 
 
 DEFAULT_BOUNDS = {

@@ -270,7 +270,9 @@ def case_record(case: EqualityCase, echoes: Echoes) -> str:
     report's fields, keys sorted, no spaces."""
     report = case.report
     modes = ",".join(map(encode_basestring_ascii, case.modes))
-    partition = ",".join(map(str, case.partition))
+    ones = case.partition.count(1)  # a suffix, as parts never increase
+    head = map(str, case.partition[:len(case.partition) - ones])
+    partition = (",".join(head) + ",1" * ones).lstrip(",")
     return (f'{{"bounds":{echoes.bounds},{_report_head(report)},'
             f'"family":{encode_basestring_ascii(case.family)},'
             f'"minus_k_plus_d_nef":{_bool(report.minus_k_plus_d_nef)},'

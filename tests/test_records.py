@@ -13,9 +13,12 @@ import records
 from logbg import __version__
 from logbg.bg import full_report
 from logbg.cli import main
+from logbg.logchern import pn_pair
 from logbg.models import default_polarization
-from logbg.search import SearchConfig, enumerate_cases
-from logbg.serialize import parse_document
+from logbg.search import (EqualityCase, SearchConfig, enumerate_cases,
+                          report_modes)
+from logbg.serialize import (Echoes, bounds_fields, case_record,
+                             parse_document)
 
 # every code point, lone surrogates included
 labels = st.text(st.characters(exclude_categories=()), max_size=6)
@@ -102,3 +105,15 @@ def test_enumerate_lines_match_reference(argv, fields):
     expected.append(records.dump(records.summary_record(config, len(cases))))
     assert run(["enumerate", "--format", "records", "--family", *argv]) == \
         expected
+
+
+# case_record writes the trailing ones of a partition by string repeat
+@pytest.mark.parametrize("partition", [
+    (), (1,), (1,) * 9, (4,), (3, 2, 2), (2, 1, 1), (5, 3, 1) + (1,) * 30])
+def test_case_partition_matches_reference(partition):
+    config = SearchConfig(family="pn", n_min=2, n_max=12,
+                          exclude_trivial=False)
+    report = full_report(pn_pair(12, partition))
+    case = EqualityCase("pn", 12, 1, partition, report_modes(report), report)
+    assert case_record(case, Echoes(bounds_fields(config))) == \
+        records.dump(records.case_record(case, config, __version__))

@@ -1,5 +1,5 @@
+import itertools
 import json
-from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -263,17 +263,103 @@ class TestSolverMatchesDirectPipeline:
             config, n, 1, partitions_with_sum_at_most(s_max))
 
 
+@pytest.fixture
+def divisor_calls(monkeypatch):
+    """The B of each call of the solver's divisor list, in call order."""
+    calls = []
+    divisors = search._square_divisors
+    monkeypatch.setattr(search, "_square_divisors",
+                        lambda B: calls.append(B) or divisors(B))
+    return calls
+
+
+def pronic_partitions(B, largest):
+    """Non-increasing tuples of parts d in [2, largest] with
+    sum d (d - 1) = B."""
+    if B == 0:
+        yield ()
+        return
+    for d in range(2, largest + 1):
+        if d * (d - 1) <= B:
+            for rest in pronic_partitions(B - d * (d - 1), d):
+                yield (d,) + rest
+
+
+def quadratic_cases(config):
+    """{(n, q, partition, modes)} of every case in `config`, from t^2 - k t
+    + k B = 0 checked at each n for every t in 0..k; no solver helper
+    from logbg.search takes part."""
+    trivial = ((), (1,)) if config.family == "pn" else ((),)
+    cases = set()
+    for n in range(config.n_min, config.n_max + 1):
+        ranks = {"n": (n,), "n1": (n + 1,), "either": (n, n + 1)}
+        for k in ranks[config.mode]:
+            for t in range(k + 1):
+                if config.family == "pn":
+                    # B = t (k - t) / k makes the quadratic vanish
+                    if t * (k - t) % k:
+                        continue
+                    B = t * (k - t) // k
+                    points = [(1, parts, n + 1 - t - sum(parts))
+                              for parts in pronic_partitions(B, B)]
+                else:
+                    points = [(q, (), n + 2 - q - t)
+                              for q in range(config.q_min, config.q_max + 1)
+                              if t * t - k * t + k * q * (q - 1) == 0]
+                for q, parts, ones in points:
+                    B = q * (q - 1) + sum(d * (d - 1) for d in parts)
+                    partition = parts + (1,) * ones
+                    if (ones < 0 or (config.s_max is not None
+                                     and sum(partition) > config.s_max)
+                            or (config.exclude_trivial
+                                and partition in trivial)):
+                        continue
+                    modes = tuple(
+                        mode for mode, rank in (("n", n), ("n1", n + 1))
+                        if t * t - rank * t + rank * B == 0)
+                    cases.add((n, q, partition, modes))
+    return cases
+
+
+# six dimension ranges and, on hypersurfaces, six degree ranges
+N_RANGES = [(2, 2), (2, 12), (7, 20), (20, 31), (29, 48), (44, 64)]
+Q_RANGES = [(1, 1), (1, 3), (2, 2), (2, 7), (3, 5), (1, 40)]
+
+
+class TestSolverMatchesQuadratic:
+    @pytest.mark.parametrize("s_max", [None, 1, 3, 7])
+    @pytest.mark.parametrize("exclude_trivial", [True, False])
+    @pytest.mark.parametrize("mode", ["n", "n1", "either"])
+    @pytest.mark.parametrize("family", ["pn", "hypersurface"])
+    def test_grid(self, family, mode, exclude_trivial, s_max):
+        q_ranges = Q_RANGES if family == "hypersurface" else [(2, None)]
+        for (n_min, n_max), (q_min, q_max) in itertools.product(N_RANGES,
+                                                               q_ranges):
+            config = SearchConfig(family, n_min, n_max, mode=mode,
+                                  exclude_trivial=exclude_trivial,
+                                  s_max=s_max, q_min=q_min, q_max=q_max)
+            # in canonical order, each case once
+            assert solved(enumerate_cases(config)) == sorted(
+                quadratic_cases(config),
+                key=lambda c: (c[0], c[1], len(c[2]), c[2]))
+
+
 class TestHypersurfaceBound:
     """Past q = (isqrt(k + 1) + 1) // 2, with k the mode's largest rank, no
     rank has a real root of t^2 - k t + k q (q - 1) = 0, so the solver's q
     loop stops there."""
 
     @pytest.mark.parametrize("mode", ["n", "n1", "either"])
-    def test_q_top_is_the_last_q_with_real_roots(self, mode):
+    def test_q_top_is_the_last_q_with_real_roots(self, divisor_calls, mode):
         for n in range(2, 400):
-            k = max(search._ranks(n, mode))
-            q = (isqrt(k + 1) + 1) // 2
-            assert 4 * q * (q - 1) <= k < 4 * (q + 1) * q
+            k = n + (mode != "n")
+            divisor_calls.clear()
+            list(search._hyp_solutions(hyp_config(
+                n_min=n, n_max=n, q_min=1, q_max=10 ** 6, mode=mode)))
+            q_top = len(divisor_calls) + 1
+            assert divisor_calls == [q * (q - 1)
+                                     for q in range(2, q_top + 1)]
+            assert 4 * q_top * (q_top - 1) <= k < 4 * (q_top + 1) * q_top
 
     # each example sends up to 904 pairs through full_report
     @settings(deadline=None, max_examples=10)
@@ -300,30 +386,22 @@ class TestHypersurfaceBound:
         assert solved(enumerate_cases(config)) == \
             solved(enumerate_cases(unfiltered))
 
-    @staticmethod
-    def solver_points(monkeypatch, config):
-        points = []
-        solve = search._roots
+    def test_default_box_work(self, divisor_calls):
+        # one divisor list per admissible B = q (q - 1), q = 2..6
+        assert len(enumerate_cases(DEFAULT_BOUNDS["hypersurface"])) == 98
+        assert divisor_calls == [2, 6, 12, 20, 30]
 
-        def counting(k, B):
-            points.append((k, B))
-            return solve(k, B)
-
-        monkeypatch.setattr(search, "_roots", counting)
-        return enumerate_cases(config), points
-
-    def test_default_box_work(self, monkeypatch):
-        # one _roots call per rank (n and n + 1) at each of 530 (n, q)
-        cases, points = self.solver_points(monkeypatch,
-                                           DEFAULT_BOUNDS["hypersurface"])
-        assert len(cases) == 98
-        assert len(points) == 1060
-
-    def test_work_does_not_grow_with_q_max(self, monkeypatch):
+    def test_work_does_not_grow_with_q_max(self, divisor_calls):
         config = hyp_config(n_max=3, q_max=3_000_000, require_nef=False)
-        cases, points = self.solver_points(monkeypatch, config)
-        assert cases == []
-        assert len(points) <= 4
+        assert enumerate_cases(config) == []
+        assert divisor_calls == []
+
+
+class TestPnSolverWork:
+    def test_default_box_work(self, divisor_calls):
+        # one divisor list per B = 1..31 // 4; B = 0 needs none
+        assert len(enumerate_cases(DEFAULT_BOUNDS["pn"])) == 65
+        assert divisor_calls == [1, 2, 3, 4, 5, 6, 7]
 
 
 class TestPnNefFilter:
@@ -372,3 +450,15 @@ class TestVerificationFailure:
                             lambda n, q, l: ("n", "n1"))
         with pytest.raises(VerificationError, match="hypersurface, n=7, q=2"):
             enumerate_cases(hyp_config(n_min=7, n_max=7))
+
+    @pytest.mark.parametrize("family, closed_form, q_max, where", [
+        ("pn", "pn_modes_closed_form", None, "(pn, n=7, q=1, "),
+        ("hypersurface", "hyp_modes_closed_form", 20,
+         "(hypersurface, n=7, q=2, ")])
+    def test_error_names_the_smallest_n(self, monkeypatch, family,
+                                        closed_form, q_max, where):
+        # no case has no modes, so every case in the box disagrees
+        monkeypatch.setattr(search, closed_form, lambda *args: ())
+        with pytest.raises(VerificationError) as error:
+            enumerate_cases(SearchConfig(family, 7, 20, q_max=q_max))
+        assert where in str(error.value)
