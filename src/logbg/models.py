@@ -223,10 +223,10 @@ def is_prime_class(model: AmbientModel, cls: CycleClass) -> bool:
     and aC0 + bf with a >= 1, b >= am (Hartshorne, Algebraic Geometry,
     V.2.18); on the Picard-rank-one models, the positive multiples of the
     generator."""
-    coeffs = cls.coeffs
-    if any(c.denominator != 1 for c in coeffs):
-        return False
     if model.kind == "hirzebruch":
-        a, b = coeffs
+        a, b = cls.coeffs
+        if a.denominator != 1 or b.denominator != 1:
+            return False
         return (a, b) in ((1, 0), (0, 1)) or (a >= 1 and b >= a * model.m)
-    return coeffs[0] >= 1
+    c, = cls.coeffs
+    return c.denominator == 1 and c >= 1

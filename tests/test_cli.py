@@ -609,3 +609,61 @@ class TestEntryPoint:
                           "projective_space", "--n", "7", "--divisor", "4")
         assert proc.returncode == 0
         assert "nef" in proc.stdout
+
+    def test_parser_built_once_per_process(self):
+        """Import builds no parser, and three main() calls build one
+        parser's worth: the top-level parser and its four subparsers."""
+        proc = run_python("-c", "\n".join([
+            "import argparse, contextlib, io",
+            "built = []",
+            "real_init = argparse.ArgumentParser.__init__",
+            "def counting_init(self, *args, **kwargs):",
+            "    built.append(1)",
+            "    real_init(self, *args, **kwargs)",
+            "argparse.ArgumentParser.__init__ = counting_init",
+            "import logbg.cli",
+            "print(len(built))",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    for _ in range(3):",
+            "        logbg.cli.main(['nef', '--kind', 'projective_space',",
+            "                        '--n', '3', '--divisor', '1'])",
+            "print(len(built))",
+            "del built[:]",
+            "logbg.cli.build_parser()",
+            "print(len(built))"]))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "5", "5"]
+
+    # main() may run many commands in one process; no call may leak into
+    # the next
+
+    def test_nef_flag_does_not_carry_over(self, capsys):
+        box = ["enumerate", "--family", "pn", "--n", "2..12"]
+        assert main([*box, "--no-nef"]) == 0
+        assert capsys.readouterr().out.endswith(", no nef filter\n")
+        assert main(box) == 0
+        assert capsys.readouterr().out.endswith(", -(K+D) nef required\n")
+
+    def test_usage_error_leaves_next_command_unchanged(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(REPEATED_DOCUMENT))
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate"])  # --family is required
+        assert exc.value.code == 2
+        assert "--family" in capsys.readouterr().err
+        assert main(["report", str(path), "--format", "records"]) == 0
+        fresh = run_python("-m", "logbg.cli", "report", str(path),
+                           "--format", "records")
+        assert fresh.returncode == 0, fresh.stderr
+        assert capsys.readouterr().out == fresh.stdout
+
+    def test_help_twice(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert "verify-paper" in texts[0]

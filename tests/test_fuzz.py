@@ -1,12 +1,16 @@
-"""Fuzz gate for the `report` and `nef` commands: whatever the input,
-a run exits 0 with its output, or 2 with one `error:` line on stderr and
-nothing on stdout, never a traceback.
+"""Fuzz gate for the `report`, `nef` and `enumerate` commands: whatever
+the input, a run exits 0 with its output, or 2 with nothing on stdout,
+never a traceback.  An exit 2 from logbg's own checks leaves one
+`error:` line on stderr; one from argparse leaves its usage text.
 
 `report` writes each pair as it goes, so the one exit 2 that follows
 output is the documented one: a later pair whose report holds an integer
 past the interpreter's digit limit for printing, after the lines of the
-pairs before it.  `enumerate` is left out: its work is not yet bounded
-before it starts.
+pairs before it.
+
+Every test runs its examples through main() in one process, so each also
+runs a few hundred commands, usage errors among them, on the one parser
+that main() keeps.
 """
 
 import contextlib
@@ -19,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from logbg.cli import main
 from logbg.models import FAMILIES
+from logbg.search import DEFAULT_BOUNDS, MODES
 
 # ints of every size up to 3,000 digits: a document's json.dumps stays
 # under the interpreter's 4,300-digit limit, and a 2,200-digit n or
@@ -93,13 +98,17 @@ def documents(draw):
 
 
 def run(argv, stdin=b""):
-    """(exit code, stdout, stderr) of main(argv) with `stdin` as input."""
+    """(exit code, stdout, stderr) of main(argv) with `stdin` as input;
+    argparse's usage errors end in SystemExit(2)."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.TextIOWrapper(io.BytesIO(stdin))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
@@ -162,3 +171,69 @@ def test_nef_exits_0_or_2(argv):
     else:
         assert out == ""
         assert_one_error_line(err)
+
+
+# range endpoints: small, or past sys.maxsize (never between about 10^9
+# and 2^63, where a case's partition would be a tuple of n ones)
+endpoint = st.integers(-1, 40) | st.integers(10 ** 19, 10 ** 40)
+box = st.lists(st.integers(-1, 40), min_size=2, max_size=2).map(
+    lambda ab: "{}..{}".format(*sorted(ab)))
+bad_values = st.one_of(
+    st.tuples(endpoint, endpoint).map(lambda ab: f"{ab[0]}..{ab[1]}"),
+    endpoint.map(str),
+    st.sampled_from(["", "..", "3..", "..9", "1_0", "2..1_0", " 3", "+2",
+                     "\u0663", "\uff12..\uff15", "x"]))
+
+
+@st.composite
+def enumerate_arguments(draw):
+    """A family, mode, --n and --q box (n and q from -1 to 40), nef flag,
+    trivial filter, --s-max, format and worker count, with up to two
+    edits that drop an option, give one a bad value (an empty, reversed,
+    huge or malformed range, a non-ASCII digit, no choice) or add a flag
+    that another excludes."""
+    family = draw(st.sampled_from(sorted(DEFAULT_BOUNDS)))
+    options = {"--family": family, "--mode": draw(st.sampled_from(MODES)),
+               "--n": draw(box),
+               "--format": draw(st.sampled_from(["table", "records"]))}
+    if family == "hypersurface":
+        options["--q"] = draw(box)
+    for name, values in (("--s-max", st.integers(1, 9)),
+                         ("--workers", st.integers(1, 3))):
+        if draw(st.booleans()):
+            options[name] = str(draw(values))
+    flags = draw(st.sampled_from([[], ["--nef"], ["--no-nef"]]))
+    if draw(st.booleans()):
+        flags.append("--include-trivial")
+    names = ["--family", "--mode", "--n", "--q", "--s-max", "--workers",
+             "--format"]
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["drop", "bad", "nef"]))
+        if edit == "nef":
+            flags = ["--nef", "--no-nef"]
+        elif edit == "drop" and options:
+            del options[draw(st.sampled_from(sorted(options)))]
+        else:
+            options[draw(st.sampled_from(names))] = draw(bad_values)
+    return (["enumerate"] + [f"{name}={value}"
+                             for name, value in options.items()] + flags)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(enumerate_arguments())
+def test_enumerate_exits_0_or_2(argv):
+    code, out, err = run(argv)
+    assert code in (0, 2), (code, err)
+    assert "Traceback" not in err, err
+    if code == 2:
+        assert out == ""
+        if not err.startswith("usage: logbg enumerate "):
+            assert_one_error_line(err)
+        return
+    assert err == ""
+    lines = out.splitlines()
+    if "--format=records" in argv:
+        count = json.loads(lines[-1])["summary"]["count"]
+    else:
+        count = int(re.match(r"found (\d+) equality case", lines[-1])[1])
+    assert len(lines) == count + 1, out

@@ -6,8 +6,8 @@ import pytest
 from logbg.chow import ChowError, GradeError
 from logbg.models import (ChernData, c_infinity, canonical_class,
                           default_polarization, hirzebruch, hypersurface,
-                          is_c_infinity, is_nef, projective_space,
-                          tangent_chern)
+                          is_c_infinity, is_nef, is_prime_class,
+                          projective_space, tangent_chern)
 
 
 def tangent_series_oracle(n, q):
@@ -214,3 +214,40 @@ class TestCInfinity:
                 assert not is_c_infinity(model.divisor(a, b))
             assert not is_c_infinity(model.cycle(2, 1))
         assert not is_c_infinity(projective_space(3).divisor(1))
+
+
+class Int(int):
+    """An int subclass, which CycleClass keeps as it is."""
+
+
+HALF = Fraction(1, 2)
+
+
+class TestIsPrimeClass:
+    def test_hirzebruch_table(self):
+        # Hartshorne V.2.18: the prime divisors of F_m have class C0, f,
+        # or a C0 + b f with a >= 1 and b >= a m
+        for m in range(1, 5):
+            model = hirzebruch(m)
+            for a in range(-2, 4):
+                for b in range(-2, 3 * m + 3):
+                    prime = (a, b) in ((1, 0), (0, 1)) or (a >= 1
+                                                           and b >= a * m)
+                    assert is_prime_class(model, model.divisor(a, b)) \
+                        is prime, (m, a, b)
+                    assert is_prime_class(
+                        model, model.divisor(Int(a), Int(b))) is prime
+                    for coeffs in ((a + HALF, b), (a, b + HALF),
+                                   (a + HALF, b + HALF)):
+                        assert not is_prime_class(
+                            model, model.divisor(*coeffs)), (m, coeffs)
+
+    @pytest.mark.parametrize("model", [
+        projective_space(2), projective_space(7), hypersurface(3, 2),
+        hypersurface(5, 4)], ids=["P2", "P7", "X2_in_P4", "X4_in_P6"])
+    def test_picard_rank_one_table(self, model):
+        # the positive multiples of the generator
+        for c in range(-2, 4):
+            assert is_prime_class(model, model.divisor(c)) is (c >= 1), c
+            assert is_prime_class(model, model.divisor(Int(c))) is (c >= 1)
+            assert not is_prime_class(model, model.divisor(c + HALF)), c
