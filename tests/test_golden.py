@@ -6,8 +6,10 @@ its stdout, and its exit code, with tests/golden.json.  The digests pin
 filter, single modes with trivial cases kept, an unfiltered
 hypersurface box out to q = 400, and wide boxes: P^n to n = 100 and,
 unfiltered in mode n with trivial cases, to n = 40, hypersurfaces to
-n = 220 and q = 400, and --s-max caps on both families with and
-without the nef filter, --workers 2 on the default hypersurface box,
+n = 220 and q = 400, one-n P^n boxes at n = 400, whose long partitions
+have many runs, with and without --s-max 60, and --s-max caps on both
+families with and without the nef filter, --workers 2 on the default
+hypersurface box,
 which must match its --workers 1 digest, a rejected --workers 0, and a
 rejected n = 10^20 - 1, past any partition length),
 `verify-paper`, `report`
@@ -180,6 +182,11 @@ CASES = {
         "--include-trivial", "--format", "records"),
     "enum-pn-wide-records": ENUM + ("pn", "--n", "2..100", "--format",
                                     "records"),
+    "enum-pn-one-n-records": ENUM + ("pn", "--n", "400..400", "--format",
+                                     "records"),
+    "enum-pn-one-n-s-max-records": ENUM + ("pn", "--n", "400..400",
+                                           "--s-max", "60", "--format",
+                                           "records"),
     "enum-pn-no-nef-mode-n-trivial-records": ENUM + (
         "pn", "--n", "2..40", "--mode", "n", "--no-nef",
         "--include-trivial", "--format", "records"),
