@@ -59,9 +59,10 @@ def _pairing(model: AmbientModel, c1: tuple[Scalar, ...], c2: Scalar,
     types match chow.pair_with_polarization of chow.mul's classes: c1.c1
     is an int where integral, and the factors multiply in the same order."""
     q = model.q
-    c1_sq = _int_or_fraction(model.intersect(c1, c1))
+    c1_sq = model.intersect(c1, c1)
+    c1_sq = c1_sq if type(c1_sq) is int else _int_or_fraction(c1_sq)
     if len(H.coeffs) == 1:
-        hk = H.coeffs[0] ** (model.dim - 2)
+        hk = H.coeffs[0] ** (model.n - 2)
         return q * c1_sq * hk, q * c2 * hk
     return q * c1_sq, q * c2
 
@@ -87,7 +88,7 @@ def full_report(pair: LogPair, H: CycleClass | None = None) -> BGReport:
     _check_polarization(H, model)
     c1, c2 = _log_chern_coeffs(pair)
     c1_sq, c2_eval = _pairing(model, c1, c2, H)
-    n = model.dim
+    n = model.n
     value = _at_rank(n, c1_sq, c2_eval)
     # rank n + 1: _at_rank(n + 1, ...) == 0 without a Fraction; c1 = -(K+D)
     return BGReport(n, c1_sq, c2_eval, value, value == 0,

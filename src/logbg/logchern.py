@@ -13,6 +13,9 @@ D^2 = sum_i D_i^2 mod 2 and the halving is exact.
 The rank-(n+1) extension of T_X(-log D) by the trivial sheaf shares
 its c1 and c2 for every extension class, so no extension class appears
 in the API: bg reads the same c1 and c2 at rank n+1.
+
+_log_chern_coeffs reads both in one pass over a pair's distinct classes;
+the search builds each P^n pair from its partition's runs by _pn_pair.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, count, groupby, repeat
 from math import comb
-from operator import index
+from operator import index, sub
 
 from . import chow
 from .chow import ChowError, CycleClass, GradeError, Value, _set
@@ -40,7 +43,7 @@ class LogPair(Value):
     names the first offending label, and `groups` holds each distinct
     object's integer coefficients with its multiplicity, in order of
     first occurrence.  The constructor hands over its explicit
-    components as runs of one; pn_pair and hypersurface_pair hand over
+    components as runs of one; _pn_pair and hypersurface_pair hand over
     runs of equal degrees, so building and verifying a search pair costs
     O(distinct classes), and its `components`, labeled D1..Dl, is built
     when first read.  Only model and components take part in equality,
@@ -124,26 +127,29 @@ def _groups(model: AmbientModel, runs, label_of) -> tuple:
                 f"component {label_of(j)!r} = {cls} is not an effective "
                 "prime-divisor class on this model")
         counts[id(cls)] = [cls, k]
-    return tuple((cls.coeffs, k) for cls, k in counts.values())
+    return tuple([(cls.coeffs, k) for cls, k in counts.values()])
 
 
 def pn_pair(n: int, degrees) -> LogPair:
     """Convenience: (P^n, D) with D_i of the given degrees, labeled
-    D1..Dl; one class per distinct integer degree and one run per stretch
-    of equal degrees, so its cost beyond one C-level pass over `degrees`
-    depends on the runs, not on l."""
+    D1..Dl; one run per stretch of equal degrees, so its cost beyond one
+    C-level pass over `degrees` depends on the runs, not on l."""
+    # True and 1.0 equal 1, so a run also keys on the type: they never
+    # share a run with an int
+    return _pn_pair(n, tuple((d, len(list(run))) for (_, d), run
+                             in groupby(zip(map(type, degrees), degrees))))
+
+
+def _pn_pair(n: int, runs: tuple[tuple[int, int], ...]) -> LogPair:
+    """(P^n, D) from runs ((degree, multiplicity), ...), one class per
+    distinct degree; model.divisor sees, and rejects, each True or 1.0."""
     model = projective_space(n)
-    degrees = tuple(degrees)
-    # True and 1.0 equal 1, so they must not share a class or a run with
-    # it: any degree that is not an int gets its own run, and
-    # model.divisor rejects it
-    if set(map(type, degrees)) <= {int}:
-        classes = {d: model.divisor(d) for d in set(degrees)}
-        runs = tuple((classes[d], len(list(run)))
-                     for d, run in groupby(degrees))
-    else:
-        runs = tuple((model.divisor(d), 1) for d in degrees)
-    return LogPair._from_runs(model, runs)
+    classes, class_runs = {}, []
+    for d, k in runs:
+        if type(d) is not int or d not in classes:
+            classes[d] = model.divisor(d)
+        class_runs.append((classes[d], k))
+    return LogPair._from_runs(model, tuple(class_runs))
 
 
 def hypersurface_pair(n: int, q: int, l: int) -> LogPair:
@@ -173,16 +179,27 @@ def log_chern(pair: LogPair) -> ChernData:
 
 def _log_chern_coeffs(pair: LogPair) -> tuple[tuple[int, ...], int]:
     """Integer coefficients of log c1 and log c2, with no class built and
-    no chow.mul: D and sum_i D_i^2 sum over distinct class objects times
-    multiplicity, and c2 is the module docstring's closed form."""
+    no chow.mul: one pass over the distinct class objects, times their
+    multiplicity, sums D and sum_i D_i^2 for the module docstring's c2."""
     model = pair.model
     t1, t2 = tangent_coefficients(model)
     intersect = model.intersect
-    D = pair._boundary_coeffs()
-    squares = sum(k * intersect(E, E) for E, k in pair.groups)
+    squares = 0
+    if len(t1) == 1:  # the common case, without the inner loop
+        d = 0
+        for E, k in pair.groups:
+            d += k * E[0]
+            squares += k * intersect(E, E)
+        D = (d,)
+    else:
+        D = [0] * len(t1)
+        for E, k in pair.groups:
+            for i, e in enumerate(E):
+                D[i] += k * e
+            squares += k * intersect(E, E)
     # K.D = -c1(T).D
     c2 = t2 - intersect(t1, D) + (intersect(D, D) + squares) // 2
-    return tuple(t - d for t, d in zip(t1, D)), c2
+    return tuple(map(sub, t1, D)), c2
 
 
 def slope(model: AmbientModel, c1: CycleClass, rank: int,

@@ -86,7 +86,7 @@ class AmbientModel(Value):
     def divisor(self, *coeffs: Scalar) -> CycleClass:
         """Grade-1 class: one coefficient on P^n/hypersurface, (C0, f)
         coordinates on F_m."""
-        return self.cycle(1, *coeffs)
+        return CycleClass(self, 1, coeffs)
 
 
 class ChernData(Value):

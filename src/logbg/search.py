@@ -5,32 +5,32 @@ P^n, and arrangements of l degree-1 sections on a degree-q hypersurface
 in P^{n+1}.  The search does not scan its box.  In both families, with t
 the c1 coefficient and B = q (q - 1) + sum d_i (d_i - 1) (q = 1 on P^n),
 rank-k equality is the integer quadratic t^2 - k t + k B = 0, solved
-once per B from the divisors of B^2.  On P^n, B runs over 0..k_max / 4
-and each root is spread over the partitions of B into pronic parts
-d (d - 1), listed once per B; on a hypersurface B = q (q - 1) with
-4 B <= k_max, so the work is known before the run and does not grow with
-the q box.  Every root has 0 <= t <= k, so -(K + D) = t h is nef at
-every solution: the nef filter drops nothing.
+once per B from the divisors of B^2.  On P^n, B runs over 0..k_max / 4,
+and only a B with a root in the box lists its partitions into pronic
+parts d (d - 1), once, with their (degree, multiplicity) runs; on a
+hypersurface B = q (q - 1) with 4 B <= k_max, so the work is known
+before the run and does not grow with the q box.  Every root has
+0 <= t <= k, so -(K + D) = t h is nef: the nef filter drops nothing.
 
 Both families share one pipeline.  A per-family generator in _SOLUTIONS
-yields the (n, q, partition, modes) solutions in the box;
-enumerate_cases re-evaluates each, in canonical order, through the full
-cycle-arithmetic pipeline, so the emitted reports never depend on the
-solver.  The P^n screen reads the pronic parts and the count of ones,
-and pn_pair and hypersurface_pair build each pair from runs of equal
-classes, so building and verifying a case costs O(distinct classes), not
-O(l); the pair's components are built only if read, and only the emitted
+yields the solutions in the box; enumerate_cases re-verifies each, in
+canonical order, through the integer core (full_report), so the emitted
+reports never depend on the solver.  The P^n screen reads the pronic
+parts and the count of ones, and its pair is built from their runs, so
+building and verifying a case costs O(distinct classes), not O(l); the
+pair's components are built only if read, and only the emitted
 partition lists every part.
 """
 
 from __future__ import annotations
 
 import sys
+from itertools import groupby
 from math import isqrt
 
 from .bg import BGReport, full_report
 from .chow import ChowError, Value, _set
-from .logchern import hypersurface_pair, pn_pair
+from .logchern import _pn_pair, hypersurface_pair
 
 MODES = ("n", "n1", "either")
 
@@ -206,8 +206,8 @@ def _pronic_partitions(B: int, largest: int):
 
 
 def _verified_case(family: str, n: int, q: int, partition: tuple[int, ...],
-                   modes: tuple[str, ...]) -> EqualityCase:
-    pair = (pn_pair(n, partition) if family == "pn"
+                   modes: tuple[str, ...], runs: tuple = ()) -> EqualityCase:
+    pair = (_pn_pair(n, runs) if family == "pn"
             else hypersurface_pair(n, q, len(partition)))
     report = full_report(pair)
     if report_modes(report) == modes and report.minus_k_plus_d_nef:
@@ -223,20 +223,22 @@ def _verified_case(family: str, n: int, q: int, partition: tuple[int, ...],
 
 
 def _pn_solutions(config: SearchConfig):
-    """(n, q, partition, modes) of each P^n case: the pronic parts of each
-    B, listed once, padded with ones to s = n + 1 - t."""
+    """(n, q, partition, modes, runs) of each P^n case: the pronic parts
+    and runs of each B with a root, padded with ones to s = n + 1 - t."""
     for B in range((config.n_max + (config.mode != "n")) // 4 + 1):
-        partitions = list(_pronic_partitions(B, B))
-        for n, t in _solve(config, B):
+        roots = _solve(config, B)
+        partitions = [(p, tuple((d, len(list(r))) for d, r in groupby(p)))
+                      for p in _pronic_partitions(B, B)] if roots else ()
+        for n, t in roots:
             s = n + 1 - t
             if config.s_max is not None and s > config.s_max:
                 continue
-            for parts in partitions:
+            for parts, runs in partitions:
                 ones = s - sum(parts)
                 if config.exclude_trivial and not parts and ones <= 1:
                     continue
-                yield n, 1, parts + (1,) * ones, pn_modes_closed_form(
-                    n, parts, ones)
+                yield (n, 1, parts + (1,) * ones, pn_modes_closed_form(
+                    n, parts, ones), (runs + ((1, ones),) if ones else runs))
 
 
 def _hyp_solutions(config: SearchConfig):

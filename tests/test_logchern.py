@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from logbg import chow
 from logbg.bg import discriminant, full_report
 from logbg.chow import ChowError, Value
-from logbg.logchern import (LogPair, hypersurface_pair, log_c1, log_c2,
-                            log_chern, pn_pair, slope, wedge_cotangent_slope)
+from logbg.logchern import (LogPair, _pn_pair, hypersurface_pair, log_c1,
+                            log_c2, log_chern, pn_pair, slope,
+                            wedge_cotangent_slope)
 from logbg.models import (ChernData, c_infinity, default_polarization,
                           hirzebruch, hypersurface, projective_space,
                           tangent_chern)
@@ -89,7 +90,8 @@ class TestLogPairValidation:
     # True == 1 == 1.0, so a degree must not be matched up by value
     @pytest.mark.parametrize("degrees", [[1, True], [True, 1], [1, 1.0],
                                          [1.0, 1], [2, 1, False], [True],
-                                         [2.0, 2, 2], [1, 1, True, 1]])
+                                         [2.0, 2, 2], [1, 1, True, 1],
+                                         [1.0], [2, 1, 1.0]])
     def test_pn_pair_rejects_non_integer_degrees(self, degrees):
         with pytest.raises(TypeError):
             pn_pair(3, degrees)
@@ -175,6 +177,40 @@ class TestRunBuiltPairs:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+class TestPnPairFromRuns:
+    """The search builds each P^n pair from its partition's (degree,
+    multiplicity) runs; pn_pair groups its degrees into runs and goes
+    through the same builder."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(n=st.integers(2, 60),
+           parts=st.dictionaries(st.integers(2, 15), st.integers(1, 6),
+                                 max_size=4),
+           ones=st.one_of(st.integers(0, 4), st.integers(50, 400)))
+    def test_same_pair_as_pn_pair(self, n, parts, ones):
+        runs = tuple(sorted(parts.items(), reverse=True))
+        if ones:
+            runs += ((1, ones),)
+        degrees = [d for d, k in runs for _ in range(k)]
+        built, reference = _pn_pair(n, runs), pn_pair(n, degrees)
+        assert built == reference
+        assert hash(built) == hash(reference)
+        assert built.groups == reference.groups
+        assert built.components == reference.components
+        assert full_report(built) == full_report(reference)
+        # pn_pair shares the builder, so also check the explicit pair
+        explicit = explicit_pair(projective_space(n), degrees)
+        assert built == explicit and built.groups == explicit.groups
+        assert full_report(built) == full_report(explicit)
+
+    @pytest.mark.parametrize("runs", [((True, 1),), ((1, 3), (True, 1)),
+                                      ((2, 1), (1, 2), (1.0, 1))])
+    def test_builder_rejects_non_int_degrees(self, runs):
+        # a non-int degree reaches model.divisor even after an equal int
+        with pytest.raises(TypeError):
+            _pn_pair(4, runs)
 
 
 class TestLogC1:

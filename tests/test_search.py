@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -402,6 +403,27 @@ class TestPnSolverWork:
         # one divisor list per B = 1..31 // 4; B = 0 needs none
         assert len(enumerate_cases(DEFAULT_BOUNDS["pn"])) == 65
         assert divisor_calls == [1, 2, 3, 4, 5, 6, 7]
+
+    def test_lists_only_b_with_a_root(self, monkeypatch):
+        """Each B is solved first, and its pronic partitions are listed
+        only when a root falls in the box.  _pronic_partitions recurses
+        through its global name, so only the calls made from
+        _pn_solutions are counted."""
+        listed = []
+        real = search._pronic_partitions
+
+        def counting(B, largest):
+            if sys._getframe(1).f_code.co_name == "_pn_solutions":
+                listed.append(B)
+            return real(B, largest)
+
+        monkeypatch.setattr(search, "_pronic_partitions", counting)
+        config = pn_config(n_min=500, n_max=500)
+        assert list(search._pn_solutions(config))
+        with_roots = [B for B in range(501 // 4 + 1)
+                      if search._solve(config, B)]
+        assert listed == with_roots
+        assert 0 < len(with_roots) < 501 // 4 + 1
 
 
 class TestPnNefFilter:
