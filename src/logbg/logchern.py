@@ -134,8 +134,8 @@ def pn_pair(n: int, degrees) -> LogPair:
     """Convenience: (P^n, D) with D_i of the given degrees, labeled
     D1..Dl; one run per stretch of equal degrees, so its cost beyond one
     C-level pass over `degrees` depends on the runs, not on l."""
-    # True and 1.0 equal 1, so a run also keys on the type: they never
-    # share a run with an int
+    degrees = tuple(degrees)  # read twice below
+    # True and 1.0 equal 1: keying runs on the type keeps them apart
     return _pn_pair(n, tuple((d, len(list(run))) for (_, d), run
                              in groupby(zip(map(type, degrees), degrees))))
 

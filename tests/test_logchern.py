@@ -205,6 +205,10 @@ class TestPnPairFromRuns:
         assert built == explicit and built.groups == explicit.groups
         assert full_report(built) == full_report(explicit)
 
+    def test_pn_pair_reads_a_one_shot_iterable_once(self):
+        assert pn_pair(7, iter([2, 1, 1])).groups == (((2,), 1), ((1,), 2))
+        assert pn_pair(7, (d for d in [3, 3, 1])) == pn_pair(7, [3, 3, 1])
+
     @pytest.mark.parametrize("runs", [((True, 1),), ((1, 3), (True, 1)),
                                       ((2, 1), (1, 2), (1.0, 1))])
     def test_builder_rejects_non_int_degrees(self, runs):
