@@ -27,8 +27,8 @@ from .models import FAMILIES, default_polarization, is_nef
 from .search import (DEFAULT_BOUNDS, MODES, SearchConfig, VerificationError,
                      enumerate_cases)
 from .serialize import (Echoes, InputError, bounds_fields, case_record,
-                        cycle_display, dump_record, format_rational,
-                        parse_ambient, parse_document, report_record)
+                        cycle_display, dump_record, parse_ambient,
+                        parse_document, report_record)
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -70,9 +70,9 @@ def _pair_summary(pair, echoes) -> str:
 def _report_table(pair, report, echoes) -> str:
     return (f"{_pair_summary(pair, echoes)}\n"
             f"  rank {report.rank}"
-            f"  c1^2.H^(n-2) = {format_rational(report.c1_sq)}"
-            f"  c2.H^(n-2) = {format_rational(report.c2_eval)}\n"
-            f"  discriminant = {format_rational(report.discriminant)}"
+            f"  c1^2.H^(n-2) = {report.c1_sq!s}"
+            f"  c2.H^(n-2) = {report.c2_eval!s}\n"
+            f"  discriminant = {report.discriminant!s}"
             f"  equality(rank n) = {report.equality_n}"
             f"  equality(rank n+1) = {report.equality_n_plus_1}"
             f"  -(K+D) nef = {report.minus_k_plus_d_nef}\n")

@@ -15,7 +15,7 @@ its c1 and c2 for every extension class, so no extension class appears
 in the API: bg reads the same c1 and c2 at rank n+1.
 
 _log_chern_coeffs reads both in one pass over a pair's distinct classes;
-the search builds each P^n pair from its partition's runs by _pn_pair.
+the search builds each pair from its degree runs by _pair_from_runs.
 """
 
 from __future__ import annotations
@@ -43,11 +43,12 @@ class LogPair(Value):
     names the first offending label, and `groups` holds each distinct
     object's integer coefficients with its multiplicity, in order of
     first occurrence.  The constructor hands over its explicit
-    components as runs of one; _pn_pair and hypersurface_pair hand over
-    runs of equal degrees, so building and verifying a search pair costs
-    O(distinct classes), and its `components`, labeled D1..Dl, is built
-    when first read.  Only model and components take part in equality,
-    hash, repr and pickling."""
+    components as runs of one; _pair_from_runs, behind pn_pair,
+    hypersurface_pair and the search, hands over runs of equal degrees,
+    so building and verifying a search pair costs O(distinct classes),
+    and its `components`, labeled D1..Dl, is built when first read.
+    Only model and components take part in equality, hash, repr and
+    pickling."""
 
     _fields = ("model", "components")
     __slots__ = ("model", "groups", "_runs", "_components")
@@ -136,15 +137,18 @@ def pn_pair(n: int, degrees) -> LogPair:
     C-level pass over `degrees` depends on the runs, not on l."""
     degrees = tuple(degrees)  # read twice below
     # True and 1.0 equal 1: keying runs on the type keeps them apart
-    return _pn_pair(n, tuple((d, len(list(run))) for (_, d), run
-                             in groupby(zip(map(type, degrees), degrees))))
+    return _pair_from_runs(projective_space(n), tuple(
+        (d, len(list(run))) for (_, d), run
+        in groupby(zip(map(type, degrees), degrees))), {})
 
 
-def _pn_pair(n: int, runs: tuple[tuple[int, int], ...]) -> LogPair:
-    """(P^n, D) from runs ((degree, multiplicity), ...), one class per
-    distinct degree; model.divisor sees, and rejects, each True or 1.0."""
-    model = projective_space(n)
-    classes, class_runs = {}, []
+def _pair_from_runs(model: AmbientModel,
+                    runs: tuple[tuple[int, int], ...],
+                    classes: dict) -> LogPair:
+    """(model, D) from runs ((degree, multiplicity), ...) on P^n or a
+    hypersurface; `classes` maps int degrees to their classes and gains
+    those it lacks.  model.divisor sees, and rejects, each True or 1.0."""
+    class_runs = []
     for d, k in runs:
         if type(d) is not int or d not in classes:
             classes[d] = model.divisor(d)
@@ -155,11 +159,11 @@ def _pn_pair(n: int, runs: tuple[tuple[int, int], ...]) -> LogPair:
 def hypersurface_pair(n: int, q: int, l: int) -> LogPair:
     """Convenience: degree-q hypersurface with l degree-1 components,
     labeled D1..Dl; one run, at any l."""
-    h = hypersurface(n, q).divisor(1)
+    model = hypersurface(n, q)
     l = index(l)  # as range(l) did: no float, no str
     if l < 0:
         raise ChowError(f"component count must be non-negative, got {l}")
-    return LogPair._from_runs(h.model, ((h, l),) if l > 0 else ())
+    return _pair_from_runs(model, ((1, l),) if l > 0 else (), {})
 
 
 def log_c1(pair: LogPair) -> CycleClass:

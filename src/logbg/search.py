@@ -15,11 +15,13 @@ before the run and does not grow with the q box.  Every root has
 Both families share one pipeline.  A per-family generator in _SOLUTIONS
 yields the solutions in the box; enumerate_cases re-verifies each, in
 canonical order, through the integer core (full_report), so the emitted
-reports never depend on the solver.  The P^n screen reads the pronic
-parts and the count of ones, and its pair is built from their runs, so
-building and verifying a case costs O(distinct classes), not O(l); the
-pair's components are built only if read, and only the emitted
-partition lists every part.
+reports never depend on the solver.  The cases of one (n, q) share one
+model, its default polarization and one class per degree; each case
+still gets its own pair, report and checks.  The P^n screen reads the
+pronic parts and the count of ones, and every pair is built from its
+(degree, multiplicity) runs, so building and verifying a case costs
+O(distinct classes), not O(l); the pair's components are built only if
+read, and only the emitted partition lists every part.
 """
 
 from __future__ import annotations
@@ -27,10 +29,13 @@ from __future__ import annotations
 import sys
 from itertools import groupby
 from math import isqrt
+from operator import itemgetter
 
 from .bg import BGReport, full_report
-from .chow import ChowError, Value, _set
-from .logchern import _pn_pair, hypersurface_pair
+from .chow import ChowError, CycleClass, Value, _set
+from .logchern import _pair_from_runs
+from .models import (AmbientModel, default_polarization, hypersurface,
+                     projective_space)
 
 MODES = ("n", "n1", "either")
 
@@ -205,11 +210,10 @@ def _pronic_partitions(B: int, largest: int):
             yield (d,) + rest
 
 
-def _verified_case(family: str, n: int, q: int, partition: tuple[int, ...],
-                   modes: tuple[str, ...], runs: tuple = ()) -> EqualityCase:
-    pair = (_pn_pair(n, runs) if family == "pn"
-            else hypersurface_pair(n, q, len(partition)))
-    report = full_report(pair)
+def _verified_case(family: str, model: AmbientModel, H: CycleClass,
+                   classes: dict, n: int, q: int, partition: tuple[int, ...],
+                   modes: tuple[str, ...], runs: tuple) -> EqualityCase:
+    report = full_report(_pair_from_runs(model, runs, classes), H)
     if report_modes(report) == modes and report.minus_k_plus_d_nef:
         return EqualityCase(family, n, q, partition, modes, report)
     where = f"({family}, n={n}, q={q}, partition={partition})"
@@ -242,8 +246,8 @@ def _pn_solutions(config: SearchConfig):
 
 
 def _hyp_solutions(config: SearchConfig):
-    """(n, q, partition, modes) of each hypersurface case: l degree-1
-    components with l = n + 2 - q - t at B = q (q - 1)."""
+    """(n, q, partition, modes, runs) of each hypersurface case: l
+    degree-1 components with l = n + 2 - q - t at B = q (q - 1)."""
     k_max = config.n_max + (config.mode != "n")
     for q in range(config.q_min,
                    min(config.q_max, (isqrt(k_max + 1) + 1) // 2) + 1):
@@ -252,7 +256,8 @@ def _hyp_solutions(config: SearchConfig):
             if ((config.s_max is not None and l > config.s_max)
                     or (config.exclude_trivial and l == 0)):
                 continue
-            yield n, q, (1,) * l, hyp_modes_closed_form(n, q, l)
+            yield (n, q, (1,) * l, hyp_modes_closed_form(n, q, l),
+                   ((1, l),) if l else ())
 
 
 _SOLUTIONS = {"pn": _pn_solutions, "hypersurface": _hyp_solutions}
@@ -261,10 +266,16 @@ _SOLUTIONS = {"pn": _pn_solutions, "hypersurface": _hyp_solutions}
 def enumerate_cases(config: SearchConfig) -> list[EqualityCase]:
     """The verified cases in the box, in canonical order, which is also
     the order they are verified in: a failure names the first."""
-    solutions = sorted(_SOLUTIONS[config.family](config),
+    family = config.family
+    solutions = sorted(_SOLUTIONS[family](config),
                        key=lambda s: (s[0], s[1], len(s[2]), s[2]))
-    return [_verified_case(config.family, *solution)
-            for solution in solutions]
+    cases = []
+    for (n, q), group in groupby(solutions, key=itemgetter(0, 1)):
+        model = projective_space(n) if family == "pn" else hypersurface(n, q)
+        H, classes = default_polarization(model), {}
+        cases += [_verified_case(family, model, H, classes, *solution)
+                  for solution in group]
+    return cases
 
 
 DEFAULT_BOUNDS = {

@@ -1,8 +1,12 @@
 """Descriptor parsing and record serialization for the CLI.
 
 Pair descriptors are JSON; unknown keys are errors, not warnings.
-Rationals serialize as canonical "p/q" strings ("p" when the
-denominator is one) and round-trip losslessly.
+parse_document's memo, which lives for one document, also keys each
+checked ambient and class object by its raw JSON items (_items): a
+repeat costs one type check and one dict lookup, and anything else takes
+the full checks, with the same errors in the same order.  Rationals
+serialize as canonical "p/q" strings ("p" when the denominator is one)
+and round-trip losslessly.
 
 A record is one line with the bytes of json.dumps(record,
 sort_keys=True, separators=(",", ":")): keys sorted, no spaces, and
@@ -21,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .bg import BGReport
-from .chow import CycleClass, Scalar
+from .chow import CycleClass
 from .logchern import LogPair
 from .models import FAMILIES, AmbientModel, is_c_infinity
 from .search import EqualityCase, SearchConfig
@@ -31,15 +35,9 @@ class InputError(ValueError):
     """Malformed descriptor document."""
 
 
-def format_rational(x: Scalar) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def cycle_to_dict(cls: CycleClass) -> dict:
     names = cls.model.basis_names(cls.grade)
-    return {name: format_rational(c) for name, c in zip(names, cls.coeffs)}
+    return {name: f"{c!s}" for name, c in zip(names, cls.coeffs)}
 
 
 def cycle_display(cls: CycleClass) -> str:
@@ -66,21 +64,17 @@ def _int_field(obj: dict, key: str, where: str) -> int:
     return value
 
 
-def _ambient_key(obj) -> tuple:
-    """(kind, *field values) of a checked ambient descriptor."""
+def parse_ambient(obj) -> AmbientModel:
+    """The model of a checked ambient descriptor."""
     if not isinstance(obj, dict):
         raise InputError("'ambient' must be an object")
     kind = _require(obj, "kind", "ambient")
     if not isinstance(kind, str) or kind not in FAMILIES:
         raise InputError(f"unknown ambient kind {kind!r}")
-    fields = FAMILIES[kind].fields
-    _check_keys(obj, {"kind", *fields}, "ambient")
-    return (kind, *(_int_field(obj, key, "ambient") for key in fields))
-
-
-def parse_ambient(obj) -> AmbientModel:
-    kind, *values = _ambient_key(obj)
-    return FAMILIES[kind].build(*values)
+    family = FAMILIES[kind]
+    _check_keys(obj, {"kind", *family.fields}, "ambient")
+    return family.build(*[_int_field(obj, key, "ambient")
+                          for key in family.fields])
 
 
 _DIVISOR_KEYS = frozenset(("label", "class"))
@@ -98,10 +92,21 @@ def _divisor_error(obj: dict, allowed: frozenset, index: int):
     _check_keys(obj["class"], allowed, f"{where}.class")
 
 
+def _items(obj) -> tuple | None:
+    """A dict's items if every value is an exact int or str, which hash
+    and equal only the same JSON (True and 1.0 equal 1); else None."""
+    if type(obj) is not dict:
+        return None
+    for value in obj.values():
+        if type(value) is not int and type(value) is not str:
+            return None
+    return tuple(obj.items())
+
+
 def parse_divisor(obj, entry: tuple, index: int) -> tuple[str, CycleClass]:
     """A checked component; `entry` is parse_document's memo entry for
-    its ambient, (model, generators, their frozenset, {coefficients:
-    CycleClass}), and hands out one class per coefficient tuple once the
+    its ambient, (model, generators, their frozenset, classes), whose
+    `classes` hands out one CycleClass per coefficient tuple once the
     checks have passed."""
     if not isinstance(obj, dict):
         raise InputError(f"divisors[{index}] must be an object")
@@ -126,31 +131,47 @@ def parse_divisor(obj, entry: tuple, index: int) -> tuple[str, CycleClass]:
 
 def parse_pair(obj, memo: dict, where: str = "document") -> LogPair:
     """One pair; `memo` is parse_document's, and hands out one model, and
-    one dict of its classes, per distinct ambient."""
+    one dict of its classes, per distinct ambient.  A component whose
+    class object repeats checked raw items, under a str label and no
+    unknown key, skips parse_divisor."""
     if not isinstance(obj, dict):
         raise InputError(f"{where} must be an object")
     _check_keys(obj, {"ambient", "divisors"}, where)
-    key = _ambient_key(_require(obj, "ambient", where))
-    entry = memo.get(key)
+    ambient = _require(obj, "ambient", where)
+    items = _items(ambient)
+    entry = None if items is None else memo.get(items)
     if entry is None:
-        kind, *values = key
-        model = FAMILIES[kind].build(*values)
-        entry = memo[key] = (model, model.generators,
-                             frozenset(model.generators), {})
+        model = parse_ambient(ambient)
+        entry = memo.get(model)
+        if entry is None:
+            entry = memo[model] = (model, model.generators,
+                                   frozenset(model.generators), {})
+        if items is not None:
+            memo[items] = entry
     divisors = _require(obj, "divisors", where)
     if not isinstance(divisors, list):
         raise InputError(f"key 'divisors' in {where} must be a list")
-    components = tuple([parse_divisor(d, entry, i)
-                        for i, d in enumerate(divisors)])
-    return LogPair(entry[0], components)
+    classes = entry[3]
+    components = []
+    for i, d in enumerate(divisors):
+        label = items = None
+        if type(d) is dict and d.keys() <= _DIVISOR_KEYS:
+            label, items = d.get("label"), _items(d.get("class"))
+        divisor = None if items is None else classes.get(items)
+        if divisor is None or type(label) is not str:
+            label, divisor = parse_divisor(d, entry, i)
+            if items is not None:
+                classes[items] = divisor
+        components.append((label, divisor))
+    return LogPair(entry[0], tuple(components))
 
 
 def parse_document(data: str | bytes) -> list[LogPair]:
     """The pairs of a descriptor document; bytes must be UTF-8.
 
     Equal ambients in one document share one model, and equal classes
-    on it one CycleClass.  The memo lives for this call only, so two
-    calls share no object."""
+    on it one CycleClass (see the module docstring).  The memo lives for
+    this call only, so two calls share no object."""
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes)
                          else data)
@@ -159,8 +180,9 @@ def parse_document(data: str | bytes) -> list[LogPair]:
         # integer over the interpreter's digit limit; RecursionError:
         # nesting deeper than the decoder's recursion limit
         raise InputError(f"not valid JSON: {exc}") from exc
-    # (kind, *fields) -> (AmbientModel, generators, frozenset of them,
-    # {coefficients: CycleClass})
+    # each distinct AmbientModel, and the raw items of each checked
+    # ambient object, -> (the model, generators, frozenset of them,
+    # classes); no raw-items key here or in classes equals another key
     memo: dict = {}
     if isinstance(doc, dict) and "pairs" in doc:
         _check_keys(doc, {"pairs"}, "document")
@@ -186,9 +208,9 @@ def _bool(flag: bool) -> str:
 def _report_head(report: BGReport) -> str:
     """The report's fields from c1_sq to equality_n_plus_1, which sort
     together at the head of both kinds of record."""
-    return (f'"c1_sq":"{format_rational(report.c1_sq)}",'
-            f'"c2_eval":"{format_rational(report.c2_eval)}",'
-            f'"discriminant":"{format_rational(report.discriminant)}",'
+    return (f'"c1_sq":"{report.c1_sq!s}",'
+            f'"c2_eval":"{report.c2_eval!s}",'
+            f'"discriminant":"{report.discriminant!s}",'
             f'"equality_n":{_bool(report.equality_n)},'
             f'"equality_n_plus_1":{_bool(report.equality_n_plus_1)}')
 
@@ -202,8 +224,9 @@ class Echoes(dict):
     keying by the object would hash its field tuple (and a class's model)
     on every lookup.  Each of those entries holds its object, so no id is
     reused while the instance lives.  A polarization is keyed by (kind,
-    coefficients), which fix its echo at grade 1, because every search
-    case builds its own."""
+    coefficients), which fix its echo at grade 1, so the polarizations
+    of models of one kind with equal coefficients, such as H on every
+    P^n, share one echo."""
 
     __slots__ = ("bounds",)
 

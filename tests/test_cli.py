@@ -10,7 +10,7 @@ import pytest
 import logbg
 from logbg.cli import main
 from logbg.models import FAMILIES
-from logbg.serialize import InputError, format_rational, parse_document
+from logbg.serialize import InputError, parse_document
 from test_golden import REPEATED_DOCUMENT
 
 HIRZEBRUCH_DOC = {
@@ -41,16 +41,19 @@ def run_report(tmp_path, doc, fmt="records"):
 
 
 class TestRationalSerialization:
+    """Reports write their rationals as f"{x!s}": "p", or "p/q" in lowest
+    terms with the sign on p."""
+
     def test_canonical_strings(self):
         from fractions import Fraction
-        assert format_rational(Fraction(3, 1)) == "3"
-        assert format_rational(Fraction(-1, 7)) == "-1/7"
-        assert format_rational(Fraction(2, -4)) == "-1/2"
+        assert f"{Fraction(3, 1)!s}" == "3"
+        assert f"{Fraction(-1, 7)!s}" == "-1/7"
+        assert f"{Fraction(2, -4)!s}" == "-1/2"
 
     def test_round_trip(self):
         from fractions import Fraction
         for x in (Fraction(0), Fraction(22, 7), Fraction(-5, 3), Fraction(9)):
-            assert Fraction(format_rational(x)) == x
+            assert Fraction(f"{x!s}") == x
 
 
 class TestDescriptorParsing:
@@ -261,6 +264,52 @@ class TestParseMemo:
         path.write_text(json.dumps(doc))
         assert main(["report", str(path)]) == 2
         assert "duplicate" in capsys.readouterr().err
+
+    # a repeat fails the memo's type check and takes the first
+    # occurrence's checks, so its error is the one a first copy gives
+    @pytest.mark.parametrize("c", [True, 1.0, "1", [1], {}])
+    def test_bad_class_after_valid_pair_exit_2(self, tmp_path, capsys, c):
+        ambient = {"kind": "projective_space", "n": 3}
+        doc = {"pairs": [
+            {"ambient": ambient,
+             "divisors": [{"label": "A", "class": {"H": 1}}]},
+            {"ambient": ambient,
+             "divisors": [{"label": "B", "class": {"H": c}}]},
+        ]}
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: coefficient 'H' in divisors[0].class must be an "
+                "integer\n")
+
+    @pytest.mark.parametrize("ambient, err", [
+        ({"kind": "projective_space", "n": True},
+         "error: key 'n' in ambient must be an integer\n"),
+        ({"kind": [], "n": 3}, "error: unknown ambient kind []\n"),
+    ])
+    def test_bad_ambient_after_valid_copy_exit_2(self, tmp_path, capsys,
+                                                 ambient, err):
+        doc = {"pairs": [
+            {"ambient": {"kind": "projective_space", "n": 3},
+             "divisors": [{"label": "A", "class": {"H": 1}}]},
+            {"ambient": ambient, "divisors": []},
+        ]}
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr() == ("", err)
+
+    def test_reordered_keys_share_one_model_and_class(self, cycle_calls):
+        first, second = parse_document(json.dumps({"pairs": [
+            {"ambient": {"kind": "hirzebruch", "m": 2},
+             "divisors": [{"label": "A", "class": {"f": 2, "C0": 1}}]},
+            {"ambient": {"m": 2, "kind": "hirzebruch"},
+             "divisors": [{"label": "A", "class": {"C0": 1, "f": 2}}]},
+        ]}))
+        assert first.model is second.model
+        assert first.classes[0] is second.classes[0]
+        assert len(cycle_calls) == 1
 
     def test_one_object_per_distinct_ambient_and_class(self):
         pairs = parse_document(json.dumps(REPEATED_DOCUMENT))

@@ -17,8 +17,10 @@ in both formats on three documents from all three families (one with at
 most three components per pair; one with 9 to 40 per pair, repeating
 classes both in runs and interleaved; one that repeats the same P^n,
 X_q and F_m ambients and the same classes across pairs, has C_inf on
-two values of m and pairs with no components; one whose labels need
-JSON escaping: quotes, backslashes, control and non-ASCII characters, an
+two values of m and pairs with no components; one that repeats
+ambients and classes with their keys in another order, and a class once
+with its zero coefficient spelled out; one whose labels need JSON
+escaping: quotes, backslashes, control and non-ASCII characters, an
 astral character, a lone surrogate and the empty string), and `nef`
 queries.  A
 change that alters one of these outputs on purpose updates its digest
@@ -115,6 +117,33 @@ REPEATED_DOCUMENT = {"pairs": [
     _pn(5, [2, 2]),
 ]}
 
+# equal ambients and classes whose JSON keys come in another order, or
+# with a zero coefficient spelled out: each is the same ambient or class
+REORDERED_DOCUMENT = {"pairs": [
+    {"ambient": {"kind": "hirzebruch", "m": 2},
+     "divisors": [{"label": "A", "class": {"C0": 1, "f": 2}},
+                  {"class": {"f": 2, "C0": 1}, "label": "B"},
+                  {"label": "F", "class": {"f": 1}}]},
+    {"ambient": {"m": 2, "kind": "hirzebruch"},
+     "divisors": [{"label": "C", "class": {"f": 2, "C0": 1}},
+                  {"label": "G", "class": {"C0": 0, "f": 1}},
+                  {"label": "H", "class": {"f": 1, "C0": 0}},
+                  {"label": "E", "class": {"C0": 1, "f": 2}}]},
+    {"ambient": {"kind": "hypersurface", "n": 5, "q": 3},
+     "divisors": [{"label": "L", "class": {"h": 1}},
+                  {"label": "M", "class": {"h": 2}}]},
+    {"ambient": {"q": 3, "kind": "hypersurface", "n": 5},
+     "divisors": [{"class": {"h": 2}, "label": "M"},
+                  {"label": "L", "class": {"h": 1}},
+                  {"label": "N", "class": {"h": 1}}]},
+    {"divisors": [{"label": "P", "class": {"H": 3}}],
+     "ambient": {"n": 4, "kind": "projective_space"}},
+    {"ambient": {"kind": "projective_space", "n": 4},
+     "divisors": [{"label": "P", "class": {"H": 3}},
+                  {"label": "Q", "class": {"H": 1}}]},
+    {"ambient": {"kind": "hirzebruch", "m": 2}, "divisors": []},
+]}
+
 # one label per JSON escaping rule, across all three families; run_case
 # writes the document with json.dump, so the lone surrogate reaches the
 # file as the escape \ud800
@@ -201,6 +230,9 @@ CASES = {
     "report-repeated-table": ("report", "{repeated}"),
     "report-repeated-records": ("report", "{repeated}", "--format",
                                 "records"),
+    "report-reordered-table": ("report", "{reordered}"),
+    "report-reordered-records": ("report", "{reordered}", "--format",
+                                 "records"),
     "report-escaped-table": ("report", "{escaped}"),
     "report-escaped-records": ("report", "{escaped}", "--format",
                                "records"),
@@ -230,6 +262,7 @@ def run_case(name, directory):
     for key, document in (("doc", REPORT_DOCUMENT),
                           ("many", MANY_COMPONENTS_DOCUMENT),
                           ("repeated", REPEATED_DOCUMENT),
+                          ("reordered", REORDERED_DOCUMENT),
                           ("escaped", ESCAPED_DOCUMENT)):
         paths[key] = os.path.join(directory, f"{key}.json")
         with open(paths[key], "w") as fh:

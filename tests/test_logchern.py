@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from logbg import chow
 from logbg.bg import discriminant, full_report
 from logbg.chow import ChowError, Value
-from logbg.logchern import (LogPair, _pn_pair, hypersurface_pair, log_c1,
-                            log_c2, log_chern, pn_pair, slope,
+from logbg.logchern import (LogPair, _pair_from_runs, hypersurface_pair,
+                            log_c1, log_c2, log_chern, pn_pair, slope,
                             wedge_cotangent_slope)
 from logbg.models import (ChernData, c_infinity, default_polarization,
                           hirzebruch, hypersurface, projective_space,
@@ -194,7 +194,8 @@ class TestPnPairFromRuns:
         if ones:
             runs += ((1, ones),)
         degrees = [d for d, k in runs for _ in range(k)]
-        built, reference = _pn_pair(n, runs), pn_pair(n, degrees)
+        built = _pair_from_runs(projective_space(n), runs, {})
+        reference = pn_pair(n, degrees)
         assert built == reference
         assert hash(built) == hash(reference)
         assert built.groups == reference.groups
@@ -212,9 +213,12 @@ class TestPnPairFromRuns:
     @pytest.mark.parametrize("runs", [((True, 1),), ((1, 3), (True, 1)),
                                       ((2, 1), (1, 2), (1.0, 1))])
     def test_builder_rejects_non_int_degrees(self, runs):
-        # a non-int degree reaches model.divisor even after an equal int
-        with pytest.raises(TypeError):
-            _pn_pair(4, runs)
+        # a non-int degree reaches model.divisor even after an equal int,
+        # also when the classes come from earlier pairs, as in the search
+        model = projective_space(4)
+        for classes in ({}, {1: model.divisor(1), 2: model.divisor(2)}):
+            with pytest.raises(TypeError):
+                _pair_from_runs(model, runs, classes)
 
 
 class TestLogC1:

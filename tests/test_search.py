@@ -6,8 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from logbg import search
-from logbg.bg import full_report
+from logbg.bg import BGReport, full_report
+from logbg.cli import main
 from logbg.logchern import hypersurface_pair, pn_pair
+from logbg.models import AmbientModel
 from logbg.search import (DEFAULT_BOUNDS, SearchConfig, SearchSpaceError,
                           VerificationError, enumerate_cases,
                           hyp_modes_closed_form, pn_modes_closed_form)
@@ -484,3 +486,59 @@ class TestVerificationFailure:
         with pytest.raises(VerificationError) as error:
             enumerate_cases(SearchConfig(family, 7, 20, q_max=q_max))
         assert where in str(error.value)
+
+
+class TestGroupSharing:
+    """The cases of one (n, q) share one model, its default polarization
+    and one class per degree; each still gets its own pair and report."""
+
+    @pytest.mark.parametrize("family, models, cases", [
+        ("pn", 29, 65), ("hypersurface", 48, 98)])
+    def test_one_model_per_n_and_q(self, monkeypatch, family, models,
+                                   cases):
+        built = []
+        real_init = AmbientModel.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AmbientModel, "__init__", counting_init)
+        found = enumerate_cases(DEFAULT_BOUNDS[family])
+        assert len(built) == models
+        assert len(found) == cases
+        assert len({(case.n, case.q) for case in found}) == models
+
+    @pytest.mark.parametrize("family, q, where", [
+        ("pn", 1, "(pn, n=8, q=1, partition=(2, 1, 1, 1))"),
+        ("hypersurface", 2,
+         "(hypersurface, n=8, q=2, partition=(1, 1, 1, 1))")])
+    def test_every_case_of_a_group_is_reverified(self, monkeypatch, capsys,
+                                                 family, q, where):
+        """full_report disagrees only on the second of the group's three
+        or four cases; the run must still name that case."""
+        group = [case for case in enumerate_cases(DEFAULT_BOUNDS[family])
+                 if (case.n, case.q) == (8, q)]
+        assert len(group) >= 3
+        assert where.endswith(f"partition={group[1].partition})")
+        calls = []
+
+        def second_disagrees(pair, H=None):
+            report = full_report(pair, H)
+            if (pair.model.n, pair.model.q) != (8, q):
+                return report
+            calls.append(pair)
+            if len(calls) != 2:
+                return report
+            return BGReport(report.rank, report.c1_sq, report.c2_eval,
+                            report.discriminant, not report.equality_n,
+                            report.equality_n_plus_1,
+                            report.minus_k_plus_d_nef, report.polarization)
+
+        monkeypatch.setattr(search, "full_report", second_disagrees)
+        assert main(["enumerate", "--family", family]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.endswith(f"on {where}\n")
+        assert len(calls) == 2
