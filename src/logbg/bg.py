@@ -10,28 +10,25 @@ rank-(n+1) coefficients (n-1)/2n and n/(2(n+1)) on one shared
 (c1^2.H^{n-2}, c2.H^{n-2}) pair: the latter equals the discriminant of
 the trivial-sheaf extension, which has the same c1 and c2.
 
-One integer pairing, _pairing, serves full_report, evaluate_pair and
-the verify-paper fixtures.  A report takes no chow.mul and builds no
-cycle class but the default H; it shares no code with the search's
-closed forms, which it re-verifies.
+One integer pairing, _pairing, serves full_report and the verify-paper
+fixtures.  A report builds no cycle class but the default H; it shares
+no code with the search's closed forms, which it re-verifies.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .chow import (ChowError, CycleClass, GradeError, Scalar, Value,
-                   _int_or_fraction, _set)
+from .chow import ChowError, CycleClass, GradeError, Value, _set
 from .logchern import LogPair, _log_chern_coeffs
-from .models import (AmbientModel, ChernData, default_polarization,
-                     is_nef_coeffs)
+from .models import AmbientModel, default_polarization, is_nef_coeffs
 
 
 class BGReport(Value):
     __slots__ = ("rank", "c1_sq", "c2_eval", "discriminant", "equality_n",
                  "equality_n_plus_1", "minus_k_plus_d_nef", "polarization")
 
-    def __init__(self, rank: int, c1_sq: Scalar, c2_eval: Scalar,
+    def __init__(self, rank: int, c1_sq: int, c2_eval: int,
                  discriminant: Fraction, equality_n: bool,
                  equality_n_plus_1: bool, minus_k_plus_d_nef: bool,
                  polarization: CycleClass):
@@ -52,33 +49,20 @@ def _check_polarization(H: CycleClass, model: AmbientModel) -> None:
         raise ChowError("polarization lives on a different model")
 
 
-def _pairing(model: AmbientModel, c1: tuple[Scalar, ...], c2: Scalar,
-             H: CycleClass) -> tuple[Scalar, Scalar]:
+def _pairing(model: AmbientModel, c1: tuple[int, ...], c2: int,
+             H: CycleClass) -> tuple[int, int]:
     """(c1^2 . H^{n-2}, c2 . H^{n-2}) from coefficients: q (c1.c1) h0^(n-2)
-    and q c2 h0^(n-2) for H = h0 h, no power of H on the surface F_m.  The
-    types match chow.pair_with_polarization of chow.mul's classes: c1.c1
-    is an int where integral, and the factors multiply in the same order."""
+    and q c2 h0^(n-2) for H = h0 h, no power of H on the surface F_m."""
     q = model.q
     c1_sq = model.intersect(c1, c1)
-    c1_sq = c1_sq if type(c1_sq) is int else _int_or_fraction(c1_sq)
     if len(H.coeffs) == 1:
         hk = H.coeffs[0] ** (model.n - 2)
         return q * c1_sq * hk, q * c2 * hk
     return q * c1_sq, q * c2
 
 
-def evaluate_pair(chern: ChernData, H: CycleClass) -> tuple[Scalar, Scalar]:
-    """(c1^2 . H^{n-2}, c2 . H^{n-2}) as exact rationals."""
-    _check_polarization(H, chern.c1.model)
-    return _pairing(chern.c1.model, chern.c1.coeffs, chern.c2.coeffs[0], H)
-
-
-def _at_rank(rank: int, c1_sq: Scalar, c2_eval: Scalar) -> Fraction:
+def _at_rank(rank: int, c1_sq: int, c2_eval: int) -> Fraction:
     return Fraction(2 * rank * c2_eval - (rank - 1) * c1_sq, 2 * rank)
-
-
-def discriminant(chern: ChernData, H: CycleClass) -> Fraction:
-    return _at_rank(chern.rank, *evaluate_pair(chern, H))
 
 
 def full_report(pair: LogPair, H: CycleClass | None = None) -> BGReport:

@@ -5,7 +5,8 @@ value, and the value the calculator computes; a failure prints all
 three.  The fixtures are one table of rows (name, citation, expected,
 check) under the grid each suite runs over.  A grid point computes its
 integer data once, by the core that `report` and `enumerate` use, which
-tests/test_bg.py::TestAgainstClassPipeline ties to the class pipeline.
+tests/test_bg.py::TestAgainstClassPipeline ties to the reference in
+tests/classes.py.
 A check returns None where its row holds at the point, else the
 computed text, and builds a class only to print it.
 """
@@ -115,7 +116,7 @@ def lemma_4_4_suite() -> list[FixtureResult]:
          lambda p: None if (_deg(p.model, _C0, _C0), _deg(p.model, _C0, _F),
                             _deg(p.model, _F, _F)) == (-p.m, 1, 0) else p.at),
         ("c2 of the tangent bundle of F_m, m=1..50", "Lemma 4.4", "4",
-         lambda p: None if p.t2 == 4 else f"{p.at}: {p.model.point(p.t2)}"),
+         lambda p: None if p.t2 == 4 else f"{p.at}: {p.model.cycle(2, p.t2)}"),
         (f"log c1 on {_FM}", "Lemma 4.4", "2f",
          lambda p: None if p.c1 == (0, 2)
          else f"{p.at}: {p.model.divisor(*p.c1)}"),
@@ -148,8 +149,9 @@ def slope_suite() -> list[FixtureResult]:
     ))
     return wedge + _suite([_log_point(pn_pair(3, [1]), "n=3")], (
         ("slope of Omega^1(log H) on P^3", "Section 4.1", "-1",
-         lambda p: _mismatch(slope(p.model, -p.model.divisor(*p.c1),
-                                   p.model.dim, p.model.divisor(1)), -1)),
+         lambda p: _mismatch(slope(p.model,
+                                   p.model.divisor(*(-c for c in p.c1)),
+                                   p.model.n, p.model.divisor(1)), -1)),
     ))
 
 

@@ -25,11 +25,9 @@ from itertools import chain, count, groupby, repeat
 from math import comb
 from operator import index, sub
 
-from . import chow
 from .chow import ChowError, CycleClass, GradeError, Value, _set
-from .models import (AmbientModel, ChernData, default_polarization,
-                     hypersurface, is_prime_class, projective_space,
-                     tangent_coefficients)
+from .models import (AmbientModel, default_polarization, hypersurface,
+                     is_prime_class, projective_space, tangent_coefficients)
 
 
 class LogPair(Value):
@@ -96,13 +94,9 @@ class LogPair(Value):
         return tuple(cls for _, cls in self.components)
 
     def _boundary_coeffs(self) -> tuple[int, ...]:
-        # prime classes are integral, so every coefficient is an int
+        """The coefficients of D = sum D_i (zero with no components)."""
         return tuple(sum(k * E[i] for E, k in self.groups)
-                     for i in range(self.model.basis_size(1)))
-
-    def boundary(self) -> CycleClass:
-        """The total divisor D = sum D_i (zero if there are no components)."""
-        return self.model.divisor(*self._boundary_coeffs())
+                     for i in range(len(self.model.generators)))
 
 
 def _groups(model: AmbientModel, runs, label_of) -> tuple:
@@ -166,25 +160,10 @@ def hypersurface_pair(n: int, q: int, l: int) -> LogPair:
     return _pair_from_runs(model, ((1, l),) if l > 0 else (), {})
 
 
-def log_c1(pair: LogPair) -> CycleClass:
-    return log_chern(pair).c1
-
-
-def log_c2(pair: LogPair) -> CycleClass:
-    return log_chern(pair).c2
-
-
-def log_chern(pair: LogPair) -> ChernData:
-    """(rank, c1, c2) of the log tangent bundle, from _log_chern_coeffs."""
-    model = pair.model
-    c1, c2 = _log_chern_coeffs(pair)
-    return ChernData(model.dim, model.divisor(*c1), model.cycle(2, c2))
-
-
 def _log_chern_coeffs(pair: LogPair) -> tuple[tuple[int, ...], int]:
-    """Integer coefficients of log c1 and log c2, with no class built and
-    no chow.mul: one pass over the distinct class objects, times their
-    multiplicity, sums D and sum_i D_i^2 for the module docstring's c2."""
+    """Integer coefficients of log c1 and log c2, with no class built: one
+    pass over the distinct class objects, times their multiplicity, sums
+    D and sum_i D_i^2 for the module docstring's c2."""
     model = pair.model
     t1, t2 = tangent_coefficients(model)
     intersect = model.intersect
@@ -208,13 +187,20 @@ def _log_chern_coeffs(pair: LogPair) -> tuple[tuple[int, ...], int]:
 
 def slope(model: AmbientModel, c1: CycleClass, rank: int,
           H: CycleClass) -> Fraction:
-    """mu_H = c1 . H^{n-1} / rank."""
+    """mu_H = c1 . H^{n-1} / rank: q c h0^(n-1) for c1 = c h and H = h0 h,
+    q (c1.H) on the surface F_m."""
     if rank < 1:
         raise ChowError("rank must be positive")
     if c1.grade != 1 or H.grade != 1:
         raise GradeError("slope needs grade-1 classes")
+    if c1.model != model or H.model != model:
+        raise ChowError(f"slope needs c1 and H on {model}")
+    if len(H.coeffs) == 1:
+        degree = model.q * c1.coeffs[0] * H.coeffs[0] ** (model.n - 1)
+    else:
+        degree = model.q * model.intersect(c1.coeffs, H.coeffs)
     # int / int would be a float
-    return Fraction(chow.pair_with_polarization(c1, H, model.dim - 1), rank)
+    return Fraction(degree, rank)
 
 
 def wedge_cotangent_slope(n: int, r: int) -> Fraction:

@@ -20,7 +20,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Callable
 
-from .chow import ChowError, CycleClass, GradeError, Scalar, Value, _set
+from .chow import ChowError, CycleClass, GradeError, Value, _set
 
 
 class AmbientModel(Value):
@@ -40,13 +40,6 @@ class AmbientModel(Value):
     def family(self) -> "Family":
         return FAMILIES[self.kind]
 
-    @property
-    def dim(self) -> int:
-        return self.n
-
-    def basis_size(self, grade: int) -> int:
-        return len(self.generators) if grade == 1 else 1
-
     def basis_names(self, grade: int) -> tuple[str, ...]:
         generators = self.generators
         if grade == 0:
@@ -60,9 +53,9 @@ class AmbientModel(Value):
     def __str__(self) -> str:
         return self.family.label(self)
 
-    def intersect(self, a: tuple, b: tuple) -> Scalar:
+    def intersect(self, a: tuple, b: tuple) -> int:
         """The one coefficient of a.b, from the coefficient tuples of two
-        classes of positive grade; integral on integral input."""
+        classes of positive grade."""
         if self.kind == "hirzebruch":
             # only 1+1 remains on a surface: C0^2 = -m, C0.f = 1, f^2 = 0
             (a0, a1), (b0, b1) = a, b
@@ -71,37 +64,13 @@ class AmbientModel(Value):
 
     # -- class constructors ------------------------------------------------
 
-    def cycle(self, grade: int, *coeffs: Scalar) -> CycleClass:
+    def cycle(self, grade: int, *coeffs: int) -> CycleClass:
         return CycleClass(self, grade, coeffs)
 
-    def zero(self, grade: int) -> CycleClass:
-        return CycleClass(self, grade, (0,) * self.basis_size(grade))
-
-    def unit(self) -> CycleClass:
-        return self.cycle(0, 1)
-
-    def point(self, c: Scalar = 1) -> CycleClass:
-        return self.cycle(self.dim, c)
-
-    def divisor(self, *coeffs: Scalar) -> CycleClass:
+    def divisor(self, *coeffs: int) -> CycleClass:
         """Grade-1 class: one coefficient on P^n/hypersurface, (C0, f)
         coordinates on F_m."""
         return CycleClass(self, 1, coeffs)
-
-
-class ChernData(Value):
-    __slots__ = ("rank", "c1", "c2")
-
-    def __init__(self, rank: int, c1: CycleClass, c2: CycleClass):
-        if rank < 1:
-            raise ChowError("rank must be positive")
-        if c1.model != c2.model:
-            raise ChowError("c1 and c2 must live on one model")
-        if c1.grade != 1 or c2.grade != 2:
-            raise GradeError("ChernData needs c1 in grade 1, c2 in grade 2")
-        _set(self, "rank", rank)
-        _set(self, "c1", c1)
-        _set(self, "c2", c2)
 
 
 def projective_space(n: int) -> AmbientModel:
@@ -182,16 +151,6 @@ def tangent_coefficients(model: AmbientModel) -> tuple[tuple[int, ...], int]:
     return (n + 2 - q,), comb(n + 2, 2) - q * (n + 2) + q * q
 
 
-def tangent_chern(model: AmbientModel) -> ChernData:
-    """Rank (the dimension), c1 and c2 of the tangent bundle."""
-    c1, c2 = tangent_coefficients(model)
-    return ChernData(model.dim, model.divisor(*c1), model.cycle(2, c2))
-
-
-def canonical_class(model: AmbientModel) -> CycleClass:
-    return -tangent_chern(model).c1
-
-
 def default_polarization(model: AmbientModel) -> CycleClass:
     """H on P^n, h on a hypersurface, the interior ample class
     C0 + (m+1)f on F_m."""
@@ -209,7 +168,7 @@ def is_nef(model: AmbientModel, divisor: CycleClass) -> bool:
     return is_nef_coeffs(model, divisor.coeffs)
 
 
-def is_nef_coeffs(model: AmbientModel, coeffs: tuple[Scalar, ...]) -> bool:
+def is_nef_coeffs(model: AmbientModel, coeffs: tuple[int, ...]) -> bool:
     """Nefness of the divisor with these coefficients: a single sign on
     Picard-rank-one models; on F_m, nonnegative pairing with f and C0."""
     if model.kind == "hirzebruch":
@@ -225,8 +184,5 @@ def is_prime_class(model: AmbientModel, cls: CycleClass) -> bool:
     generator."""
     if model.kind == "hirzebruch":
         a, b = cls.coeffs
-        if a.denominator != 1 or b.denominator != 1:
-            return False
         return (a, b) in ((1, 0), (0, 1)) or (a >= 1 and b >= a * model.m)
-    c, = cls.coeffs
-    return c.denominator == 1 and c >= 1
+    return cls.coeffs[0] >= 1

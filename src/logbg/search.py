@@ -45,7 +45,7 @@ class SearchSpaceError(ChowError):
 
 
 class VerificationError(Exception):
-    """The full cycle-arithmetic pipeline disagrees with the solver: on a
+    """full_report, the re-verification, disagrees with the solver: on a
     closed form's modes, or on the nefness of -(K + D)."""
 
 

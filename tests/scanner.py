@@ -12,7 +12,7 @@ from logbg.search import (hyp_modes_closed_form, pn_modes_closed_form,
 
 
 def direct_modes(pair):
-    """Full cycle-arithmetic evaluation; the oracle for the closed forms."""
+    """Evaluation by full_report; the oracle for the closed forms."""
     return report_modes(full_report(pair))
 
 

@@ -11,14 +11,14 @@ from math import comb
 
 import pytest
 
-from logbg import chow
-from logbg.bg import discriminant, full_report
+from classes import discriminant, split_bundle_chern
+from logbg.bg import _at_rank, _pairing, full_report
 from logbg.fixtures import (lemma_4_1_suite, lemma_4_4_suite,
                             remark_tuple_suite)
-from logbg.logchern import (LogPair, hypersurface_pair, log_c1, log_c2,
+from logbg.logchern import (LogPair, _log_chern_coeffs, hypersurface_pair,
                             pn_pair, slope, wedge_cotangent_slope)
-from logbg.models import (ChernData, default_polarization, hirzebruch,
-                          hypersurface, projective_space, tangent_chern)
+from logbg.models import (default_polarization, hirzebruch, hypersurface,
+                          projective_space, tangent_coefficients)
 from logbg.search import (DEFAULT_BOUNDS, SearchConfig, enumerate_cases,
                           pn_modes_closed_form)
 from scanner import direct_modes, partitions_with_sum_at_most
@@ -85,7 +85,8 @@ def test_criterion_5_slope_suite():
         for r in range(1, n + 1):
             ok &= wedge_cotangent_slope(n, r) == Fraction(-r * (n + 1), n)
         model = projective_space(n)
-        log_cotangent_c1 = -log_c1(pn_pair(n, [1]))
+        log_cotangent_c1 = model.divisor(
+            *(-c for c in _log_chern_coeffs(pn_pair(n, [1]))[0]))
         ok &= slope(model, log_cotangent_c1, n,
                     default_polarization(model)) == -1
     announce(5, ok, "wedge cotangent slopes and log cotangent slope")
@@ -94,33 +95,35 @@ def test_criterion_5_slope_suite():
 def test_criterion_6_property_suites():
     ok = True
 
-    # split-bundle discriminant vanishes on 500 random (r, B) samples
+    # split-bundle discriminant vanishes on 500 random (r, B) samples,
+    # by the integer core and by the reference
     rng = random.Random(13)
     for _ in range(500):
         r = rng.randint(1, 8)
         kind = rng.choice(["pn", "hyp", "fm"])
         if kind == "pn":
             model = projective_space(rng.randint(2, 8))
-            B = model.divisor(rng.randint(-5, 5))
+            B = (rng.randint(-5, 5),)
         elif kind == "hyp":
             model = hypersurface(rng.randint(2, 8), rng.randint(1, 5))
-            B = model.divisor(rng.randint(-5, 5))
+            B = (rng.randint(-5, 5),)
         else:
             model = hirzebruch(rng.randint(1, 8))
-            B = model.divisor(rng.randint(-4, 4), rng.randint(-4, 4))
-        chern = ChernData(r, r * B, comb(r, 2) * chow.mul(B, B))
-        ok &= discriminant(chern, default_polarization(model)) == 0
+            B = (rng.randint(-4, 4), rng.randint(-4, 4))
+        c1, c2 = split_bundle_chern(model, r, B)
+        H = default_polarization(model)
+        ok &= _at_rank(r, *_pairing(model, c1, c2, H)) == 0
+        ok &= discriminant(model, r, c1, c2, H.coeffs) == 0
 
     # empty-divisor reduction
     for model in (projective_space(5), hypersurface(6, 2), hirzebruch(3)):
         pair = LogPair(model, ())
-        ok &= log_c1(pair) == tangent_chern(model).c1
-        ok &= log_c2(pair) == tangent_chern(model).c2
+        ok &= _log_chern_coeffs(pair) == tangent_coefficients(model)
 
     # component-permutation invariance
-    reference = log_c2(pn_pair(6, [3, 2, 1, 1]))
+    reference = _log_chern_coeffs(pn_pair(6, [3, 2, 1, 1]))
     for perm in itertools.permutations([3, 2, 1, 1]):
-        ok &= log_c2(pn_pair(6, perm)) == reference
+        ok &= _log_chern_coeffs(pn_pair(6, perm)) == reference
 
     # hypersurface(n, 1) agrees with projective_space(n) downstream
     for n in range(2, 13):
@@ -132,10 +135,9 @@ def test_criterion_6_property_suites():
     # series-division oracle for hypersurface tangent Chern data
     for n in range(2, 13):
         for q in range(1, 13):
-            data = tangent_chern(hypersurface(n, q))
             c1 = (n + 2) - q
             c2 = comb(n + 2, 2) - q * c1
-            ok &= data.c1.coeffs[0] == c1 and data.c2.coeffs[0] == c2
+            ok &= tangent_coefficients(hypersurface(n, q)) == ((c1,), c2)
 
     # enumerator fast path vs direct path on the full n in [2, 10] box
     for n in range(2, 11):

@@ -6,13 +6,14 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logbg import chow
-from logbg.bg import discriminant, evaluate_pair, full_report
-from logbg.chow import ChowError, CycleClass, GradeError, mul
+import classes
+from classes import intersect, iterated_pairing, split_bundle_chern
+from logbg.bg import _at_rank, _pairing, full_report
+from logbg.chow import ChowError, CycleClass, GradeError
 from logbg.cli import main
-from logbg.logchern import LogPair, hypersurface_pair, log_chern, pn_pair
-from logbg.models import (ChernData, c_infinity, default_polarization,
-                          hirzebruch, hypersurface, is_nef, projective_space)
+from logbg.logchern import LogPair, hypersurface_pair, pn_pair
+from logbg.models import (c_infinity, default_polarization, hirzebruch,
+                          hypersurface, is_nef, projective_space)
 
 
 def hirzebruch_boundary(m):
@@ -21,17 +22,17 @@ def hirzebruch_boundary(m):
                            ("Cinf", c_infinity(model))))
 
 
-def split_bundle_chern(model, r, B):
-    """Chern data of a direct sum of r copies of a line bundle of class B."""
-    return ChernData(r, r * B, comb(r, 2) * mul(B, B))
+def core_discriminant(model, r, chern, H):
+    """The rank-r discriminant of (c1, c2) by the integer core, as the
+    verify-paper fixtures take it at ranks other than dim X."""
+    return _at_rank(r, *_pairing(model, *chern, H))
 
 
 class TestDiscriminant:
     def test_split_bundle_vanishes(self):
         model = projective_space(5)
-        B = model.divisor(3)
-        chern = split_bundle_chern(model, 4, B)
-        assert discriminant(chern, model.divisor(1)) == 0
+        chern = split_bundle_chern(model, 4, (3,))
+        assert core_discriminant(model, 4, chern, model.divisor(1)) == 0
 
     def test_split_bundle_500_random_samples(self):
         rng = random.Random(20260823)
@@ -40,39 +41,33 @@ class TestDiscriminant:
             r = rng.randint(1, 9)
             if family == "pn":
                 model = projective_space(rng.randint(2, 9))
-                B = model.divisor(rng.randint(-6, 6))
+                B = (rng.randint(-6, 6),)
             elif family == "hyp":
                 model = hypersurface(rng.randint(2, 9), rng.randint(1, 6))
-                B = model.divisor(rng.randint(-6, 6))
+                B = (rng.randint(-6, 6),)
             else:
                 model = hirzebruch(rng.randint(1, 9))
-                B = model.divisor(rng.randint(-4, 4), rng.randint(-4, 4))
-            from logbg.models import default_polarization
+                B = (rng.randint(-4, 4), rng.randint(-4, 4))
             chern = split_bundle_chern(model, r, B)
-            assert discriminant(chern, default_polarization(model)) == 0
+            assert core_discriminant(model, r, chern,
+                                     default_polarization(model)) == 0
 
     def test_p2_log_hyperplane(self):
         model = projective_space(2)
-        chern = ChernData(2, model.divisor(2), model.cycle(2, 1))
-        assert discriminant(chern, model.divisor(1)) == 0
+        assert core_discriminant(model, 2, ((2,), 1), model.divisor(1)) == 0
+        assert full_report(pn_pair(2, [1])).discriminant == 0
 
     def test_p2_tangent_bundle(self):
         model = projective_space(2)
-        chern = ChernData(2, model.divisor(3), model.cycle(2, 3))
-        assert discriminant(chern, model.divisor(1)) == Fraction(3, 4)
-
-    def test_grade_mismatch_rejected(self):
-        model = projective_space(4)
-        chern = ChernData(2, model.divisor(1), model.cycle(2, 1))
-        with pytest.raises(GradeError):
-            discriminant(chern, model.cycle(2, 1))
+        assert core_discriminant(model, 2, ((3,), 3), model.divisor(1)) == \
+            Fraction(3, 4)
+        assert full_report(pn_pair(2, [])).discriminant == Fraction(3, 4)
 
 
 class TestPolarizationChecks:
     """full_report checks H before any arithmetic: a grade other than 1
     raises GradeError, then H on another model raises ChowError itself
-    (not a subclass); evaluate_pair keeps its checks, and its values at
-    any rank."""
+    (not a subclass); the integer pairing gives the values at any rank."""
 
     def pairs_and_strangers(self):
         F3 = hirzebruch(3)
@@ -90,7 +85,7 @@ class TestPolarizationChecks:
     def test_grade_checked_first(self):
         for pair, strangers in self.pairs_and_strangers():
             model = pair.model
-            for H in (model.cycle(2, 1), model.unit(),
+            for H in (model.cycle(2, 1), model.cycle(0, 1),
                       strangers[0].model.cycle(2, 1)):
                 with pytest.raises(GradeError,
                                    match="^polarization must have grade 1$"):
@@ -105,61 +100,33 @@ class TestPolarizationChecks:
                 assert str(excinfo.value) == \
                     "polarization lives on a different model"
 
-    def test_evaluate_pair_checks(self):
-        model = projective_space(4)
-        chern = ChernData(3, model.divisor(2), model.cycle(2, 1))
-        with pytest.raises(GradeError,
-                           match="^polarization must have grade 1$"):
-            evaluate_pair(chern, model.cycle(2, 1))
-        with pytest.raises(ChowError) as excinfo:
-            evaluate_pair(chern, projective_space(5).divisor(1))
-        assert excinfo.type is ChowError
-
     @pytest.mark.parametrize("m", (1, 2, 7, 50))
-    def test_evaluate_pair_fm_rank_2_and_3(self, m):
+    def test_pairing_fm_rank_2_and_3(self, m):
         """The Lemma 4.4 fixture's rank-2 and rank-3 discriminants on
         (F_m, C0 + Cinf) against C0 + (m+1)f; rank 3 is not dim F_m."""
         model = hirzebruch(m)
-        chern = log_chern(hirzebruch_boundary(m))
-        H = model.divisor(1, m + 1)
+        c1, c2 = classes.log_chern(hirzebruch_boundary(m))
+        values = _pairing(model, c1, c2, model.divisor(1, m + 1))
+        assert values == (0, 0)
+        assert tuple(map(type, values)) == (int, int)
         for rank in (2, 3):
-            data = ChernData(rank, chern.c1, chern.c2)
-            values = evaluate_pair(data, H)
-            assert values == (0, 0)
-            assert tuple(map(type, values)) == (int, int)
-            value = discriminant(data, H)
+            value = _at_rank(rank, *values)
             assert value == 0 and type(value) is Fraction
 
-    def test_evaluate_pair_values_and_types(self):
-        """Values and types at ranks other than dim, with integral,
-        Fraction and negative H, and with Fraction Chern classes whose
-        square is integral."""
-        P4, P2, F2 = projective_space(4), projective_space(2), hirzebruch(2)
-        X = hypersurface(3, 3)
-        half = Fraction(1, 2)
+    def test_pairing_values_and_types(self):
+        """Integer values with unit, non-unit and negative H."""
+        P4, F2, X = projective_space(4), hirzebruch(2), hypersurface(3, 3)
         cases = (
-            (ChernData(3, P4.divisor(2), P4.cycle(2, 1)), P4.divisor(1),
-             (4, 1)),
-            (ChernData(3, P4.divisor(2), P4.cycle(2, 1)), P4.divisor(half),
-             (Fraction(1), Fraction(1, 4))),
-            (ChernData(5, P4.divisor(-3), P4.cycle(2, 7)), P4.divisor(-2),
-             (36, 28)),
-            (ChernData(4, P2.divisor(3), P2.cycle(2, 3)), P2.divisor(half),
-             (Fraction(9), Fraction(3))),
-            (ChernData(2, X.divisor(1), X.cycle(2, -2)), X.divisor(2),
-             (6, -12)),
-            (ChernData(2, X.divisor(half), X.cycle(2, half)), X.divisor(2),
-             (Fraction(3, 2), Fraction(3))),
-            (ChernData(3, F2.divisor(half, half), F2.cycle(2, 1)),
-             F2.divisor(1, 3), (0, 1)),
-            (ChernData(4, F2.divisor(1, 3), F2.cycle(2, half)),
-             F2.divisor(half, -1), (4, half)),
+            (P4, (2,), 1, P4.divisor(1), (4, 1)),
+            (P4, (-3,), 7, P4.divisor(-2), (36, 28)),
+            (X, (1,), -2, X.divisor(2), (6, -12)),
+            (F2, (1, 3), 2, F2.divisor(1, 3), (4, 2)),
+            (F2, (0, 2), -1, F2.divisor(2, -1), (0, -1)),
         )
-        for chern, H, expected in cases:
-            values = evaluate_pair(chern, H)
-            assert values == expected, (chern, H)
-            assert tuple(map(type, values)) == tuple(map(type, expected)), \
-                (chern, H)
+        for model, c1, c2, H, expected in cases:
+            values = _pairing(model, c1, c2, H)
+            assert values == expected, (model, c1, c2, H)
+            assert tuple(map(type, values)) == (int, int)
 
 
 @st.composite
@@ -183,18 +150,18 @@ def pairs_and_polarizations(draw):
     classes = draw(st.lists(prime, max_size=10))
     pair = LogPair(model, tuple((f"D{i}", model.divisor(*c))
                                 for i, c in enumerate(classes)))
-    coefficient = st.one_of(st.integers(-7, 7), st.fractions(
-        min_value=-7, max_value=7, max_denominator=6))
+    size = len(model.generators)
     H = draw(st.none() | st.lists(
-        coefficient, min_size=model.basis_size(1),
-        max_size=model.basis_size(1)).map(lambda c: model.divisor(*c)))
+        st.integers(-7, 7), min_size=size,
+        max_size=size).map(lambda c: model.divisor(*c)))
     return pair, H
 
 
 class TestAgainstClassPipeline:
-    """full_report's integer pairing equals the class pipeline it
-    replaced, c1 and c2 from log_chern, c1^2 by chow.mul, each paired
-    with H by chow.pair_with_polarization, in value and in type."""
+    """full_report's integer core equals the reference module: log c1
+    and c2 by the pairwise formula, c1^2 by the written-out form, each
+    paired with H one factor at a time, and the discriminant in its
+    textbook form."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(pairs_and_polarizations())
@@ -206,16 +173,17 @@ class TestAgainstClassPipeline:
             assert report.polarization == H
         else:
             assert report.polarization is H
-        chern = log_chern(pair)
-        k = pair.model.dim - 2
-        c1_sq = chow.pair_with_polarization(chow.mul(chern.c1, chern.c1),
-                                            H, k)
-        c2_eval = chow.pair_with_polarization(chern.c2, H, k)
+        model, h = pair.model, H.coeffs
+        c1, c2 = classes.log_chern(pair)
+        k = model.n - 2
+        c1_sq = iterated_pairing(model, 2, (intersect(model, c1, c1),), h, k)
+        c2_eval = iterated_pairing(model, 2, (c2,), h, k)
         assert (report.c1_sq, report.c2_eval) == (c1_sq, c2_eval)
-        assert (type(report.c1_sq), type(report.c2_eval)) == \
-            (type(c1_sq), type(c2_eval))
-        assert report.discriminant == discriminant(chern, H)
-        assert report.minus_k_plus_d_nef is is_nef(pair.model, chern.c1)
+        assert (type(report.c1_sq), type(report.c2_eval)) == (int, int)
+        assert report.discriminant == \
+            classes.discriminant(model, model.n, c1, c2, h)
+        assert report.minus_k_plus_d_nef is \
+            is_nef(model, model.divisor(*c1))
 
 
 class TestEqualityPredicates:
@@ -310,40 +278,43 @@ class TestFullReport:
 
 
 class TestProductCount:
-    """A report takes no chow.mul, at any n and any number of
-    components: log c1, log c2 and c1^2 are integers from the model's
-    intersection form."""
+    """A report's cost in cycle classes does not grow with n or with the
+    number of components: log c1, log c2 and c1^2 are integers from the
+    model's intersection form, and only the default polarization is
+    built."""
 
-    def test_full_report_independent_of_n(self, mul_calls):
+    def test_full_report_independent_of_n(self, cycle_calls):
         for n in (3, 100000):
-            mul_calls.clear()
-            full_report(pn_pair(n, [2, 1]))
-            assert len(mul_calls) == 0
+            pair = pn_pair(n, [2, 1])
+            cycle_calls.clear()
+            full_report(pair)
+            assert len(cycle_calls) == 1
 
-    def test_cli_report_independent_of_n(self, mul_calls, tmp_path):
+    def test_cli_report_independent_of_n(self, cycle_calls, tmp_path):
+        # the two component classes and the default polarization
         path = tmp_path / "pair.json"
         for n in (3, 100000):
             path.write_text(json.dumps({
                 "ambient": {"kind": "projective_space", "n": n},
                 "divisors": [{"label": "A", "class": {"H": 2}},
                              {"label": "B", "class": {"H": 1}}]}))
-            mul_calls.clear()
+            cycle_calls.clear()
             assert main(["report", str(path),
                          "--out", str(tmp_path / "out.txt")]) == 0
-            assert len(mul_calls) == 0
+            assert len(cycle_calls) == 3
 
-    def test_full_report_independent_of_l(self, mul_calls):
+    def test_full_report_independent_of_l(self, cycle_calls):
         for n, q, l in ((3, 2, 2), (160, 2, 117)):
-            mul_calls.clear()
-            full_report(hypersurface_pair(n, q, l))
-            assert len(mul_calls) == 0
+            pair = hypersurface_pair(n, q, l)
+            cycle_calls.clear()
+            full_report(pair)
+            assert len(cycle_calls) == 1
 
 
 class TestConstructionCount:
     """A report builds no cycle class when H is given, and only the
     default polarization when it is not, at any n and any number of
-    components; log_chern reads the tangent data as integers and builds
-    only c1 and c2."""
+    components."""
 
     def pairs(self):
         F3 = hirzebruch(3)
@@ -356,26 +327,13 @@ class TestConstructionCount:
 
     def test_full_report_builds_only_default_polarization(self, cycle_calls):
         for pair in self.pairs():
-            H = pair.model.divisor(*(2,) * pair.model.basis_size(1))
+            H = pair.model.divisor(*(2,) * len(pair.model.generators))
             cycle_calls.clear()
             full_report(pair)
             assert len(cycle_calls) == 1, pair.model
             cycle_calls.clear()
             full_report(pair, H)
             assert len(cycle_calls) == 0, pair.model
-
-    def test_log_chern_builds_c1_and_c2_only(self, cycle_calls, monkeypatch):
-        from logbg import logchern, models
-
-        def refuse(model):
-            raise AssertionError("log_chern called tangent_chern")
-
-        monkeypatch.setattr(models, "tangent_chern", refuse)
-        monkeypatch.setattr(logchern, "tangent_chern", refuse, raising=False)
-        for pair in self.pairs():
-            cycle_calls.clear()
-            log_chern(pair)
-            assert len(cycle_calls) == 2, pair.model
 
     def test_counts_independent_of_l(self, cycle_calls, monkeypatch):
         """pn_pair builds one class per distinct degree, and a pair runs
@@ -412,9 +370,11 @@ class TestConstructionCount:
                  for label, cls in pair.components],
                 [(label, shared.setdefault(cls.coeffs, cls))
                  for label, cls in pair.components])
-            report, boundary = full_report(pair), pair.boundary()
-            assert boundary == sum(pair.classes, pair.model.zero(1))
+            report, boundary = full_report(pair), pair._boundary_coeffs()
+            assert boundary == tuple(
+                sum(cls.coeffs[i] for cls in pair.classes)
+                for i in range(len(pair.model.generators)))
             for components in variants:
                 other = LogPair(pair.model, tuple(components))
                 assert full_report(other) == report, pair.model
-                assert other.boundary() == boundary, pair.model
+                assert other._boundary_coeffs() == boundary, pair.model

@@ -1,179 +1,83 @@
+"""Intersection numbers: the models' form on coefficient tuples, and the
+closed-form pairings of slope and bg._pairing against the iterated
+products of the reference module."""
+
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from logbg import chow
-from logbg.chow import GradeError, ModelMismatchError
+import classes
+from classes import intersect, iterated_pairing
+from logbg.bg import _pairing
+from logbg.logchern import slope
 from logbg.models import hirzebruch, hypersurface, projective_space
 
 F2 = hirzebruch(2)
-P7 = projective_space(7)
-
-
-class TestAdd:
-    def test_hirzebruch_boundary_sum(self):
-        m = 3
-        model = hirzebruch(m)
-        total = model.divisor(2, m) + model.divisor(0, 2)
-        assert total == model.divisor(2, m + 2)
-
-    def test_zero_plus_zero(self):
-        z = P7.zero(1)
-        assert (z + z).is_zero()
-
-    def test_integer_addition_rank_one(self):
-        assert P7.divisor(2) + P7.divisor(1) == P7.divisor(3)
-
-    def test_model_mismatch_rejected(self):
-        with pytest.raises(ModelMismatchError):
-            P7.divisor(1) + projective_space(8).divisor(1)
-
-    def test_grade_mismatch_rejected(self):
-        with pytest.raises(GradeError):
-            P7.divisor(1) + P7.cycle(2, 1)
+C0, F = (1, 0), (0, 1)  # the basis divisors of F_m
 
 
 class TestMul:
     @pytest.mark.parametrize("m", range(1, 11))
     def test_intersection_matrix(self, m):
         model = hirzebruch(m)
-        C0, f = model.divisor(1, 0), model.divisor(0, 1)
-        matrix = [[chow.degree(a * b) for b in (C0, f)] for a in (C0, f)]
+        matrix = [[model.q * model.intersect(a, b) for b in (C0, F)]
+                  for a in (C0, F)]
         assert matrix == [[-m, 1], [1, 0]]
 
     def test_c1_relative_times_pullback(self):
         m = 4
-        model = hirzebruch(m)
-        assert model.divisor(2, m) * model.divisor(0, 2) == model.point(4)
+        assert hirzebruch(m).intersect((2, m), (0, 2)) == 4
 
     def test_fiber_square_vanishes(self):
-        two_f = F2.divisor(0, 2)
-        assert (two_f * two_f).is_zero()
-
-    def test_grade_overflow_rejected(self):
-        with pytest.raises(GradeError):
-            F2.point() * F2.divisor(1, 0)
-
-    def test_monomial_truncation(self):
-        h2 = P7.divisor(1) * P7.divisor(1)
-        assert h2 == P7.cycle(2, 1)
-        with pytest.raises(GradeError):
-            P7.cycle(4, 1) * P7.cycle(4, 1)
+        assert F2.intersect((0, 2), (0, 2)) == 0
 
 
 class TestDegree:
+    """deg(D . H^{n-1}) is slope's pairing at rank 1."""
+
     def test_point_class_normalization(self):
         for n in range(2, 8):
             model = projective_space(n)
-            assert chow.degree(model.divisor(1) ** n) == 1
+            H = model.divisor(1)
+            assert slope(model, H, 1, H) == 1
 
     def test_bezout_on_quadric(self):
         # 7 generic hyperplane sections of a quadric in P^8 meet in 2 points
         model = hypersurface(7, 2)
-        assert chow.degree(model.divisor(1) ** 7) == 2
+        h = model.divisor(1)
+        assert slope(model, h, 1, h) == 2
 
     def test_extremal_pairing(self):
-        model = hirzebruch(3)
-        k_plus_d = model.divisor(0, -2)
-        assert chow.degree(k_plus_d * model.divisor(1, 0)) == -2
-
-    def test_wrong_grade_rejected(self):
-        with pytest.raises(GradeError):
-            chow.degree(P7.divisor(1))
+        k_plus_d = (0, -2)
+        assert hirzebruch(3).intersect(k_plus_d, C0) == -2
 
 
 class TestPairing:
+    """bg._pairing gives (c1^2 . H^{n-2}, c2 . H^{n-2})."""
+
     def test_projective_identity(self):
         for n in range(2, 8):
             model = projective_space(n)
-            a = model.cycle(2, Fraction(5, 3))
-            assert chow.pair_with_polarization(
-                a, model.divisor(1), n - 2) == Fraction(5, 3)
+            assert _pairing(model, (0,), 5, model.divisor(1)) == (0, 5)
 
     def test_hypersurface_scaling(self):
         model = hypersurface(6, 3)
-        a = model.cycle(2, 7)
-        assert chow.pair_with_polarization(a, model.divisor(1), 4) == 21
+        assert _pairing(model, (0,), 7, model.divisor(1)) == (0, 21)
 
     def test_surface_identity_pairing(self):
-        a = F2.point(Fraction(-3, 2))
-        assert chow.pair_with_polarization(
-            a, F2.divisor(1, 3), 0) == Fraction(-3, 2)
-
-    def test_grade_mismatch_rejected(self):
-        with pytest.raises(GradeError):
-            chow.pair_with_polarization(P7.cycle(2, 1), P7.divisor(1), 3)
-
-    @pytest.mark.parametrize("model, H", [
-        (P7, hypersurface(7, 2).divisor(1)),
-        (hirzebruch(1), F2.divisor(1, 3))])
-    def test_model_mismatch_rejected_at_every_k(self, model, H):
-        for grade in range(model.dim + 1):
-            a = model.cycle(grade, *(3,) * model.basis_size(grade))
-            with pytest.raises(ModelMismatchError):
-                chow.pair_with_polarization(a, H, model.dim - grade)
+        assert _pairing(F2, (0, 0), -3, F2.divisor(1, 3)) == (0, -3)
 
 
-def iterated_pairing(a, H, k):
-    """deg(a . H^k) with one product per factor of H: the oracle for the
-    closed form of pair_with_polarization."""
-    result = a
-    for _ in range(k):
-        result = chow.mul(result, H)
-    return chow.degree(result)
-
-
-rationals = st.fractions(
-    min_value=-20, max_value=20, max_denominator=12)
-
-
-def hirzebruch_divisors(model):
-    return st.tuples(rationals, rationals).map(
-        lambda c: model.divisor(*c))
-
-
-class TestAlgebraicProperties:
-    @given(a=st.tuples(rationals, rationals), b=st.tuples(rationals, rationals))
-    def test_mul_commutative_on_hirzebruch(self, a, b):
-        assert F2.divisor(*a) * F2.divisor(*b) == F2.divisor(*b) * F2.divisor(*a)
-
-    @given(a=rationals, b=rationals, c=rationals)
-    def test_mul_associative_rank_one(self, a, b, c):
-        model = projective_space(5)
-        x, y, z = model.divisor(a), model.divisor(b), model.divisor(c)
-        assert (x * y) * z == x * (y * z)
-
-    @given(t=rationals, a=st.tuples(rationals, rationals),
-           b=st.tuples(rationals, rationals))
-    def test_bilinearity(self, t, a, b):
-        x, y = F2.divisor(*a), F2.divisor(*b)
-        assert (t * x) * y == t * (x * y)
-        assert (x + y) * y == x * y + y * y
-
-    @given(a=st.tuples(rationals, rationals), b=st.tuples(rationals, rationals))
-    def test_degree_symmetric(self, a, b):
-        x, y = F2.divisor(*a), F2.divisor(*b)
-        assert chow.degree(x * y) == chow.degree(y * x)
-
-    @given(a=rationals, b=rationals)
-    def test_degree_linear(self, a, b):
-        x, y = F2.point(a), F2.point(b)
-        assert chow.degree(x + y) == chow.degree(x) + chow.degree(y)
-
-    @given(a=st.tuples(rationals, rationals))
-    def test_canonical_form(self, a):
-        cls = F2.divisor(*a) * F2.divisor(1, 1)
-        for c in cls.coeffs:
-            assert c.denominator > 0
-            from math import gcd
-            assert gcd(abs(c.numerator), c.denominator) == 1
+integers = st.integers(-20, 20)
 
 
 @st.composite
 def pairing_inputs(draw):
-    """(a, H, k) on any family, at any grade, with non-unit and negative
-    coefficients in both a and H."""
+    """(model, c1, c2, H) on any family, with non-unit and negative
+    coefficients in c1, c2 and H."""
     family = draw(st.sampled_from(["pn", "hyp", "fm"]))
     if family == "fm":
         model = hirzebruch(draw(st.integers(1, 6)))
@@ -181,22 +85,42 @@ def pairing_inputs(draw):
         model = projective_space(draw(st.integers(2, 12)))
     else:
         model = hypersurface(draw(st.integers(2, 12)), draw(st.integers(1, 6)))
-    grade = draw(st.integers(0, model.dim))
-    coeffs = draw(st.lists(rationals, min_size=model.basis_size(grade),
-                           max_size=model.basis_size(grade)))
-    H = model.divisor(*draw(st.lists(rationals, min_size=model.basis_size(1),
-                                     max_size=model.basis_size(1))))
-    return model.cycle(grade, *coeffs), H, model.dim - grade
+    size = len(model.generators)
+    c1, H = (tuple(draw(st.lists(integers, min_size=size, max_size=size)))
+             for _ in range(2))
+    return model, c1, draw(integers), H
 
 
 class TestClosedFormPairing:
-    @given(pairing_inputs())
-    def test_matches_iterated_products(self, inputs):
-        a, H, k = inputs
-        assert chow.pair_with_polarization(a, H, k) == iterated_pairing(a, H, k)
+    @given(pairing_inputs(), st.integers(1, 12))
+    def test_matches_iterated_products(self, inputs, rank):
+        model, c1, c2, H = inputs
+        n = model.n
+        assert slope(model, model.divisor(*c1), rank, model.divisor(*H)) == \
+            Fraction(iterated_pairing(model, 1, c1, H, n - 1), rank)
+        assert _pairing(model, c1, c2, model.divisor(*H)) == (
+            iterated_pairing(model, 2, (intersect(model, c1, c1),), H, n - 2),
+            iterated_pairing(model, 2, (c2,), H, n - 2))
 
     def test_non_unit_polarization(self):
         model = hypersurface(9, 3)
-        a, H = model.cycle(2, Fraction(-5, 2)), model.divisor(3)
-        assert chow.pair_with_polarization(a, H, 7) == \
-            iterated_pairing(a, H, 7) == 3 * Fraction(-5, 2) * 3 ** 7
+        assert _pairing(model, (0,), -5, model.divisor(3))[1] == \
+            iterated_pairing(model, 2, (-5,), (3,), 7) == 3 * -5 * 3 ** 7
+
+
+def test_reference_imports_only_model_constructors():
+    """tests/classes.py stays independent of the integer core it checks:
+    from logbg it may import the model constructors and nothing else."""
+    constructors = {"projective_space", "hypersurface", "hirzebruch"}
+    tree = ast.parse(Path(classes.__file__).read_text(), classes.__file__)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+            assert not any(name.split(".")[0] == "logbg" for name in names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "no relative imports"
+            if node.module.split(".")[0] == "logbg":
+                assert node.module in ("logbg", "logbg.models")
+                assert {alias.name for alias in node.names} <= constructors
+        elif isinstance(node, ast.Name):
+            assert node.id not in ("__import__", "importlib")

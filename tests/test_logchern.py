@@ -8,15 +8,16 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logbg import chow
-from logbg.bg import discriminant, full_report
+import classes
+from classes import intersect, pairwise_log_c2
+from logbg.bg import _at_rank, _pairing, full_report
 from logbg.chow import ChowError, Value
-from logbg.logchern import (LogPair, _pair_from_runs, hypersurface_pair,
-                            log_c1, log_c2, log_chern, pn_pair, slope,
+from logbg.logchern import (LogPair, _log_chern_coeffs, _pair_from_runs,
+                            hypersurface_pair, pn_pair, slope,
                             wedge_cotangent_slope)
-from logbg.models import (ChernData, c_infinity, default_polarization,
-                          hirzebruch, hypersurface, projective_space,
-                          tangent_chern)
+from logbg.models import (c_infinity, default_polarization, hirzebruch,
+                          hypersurface, projective_space,
+                          tangent_coefficients)
 from logbg.search import DEFAULT_BOUNDS, EqualityCase, report_modes
 from logbg.serialize import (Echoes, bounds_fields, case_record,
                              report_record)
@@ -39,7 +40,7 @@ class TestLogPairValidation:
         with pytest.raises(ChowError):
             LogPair(model, (("D", model.divisor(0)),))
         with pytest.raises(ChowError):
-            LogPair(model, (("D", Fraction(1, 2) * model.divisor(1)),))
+            LogPair(model, (("D", model.divisor(-1)),))
         f2 = hirzebruch(2)
         with pytest.raises(ChowError):
             LogPair(f2, (("D", f2.divisor(0, 0)),))
@@ -68,7 +69,7 @@ class TestLogPairValidation:
         # each class object is checked once, at its first occurrence
         f2, p3 = hirzebruch(2), projective_space(3)
         good, not_prime = f2.divisor(1, 0), f2.divisor(1, 1)
-        foreign, point = p3.divisor(1), f2.point()
+        foreign, point = p3.divisor(1), f2.cycle(2, 1)
         for bad, error in ((not_prime, "prime"), (foreign, "lives on"),
                            (point, "grade 1")):
             with pytest.raises(ChowError, match=f"component 'B' .*{error}"):
@@ -84,7 +85,7 @@ class TestLogPairValidation:
             two = LogPair(model, (("A", model.divisor(*coeffs)),
                                   ("B", model.divisor(*coeffs))))
             assert (len(one.groups), len(two.groups)) == (1, 2)
-            assert log_chern(one) == log_chern(two)
+            assert _log_chern_coeffs(one) == _log_chern_coeffs(two)
             assert one == two
 
     # True == 1 == 1.0, so a degree must not be matched up by value
@@ -165,7 +166,7 @@ class TestRunBuiltPairs:
     def test_same_reports_as_explicit_components(self, make, make_explicit):
         pair, explicit = make(), make_explicit()
         assert full_report(pair) == full_report(explicit)
-        assert pair.boundary() == explicit.boundary()
+        assert pair._boundary_coeffs() == explicit._boundary_coeffs()
 
     def test_full_report_memory_independent_of_l(self):
         """A search pair and its report take no per-component memory:
@@ -221,35 +222,42 @@ class TestPnPairFromRuns:
                 _pair_from_runs(model, runs, classes)
 
 
+def log_c1(pair):
+    return _log_chern_coeffs(pair)[0]
+
+
+def log_c2(pair):
+    return _log_chern_coeffs(pair)[1]
+
+
 class TestLogC1:
     def test_projective_hyperplane(self):
         for n in range(2, 13):
-            assert log_c1(pn_pair(n, [1])) == projective_space(n).divisor(n)
+            assert log_c1(pn_pair(n, [1])) == (n,)
 
     def test_hirzebruch_boundary(self):
         for m in range(1, 11):
-            assert log_c1(hirzebruch_boundary(m)) == hirzebruch(m).divisor(0, 2)
+            assert log_c1(hirzebruch_boundary(m)) == (0, 2)
 
     def test_empty_divisor_reduction(self):
         for model in (projective_space(5), hypersurface(4, 3), hirzebruch(2)):
             pair = LogPair(model, ())
-            assert log_c1(pair) == tangent_chern(model).c1
-            assert log_c2(pair) == tangent_chern(model).c2
+            assert log_c1(pair) == tangent_coefficients(model)[0]
+            assert log_c2(pair) == tangent_coefficients(model)[1]
 
 
 class TestLogC2:
     def test_projective_hyperplane(self):
         for n in range(2, 13):
-            expected = projective_space(n).cycle(2, Fraction(n * (n - 1), 2))
-            assert log_c2(pn_pair(n, [1])) == expected
+            assert log_c2(pn_pair(n, [1])) == n * (n - 1) // 2
 
     def test_hirzebruch_boundary_vanishes(self):
         for m in range(1, 11):
-            assert log_c2(hirzebruch_boundary(m)).is_zero()
+            assert log_c2(hirzebruch_boundary(m)) == 0
 
     def test_p7_degrees_211(self):
         # 28 - 8*4 + 16 - (2*1 + 2*1 + 1*1) = 7
-        assert log_c2(pn_pair(7, [2, 1, 1])) == projective_space(7).cycle(2, 7)
+        assert log_c2(pn_pair(7, [2, 1, 1])) == 7
 
     def test_permutation_invariance(self):
         degrees = [3, 1, 2, 1]
@@ -263,21 +271,7 @@ class TestLogC2:
         split = pn_pair(n, [4, 3, 2])
         merged = pn_pair(n, [7, 2])
         assert log_c1(split) == log_c1(merged)
-        delta = log_c2(merged) - log_c2(split)
-        assert delta == projective_space(n).cycle(2, 4 * 3)
-
-
-def pairwise_log_c2(pair):
-    """c2(T_X) + K.D + D^2 - sum_{i<j} D_i.D_j with every pair multiplied
-    out: the O(l^2) form of log_c2."""
-    tangent = tangent_chern(pair.model)
-    D = sum(pair.classes, pair.model.zero(1))
-    result = tangent.c2 + chow.mul(-tangent.c1, D) + chow.mul(D, D)
-    classes = pair.classes
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            result = result - chow.mul(classes[i], classes[j])
-    return result
+        assert log_c2(merged) - log_c2(split) == 4 * 3
 
 
 @st.composite
@@ -315,38 +309,44 @@ def pairs_with_runs(draw):
                                      for i, cls in enumerate(classes)))
 
 
+def divisors(pair):
+    return [cls.coeffs for cls in pair.classes]
+
+
 class TestLinearLogC2:
     @given(small_pairs())
     def test_matches_pairwise_sum(self, pair):
-        assert log_c2(pair) == pairwise_log_c2(pair)
+        assert log_c2(pair) == pairwise_log_c2(pair.model, divisors(pair))
 
     @settings(deadline=None)
     @given(pairs_with_runs())
     def test_runs_match_pairwise_sum(self, pair):
-        assert log_c2(pair) == pairwise_log_c2(pair)
+        assert log_c2(pair) == pairwise_log_c2(pair.model, divisors(pair))
 
     @settings(deadline=None)
     @given(st.one_of(small_pairs(), pairs_with_runs()))
     def test_coefficient_is_integral(self, pair):
         # the closed form halves D^2 + sum D_i^2 exactly because D^2 and
         # sum D_i^2 agree mod 2
-        D = pair.boundary()
-        squares = sum(chow.mul(E, E).coeffs[0] for E in pair.classes)
-        assert (chow.mul(D, D).coeffs[0] - squares) % 2 == 0
-        assert log_c2(pair).coeffs[0].denominator == 1
+        model, D = pair.model, pair._boundary_coeffs()
+        squares = sum(intersect(model, E, E) for E in divisors(pair))
+        assert (intersect(model, D, D) - squares) % 2 == 0
+        assert type(log_c2(pair)) is int
 
-    def test_products_per_run(self, mul_calls):
-        """log_chern reads the intersection form on coefficient tuples
-        and takes no chow.mul at all, for equal or distinct components."""
+    def test_products_per_run(self, cycle_calls):
+        """_log_chern_coeffs reads the intersection form on coefficient
+        tuples and builds no cycle class, for equal or distinct
+        components."""
         for l in [*range(40), 117, 1000]:
             for pair in (pn_pair(5, [2] * l), hypersurface_pair(5, 3, l)):
-                mul_calls.clear()
+                cycle_calls.clear()
                 log_c2(pair)
-                assert len(mul_calls) == 0
+                assert len(cycle_calls) == 0
         for l in range(1, 12):
-            mul_calls.clear()
-            log_c2(pn_pair(5, range(l, 0, -1)))
-            assert len(mul_calls) == 0
+            pair = pn_pair(5, range(l, 0, -1))
+            cycle_calls.clear()
+            log_c2(pair)
+            assert len(cycle_calls) == 0
 
 
 def floats_in(value):
@@ -375,14 +375,15 @@ class TestNoFloat:
     def test_no_value_is_a_float(self, pair, rank):
         model = pair.model
         H = default_polarization(model)
-        chern = log_chern(pair)
+        c1, c2 = _log_chern_coeffs(pair)
+        pairing = _pairing(model, c1, c2, H)
         report = full_report(pair)
         # a record is a line of JSON: scan what it parses back to
         values = [report, json.loads(report_record(pair, report, Echoes())),
-                  discriminant(chern, H),
-                  discriminant(ChernData(rank, chern.c1, chern.c2), H),
-                  slope(model, chern.c1, rank, H),
-                  slope(model, -chern.c1, chern.rank, H)]
+                  c1, c2, pairing, _at_rank(model.n, *pairing),
+                  _at_rank(rank, *pairing),
+                  slope(model, model.divisor(*c1), rank, H),
+                  slope(model, model.divisor(*(-c for c in c1)), model.n, H)]
         if model.kind == "projective_space":
             values += [wedge_cotangent_slope(model.n, r)
                        for r in range(1, model.n + 1)]
@@ -415,20 +416,19 @@ class TestExtensionChern:
         for pair in (pn_pair(5, []), pn_pair(7, [2, 1, 1]),
                      hirzebruch_boundary(4), hypersurface_pair(7, 2, 3),
                      pn_pair(5, [2]), hypersurface_pair(7, 2, 1)):
-            chern = log_chern(pair)
-            assert chern.rank == pair.model.dim
-            extension = ChernData(chern.rank + 1, chern.c1, chern.c2)
-            H = default_polarization(pair.model)
+            model = pair.model
+            c1, c2 = classes.log_chern(pair)
+            assert (c1, c2) == _log_chern_coeffs(pair)
+            H = default_polarization(model).coeffs
             assert full_report(pair).equality_n_plus_1 == \
-                (discriminant(extension, H) == 0)
+                (classes.discriminant(model, model.n + 1, c1, c2, H) == 0)
 
     def test_empty_divisor_projective(self):
         pair = pn_pair(6, [])
-        chern = log_chern(pair)
-        assert chern.c1 == projective_space(6).divisor(7)
-        assert chern.c2 == projective_space(6).cycle(2, comb(7, 2))
-        extension = ChernData(7, chern.c1, chern.c2)
-        assert discriminant(extension, default_polarization(pair.model)) == 0
+        c1, c2 = classes.log_chern(pair)
+        assert (c1, c2) == ((7,), comb(7, 2)) == _log_chern_coeffs(pair)
+        H = default_polarization(pair.model).coeffs
+        assert classes.discriminant(pair.model, 7, c1, c2, H) == 0
         assert full_report(pair).equality_n_plus_1
 
 
@@ -442,14 +442,29 @@ class TestSlope:
 
     def test_zero_class(self):
         model = hirzebruch(3)
-        assert slope(model, model.zero(1), 5,
+        assert slope(model, model.divisor(0, 0), 5,
                      default_polarization(model)) == 0
 
     def test_log_cotangent_slope_is_minus_one(self):
         for n in range(2, 13):
             model = projective_space(n)
-            c1 = -log_c1(pn_pair(n, [1]))
+            c1 = model.divisor(*(-c for c in log_c1(pn_pair(n, [1]))))
             assert slope(model, c1, n, default_polarization(model)) == -1
+
+    def test_classes_off_the_model_rejected(self):
+        """slope pairs on its model argument: c1 or H on another model,
+        even the same other model, raises."""
+        P3, X = projective_space(3), hypersurface(3, 2)
+        F2, F3 = hirzebruch(2), hirzebruch(3)
+        cases = ((P3, X.divisor(-4), X.divisor(1)),
+                 (P3, X.divisor(-4), P3.divisor(1)),
+                 (P3, P3.divisor(-4), X.divisor(1)),
+                 (F3, F2.divisor(0, 2), F2.divisor(1, 3)),
+                 (F3, F3.divisor(0, 2), F2.divisor(1, 3)))
+        for model, c1, H in cases:
+            with pytest.raises(ChowError, match="on P\\^3$|on F_3$"):
+                slope(model, c1, 3, H)
+        assert slope(X, X.divisor(-4), 3, X.divisor(1)) == Fraction(-8, 3)
 
 
 class TestWedgeCotangentSlope:

@@ -83,7 +83,7 @@ class TestEnumeratePn:
         assert all(c.partition not in ((), (1,)) for c in cases)
 
     def test_n2_brute_force_oracle(self):
-        # direct cycle-arithmetic evaluation of every partition with s <= 3
+        # direct full_report evaluation of every partition with s <= 3
         expected = []
         for partition in sorted(partitions_with_sum_at_most(3),
                                 key=lambda p: (len(p), p)):

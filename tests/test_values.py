@@ -10,9 +10,8 @@ from logbg.bg import BGReport, full_report
 from logbg.chow import CycleClass
 from logbg.fixtures import FixtureResult, remark_tuple_suite
 from logbg.logchern import LogPair, pn_pair
-from logbg.models import (FAMILIES, AmbientModel, ChernData, Family,
-                          hirzebruch, hypersurface, projective_space,
-                          tangent_chern)
+from logbg.models import (FAMILIES, AmbientModel, Family, hirzebruch,
+                          hypersurface, projective_space)
 from logbg.search import EqualityCase, SearchConfig, enumerate_cases
 
 # each factory builds a new instance, with new parts, on every call
@@ -20,8 +19,6 @@ VALUES = {
     CycleClass: (lambda: hirzebruch(3).divisor(1, 4),
                  ("model", "grade", "coeffs")),
     AmbientModel: (lambda: hypersurface(4, 3), ("kind", "n", "q", "m")),
-    ChernData: (lambda: tangent_chern(hypersurface(5, 2)),
-                ("rank", "c1", "c2")),
     Family: (lambda: Family(("n",), ("H",), str, projective_space),
              ("fields", "generators", "label", "build")),
     LogPair: (lambda: pn_pair(7, [2, 1, 1]), ("model", "components")),
