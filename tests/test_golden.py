@@ -3,8 +3,9 @@
 Each case runs `logbg.cli.main` in-process and compares the sha256 of
 its stdout, and its exit code, with tests/golden.json.  The digests pin
 `enumerate` (both families, both formats, with and without the nef
-filter, single modes with trivial cases kept, an unfiltered
-hypersurface box out to q = 400, and wide boxes: P^n to n = 100 and,
+filter, single modes with trivial cases kept, a hypersurface box from q = 1
+with trivial cases dropped, where the trivial rule differs from P^n's,
+an unfiltered hypersurface box out to q = 400, and wide boxes: P^n to n = 100 and,
 unfiltered in mode n with trivial cases, to n = 40, hypersurfaces to
 n = 220 and q = 400, one-n P^n boxes at n = 400, whose long partitions
 have many runs, with and without --s-max 60, and --s-max caps on both
@@ -191,6 +192,8 @@ CASES = {
                                         "--q", "1..30", "--mode", "n1",
                                         "--include-trivial", "--format",
                                         "records"),
+    "enum-hyp-q1-records": ENUM + ("hypersurface", "--n", "2..40", "--q",
+                                   "1..4", "--format", "records"),
     "enum-hyp-wide-no-nef-trivial": ENUM + ("hypersurface", "--n", "2..60",
                                             "--q", "1..400", "--no-nef",
                                             "--include-trivial", "--format",
