@@ -12,7 +12,7 @@ the trivial-sheaf extension, which has the same c1 and c2.
 
 One integer pairing, _pairing, serves full_report and the verify-paper
 fixtures.  A report builds no cycle class but the default H; it shares
-no code with the search's closed forms, which it re-verifies.
+no code with the search's solver, which it re-verifies.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from fractions import Fraction
 
 from .chow import ChowError, CycleClass, GradeError, Value, _set
 from .logchern import LogPair, _log_chern_coeffs
-from .models import AmbientModel, default_polarization, is_nef_coeffs
+from .models import (AmbientModel, default_polarization, is_ample_coeffs,
+                     is_nef_coeffs)
 
 
 class BGReport(Value):
@@ -47,6 +48,8 @@ def _check_polarization(H: CycleClass, model: AmbientModel) -> None:
         raise GradeError("polarization must have grade 1")
     if H.model != model:
         raise ChowError("polarization lives on a different model")
+    if not is_ample_coeffs(model, H.coeffs):
+        raise ChowError(f"polarization {H} is not ample")
 
 
 def _pairing(model: AmbientModel, c1: tuple[int, ...], c2: int,

@@ -27,7 +27,8 @@ from operator import index, sub
 
 from .chow import ChowError, CycleClass, GradeError, Value, _set
 from .models import (AmbientModel, default_polarization, hypersurface,
-                     is_prime_class, projective_space, tangent_coefficients)
+                     is_ample_coeffs, is_prime_class, projective_space,
+                     tangent_coefficients)
 
 
 class LogPair(Value):
@@ -187,14 +188,16 @@ def _log_chern_coeffs(pair: LogPair) -> tuple[tuple[int, ...], int]:
 
 def slope(model: AmbientModel, c1: CycleClass, rank: int,
           H: CycleClass) -> Fraction:
-    """mu_H = c1 . H^{n-1} / rank: q c h0^(n-1) for c1 = c h and H = h0 h,
-    q (c1.H) on the surface F_m."""
+    """mu_H = c1 . H^{n-1} / rank, for an ample H: q c h0^(n-1) for
+    c1 = c h and H = h0 h, q (c1.H) on the surface F_m."""
     if rank < 1:
         raise ChowError("rank must be positive")
     if c1.grade != 1 or H.grade != 1:
         raise GradeError("slope needs grade-1 classes")
     if c1.model != model or H.model != model:
         raise ChowError(f"slope needs c1 and H on {model}")
+    if not is_ample_coeffs(model, H.coeffs):
+        raise ChowError(f"polarization {H} is not ample")
     if len(H.coeffs) == 1:
         degree = model.q * c1.coeffs[0] * H.coeffs[0] ** (model.n - 1)
     else:

@@ -177,6 +177,16 @@ def is_nef_coeffs(model: AmbientModel, coeffs: tuple[int, ...]) -> bool:
     return coeffs[0] >= 0
 
 
+def is_ample_coeffs(model: AmbientModel, coeffs: tuple[int, ...]) -> bool:
+    """Ampleness of the divisor with these coefficients: h0 >= 1 on
+    Picard-rank-one models; on F_m, a >= 1 and b > a m (Hartshorne,
+    Algebraic Geometry, V.2.18)."""
+    if model.kind == "hirzebruch":
+        a, b = coeffs
+        return a >= 1 and b > a * model.m
+    return coeffs[0] >= 1
+
+
 def is_prime_class(model: AmbientModel, cls: CycleClass) -> bool:
     """Whether some prime divisor has this class.  On F_m those are C0, f
     and aC0 + bf with a >= 1, b >= am (Hartshorne, Algebraic Geometry,

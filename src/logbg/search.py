@@ -12,14 +12,14 @@ hypersurface B = q (q - 1) with 4 B <= k_max, so the work is known
 before the run and does not grow with the q box.  Every root has
 0 <= t <= k, so -(K + D) = t h is nef: the nef filter drops nothing.
 
-Both families share one pipeline.  A per-family generator in _SOLUTIONS
-yields the solutions in the box; enumerate_cases re-verifies each, in
-canonical order, through the integer core (full_report), so the emitted
-reports never depend on the solver.  The cases of one (n, q) share one
-model, its default polarization and one class per degree; each case
-still gets its own pair, report and checks.  The P^n screen reads the
-pronic parts and the count of ones, and every pair is built from its
-(degree, multiplicity) runs, so building and verifying a case costs
+Both families share one pipeline.  One generator, _solutions, yields
+the solutions in the box, each with the modes of its root (n, t, B);
+enumerate_cases re-verifies each, in canonical order, through the
+integer core (full_report), so the emitted reports never depend on the
+solver.  The cases of one (n, q) share one model, its default
+polarization and one class per degree; each case still gets its own
+pair, report and checks.  Every pair is built from its (degree,
+multiplicity) runs, so building and verifying a case costs
 O(distinct classes), not O(l); the pair's components are built only if
 read, and only the emitted partition lists every part.
 """
@@ -46,7 +46,7 @@ class SearchSpaceError(ChowError):
 
 class VerificationError(Exception):
     """full_report, the re-verification, disagrees with the solver: on a
-    closed form's modes, or on the nefness of -(K + D)."""
+    root's modes, or on the nefness of -(K + D)."""
 
 
 class SearchConfig(Value):
@@ -57,7 +57,7 @@ class SearchConfig(Value):
                  mode: str = "either", require_nef: bool = True,
                  exclude_trivial: bool = True, s_max: int | None = None,
                  q_min: int = 2, q_max: int | None = None):
-        if family not in _SOLUTIONS:
+        if family not in ("pn", "hypersurface"):
             raise SearchSpaceError(f"unknown family {family!r}")
         if mode not in MODES:
             raise SearchSpaceError(f"unknown mode {mode!r}")
@@ -79,7 +79,7 @@ class SearchConfig(Value):
             if q_max is None or q_min < 1 or q_min > q_max:
                 raise SearchSpaceError(
                     f"invalid degree range [{q_min}, {q_max}]")
-        _set(self, "family", family)  # a key of _SOLUTIONS
+        _set(self, "family", family)
         _set(self, "n_min", n_min)
         _set(self, "n_max", n_max)
         _set(self, "mode", mode)
@@ -122,10 +122,11 @@ class EqualityCase(Value):
 #                          = q (q - 1) + sum d_i (d_i - 1),
 # and rank-k equality, k * (2 c2) == (k - 1) * t^2, is
 #   t^2 - k t + k B = 0,
-# at k = n for mode "n" and k = n + 1 for mode "n1".  Each family fixes
-# one term of B: P^n has q = 1, so B is a sum of pronic numbers d (d - 1)
-# over the parts d >= 2; the hypersurface family has l degree-1
-# components (s = p2 = l), so B = q (q - 1).
+# at k = n for mode "n" and k = n + 1 for mode "n1", so a case's modes
+# depend only on its root (n, t, B).  Each family fixes one term of B:
+# P^n has q = 1, so B is a sum of pronic numbers d (d - 1) over the parts
+# d >= 2; the hypersurface family has l degree-1 components
+# (s = p2 = l), so B = q (q - 1).
 #
 # Each B is solved for (k, t).  At B = 0 the roots are t = 0 and t = k at
 # every k.  At B > 0, k (t - B) = t^2 forces t > B, and u = t - B divides
@@ -133,33 +134,23 @@ class EqualityCase(Value):
 # for the divisors u of B^2, up to the box's largest rank k_max.
 #
 # The roots sum to k and multiply to k B >= 0, so 0 <= t <= k and
-# B = t (k - t) / k <= k / 4: no B past k_max // 4, and no q with
-# (2q - 1)^2 > k_max + 1, that is past (isqrt(k_max + 1) + 1) // 2, has a
-# real root.  As t >= 0, -(K + D) = t h is nef at every solution, so the
-# nef filter never drops a case.  Every root fits a case.  On P^n,
-# s = n + 1 - t >= k - t >= t (k - t) / k = B >= sum d over the pronic
-# parts, so the ones that pad them to s never number below 0.  On a
-# hypersurface the smaller root is k B / (larger) >= B, so t <= k - B and
-# l = n + 2 - q - t >= (q - 1)^2 >= 0.
+# B = t (k - t) / k <= k / 4: no B past k_max // 4, and so no q with
+# q (q - 1) > k_max // 4, has a real root.  As t >= 0, -(K + D) = t h is
+# nef at every solution, so the nef filter never drops a case.  Every
+# root fits a case.  On P^n, s = n + 1 - t >= k - t >= t (k - t) / k
+# = B >= sum d over the pronic parts, so the ones that pad them to s
+# never number below 0.  On a hypersurface the smaller root is
+# k B / (larger) >= B, so t <= k - B and l = n + 2 - q - t
+# >= (q - 1)^2 >= 0.
 
 
-def _modes(n: int, q: int, s: int, p2: int) -> tuple[str, ...]:
-    t = n + 2 - q - s
-    B = q * (q - 1) + p2 - s
-    return tuple(mode for mode, k in (("n", n), ("n1", n + 1))
-                 if k * (t * t - t + B) == (k - 1) * t * t)
-
-
-def pn_modes_closed_form(n: int, parts: tuple[int, ...],
-                         ones: int = 0) -> tuple[str, ...]:
-    """The modes of P^n with components of degrees `parts` and `ones`
-    more hyperplanes; the search passes its pronic parts and the count of
-    ones, so the screen never walks the padded partition."""
-    return _modes(n, 1, sum(parts) + ones, sum(d * d for d in parts) + ones)
-
-
-def hyp_modes_closed_form(n: int, q: int, l: int) -> tuple[str, ...]:
-    return _modes(n, q, l, l)
+def _root_modes(n: int, t: int, B: int) -> tuple[str, ...]:
+    """The modes of every case at the root (n, t) of B: the ranks
+    k in {n, n + 1} with t^2 = k (t - B)."""
+    modes = ("n",) if t * t == n * (t - B) else ()
+    if t * t == (n + 1) * (t - B):
+        modes += ("n1",)
+    return modes
 
 
 def report_modes(report: BGReport) -> tuple[str, ...]:
@@ -219,55 +210,51 @@ def _verified_case(family: str, model: AmbientModel, H: CycleClass,
     where = f"({family}, n={n}, q={q}, partition={partition})"
     if report_modes(report) != modes:
         raise VerificationError(
-            f"closed form gives modes {modes} but full_report gives "
+            f"the solver gives modes {modes} but full_report gives "
             f"{report_modes(report)} on {where}")
     raise VerificationError(
         f"full_report gives -(K+D) not nef on {where}, but every "
         "solution has t >= 0")
 
 
-def _pn_solutions(config: SearchConfig):
-    """(n, q, partition, modes, runs) of each P^n case: the pronic parts
-    and runs of each B with a root, padded with ones to s = n + 1 - t."""
-    for B in range((config.n_max + (config.mode != "n")) // 4 + 1):
-        roots = _solve(config, B)
-        partitions = [(p, tuple((d, len(list(r))) for d, r in groupby(p)))
-                      for p in _pronic_partitions(B, B)] if roots else ()
-        for n, t in roots:
-            s = n + 1 - t
-            if config.s_max is not None and s > config.s_max:
+def _solutions(config: SearchConfig):
+    """(n, q, partition, modes, runs) of each case in the box: for each
+    B = q (q - 1) + (pronic sum) with a root, the pronic parts and runs of
+    B - q (q - 1), padded with ones to s = n + 2 - q - t.  On P^n, q = 1
+    and B runs up to k_max // 4; on a hypersurface, B = q (q - 1)."""
+    pn = config.family == "pn"
+    # a case with no parts and at most this many ones is trivial
+    trivial_ones = 1 if pn else 0
+    B_max = (config.n_max + (config.mode != "n")) // 4
+    for q in (1,) if pn else range(config.q_min, config.q_max + 1):
+        B_q = q * (q - 1)
+        if B_q > B_max:
+            return
+        for B in range(B_q, B_max + 1 if pn else B_q + 1):
+            roots = _solve(config, B)
+            if not roots:
                 continue
-            for parts, runs in partitions:
-                ones = s - sum(parts)
-                if config.exclude_trivial and not parts and ones <= 1:
+            partitions = [(p, tuple((d, len(list(r))) for d, r in groupby(p)))
+                          for p in _pronic_partitions(B - B_q, B)]
+            for n, t in roots:
+                s = n + 2 - q - t
+                if config.s_max is not None and s > config.s_max:
                     continue
-                yield (n, 1, parts + (1,) * ones, pn_modes_closed_form(
-                    n, parts, ones), (runs + ((1, ones),) if ones else runs))
-
-
-def _hyp_solutions(config: SearchConfig):
-    """(n, q, partition, modes, runs) of each hypersurface case: l
-    degree-1 components with l = n + 2 - q - t at B = q (q - 1)."""
-    k_max = config.n_max + (config.mode != "n")
-    for q in range(config.q_min,
-                   min(config.q_max, (isqrt(k_max + 1) + 1) // 2) + 1):
-        for n, t in _solve(config, q * (q - 1)):
-            l = n + 2 - q - t
-            if ((config.s_max is not None and l > config.s_max)
-                    or (config.exclude_trivial and l == 0)):
-                continue
-            yield (n, q, (1,) * l, hyp_modes_closed_form(n, q, l),
-                   ((1, l),) if l else ())
-
-
-_SOLUTIONS = {"pn": _pn_solutions, "hypersurface": _hyp_solutions}
+                modes = _root_modes(n, t, B)
+                for parts, runs in partitions:
+                    ones = s - sum(parts)
+                    if (config.exclude_trivial and not parts
+                            and ones <= trivial_ones):
+                        continue
+                    yield (n, q, parts + (1,) * ones, modes,
+                           runs + ((1, ones),) if ones else runs)
 
 
 def enumerate_cases(config: SearchConfig) -> list[EqualityCase]:
     """The verified cases in the box, in canonical order, which is also
     the order they are verified in: a failure names the first."""
     family = config.family
-    solutions = sorted(_SOLUTIONS[family](config),
+    solutions = sorted(_solutions(config),
                        key=lambda s: (s[0], s[1], len(s[2]), s[2]))
     cases = []
     for (n, q), group in groupby(solutions, key=itemgetter(0, 1)):

@@ -80,18 +80,6 @@ def parse_ambient(obj) -> AmbientModel:
 _DIVISOR_KEYS = frozenset(("label", "class"))
 
 
-def _divisor_error(obj: dict, allowed: frozenset, index: int):
-    """Raise the first error of a component object that failed
-    parse_divisor's one-line check, as the checks run in order."""
-    where = f"divisors[{index}]"
-    _check_keys(obj, _DIVISOR_KEYS, where)
-    if not isinstance(_require(obj, "label", where), str):
-        raise InputError(f"key 'label' in {where} must be a string")
-    if not isinstance(_require(obj, "class", where), dict):
-        raise InputError(f"key 'class' in {where} must be an object")
-    _check_keys(obj["class"], allowed, f"{where}.class")
-
-
 def _items(obj) -> tuple | None:
     """A dict's items if every value is an exact int or str, which hash
     and equal only the same JSON (True and 1.0 equal 1); else None."""
@@ -108,21 +96,25 @@ def parse_divisor(obj, entry: tuple, index: int) -> tuple[str, CycleClass]:
     its ambient, (model, generators, their frozenset, classes), whose
     `classes` hands out one CycleClass per coefficient tuple once the
     checks have passed."""
+    where = f"divisors[{index}]"
     if not isinstance(obj, dict):
-        raise InputError(f"divisors[{index}] must be an object")
+        raise InputError(f"{where} must be an object")
     model, generators, allowed, classes = entry
-    label = obj.get("label")
-    cls = obj.get("class")
-    if not (isinstance(label, str) and isinstance(cls, dict)
-            and obj.keys() <= _DIVISOR_KEYS and cls.keys() <= allowed):
-        _divisor_error(obj, allowed, index)
+    _check_keys(obj, _DIVISOR_KEYS, where)
+    label = _require(obj, "label", where)
+    if not isinstance(label, str):
+        raise InputError(f"key 'label' in {where} must be a string")
+    cls = _require(obj, "class", where)
+    if not isinstance(cls, dict):
+        raise InputError(f"key 'class' in {where} must be an object")
+    _check_keys(cls, allowed, f"{where}.class")
     key = tuple([cls.get(gen, 0) for gen in generators])
     # True and 1.0 hash like 1, so every coefficient is checked before
     # the key is looked up
     for gen, c in zip(generators, key):
         if type(c) is not int:
-            raise InputError(f"coefficient {gen!r} in divisors[{index}]"
-                             ".class must be an integer")
+            raise InputError(
+                f"coefficient {gen!r} in {where}.class must be an integer")
     divisor = classes.get(key)
     if divisor is None:
         divisor = classes[key] = model.divisor(*key)

@@ -76,3 +76,13 @@ def discriminant(model, r, c1, c2, H):
     k = model.n - 2
     return (iterated_pairing(model, 2, (c2,), H, k) - Fraction(r - 1, 2 * r)
             * iterated_pairing(model, 2, (intersect(model, c1, c1),), H, k))
+
+
+def is_ample(model, H):
+    """Whether the divisor with coefficients H is ample: a positive
+    multiple of h on P^n and hypersurfaces; a C0 + b f with a >= 1 and
+    b > a m on F_m (Hartshorne, Algebraic Geometry, V.2.18)."""
+    if model.kind != "hirzebruch":
+        return H[0] >= 1
+    a, b = H
+    return a >= 1 and b > a * model.m

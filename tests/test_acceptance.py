@@ -19,9 +19,8 @@ from logbg.logchern import (LogPair, _log_chern_coeffs, hypersurface_pair,
                             pn_pair, slope, wedge_cotangent_slope)
 from logbg.models import (default_polarization, hirzebruch, hypersurface,
                           projective_space, tangent_coefficients)
-from logbg.search import (DEFAULT_BOUNDS, SearchConfig, enumerate_cases,
-                          pn_modes_closed_form)
-from scanner import direct_modes, partitions_with_sum_at_most
+from logbg.search import DEFAULT_BOUNDS, SearchConfig, enumerate_cases
+from scanner import direct_modes, partitions_with_sum_at_most, pn_modes
 
 
 def announce(criterion, ok, detail=""):
@@ -139,10 +138,10 @@ def test_criterion_6_property_suites():
             c2 = comb(n + 2, 2) - q * c1
             ok &= tangent_coefficients(hypersurface(n, q)) == ((c1,), c2)
 
-    # enumerator fast path vs direct path on the full n in [2, 10] box
+    # the integer closed form vs direct path on the full n in [2, 10] box
     for n in range(2, 11):
         for partition in partitions_with_sum_at_most(n + 1):
-            ok &= pn_modes_closed_form(n, partition) == \
+            ok &= pn_modes(n, partition) == \
                 direct_modes(pn_pair(n, partition))
 
     # byte-identical output across consecutive runs

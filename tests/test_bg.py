@@ -11,7 +11,7 @@ from classes import intersect, iterated_pairing, split_bundle_chern
 from logbg.bg import _at_rank, _pairing, full_report
 from logbg.chow import ChowError, CycleClass, GradeError
 from logbg.cli import main
-from logbg.logchern import LogPair, hypersurface_pair, pn_pair
+from logbg.logchern import LogPair, hypersurface_pair, pn_pair, slope
 from logbg.models import (c_infinity, default_polarization, hirzebruch,
                           hypersurface, is_nef, projective_space)
 
@@ -66,8 +66,9 @@ class TestDiscriminant:
 
 class TestPolarizationChecks:
     """full_report checks H before any arithmetic: a grade other than 1
-    raises GradeError, then H on another model raises ChowError itself
-    (not a subclass); the integer pairing gives the values at any rank."""
+    raises GradeError, then H on another model, or H not ample, raises
+    ChowError itself (not a subclass); the integer pairing gives the
+    values at any rank."""
 
     def pairs_and_strangers(self):
         F3 = hirzebruch(3)
@@ -99,6 +100,31 @@ class TestPolarizationChecks:
                 assert excinfo.type is ChowError, (pair.model, H.model)
                 assert str(excinfo.value) == \
                     "polarization lives on a different model"
+
+    def test_non_ample_rejected(self):
+        """Semistability is taken with respect to an ample H: full_report
+        and slope refuse zero and negative multiples of h, and on F_m
+        the nef but not ample C_inf = C0 + m f and f, and C0; every
+        default polarization is taken."""
+        P5, X, F3 = projective_space(5), hypersurface(4, 2), hirzebruch(3)
+        cases = ((pn_pair(5, [3]), (P5.divisor(0), P5.divisor(-2))),
+                 (hypersurface_pair(4, 2, 1), (X.divisor(0), X.divisor(-1))),
+                 (hirzebruch_boundary(3),
+                  (c_infinity(F3), F3.divisor(0, 1), F3.divisor(1, 0),
+                   F3.divisor(0, 0), F3.divisor(2, 5))))
+        for pair, polarizations in cases:
+            model = pair.model
+            for H in polarizations:
+                for call in (lambda: full_report(pair, H),
+                             lambda: slope(model, H, 2, H)):
+                    with pytest.raises(ChowError) as excinfo:
+                        call()
+                    assert excinfo.type is ChowError
+                    assert str(excinfo.value) == \
+                        f"polarization {H} is not ample"
+            H = default_polarization(model)
+            assert full_report(pair, H).polarization is H
+            assert slope(model, H, 1, H) > 0
 
     @pytest.mark.parametrize("m", (1, 2, 7, 50))
     def test_pairing_fm_rank_2_and_3(self, m):
@@ -132,8 +158,8 @@ class TestPolarizationChecks:
 @st.composite
 def pairs_and_polarizations(draw):
     """A pair on P^n, a hypersurface or F_m with random components, and a
-    polarization on its model with int or Fraction coefficients, negative
-    ones and zero among them (None for the default)."""
+    polarization on its model with negative and zero coefficients among
+    them, so not always ample (None for the default)."""
     family = draw(st.sampled_from(["pn", "hyp", "fm"]))
     if family == "fm":
         m = draw(st.integers(1, 6))
@@ -167,6 +193,10 @@ class TestAgainstClassPipeline:
     @given(pairs_and_polarizations())
     def test_report_matches_class_pipeline(self, pair_and_H):
         pair, H = pair_and_H
+        if H is not None and not classes.is_ample(pair.model, H.coeffs):
+            with pytest.raises(ChowError, match="is not ample$"):
+                full_report(pair, H)
+            return
         report = full_report(pair, H)
         if H is None:
             H = default_polarization(pair.model)
@@ -327,7 +357,8 @@ class TestConstructionCount:
 
     def test_full_report_builds_only_default_polarization(self, cycle_calls):
         for pair in self.pairs():
-            H = pair.model.divisor(*(2,) * len(pair.model.generators))
+            H = pair.model.divisor(*(
+                2 * c for c in default_polarization(pair.model).coeffs))
             cycle_calls.clear()
             full_report(pair)
             assert len(cycle_calls) == 1, pair.model

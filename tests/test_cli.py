@@ -393,8 +393,8 @@ class TestEnumerateCommand:
 
     def test_verification_failure_exit_1(self, monkeypatch, capsys):
         from logbg import search
-        monkeypatch.setattr(search, "pn_modes_closed_form",
-                            lambda n, parts, ones=0: ("n", "n1"))
+        monkeypatch.setattr(search, "_root_modes",
+                            lambda n, t, B: ("n", "n1"))
         assert main(["enumerate", "--family", "pn", "--n", "7..7"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import json
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,10 +13,11 @@ from logbg.cli import main
 from logbg.logchern import hypersurface_pair, pn_pair
 from logbg.models import AmbientModel
 from logbg.search import (DEFAULT_BOUNDS, SearchConfig, SearchSpaceError,
-                          VerificationError, enumerate_cases,
-                          hyp_modes_closed_form, pn_modes_closed_form)
+                          VerificationError, enumerate_cases)
 from logbg.serialize import Echoes, bounds_fields, case_record
-from scanner import (direct_modes, partitions_with_sum_at_most,
+import scanner
+from scanner import (closed_form_modes, direct_modes,
+                     partitions_with_sum_at_most, pn_modes,
                      scan_hypersurface, scan_pn)
 
 
@@ -129,7 +132,7 @@ class TestEnumerateHypersurface:
         for n in range(2, 10):
             for q in range(2, 6):
                 for l in range(0, n + 3 - q):
-                    fast = hyp_modes_closed_form(n, q, l)
+                    fast = closed_form_modes(n, q, l, l)
                     assert fast == direct_modes(hypersurface_pair(n, q, l))
 
 
@@ -137,7 +140,7 @@ class TestFastPathAgreement:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_pn_full_box(self, n):
         for partition in partitions_with_sum_at_most(n + 1):
-            assert pn_modes_closed_form(n, partition) == \
+            assert pn_modes(n, partition) == \
                 direct_modes(pn_pair(n, partition))
 
 
@@ -210,6 +213,24 @@ class TestSolverMatchesScanner:
         hconfig = hyp_config(n_max=40, q_min=1, q_max=40, **flags)
         assert solved(enumerate_cases(hconfig)) == \
             scan_hypersurface(hconfig)
+
+    def test_scanner_imports_only_full_report_and_report_modes(self):
+        """tests/scanner.py shares no code with the solver it checks: from
+        logbg it may import full_report and report_modes and nothing
+        else."""
+        allowed = {"full_report", "report_modes"}
+        tree = ast.parse(Path(scanner.__file__).read_text(), scanner.__file__)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+                assert not any(name.split(".")[0] == "logbg"
+                               for name in names)
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level == 0, "no relative imports"
+                if node.module.split(".")[0] == "logbg":
+                    assert {alias.name for alias in node.names} <= allowed
+            elif isinstance(node, ast.Name):
+                assert node.id not in ("__import__", "importlib")
 
 
 def direct_cases(config, n, q, partitions):
@@ -357,7 +378,7 @@ class TestHypersurfaceBound:
         for n in range(2, 400):
             k = n + (mode != "n")
             divisor_calls.clear()
-            list(search._hyp_solutions(hyp_config(
+            list(search._solutions(hyp_config(
                 n_min=n, n_max=n, q_min=1, q_max=10 ** 6, mode=mode)))
             q_top = len(divisor_calls) + 1
             assert divisor_calls == [q * (q - 1)
@@ -409,19 +430,19 @@ class TestPnSolverWork:
     def test_lists_only_b_with_a_root(self, monkeypatch):
         """Each B is solved first, and its pronic partitions are listed
         only when a root falls in the box.  _pronic_partitions recurses
-        through its global name, so only the calls made from
-        _pn_solutions are counted."""
+        through its global name, so only the calls made from _solutions
+        are counted."""
         listed = []
         real = search._pronic_partitions
 
         def counting(B, largest):
-            if sys._getframe(1).f_code.co_name == "_pn_solutions":
+            if sys._getframe(1).f_code.co_name == "_solutions":
                 listed.append(B)
             return real(B, largest)
 
         monkeypatch.setattr(search, "_pronic_partitions", counting)
         config = pn_config(n_min=500, n_max=500)
-        assert list(search._pn_solutions(config))
+        assert list(search._solutions(config))
         with_roots = [B for B in range(501 // 4 + 1)
                       if search._solve(config, B)]
         assert listed == with_roots
@@ -470,19 +491,19 @@ class TestUnfilteredBoxes:
 class TestVerificationFailure:
     # The P^n side is tested through the CLI exit code in test_cli.py.
     def test_hypersurface_disagreement_raises(self, monkeypatch):
-        monkeypatch.setattr(search, "hyp_modes_closed_form",
-                            lambda n, q, l: ("n", "n1"))
+        monkeypatch.setattr(search, "_root_modes",
+                            lambda n, t, B: ("n", "n1"))
         with pytest.raises(VerificationError, match="hypersurface, n=7, q=2"):
             enumerate_cases(hyp_config(n_min=7, n_max=7))
 
-    @pytest.mark.parametrize("family, closed_form, q_max, where", [
-        ("pn", "pn_modes_closed_form", None, "(pn, n=7, q=1, "),
-        ("hypersurface", "hyp_modes_closed_form", 20,
-         "(hypersurface, n=7, q=2, ")])
-    def test_error_names_the_smallest_n(self, monkeypatch, family,
-                                        closed_form, q_max, where):
+    @pytest.mark.parametrize("family, q_max, where", [
+        ("pn", None, "(pn, n=7, q=1, "),
+        ("hypersurface", 20, "(hypersurface, n=7, q=2, ")],
+        ids=["pn", "hypersurface"])
+    def test_error_names_the_smallest_n(self, monkeypatch, family, q_max,
+                                        where):
         # no case has no modes, so every case in the box disagrees
-        monkeypatch.setattr(search, closed_form, lambda *args: ())
+        monkeypatch.setattr(search, "_root_modes", lambda n, t, B: ())
         with pytest.raises(VerificationError) as error:
             enumerate_cases(SearchConfig(family, 7, 20, q_max=q_max))
         assert where in str(error.value)
