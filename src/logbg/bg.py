@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chow import ChowError, CycleClass, GradeError, Value, _set
 from .logchern import LogPair, _log_chern_coeffs
-from .models import (AmbientModel, default_polarization, is_ample_coeffs,
+from .models import (AmbientModel, ChowError, CycleClass, GradeError, Value,
+                     _set, default_polarization, is_ample_coeffs,
                      is_nef_coeffs)
 
 
@@ -54,14 +54,11 @@ def _check_polarization(H: CycleClass, model: AmbientModel) -> None:
 
 def _pairing(model: AmbientModel, c1: tuple[int, ...], c2: int,
              H: CycleClass) -> tuple[int, int]:
-    """(c1^2 . H^{n-2}, c2 . H^{n-2}) from coefficients: q (c1.c1) h0^(n-2)
-    and q c2 h0^(n-2) for H = h0 h, no power of H on the surface F_m."""
-    q = model.q
-    c1_sq = model.intersect(c1, c1)
-    if len(H.coeffs) == 1:
-        hk = H.coeffs[0] ** (model.n - 2)
-        return q * c1_sq * hk, q * c2 * hk
-    return q * c1_sq, q * c2
+    """(c1^2 . H^{n-2}, c2 . H^{n-2}) from coefficients: q h0^(n-2) (c1.c1)
+    and q h0^(n-2) c2, with h0 the first coefficient of H; h0^0 = 1 on
+    the surface F_m."""
+    qh = model.q * H.coeffs[0] ** (model.n - 2)
+    return qh * model.intersect(c1, c1), qh * c2
 
 
 def _at_rank(rank: int, c1_sq: int, c2_eval: int) -> Fraction:

@@ -21,9 +21,8 @@ import re
 import sys
 
 from .bg import full_report
-from .chow import ChowError
 from .fixtures import all_fixtures
-from .models import FAMILIES, default_polarization, is_nef
+from .models import FAMILIES, ChowError, default_polarization, is_nef
 from .search import (DEFAULT_BOUNDS, MODES, SearchConfig, VerificationError,
                      enumerate_cases)
 from .serialize import (Echoes, InputError, bounds_fields, case_record,

@@ -18,11 +18,10 @@ from math import comb
 from types import SimpleNamespace
 
 from .bg import _at_rank, _pairing, full_report
-from .chow import Value, _set
 from .logchern import (LogPair, _log_chern_coeffs, hypersurface_pair,
                        pn_pair, slope, wedge_cotangent_slope)
-from .models import (c_infinity, default_polarization, hirzebruch,
-                     is_nef_coeffs, tangent_coefficients)
+from .models import (Value, _set, c_infinity, default_polarization,
+                     hirzebruch, is_nef_coeffs, tangent_coefficients)
 
 
 class FixtureResult(Value):

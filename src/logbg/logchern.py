@@ -25,8 +25,8 @@ from itertools import chain, count, groupby, repeat
 from math import comb
 from operator import index, sub
 
-from .chow import ChowError, CycleClass, GradeError, Value, _set
-from .models import (AmbientModel, default_polarization, hypersurface,
+from .models import (AmbientModel, ChowError, CycleClass, GradeError, Value,
+                     _set, default_polarization, hypersurface,
                      is_ample_coeffs, is_prime_class, projective_space,
                      tangent_coefficients)
 
@@ -188,8 +188,8 @@ def _log_chern_coeffs(pair: LogPair) -> tuple[tuple[int, ...], int]:
 
 def slope(model: AmbientModel, c1: CycleClass, rank: int,
           H: CycleClass) -> Fraction:
-    """mu_H = c1 . H^{n-1} / rank, for an ample H: q c h0^(n-1) for
-    c1 = c h and H = h0 h, q (c1.H) on the surface F_m."""
+    """mu_H = c1 . H^{n-1} / rank, for an ample H: q (c1.H) h0^(n-2), with
+    h0 the first coefficient of H; h0^0 = 1 on the surface F_m."""
     if rank < 1:
         raise ChowError("rank must be positive")
     if c1.grade != 1 or H.grade != 1:
@@ -198,10 +198,8 @@ def slope(model: AmbientModel, c1: CycleClass, rank: int,
         raise ChowError(f"slope needs c1 and H on {model}")
     if not is_ample_coeffs(model, H.coeffs):
         raise ChowError(f"polarization {H} is not ample")
-    if len(H.coeffs) == 1:
-        degree = model.q * c1.coeffs[0] * H.coeffs[0] ** (model.n - 1)
-    else:
-        degree = model.q * model.intersect(c1.coeffs, H.coeffs)
+    degree = (model.q * model.intersect(c1.coeffs, H.coeffs)
+              * H.coeffs[0] ** (model.n - 2))
     # int / int would be a float
     return Fraction(degree, rank)
 

@@ -32,10 +32,9 @@ from math import isqrt
 from operator import itemgetter
 
 from .bg import BGReport, full_report
-from .chow import ChowError, CycleClass, Value, _set
 from .logchern import _pair_from_runs
-from .models import (AmbientModel, default_polarization, hypersurface,
-                     projective_space)
+from .models import (AmbientModel, ChowError, CycleClass, Value, _set,
+                     default_polarization, hypersurface, projective_space)
 
 MODES = ("n", "n1", "either")
 

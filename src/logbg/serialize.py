@@ -25,9 +25,8 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .bg import BGReport
-from .chow import CycleClass
 from .logchern import LogPair
-from .models import FAMILIES, AmbientModel, is_c_infinity
+from .models import FAMILIES, AmbientModel, CycleClass, is_c_infinity
 from .search import EqualityCase, SearchConfig
 
 
@@ -45,7 +44,7 @@ def cycle_display(cls: CycleClass) -> str:
     return f"{cls} (= Cinf)" if is_c_infinity(cls) else str(cls)
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
+def _check_keys(obj: dict, allowed, where: str) -> None:
     for key in obj:
         if key not in allowed:
             raise InputError(f"unknown key {key!r} in {where}")
@@ -93,13 +92,13 @@ def _items(obj) -> tuple | None:
 
 def parse_divisor(obj, entry: tuple, index: int) -> tuple[str, CycleClass]:
     """A checked component; `entry` is parse_document's memo entry for
-    its ambient, (model, generators, their frozenset, classes), whose
-    `classes` hands out one CycleClass per coefficient tuple once the
-    checks have passed."""
+    its ambient, (model, classes), whose `classes` hands out one
+    CycleClass per coefficient tuple once the checks have passed."""
     where = f"divisors[{index}]"
     if not isinstance(obj, dict):
         raise InputError(f"{where} must be an object")
-    model, generators, allowed, classes = entry
+    model, classes = entry
+    generators = model.generators
     _check_keys(obj, _DIVISOR_KEYS, where)
     label = _require(obj, "label", where)
     if not isinstance(label, str):
@@ -107,7 +106,7 @@ def parse_divisor(obj, entry: tuple, index: int) -> tuple[str, CycleClass]:
     cls = _require(obj, "class", where)
     if not isinstance(cls, dict):
         raise InputError(f"key 'class' in {where} must be an object")
-    _check_keys(cls, allowed, f"{where}.class")
+    _check_keys(cls, generators, f"{where}.class")
     key = tuple([cls.get(gen, 0) for gen in generators])
     # True and 1.0 hash like 1, so every coefficient is checked before
     # the key is looked up
@@ -136,14 +135,13 @@ def parse_pair(obj, memo: dict, where: str = "document") -> LogPair:
         model = parse_ambient(ambient)
         entry = memo.get(model)
         if entry is None:
-            entry = memo[model] = (model, model.generators,
-                                   frozenset(model.generators), {})
+            entry = memo[model] = (model, {})
         if items is not None:
             memo[items] = entry
     divisors = _require(obj, "divisors", where)
     if not isinstance(divisors, list):
         raise InputError(f"key 'divisors' in {where} must be a list")
-    classes = entry[3]
+    classes = entry[1]
     components = []
     for i, d in enumerate(divisors):
         label = items = None
@@ -173,8 +171,8 @@ def parse_document(data: str | bytes) -> list[LogPair]:
         # nesting deeper than the decoder's recursion limit
         raise InputError(f"not valid JSON: {exc}") from exc
     # each distinct AmbientModel, and the raw items of each checked
-    # ambient object, -> (the model, generators, frozenset of them,
-    # classes); no raw-items key here or in classes equals another key
+    # ambient object, -> (the model, its classes); no raw-items key here
+    # or in classes equals another key
     memo: dict = {}
     if isinstance(doc, dict) and "pairs" in doc:
         _check_keys(doc, {"pairs"}, "document")
@@ -243,7 +241,7 @@ class Echoes(dict):
         if entry is None:
             echo = {"kind": model.kind}
             echo.update((key, getattr(model, key))
-                        for key in model.family.fields)
+                        for key in FAMILIES[model.kind].fields)
             entry = self[id(model)] = (model, _ENCODER.encode(echo))
         return entry[1]
 

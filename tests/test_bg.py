@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 import classes
 from classes import intersect, iterated_pairing, split_bundle_chern
 from logbg.bg import _at_rank, _pairing, full_report
-from logbg.chow import ChowError, CycleClass, GradeError
 from logbg.cli import main
 from logbg.logchern import LogPair, hypersurface_pair, pn_pair, slope
-from logbg.models import (c_infinity, default_polarization, hirzebruch,
-                          hypersurface, is_nef, projective_space)
+from logbg.models import (ChowError, CycleClass, GradeError, c_infinity,
+                          default_polarization, hirzebruch, hypersurface,
+                          is_nef, projective_space)
 
 
 def hirzebruch_boundary(m):

@@ -12,9 +12,9 @@ from hypothesis import given, strategies as st
 import classes
 from classes import intersect, iterated_pairing
 from logbg.bg import _pairing
-from logbg.chow import ChowError
 from logbg.logchern import slope
-from logbg.models import hirzebruch, hypersurface, projective_space
+from logbg.models import (ChowError, hirzebruch, hypersurface,
+                          projective_space)
 
 F2 = hirzebruch(2)
 C0, F = (1, 0), (0, 1)  # the basis divisors of F_m

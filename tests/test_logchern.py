@@ -11,13 +11,12 @@ from hypothesis import given, settings, strategies as st
 import classes
 from classes import intersect, pairwise_log_c2
 from logbg.bg import _at_rank, _pairing, full_report
-from logbg.chow import ChowError, Value
 from logbg.logchern import (LogPair, _log_chern_coeffs, _pair_from_runs,
                             hypersurface_pair, pn_pair, slope,
                             wedge_cotangent_slope)
-from logbg.models import (c_infinity, default_polarization, hirzebruch,
-                          hypersurface, projective_space,
-                          tangent_coefficients)
+from logbg.models import (ChowError, Value, c_infinity,
+                          default_polarization, hirzebruch, hypersurface,
+                          projective_space, tangent_coefficients)
 from logbg.search import DEFAULT_BOUNDS, EqualityCase, report_modes
 from logbg.serialize import (Echoes, bounds_fields, case_record,
                              report_record)

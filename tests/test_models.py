@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from classes import tangent_series_oracle
-from logbg.chow import ChowError, GradeError
-from logbg.models import (c_infinity, default_polarization, hirzebruch,
-                          hypersurface, is_c_infinity, is_nef, is_prime_class,
+from logbg.models import (ChowError, GradeError, c_infinity,
+                          default_polarization, hirzebruch, hypersurface,
+                          is_c_infinity, is_nef, is_prime_class,
                           projective_space, tangent_coefficients)
 
 

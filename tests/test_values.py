@@ -7,11 +7,10 @@ import pickle
 import pytest
 
 from logbg.bg import BGReport, full_report
-from logbg.chow import CycleClass
 from logbg.fixtures import FixtureResult, remark_tuple_suite
 from logbg.logchern import LogPair, pn_pair
-from logbg.models import (FAMILIES, AmbientModel, Family, hirzebruch,
-                          hypersurface, projective_space)
+from logbg.models import (FAMILIES, AmbientModel, CycleClass, Family,
+                          hirzebruch, hypersurface, projective_space)
 from logbg.search import EqualityCase, SearchConfig, enumerate_cases
 
 # each factory builds a new instance, with new parts, on every call
