@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, count, groupby, repeat
 from math import comb
-from operator import index, sub
+from operator import sub
 
 from .models import (AmbientModel, ChowError, CycleClass, GradeError, Value,
                      _set, default_polarization, hypersurface,
@@ -155,7 +155,8 @@ def hypersurface_pair(n: int, q: int, l: int) -> LogPair:
     """Convenience: degree-q hypersurface with l degree-1 components,
     labeled D1..Dl; one run, at any l."""
     model = hypersurface(n, q)
-    l = index(l)  # as range(l) did: no float, no str
+    if type(l) is not int:  # True would be one component
+        raise TypeError(f"component count must be int, got {type(l).__name__}")
     if l < 0:
         raise ChowError(f"component count must be non-negative, got {l}")
     return _pair_from_runs(model, ((1, l),) if l > 0 else (), {})

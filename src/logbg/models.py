@@ -171,18 +171,27 @@ class AmbientModel(Value):
 
 
 def projective_space(n: int) -> AmbientModel:
+    if type(n) is not int:
+        raise TypeError(f"projective space needs an int n, got "
+                        f"{type(n).__name__}")
     if n < 2:
         raise ChowError(f"projective space needs n >= 2, got {n}")
     return AmbientModel("projective_space", n=n)
 
 
 def hypersurface(n: int, q: int) -> AmbientModel:
+    if type(n) is not int or type(q) is not int:
+        raise TypeError(f"hypersurface needs int n and q, got "
+                        f"({type(n).__name__}, {type(q).__name__})")
     if n < 2 or q < 1:
         raise ChowError(f"hypersurface needs n >= 2 and q >= 1, got ({n}, {q})")
     return AmbientModel("hypersurface", n=n, q=q)
 
 
 def hirzebruch(m: int) -> AmbientModel:
+    if type(m) is not int:
+        raise TypeError(f"Hirzebruch surface needs an int m, got "
+                        f"{type(m).__name__}")
     if m < 1:
         raise ChowError(f"Hirzebruch surface needs m >= 1, got {m}")
     return AmbientModel("hirzebruch", n=2, m=m)

@@ -56,6 +56,13 @@ class SearchConfig(Value):
                  mode: str = "either", require_nef: bool = True,
                  exclude_trivial: bool = True, s_max: int | None = None,
                  q_min: int = 2, q_max: int | None = None):
+        # exactly int, as a model's parameters: True would echo true
+        for name, bound in {"n_min": n_min, "n_max": n_max, "q_min": q_min,
+                            "q_max": q_max, "s_max": s_max}.items():
+            if type(bound) is not int and not (
+                    bound is None and name in ("q_max", "s_max")):
+                raise TypeError(
+                    f"{name} must be int, got {type(bound).__name__}")
         if family not in ("pn", "hypersurface"):
             raise SearchSpaceError(f"unknown family {family!r}")
         if mode not in MODES:
@@ -104,7 +111,14 @@ class EqualityCase(Value):
         _set(self, "report", report)
 
     def key(self):
-        return (self.n, self.q, len(self.partition), self.partition)
+        return _case_order((self.n, self.q, self.partition))
+
+
+def _case_order(case: tuple) -> tuple:
+    """The sort key of the canonical case order, the order of the
+    output, from a tuple that starts (n, q, partition): by n, then q,
+    then component count, then partition."""
+    return case[0], case[1], len(case[2]), case[2]
 
 
 # -- one quadratic for both families ---------------------------------------
@@ -253,8 +267,7 @@ def enumerate_cases(config: SearchConfig) -> list[EqualityCase]:
     """The verified cases in the box, in canonical order, which is also
     the order they are verified in: a failure names the first."""
     family = config.family
-    solutions = sorted(_solutions(config),
-                       key=lambda s: (s[0], s[1], len(s[2]), s[2]))
+    solutions = sorted(_solutions(config), key=_case_order)
     cases = []
     for (n, q), group in groupby(solutions, key=itemgetter(0, 1)):
         model = projective_space(n) if family == "pn" else hypersurface(n, q)

@@ -1,8 +1,12 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import logbg
 from classes import tangent_series_oracle
+from logbg.logchern import hypersurface_pair
 from logbg.models import (ChowError, GradeError, c_infinity,
                           default_polarization, hirzebruch, hypersurface,
                           is_c_infinity, is_nef, is_prime_class,
@@ -190,3 +194,68 @@ class TestIsPrimeClass:
         # the positive multiples of the generator
         for c in range(-2, 4):
             assert is_prime_class(model, model.divisor(c)) is (c >= 1), c
+
+
+class TestBuildersTakeInts:
+    """The model builders and hypersurface_pair refuse any parameter whose
+    type is not exactly int, as CycleClass refuses such coefficients:
+    True equals 1, and built F_True and a one-component pair."""
+
+    @pytest.mark.parametrize("bad", [3.0, True, Fraction(3), Int(3), "3"])
+    @pytest.mark.parametrize("build", [
+        projective_space, hirzebruch,
+        lambda x: hypersurface(x, 2), lambda x: hypersurface(3, x),
+        lambda x: hypersurface_pair(x, 2, 1),
+        lambda x: hypersurface_pair(5, x, 1),
+        lambda x: hypersurface_pair(5, 2, x)],
+        ids=["P^n", "F_m", "X n", "X q", "pair n", "pair q", "pair l"])
+    def test_non_ints_rejected(self, build, bad):
+        with pytest.raises(TypeError, match=r"\bint\b"):
+            build(bad)
+
+
+def _imports(tree: ast.AST) -> list[str]:
+    """The absolute module names a module's import statements name, with
+    a relative `from . import x` and `from .x import y` read inside
+    logbg."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "logbg" if node.level else ""
+            module = ".".join(filter(None, (base, node.module)))
+            names.append(module)
+            names += [f"{module}.{alias.name}" for alias in node.names]
+    return names
+
+
+SOURCES = sorted(Path(logbg.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+
+
+class TestStructure:
+    """The class layer lives in models.py, which depends on no other
+    module of the package; nothing imports by TYPE_CHECKING, and no
+    chow module exists or is imported."""
+
+    def test_models_imports_no_other_logbg_module(self):
+        path = Path(logbg.__file__).parent / "models.py"
+        for name in _imports(ast.parse(path.read_text(), str(path))):
+            assert name.split(".")[0] != "logbg", name
+
+    @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+    def test_no_type_checking_imports(self, path):
+        # Name.id, Attribute.attr and the alias.name of an import
+        names = {getattr(node, field, None)
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 for field in ("id", "attr", "name")}
+        assert "TYPE_CHECKING" not in names
+
+    @pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
+    def test_no_chow_module_imported(self, path):
+        for name in _imports(ast.parse(path.read_text(), str(path))):
+            assert "chow" not in name.split("."), name
+
+    def test_no_chow_module(self):
+        assert not (Path(logbg.__file__).parent / "chow.py").exists()

@@ -2,6 +2,7 @@ import ast
 import itertools
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,15 @@ class TestConfigValidation:
     def test_missing_q_range_rejected(self):
         with pytest.raises(SearchSpaceError):
             SearchConfig(family="hypersurface", n_min=2, n_max=3)
+
+    @pytest.mark.parametrize("bad", [5.5, 8.0, True, Fraction(8), "8"])
+    @pytest.mark.parametrize("bound", ["n_min", "n_max", "q_min", "q_max",
+                                       "s_max"])
+    def test_non_int_bounds_rejected(self, bound, bad):
+        """At construction: s_max=5.5 once enumerated, s_max=True would
+        echo true, and n_max=8.0 failed only inside enumerate_cases."""
+        with pytest.raises(TypeError, match=f"{bound} must be int"):
+            hyp_config(**{"n_max": 8, "q_max": 8, bound: bad})
 
 
 class TestEnumeratePn:
