@@ -56,7 +56,7 @@ class SearchConfig(Value):
                  mode: str = "either", require_nef: bool = True,
                  exclude_trivial: bool = True, s_max: int | None = None,
                  q_min: int = 2, q_max: int | None = None):
-        # exactly int, as a model's parameters: True would echo true
+        # exactly int, as model parameters are: True would echo true
         for name, bound in {"n_min": n_min, "n_max": n_max, "q_min": q_min,
                             "q_max": q_max, "s_max": s_max}.items():
             if type(bound) is not int and not (
