@@ -300,6 +300,57 @@ class TestParseMemo:
         assert main(["report", str(path)]) == 2
         assert capsys.readouterr() == ("", err)
 
+    # which check fires first, and which label it names, when a document
+    # breaks several rules
+    P3 = {"kind": "projective_space", "n": 3}
+    F2 = {"kind": "hirzebruch", "m": 2}
+    NOT_PRIME = "is not an effective prime-divisor class on this model\n"
+
+    @pytest.mark.parametrize("doc, err", [
+        pytest.param(
+            {"ambient": P3,
+             "divisors": [{"label": "A", "class": {"H": 0}},
+                          {"label": "A", "class": {"H": 1}}]},
+            "error: duplicate component labels in ['A', 'A']\n",
+            id="duplicate-labels-before-non-prime"),
+        pytest.param(
+            {"ambient": P3,
+             "divisors": [{"label": "A", "class": {"H": 0}},
+                          {"label": "B", "class": {"H": 1}},
+                          {"label": "C", "class": {"H": True}}]},
+            "error: coefficient 'H' in divisors[2].class must be an "
+            "integer\n",
+            id="malformed-component-before-non-prime"),
+        pytest.param(
+            {"ambient": F2,
+             "divisors": [{"label": "A", "class": {"C0": 1, "f": 1}},
+                          {"label": "B", "class": {"C0": 2}}]},
+            f"error: component 'A' = 1*C0 + 1*f {NOT_PRIME}",
+            id="first-of-two-non-prime"),
+        pytest.param(
+            {"pairs": [
+                {"ambient": P3,
+                 "divisors": [{"label": "A", "class": {"H": 1}}]},
+                {"ambient": P3,
+                 "divisors": [{"label": "A", "class": {"H": 2}}]},
+                {"ambient": P3,
+                 "divisors": [{"label": "A", "class": {"H": 1}},
+                              {"label": "Z", "class": {"H": -1}}]}]},
+            f"error: component 'Z' = -1*H {NOT_PRIME}",
+            id="non-prime-first-seen-in-pair-3"),
+        pytest.param(
+            {"ambient": F2,
+             "divisors": [{"label": "A", "class": {"f": 1, "C0": 1}},
+                          {"label": "B", "class": {"C0": 1, "f": 1}}]},
+            f"error: component 'A' = 1*C0 + 1*f {NOT_PRIME}",
+            id="non-prime-in-two-key-orders"),
+    ])
+    def test_error_order_exit_2(self, tmp_path, capsys, doc, err):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr() == ("", err)
+
     def test_reordered_keys_share_one_model_and_class(self, cycle_calls):
         first, second = parse_document(json.dumps({"pairs": [
             {"ambient": {"kind": "hirzebruch", "m": 2},
