@@ -36,18 +36,18 @@ class LogPair(Value):
     classes. Distinct components may share a class (two hyperplanes are
     two components); the SNC hypothesis is a modeling assumption.
 
-    Every pair is checked and grouped by one function, _groups, from
-    runs ((class, multiplicity), ...) in component order: validation runs
-    once per distinct class object, at its first occurrence, so an error
-    names the first offending label, and `groups` holds each distinct
-    object's integer coefficients with its multiplicity, in order of
-    first occurrence.  The constructor hands over its explicit
-    components as runs of one; _pair_from_runs, behind pn_pair,
-    hypersurface_pair and the search, hands over runs of equal degrees,
-    so building and verifying a search pair costs O(distinct classes),
-    and its `components`, labeled D1..Dl, is built when first read.
-    Only model and components take part in equality, hash, repr and
-    pickling."""
+    A pair is checked and grouped from runs ((class, multiplicity), ...)
+    in component order: each distinct class object is checked once, at
+    its first occurrence, so an error names the first offending label,
+    and `groups` holds each distinct object's integer coefficients with
+    its multiplicity, in order of first occurrence.  The constructor
+    (its components as runs of one) and _pair_from_runs (runs of equal
+    degrees, behind pn_pair, hypersurface_pair and the search) check by
+    _groups; serialize.parse_document checks each of its classes once
+    per document instead.  All three set the slots by _fill.  Building
+    and verifying a search pair costs O(distinct classes), and its
+    `components`, labeled D1..Dl, is built when first read.  Only model
+    and components take part in equality, hash, repr and pickling."""
 
     _fields = ("model", "components")
     __slots__ = ("model", "groups", "_runs", "_components")
@@ -56,15 +56,11 @@ class LogPair(Value):
                  components: tuple[tuple[str, CycleClass], ...] = ()):
         components = tuple(components)
         labels, classes = zip(*components) if components else ((), ())
-        if len(set(labels)) != len(labels):
-            raise ChowError(f"duplicate component labels in {list(labels)}")
+        _check_labels(labels)
         # each component is a run of one; every class stays alive in
         # components, so the ids _groups keys on stay valid
-        _set(self, "model", model)
-        _set(self, "groups", _groups(model, zip(classes, repeat(1)),
-                                     labels.__getitem__))
-        _set(self, "_runs", None)
-        _set(self, "_components", components)
+        self._fill(model, _groups(model, zip(classes, repeat(1)),
+                                  labels.__getitem__), None, components)
 
     @classmethod
     def _from_runs(cls, model: AmbientModel,
@@ -72,13 +68,18 @@ class LogPair(Value):
         """The pair whose components, labeled D1..Dl, repeat each run's
         class `multiplicity` times, in order; they are built when first
         read."""
-        pair = cls.__new__(cls)
-        _set(pair, "model", model)
-        _set(pair, "groups", _groups(
-            model, runs, lambda j: f"D{1 + sum(k for _, k in runs[:j])}"))
-        _set(pair, "_runs", runs)
-        _set(pair, "_components", None)
-        return pair
+        return cls.__new__(cls)._fill(model, _groups(
+            model, runs, lambda j: f"D{1 + sum(k for _, k in runs[:j])}"),
+            runs, None)
+
+    def _fill(self, model: AmbientModel, groups: tuple, runs, components):
+        """Set the slots, unchecked: the caller has checked the classes
+        behind `groups`.  One of `runs` and `components` is None."""
+        _set(self, "model", model)
+        _set(self, "groups", groups)
+        _set(self, "_runs", runs)
+        _set(self, "_components", components)
+        return self
 
     @property
     def components(self) -> tuple[tuple[str, CycleClass], ...]:
@@ -111,7 +112,7 @@ def _groups(model: AmbientModel, runs, label_of) -> tuple:
         if group is not None:
             group[1] += k
             continue
-        # parse_document hands out one model per distinct ambient
+        # _pair_from_runs builds every class on the pair's own model
         if cls.model is not model and cls.model != model:
             raise ChowError(
                 f"component {label_of(j)!r} lives on {cls.model}, "
@@ -119,11 +120,19 @@ def _groups(model: AmbientModel, runs, label_of) -> tuple:
         if cls.grade != 1:
             raise GradeError(f"component {label_of(j)!r} must have grade 1")
         if not is_prime_class(model, cls):
-            raise ChowError(
-                f"component {label_of(j)!r} = {cls} is not an effective "
-                "prime-divisor class on this model")
+            raise _not_prime(label_of(j), cls)
         counts[id(cls)] = [cls, k]
     return tuple([(cls.coeffs, k) for cls, k in counts.values()])
+
+
+def _check_labels(labels) -> None:
+    if len(set(labels)) != len(labels):
+        raise ChowError(f"duplicate component labels in {list(labels)}")
+
+
+def _not_prime(label: str, cls: CycleClass) -> ChowError:
+    return ChowError(f"component {label!r} = {cls} is not an effective "
+                     "prime-divisor class on this model")
 
 
 def pn_pair(n: int, degrees) -> LogPair:

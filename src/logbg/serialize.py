@@ -4,7 +4,10 @@ Pair descriptors are JSON; unknown keys are errors, not warnings.
 parse_document's memo, which lives for one document, also keys each
 checked ambient and class object by its raw JSON items (_items): a
 repeat costs one type check and one dict lookup, and anything else takes
-the full checks, with the same errors in the same order.  Rationals
+the full checks, with the same errors in the same order.  Parsed pairs
+skip LogPair's per-pair checks: the parser checks each class once per
+document, where it first builds it, and groups each pair's components
+itself (_parse_pair), with the errors LogPair would raise.  Rationals
 serialize as canonical "p/q" strings ("p" when the denominator is one)
 and round-trip losslessly.
 
@@ -25,8 +28,9 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .bg import BGReport
-from .logchern import LogPair
-from .models import FAMILIES, AmbientModel, CycleClass, is_c_infinity
+from .logchern import LogPair, _check_labels, _not_prime
+from .models import (FAMILIES, AmbientModel, CycleClass, is_c_infinity,
+                     is_prime_class)
 from .search import EqualityCase, SearchConfig
 
 
@@ -77,6 +81,7 @@ def parse_ambient(obj) -> AmbientModel:
 
 
 _DIVISOR_KEYS = frozenset(("label", "class"))
+_PAIR_KEYS = frozenset(("ambient", "divisors"))
 
 
 def _items(obj) -> tuple | None:
@@ -90,10 +95,12 @@ def _items(obj) -> tuple | None:
     return tuple(obj.items())
 
 
-def parse_divisor(obj, entry: tuple, index: int) -> tuple[str, CycleClass]:
-    """A checked component; `entry` is parse_document's memo entry for
-    its ambient, (model, classes), whose `classes` hands out one
-    CycleClass per coefficient tuple once the checks have passed."""
+def _parse_divisor(obj, entry: tuple, index: int,
+                   built: list) -> tuple[str, CycleClass]:
+    """A component; `entry` is parse_document's memo entry for its
+    ambient, (model, classes), whose `classes` hands out one CycleClass
+    per coefficient tuple.  A class it lacks is built, and `index` is
+    appended to `built`, for _parse_pair to check."""
     where = f"divisors[{index}]"
     if not isinstance(obj, dict):
         raise InputError(f"{where} must be an object")
@@ -117,17 +124,27 @@ def parse_divisor(obj, entry: tuple, index: int) -> tuple[str, CycleClass]:
     divisor = classes.get(key)
     if divisor is None:
         divisor = classes[key] = model.divisor(*key)
+        built.append(index)
     return label, divisor
 
 
-def parse_pair(obj, memo: dict, where: str = "document") -> LogPair:
-    """One pair; `memo` is parse_document's, and hands out one model, and
-    one dict of its classes, per distinct ambient.  A component whose
-    class object repeats checked raw items, under a str label and no
-    unknown key, skips parse_divisor."""
+def _parse_pair(obj, memo: dict, where: str = "document") -> LogPair:
+    """One checked pair; `memo` is parse_document's, and hands out one
+    model, and one dict of its classes, per distinct ambient.  A
+    component whose class object repeats checked raw items, under a str
+    label and no unknown key, skips _parse_divisor.
+
+    Every class here is built by model.divisor on the pair's model, so
+    it has that model and grade 1, and only the prime-class test is
+    left.  It runs once per class per document, in the pair that built
+    the class: a class from an earlier pair has passed, as any failure
+    ends the document.  That holds only while no caller keeps using a
+    memo after an error, so parse_document must stay the only caller.
+    The test runs after the duplicate-label check, in order of first
+    occurrence, so the errors and their labels are those of LogPair."""
     if not isinstance(obj, dict):
         raise InputError(f"{where} must be an object")
-    _check_keys(obj, {"ambient", "divisors"}, where)
+    _check_keys(obj, _PAIR_KEYS, where)
     ambient = _require(obj, "ambient", where)
     items = _items(ambient)
     entry = None if items is None else memo.get(items)
@@ -141,19 +158,34 @@ def parse_pair(obj, memo: dict, where: str = "document") -> LogPair:
     divisors = _require(obj, "divisors", where)
     if not isinstance(divisors, list):
         raise InputError(f"key 'divisors' in {where} must be a list")
-    classes = entry[1]
+    model, classes = entry
+    labels = []
     components = []
+    built = []  # indices of the components whose class this pair built
     for i, d in enumerate(divisors):
         label = items = None
         if type(d) is dict and d.keys() <= _DIVISOR_KEYS:
             label, items = d.get("label"), _items(d.get("class"))
         divisor = None if items is None else classes.get(items)
         if divisor is None or type(label) is not str:
-            label, divisor = parse_divisor(d, entry, i)
+            label, divisor = _parse_divisor(d, entry, i, built)
             if items is not None:
                 classes[items] = divisor
+        labels.append(label)
         components.append((label, divisor))
-    return LogPair(entry[0], tuple(components))
+    _check_labels(labels)
+    for i in built:
+        label, cls = components[i]
+        if not is_prime_class(model, cls):
+            raise _not_prime(label, cls)
+    # one class per coefficient tuple on this model, so coefficients
+    # group as class objects do in _groups
+    counts = {}
+    for _, cls in components:
+        coeffs = cls.coeffs
+        counts[coeffs] = counts.get(coeffs, 0) + 1
+    return LogPair.__new__(LogPair)._fill(
+        model, tuple(counts.items()), None, tuple(components))
 
 
 def parse_document(data: str | bytes) -> list[LogPair]:
@@ -178,9 +210,9 @@ def parse_document(data: str | bytes) -> list[LogPair]:
         _check_keys(doc, {"pairs"}, "document")
         if not isinstance(doc["pairs"], list):
             raise InputError("key 'pairs' must be a list")
-        return [parse_pair(p, memo, f"pairs[{i}]")
+        return [_parse_pair(p, memo, f"pairs[{i}]")
                 for i, p in enumerate(doc["pairs"])]
-    return [parse_pair(doc, memo)]
+    return [_parse_pair(doc, memo)]
 
 
 # -- output records --------------------------------------------------------

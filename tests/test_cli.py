@@ -6,10 +6,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import logbg
 from logbg.cli import main
-from logbg.models import FAMILIES
+from logbg.models import FAMILIES, ChowError
 from logbg.serialize import InputError, parse_document
 from test_golden import REPEATED_DOCUMENT
 
@@ -119,7 +120,10 @@ class TestReportCommand:
             doc = {"ambient": {"kind": "hirzebruch", "m": m},
                    "divisors": [{"label": "C0", "class": {"C0": 1}},
                                 {"label": "Cinf", "class": {"C0": 1, "f": m}}]}
-            _, text = run_report(tmp_path, doc)
+            # fresh files per m: truncating a written file is slow on
+            # some file systems
+            (tmp_path / f"m{m}").mkdir()
+            _, text = run_report(tmp_path / f"m{m}", doc)
             record = json.loads(text)
             fields.add((record["c1_sq"], record["c2_eval"],
                         record["discriminant"], record["equality_n"],
@@ -218,6 +222,84 @@ def _distinct_classes(document):
             cls = divisor["class"]
             keys.add((model, tuple(cls.get(g, 0) for g in family.generators)))
     return keys
+
+
+@st.composite
+def class_documents(draw):
+    """A {"pairs": [...]} document of well-formed components on up to
+    two ambients, which its pairs share: prime and non-prime classes,
+    each spelled with its keys in any order and a zero coefficient
+    written or left out, and labels that may repeat."""
+    fields = {"n": st.integers(2, 4), "q": st.integers(1, 3),
+              "m": st.integers(1, 3)}
+    ambients = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(sorted(FAMILIES)))
+        ambients.append({"kind": kind, **{
+            key: draw(fields[key]) for key in FAMILIES[kind].fields}})
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        ambient = draw(st.sampled_from(ambients))
+        generators = FAMILIES[ambient["kind"]].generators
+        divisors = []
+        for i in range(draw(st.integers(0, 4))):
+            if len(generators) == 1:
+                coeffs = (draw(st.integers(1, 3) | st.integers(-1, 3)),)
+            else:
+                m = ambient["m"]
+                coeffs = draw(
+                    st.sampled_from([(1, 0), (0, 1), (1, m), (2, 2 * m + 1)])
+                    | st.tuples(st.integers(-1, 2), st.integers(-1, 4)))
+            written = [(g, c) for g, c in zip(generators, coeffs)
+                       if c or draw(st.booleans())]
+            label = draw(st.just(f"D{i}") | st.sampled_from(["A", "B"]))
+            divisors.append({"label": label,
+                             "class": dict(draw(st.permutations(written)))})
+        keys = draw(st.permutations(list(ambient)))
+        pairs.append({"ambient": {key: ambient[key] for key in keys},
+                      "divisors": divisors})
+    return {"pairs": pairs}
+
+
+def library_pairs(document):
+    """The document's pairs built by LogPair(model, components), with one
+    class from model.divisor per (ambient, coefficients); the error of
+    the first pair that fails ends the list."""
+    pairs, classes = [], {}
+    for pair in document["pairs"]:
+        ambient = pair["ambient"]
+        family = FAMILIES[ambient["kind"]]
+        model = family.build(*[ambient[key] for key in family.fields])
+        components = []
+        for divisor in pair["divisors"]:
+            coeffs = tuple(divisor["class"].get(g, 0)
+                           for g in family.generators)
+            key = (model, coeffs)
+            if key not in classes:
+                classes[key] = model.divisor(*coeffs)
+            components.append((divisor["label"], classes[key]))
+        try:
+            pairs.append(logbg.LogPair(model, components))
+        except ChowError as exc:
+            return pairs, str(exc)
+    return pairs, None
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(class_documents())
+def test_parser_matches_library_pairs(document):
+    """parse_document checks each class once per document, LogPair once
+    per pair; both accept the same pairs, with the same groups, and
+    refuse the same first pair with the same error."""
+    expected, error = library_pairs(document)
+    if error is None:
+        pairs = parse_document(json.dumps(document))
+        assert pairs == expected
+        assert [p.groups for p in pairs] == [p.groups for p in expected]
+    else:
+        with pytest.raises(ChowError) as exc:
+            parse_document(json.dumps(document))
+        assert str(exc.value) == error
 
 
 class TestParseMemo:
