@@ -6,15 +6,18 @@ in P^{n+1}.  The search does not scan its box.  In both families, with t
 the c1 coefficient and B = q (q - 1) + sum d_i (d_i - 1) (q = 1 on P^n),
 rank-k equality is the integer quadratic t^2 - k t + k B = 0, solved
 once per B from the divisors of B^2.  On P^n, B runs over 0..k_max / 4,
-and only a B with a root in the box lists its partitions into pronic
+and only a B with a root in the plan lists its partitions into pronic
 parts d (d - 1), once, with their (degree, multiplicity) runs; on a
 hypersurface B = q (q - 1) with 4 B <= k_max, so the work is known
 before the run and does not grow with the q box.  Every root has
 0 <= t <= k, so -(K + D) = t h is nef: the nef filter drops nothing.
 
-Both families share one pipeline.  One generator, _solutions, yields
-the solutions in the box, each with the modes of its root (n, t, B);
-enumerate_cases re-verifies each, in canonical order, through the
+Both families share one pipeline.  _plan solves each B and keeps the
+roots (n, t) that survive the box, the mode, --s-max and the trivial
+rule, each with its modes, the ranks that produced it; it lists
+nothing.  enumerate_cases lists the pronic partitions of each
+R = B - q (q - 1) in the plan once, pads them for each of R's roots,
+sorts the cases and re-verifies each, in canonical order, through the
 integer core (full_report), so the emitted reports never depend on the
 solver.  The cases of one (n, q) share one model, its default
 polarization and one class per degree; each case still gets its own
@@ -27,7 +30,7 @@ read, and only the emitted partition lists every part.
 from __future__ import annotations
 
 import sys
-from itertools import groupby
+from itertools import groupby, product
 from math import isqrt
 from operator import itemgetter
 
@@ -135,8 +138,8 @@ def _case_order(case: tuple) -> tuple:
 #                          = q (q - 1) + sum d_i (d_i - 1),
 # and rank-k equality, k * (2 c2) == (k - 1) * t^2, is
 #   t^2 - k t + k B = 0,
-# at k = n for mode "n" and k = n + 1 for mode "n1", so a case's modes
-# depend only on its root (n, t, B).  Each family fixes one term of B:
+# at k = n for mode "n" and k = n + 1 for mode "n1": a root's modes are
+# the ranks that produced it.  Each family fixes one term of B:
 # P^n has q = 1, so B is a sum of pronic numbers d (d - 1) over the parts
 # d >= 2; the hypersurface family has l degree-1 components
 # (s = p2 = l), so B = q (q - 1).
@@ -154,16 +157,8 @@ def _case_order(case: tuple) -> tuple:
 # = B >= sum d over the pronic parts, so the ones that pad them to s
 # never number below 0.  On a hypersurface the smaller root is
 # k B / (larger) >= B, so t <= k - B and l = n + 2 - q - t
-# >= (q - 1)^2 >= 0.
-
-
-def _root_modes(n: int, t: int, B: int) -> tuple[str, ...]:
-    """The modes of every case at the root (n, t) of B: the ranks
-    k in {n, n + 1} with t^2 = k (t - B)."""
-    modes = ("n",) if t * t == n * (t - B) else ()
-    if t * t == (n + 1) * (t - B):
-        modes += ("n1",)
-    return modes
+# >= (q - 1)^2 >= 0.  Only R = B - q (q - 1) = 0 has the partition with
+# no parts, so the trivial rule drops roots, not partitions.
 
 
 def report_modes(report: BGReport) -> tuple[str, ...]:
@@ -190,17 +185,20 @@ def _square_divisors(B: int) -> list[int]:
     return divisors
 
 
-def _solve(config: SearchConfig, B: int) -> set[tuple[int, int]]:
-    """The (n, t) with n in the box and t^2 - k t + k B = 0 at a rank k of
-    the mode: k = n for "n", k = n + 1 for "n1", either for "either"."""
+def _solve(config: SearchConfig, B: int) -> dict[tuple[int, int], tuple]:
+    """The (n, t) with n in the box and t^2 - k t + k B = 0 at k = n or
+    k = n + 1, each with its modes: "n" for k = n, "n1" for k = n + 1."""
     if B:
         roots = [(u + 2 * B + B * B // u, u + B) for u in _square_divisors(B)]
     else:
         roots = [(k, t) for k in range(config.n_min, config.n_max + 2)
                  for t in (0, k)]
-    shifts = {"n": (0,), "n1": (1,), "either": (0, 1)}[config.mode]
-    return {(k - shift, t) for k, t in roots for shift in shifts
-            if config.n_min <= k - shift <= config.n_max}
+    solved = {}
+    for shift, mode in enumerate(("n", "n1")):
+        for k, t in roots:
+            if config.n_min <= k - shift <= config.n_max:
+                solved[k - shift, t] = solved.get((k - shift, t), ()) + (mode,)
+    return solved
 
 
 def _pronic_partitions(B: int, largest: int):
@@ -230,44 +228,45 @@ def _verified_case(family: str, model: AmbientModel, H: CycleClass,
         "solution has t >= 0")
 
 
-def _solutions(config: SearchConfig):
-    """(n, q, partition, modes, runs) of each case in the box: for each
-    B = q (q - 1) + (pronic sum) with a root, the pronic parts and runs of
-    B - q (q - 1), padded with ones to s = n + 2 - q - t.  On P^n, q = 1
-    and B runs up to k_max // 4; on a hypersurface, B = q (q - 1)."""
+def _plan(config: SearchConfig) -> dict[int, list[tuple]]:
+    """The roots that survive the box, the mode, s_max and the trivial
+    rule, as (n, q, s, modes), grouped by R = B - q (q - 1), the pronic
+    sum of their cases' parts; s = n + 2 - q - t sums all the parts."""
     pn = config.family == "pn"
     # a case with no parts and at most this many ones is trivial
     trivial_ones = 1 if pn else 0
     B_max = (config.n_max + (config.mode != "n")) // 4
+    plan = {}
     for q in (1,) if pn else range(config.q_min, config.q_max + 1):
         B_q = q * (q - 1)
         if B_q > B_max:
-            return
+            break
         for B in range(B_q, B_max + 1 if pn else B_q + 1):
-            roots = _solve(config, B)
-            if not roots:
-                continue
-            partitions = [(p, tuple((d, len(list(r))) for d, r in groupby(p)))
-                          for p in _pronic_partitions(B - B_q, B)]
-            for n, t in roots:
+            for (n, t), modes in _solve(config, B).items():
                 s = n + 2 - q - t
-                if config.s_max is not None and s > config.s_max:
-                    continue
-                modes = _root_modes(n, t, B)
-                for parts, runs in partitions:
-                    ones = s - sum(parts)
-                    if (config.exclude_trivial and not parts
-                            and ones <= trivial_ones):
-                        continue
-                    yield (n, q, parts + (1,) * ones, modes,
-                           runs + ((1, ones),) if ones else runs)
+                if ((config.mode == "either" or config.mode in modes)
+                        and (config.s_max is None or s <= config.s_max)
+                        and not (config.exclude_trivial and B == B_q
+                                 and s <= trivial_ones)):
+                    plan.setdefault(B - B_q, []).append((n, q, s, modes))
+    return plan
 
 
 def enumerate_cases(config: SearchConfig) -> list[EqualityCase]:
     """The verified cases in the box, in canonical order, which is also
     the order they are verified in: a failure names the first."""
     family = config.family
-    solutions = sorted(_solutions(config), key=_case_order)
+    solutions = []
+    for R, roots in _plan(config).items():
+        # product lists R's partitions once and drops them after padding
+        partitions = ((p, tuple((d, len(list(r))) for d, r in groupby(p)))
+                      for p in _pronic_partitions(R, R))
+        solutions += [(n, q, parts + (1,) * ones, modes,
+                       runs + ((1, ones),) if ones else runs)
+                      for (n, q, s, modes), (parts, runs)
+                      in product(roots, partitions)
+                      for ones in (s - sum(parts),)]
+    solutions.sort(key=_case_order)
     cases = []
     for (n, q), group in groupby(solutions, key=itemgetter(0, 1)):
         model = projective_space(n) if family == "pn" else hypersurface(n, q)

@@ -526,8 +526,9 @@ class TestEnumerateCommand:
 
     def test_verification_failure_exit_1(self, monkeypatch, capsys):
         from logbg import search
-        monkeypatch.setattr(search, "_root_modes",
-                            lambda n, t, B: ("n", "n1"))
+        solve = search._solve
+        monkeypatch.setattr(search, "_solve", lambda config, B: dict.fromkeys(
+            solve(config, B), ("n", "n1")))
         assert main(["enumerate", "--family", "pn", "--n", "7..7"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1

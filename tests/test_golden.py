@@ -8,7 +8,10 @@ with trivial cases dropped, where the trivial rule differs from P^n's,
 an unfiltered hypersurface box out to q = 400, and wide boxes: P^n to n = 100 and,
 unfiltered in mode n with trivial cases, to n = 40, hypersurfaces to
 n = 220 and q = 400, one-n P^n boxes at n = 400, whose long partitions
-have many runs, with and without --s-max 60, and --s-max caps on both
+have many runs, with and without --s-max 60, one-n P^n boxes whose
+--s-max leaves only trivial cases and so no output but the summary
+(n = 1200 with --s-max 40 and, as records, n = 3000 with --s-max 10),
+and --s-max caps on both
 families with and without the nef filter, --workers 2 on the default
 hypersurface box,
 which must match its --workers 1 digest, a rejected --workers 0, and a
@@ -219,6 +222,10 @@ CASES = {
     "enum-pn-one-n-s-max-records": ENUM + ("pn", "--n", "400..400",
                                            "--s-max", "60", "--format",
                                            "records"),
+    "enum-pn-one-n-pruned-s-max": ENUM + ("pn", "--n", "1200..1200",
+                                          "--s-max", "40"),
+    "enum-pn-one-n-pruned-s-max-records": ENUM + (
+        "pn", "--n", "3000..3000", "--s-max", "10", "--format", "records"),
     "enum-pn-no-nef-mode-n-trivial-records": ENUM + (
         "pn", "--n", "2..40", "--mode", "n", "--no-nef",
         "--include-trivial", "--format", "records"),

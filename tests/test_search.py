@@ -13,8 +13,9 @@ from logbg.bg import BGReport, full_report
 from logbg.cli import main
 from logbg.logchern import hypersurface_pair, pn_pair
 from logbg.models import AmbientModel
-from logbg.search import (DEFAULT_BOUNDS, SearchConfig, SearchSpaceError,
-                          VerificationError, enumerate_cases)
+from logbg.search import (DEFAULT_BOUNDS, MODES, SearchConfig,
+                          SearchSpaceError, VerificationError,
+                          enumerate_cases)
 from logbg.serialize import Echoes, bounds_fields, case_record
 import scanner
 from scanner import (closed_form_modes, direct_modes,
@@ -388,8 +389,8 @@ class TestHypersurfaceBound:
         for n in range(2, 400):
             k = n + (mode != "n")
             divisor_calls.clear()
-            list(search._solutions(hyp_config(
-                n_min=n, n_max=n, q_min=1, q_max=10 ** 6, mode=mode)))
+            search._plan(hyp_config(
+                n_min=n, n_max=n, q_min=1, q_max=10 ** 6, mode=mode))
             q_top = len(divisor_calls) + 1
             assert divisor_calls == [q * (q - 1)
                                      for q in range(2, q_top + 1)]
@@ -438,25 +439,63 @@ class TestPnSolverWork:
         assert divisor_calls == [1, 2, 3, 4, 5, 6, 7]
 
     def test_lists_only_b_with_a_root(self, monkeypatch):
-        """Each B is solved first, and its pronic partitions are listed
-        only when a root falls in the box.  _pronic_partitions recurses
-        through its global name, so only the calls made from _solutions
-        are counted."""
+        """Each B is solved first, and the pronic partitions of each R in
+        the plan, and of no other R, are listed once: only a B with a
+        root in the box is listed.  _pronic_partitions recurses through
+        its global name, so its calls from itself are not counted."""
         listed = []
         real = search._pronic_partitions
 
         def counting(B, largest):
-            if sys._getframe(1).f_code.co_name == "_solutions":
+            if sys._getframe(1).f_code.co_name != "_pronic_partitions":
                 listed.append(B)
             return real(B, largest)
 
         monkeypatch.setattr(search, "_pronic_partitions", counting)
         config = pn_config(n_min=500, n_max=500)
-        assert list(search._solutions(config))
+        plan = search._plan(config)
+        assert enumerate_cases(config)
         with_roots = [B for B in range(501 // 4 + 1)
                       if search._solve(config, B)]
-        assert listed == with_roots
+        assert listed == list(plan) == with_roots
         assert 0 < len(with_roots) < 501 // 4 + 1
+
+    @pytest.mark.parametrize("n, s_max", [(1200, 40), (3000, 10)])
+    def test_s_max_prunes_before_listing(self, monkeypatch, capsys, n,
+                                         s_max):
+        """Roots past --s-max are dropped before any partition is listed:
+        in both boxes only R = 0 keeps a root, and its cases are trivial,
+        so no partition of an R > 0 is ever listed."""
+        real = search._pronic_partitions
+
+        def only_empty(B, largest):
+            if B > 0:
+                raise AssertionError(f"listed the partitions of {B}")
+            return real(B, largest)
+
+        monkeypatch.setattr(search, "_pronic_partitions", only_empty)
+        assert main(["enumerate", "--family", "pn", "--n", f"{n}..{n}",
+                     "--s-max", str(s_max), "--format", "records"]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["count"] == 0
+
+
+class TestSolveModes:
+    def test_modes_are_the_ranks_that_produced_the_root(self):
+        """In every mode, _solve maps exactly the (n, t) with
+        t^2 = k (t - B) at k = n or k = n + 1 to the modes whose
+        equation holds, found by a scan of t over 0..n + 1."""
+        for B in range(65):
+            expected = {}
+            for n in range(2, 301):
+                for t in range(n + 2):
+                    modes = ("n",) if t * t == n * (t - B) else ()
+                    if t * t == (n + 1) * (t - B):
+                        modes += ("n1",)
+                    if modes:
+                        expected[n, t] = modes
+            for mode in MODES:
+                config = pn_config(n_max=300, mode=mode)
+                assert search._solve(config, B) == expected, (B, mode)
 
 
 class TestPnNefFilter:
@@ -501,8 +540,9 @@ class TestUnfilteredBoxes:
 class TestVerificationFailure:
     # The P^n side is tested through the CLI exit code in test_cli.py.
     def test_hypersurface_disagreement_raises(self, monkeypatch):
-        monkeypatch.setattr(search, "_root_modes",
-                            lambda n, t, B: ("n", "n1"))
+        solve = search._solve
+        monkeypatch.setattr(search, "_solve", lambda config, B: dict.fromkeys(
+            solve(config, B), ("n", "n1")))
         with pytest.raises(VerificationError, match="hypersurface, n=7, q=2"):
             enumerate_cases(hyp_config(n_min=7, n_max=7))
 
@@ -513,7 +553,9 @@ class TestVerificationFailure:
     def test_error_names_the_smallest_n(self, monkeypatch, family, q_max,
                                         where):
         # no case has no modes, so every case in the box disagrees
-        monkeypatch.setattr(search, "_root_modes", lambda n, t, B: ())
+        solve = search._solve
+        monkeypatch.setattr(search, "_solve", lambda config, B: dict.fromkeys(
+            solve(config, B), ()))
         with pytest.raises(VerificationError) as error:
             enumerate_cases(SearchConfig(family, 7, 20, q_max=q_max))
         assert where in str(error.value)
