@@ -1,9 +1,11 @@
+import gc
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +33,14 @@ def mutate(monkeypatch, real, fake):
     for module in modules:
         if getattr(module, real.__name__, None) is real:
             monkeypatch.setattr(module, real.__name__, fake)
+
+
+def wrong_modes(monkeypatch):
+    """Make every root claim both modes, so enumerate exits 1."""
+    from logbg import search
+    solve = search._solve
+    monkeypatch.setattr(search, "_solve", lambda config, B: dict.fromkeys(
+        solve(config, B), ("n", "n1")))
 
 
 def run_report(tmp_path, doc, fmt="records"):
@@ -525,10 +535,7 @@ class TestEnumerateCommand:
         assert "workers" in capsys.readouterr().err
 
     def test_verification_failure_exit_1(self, monkeypatch, capsys):
-        from logbg import search
-        solve = search._solve
-        monkeypatch.setattr(search, "_solve", lambda config, B: dict.fromkeys(
-            solve(config, B), ("n", "n1")))
+        wrong_modes(monkeypatch)
         assert main(["enumerate", "--family", "pn", "--n", "7..7"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
@@ -848,3 +855,126 @@ class TestEntryPoint:
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1]
         assert "verify-paper" in texts[0]
+
+
+@pytest.fixture
+def collector():
+    """The cyclic collector's state, put back after the test."""
+    was_on = gc.isenabled()
+    yield
+    if was_on:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+NON_INTEGER_DOCUMENT = {"ambient": {"kind": "projective_space", "n": 3},
+                        "divisors": [{"label": "D", "class": {"H": "1"}}]}
+
+
+@pytest.mark.usefixtures("collector")
+class TestCollectorPause:
+    """main() pauses the cyclic collector for one command and puts it
+    back as the caller had it, whatever way the command ends."""
+
+    def test_off_while_the_command_runs(self, monkeypatch, capsys):
+        seen, real = [], logbg.cli.all_fixtures
+
+        def recording():
+            seen.append(gc.isenabled())
+            return real()
+
+        monkeypatch.setattr(logbg.cli, "all_fixtures", recording)
+        gc.enable()
+        assert main(["verify-paper"]) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_on_after_exit_0(self, capsys):
+        gc.enable()
+        assert main(["enumerate", "--family", "pn", "--n", "2..12"]) == 0
+        assert gc.isenabled()
+
+    def test_on_after_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(NON_INTEGER_DOCUMENT))
+        gc.enable()
+        assert main(["report", str(path)]) == 2
+        assert gc.isenabled()
+
+    def test_on_after_exit_1(self, monkeypatch, capsys):
+        wrong_modes(monkeypatch)
+        gc.enable()
+        assert main(["enumerate", "--family", "pn", "--n", "7..7"]) == 1
+        assert gc.isenabled()
+
+    def test_on_after_uncaught_exception(self, monkeypatch):
+        def failing():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(logbg.cli, "all_fixtures", failing)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["verify-paper"])
+        assert gc.isenabled()
+
+    def test_caller_that_turned_it_off_keeps_it_off(self, capsys):
+        gc.disable()
+        assert main(["verify-paper"]) == 0
+        assert not gc.isenabled()
+
+    @pytest.mark.parametrize("on", [True, False])
+    def test_usage_error_leaves_it_untouched(self, monkeypatch, capsys, on):
+        gc.enable() if on else gc.disable()
+        calls = []
+        monkeypatch.setattr(logbg.cli, "gc", types.SimpleNamespace(
+            isenabled=lambda: calls.append("isenabled"),
+            disable=lambda: calls.append("disable"),
+            enable=lambda: calls.append("enable")))
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate"])  # --family is required
+        assert exc.value.code == 2
+        assert calls == []
+        assert gc.isenabled() is on
+
+
+# one argv per path through main(); (argv, exit code, wrong modes)
+NO_CYCLE_RUNS = {
+    "report-table": (["report", "{repeated}"], 0, False),
+    "report-records": (["report", "{repeated}", "--format", "records"], 0,
+                       False),
+    "enum-pn-table": (["enumerate", "--family", "pn"], 0, False),
+    "enum-pn-records": (["enumerate", "--family", "pn", "--format",
+                         "records"], 0, False),
+    "enum-hyp-table": (["enumerate", "--family", "hypersurface"], 0, False),
+    "enum-hyp-records": (["enumerate", "--family", "hypersurface",
+                          "--format", "records"], 0, False),
+    "verify-paper": (["verify-paper"], 0, False),
+    "nef": (["nef", "--kind", "hirzebruch", "--m", "2", "--divisor", "1,3"],
+            0, False),
+    "input-error": (["report", "{non_integer}"], 2, False),
+    "verification-failure": (["enumerate", "--family", "pn", "--n", "7..7"],
+                             1, True),
+}
+
+
+@pytest.mark.usefixtures("collector")
+@pytest.mark.parametrize("name", NO_CYCLE_RUNS)
+def test_command_leaves_no_cyclic_garbage(name, tmp_path, monkeypatch,
+                                          capsys):
+    """What makes the pause safe: no command leaves a reference cycle
+    for the collector to free.  A path that starts to make one should
+    break the cycle in the code."""
+    argv, code, wrong = NO_CYCLE_RUNS[name]
+    paths = {}
+    for key, document in (("repeated", REPEATED_DOCUMENT),
+                          ("non_integer", NON_INTEGER_DOCUMENT)):
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(document))
+    argv = [arg.format(**paths) for arg in argv]
+    if wrong:
+        wrong_modes(monkeypatch)
+    gc.collect()
+    gc.disable()
+    assert main(argv) == code
+    assert gc.collect() == 0

@@ -175,6 +175,29 @@ class TestDeterminismAndWorkers:
             assert enumerate_cases(config) == sliced
 
 
+class TestRunOrder:
+    """A key that a lister of (degree, multiplicity) runs can build
+    without padding: at equal length the parts without their ones sort
+    as the padded partitions do, since 1 is below every part >= 2."""
+
+    @staticmethod
+    def run_key(key):
+        n, q, partition = key
+        return n, q, len(partition), tuple(d for d in partition if d != 1)
+
+    @pytest.mark.parametrize("config, count", [
+        (pn_config(n_max=200), 4685),
+        (pn_config(n_max=120, mode="n", require_nef=False,
+                   exclude_trivial=False), 625)])
+    def test_run_key_gives_case_order(self, config, count):
+        ordered = keys(enumerate_cases(config))
+        assert len(ordered) == count
+        assert ordered == sorted(ordered, key=search._case_order)
+        assert len(set(map(self.run_key, ordered))) == count
+        shuffled = ordered[::-1]
+        assert sorted(shuffled, key=self.run_key) == ordered
+
+
 class TestEmittedReports:
     def test_every_case_has_vanishing_discriminant(self):
         cases = enumerate_cases(pn_config(n_min=2, n_max=12))
