@@ -3,7 +3,8 @@
 Commands: report (evaluate pair descriptors), enumerate (equality-case
 search), verify-paper (built-in fixture suite), nef (divisor positivity
 query).  Exit codes: 0 success, 1 verification failure, 2 usage or
-input error.
+input error.  A stdout whose reader has closed ends the command with
+exit 0 and no message.
 
 main() builds the parser on its first call and reuses it on every later
 call in the same process, so it may be called repeatedly; importing the
@@ -22,6 +23,7 @@ import argparse
 import contextlib
 import functools
 import gc
+import os
 import re
 import sys
 
@@ -266,7 +268,17 @@ def main(argv=None) -> int:
     gc_was_on = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        if getattr(args, "out", None) is not None:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+        # stdout's reader has gone, which is no error of the input; the
+        # interpreter's flush at exit must not meet the closed pipe again
+        sys.stdout = open(os.devnull, "w")
+        return 0
     except (InputError, ChowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

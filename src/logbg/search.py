@@ -7,7 +7,7 @@ the c1 coefficient and B = q (q - 1) + sum d_i (d_i - 1) (q = 1 on P^n),
 rank-k equality is the integer quadratic t^2 - k t + k B = 0, solved
 once per B from the divisors of B^2.  On P^n, B runs over 0..k_max / 4,
 and only a B with a root in the plan lists its partitions into pronic
-parts d (d - 1), once, with their (degree, multiplicity) runs; on a
+parts d (d - 1), once, as (degree, multiplicity) runs; on a
 hypersurface B = q (q - 1) with 4 B <= k_max, so the work is known
 before the run and does not grow with the q box.  Every root has
 0 <= t <= k, so -(K + D) = t h is nef: the nef filter drops nothing.
@@ -16,21 +16,21 @@ Both families share one pipeline.  _plan solves each B and keeps the
 roots (n, t) that survive the box, the mode, --s-max and the trivial
 rule, each with its modes, the ranks that produced it; it lists
 nothing.  enumerate_cases lists the pronic partitions of each
-R = B - q (q - 1) in the plan once, pads them for each of R's roots,
-sorts the cases and re-verifies each, in canonical order, through the
-integer core (full_report), so the emitted reports never depend on the
-solver.  The cases of one (n, q) share one model, its default
-polarization and one class per degree; each case still gets its own
-pair, report and checks.  Every pair is built from its (degree,
-multiplicity) runs, so building and verifying a case costs
-O(distinct classes), not O(l); the pair's components are built only if
-read, and only the emitted partition lists every part.
+R = B - q (q - 1) in the plan once, ends them with a run of ones for
+each of R's roots, sorts the cases and re-verifies each, in canonical
+order, through the integer core (full_report), so the emitted reports
+never depend on the solver.  The cases of one (n, q) share one model,
+its default polarization and one class per degree; each case still gets
+its own pair, report and checks.  A case is held as its runs from the
+lister to the record, so building and verifying it costs
+O(distinct classes), not O(l); the pair's components and the case's
+partition list every part only when read.
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import groupby, product
+from itertools import groupby
 from math import isqrt
 from operator import itemgetter
 
@@ -73,8 +73,8 @@ class SearchConfig(Value):
         if n_min < 2 or n_min > n_max:
             raise SearchSpaceError(
                 f"empty or invalid dimension range [{n_min}, {n_max}]")
-        # a case has at most n + 1 components, and its partition is a
-        # tuple, whose length must be a sequence index
+        # a case has at most n + 1 components; its partition, read by the
+        # table output, is a tuple of them, whose length must be an index
         if n_max + 2 > sys.maxsize:
             raise SearchSpaceError(
                 f"dimension {n_max} is too large: a partition of up to "
@@ -100,28 +100,23 @@ class SearchConfig(Value):
 
 
 class EqualityCase(Value):
-    __slots__ = ("family", "n", "q", "partition", "modes", "report")
+    __slots__ = ("family", "n", "q", "runs", "modes", "report")
 
     def __init__(self, family: str, n: int, q: int,
-                 partition: tuple[int, ...], modes: tuple[str, ...],
+                 runs: tuple[tuple[int, int], ...], modes: tuple[str, ...],
                  report: BGReport):
         _set(self, "family", family)
         _set(self, "n", n)
         _set(self, "q", q)  # 1 for the P^n family
-        # component degrees, non-increasing
-        _set(self, "partition", partition)
+        # (degree, multiplicity >= 1) runs, degrees strictly decreasing
+        _set(self, "runs", runs)
         _set(self, "modes", modes)  # subset of ("n", "n1")
         _set(self, "report", report)
 
-    def key(self):
-        return _case_order((self.n, self.q, self.partition))
-
-
-def _case_order(case: tuple) -> tuple:
-    """The sort key of the canonical case order, the order of the
-    output, from a tuple that starts (n, q, partition): by n, then q,
-    then component count, then partition."""
-    return case[0], case[1], len(case[2]), case[2]
+    @property
+    def partition(self) -> tuple[int, ...]:
+        """The component degrees, non-increasing, expanded on each read."""
+        return tuple(d for d, k in self.runs for _ in range(k))
 
 
 # -- one quadratic for both families ---------------------------------------
@@ -154,8 +149,8 @@ def _case_order(case: tuple) -> tuple:
 # q (q - 1) > k_max // 4, has a real root.  As t >= 0, -(K + D) = t h is
 # nef at every solution, so the nef filter never drops a case.  Every
 # root fits a case.  On P^n, s = n + 1 - t >= k - t >= t (k - t) / k
-# = B >= sum d over the pronic parts, so the ones that pad them to s
-# never number below 0.  On a hypersurface the smaller root is
+# = B >= sum d over the pronic parts, so the run of ones that completes
+# them to s never numbers below 0.  On a hypersurface the smaller root is
 # k B / (larger) >= B, so t <= k - B and l = n + 2 - q - t
 # >= (q - 1)^2 >= 0.  Only R = B - q (q - 1) = 0 has the partition with
 # no parts, so the trivial rule drops roots, not partitions.
@@ -202,23 +197,27 @@ def _solve(config: SearchConfig, B: int) -> dict[tuple[int, int], tuple]:
 
 
 def _pronic_partitions(B: int, largest: int):
-    """Non-increasing tuples of parts d in [2, largest] whose pronic
-    numbers d (d - 1) sum to B (the empty tuple at B = 0)."""
+    """The partitions of B into pronic numbers d (d - 1), d in
+    [2, largest], as runs ((d, k), ...): d strictly decreasing, each
+    with its multiplicity k >= 1 (no runs at B = 0)."""
     if B == 0:
         yield ()
         return
     for d in range(min(largest, (1 + isqrt(4 * B + 1)) // 2), 1, -1):
-        for rest in _pronic_partitions(B - d * (d - 1), d):
-            yield (d,) + rest
+        pronic = d * (d - 1)
+        for k in range(1, B // pronic + 1):
+            for rest in _pronic_partitions(B - k * pronic, d - 1):
+                yield ((d, k),) + rest
 
 
 def _verified_case(family: str, model: AmbientModel, H: CycleClass,
-                   classes: dict, n: int, q: int, partition: tuple[int, ...],
-                   modes: tuple[str, ...], runs: tuple) -> EqualityCase:
+                   classes: dict, n: int, q: int, runs: tuple,
+                   modes: tuple[str, ...]) -> EqualityCase:
     report = full_report(_pair_from_runs(model, runs, classes), H)
+    case = EqualityCase(family, n, q, runs, modes, report)
     if report_modes(report) == modes and report.minus_k_plus_d_nef:
-        return EqualityCase(family, n, q, partition, modes, report)
-    where = f"({family}, n={n}, q={q}, partition={partition})"
+        return case
+    where = f"({family}, n={n}, q={q}, partition={case.partition})"
     if report_modes(report) != modes:
         raise VerificationError(
             f"the solver gives modes {modes} but full_report gives "
@@ -258,21 +257,22 @@ def enumerate_cases(config: SearchConfig) -> list[EqualityCase]:
     family = config.family
     solutions = []
     for R, roots in _plan(config).items():
-        # product lists R's partitions once and drops them after padding
-        partitions = ((p, tuple((d, len(list(r))) for d, r in groupby(p)))
-                      for p in _pronic_partitions(R, R))
-        solutions += [(n, q, parts + (1,) * ones, modes,
-                       runs + ((1, ones),) if ones else runs)
-                      for (n, q, s, modes), (parts, runs)
-                      in product(roots, partitions)
-                      for ones in (s - sum(parts),)]
-    solutions.sort(key=_case_order)
+        # each of R's partitions once, with its part count and degree sum
+        listed = [(runs, sum(k for _, k in runs), sum(d * k for d, k in runs))
+                  for runs in _pronic_partitions(R, R)]
+        # canonical order is (n, q, component count, partition); at equal
+        # count runs compare as partitions do, and (n, q, runs) is unique
+        solutions += [(n, q, parts + s - size,
+                       runs + ((1, s - size),) if s > size else runs, modes)
+                      for n, q, s, modes in roots
+                      for runs, parts, size in listed]
+    solutions.sort()
     cases = []
     for (n, q), group in groupby(solutions, key=itemgetter(0, 1)):
         model = projective_space(n) if family == "pn" else hypersurface(n, q)
         H, classes = default_polarization(model), {}
-        cases += [_verified_case(family, model, H, classes, *solution)
-                  for solution in group]
+        cases += [_verified_case(family, model, H, classes, n, q, runs, modes)
+                  for n, q, _, runs, modes in group]
     return cases
 
 

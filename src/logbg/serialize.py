@@ -315,9 +315,7 @@ def case_record(case: EqualityCase, echoes: Echoes) -> str:
     report's fields, keys sorted, no spaces."""
     report = case.report
     modes = ",".join(map(encode_basestring_ascii, case.modes))
-    ones = case.partition.count(1)  # a suffix, as parts never increase
-    head = map(str, case.partition[:len(case.partition) - ones])
-    partition = (",".join(head) + ",1" * ones).lstrip(",")
+    partition = "".join([f"{d}," * k for d, k in case.runs])[:-1]
     return (f'{{"bounds":{echoes.bounds},{_report_head(report)},'
             f'"family":{encode_basestring_ascii(case.family)},'
             f'"minus_k_plus_d_nef":{_bool(report.minus_k_plus_d_nef)},'

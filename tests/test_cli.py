@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import logbg
+from logbg import cli
 from logbg.cli import main
 from logbg.models import FAMILIES, ChowError
 from logbg.serialize import InputError, parse_document
@@ -754,12 +755,17 @@ class TestNefCommand:
         assert flag in captured.err
 
 
-def run_python(*args):
-    """A fresh interpreter that imports logbg from the tree under test."""
+def tree_env():
+    """The environment of a fresh interpreter that imports logbg from
+    the tree under test."""
     src = os.path.dirname(os.path.dirname(logbg.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_python(*args):
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path))
+                          text=True, env=tree_env())
 
 
 class TestEntryPoint:
@@ -855,6 +861,55 @@ class TestEntryPoint:
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1]
         assert "verify-paper" in texts[0]
+
+
+class BrokenStdout(io.StringIO):
+    """A stdout whose reader has closed the pipe."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    """A reader that stops early is no usage or input error: exit 0,
+    and nothing on stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--family", "pn", "--format", "records"],
+        ["report", "{document}"],
+        ["verify-paper"]], ids=["enumerate", "report", "verify-paper"])
+    def test_exit_0_without_message(self, tmp_path, monkeypatch, capsys,
+                                    argv):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(REPEATED_DOCUMENT))
+        monkeypatch.setattr(sys, "stdout", BrokenStdout())
+        code = main([arg.format(document=path) for arg in argv])
+        # what the interpreter flushes at exit
+        assert sys.stdout.name == os.devnull
+        sys.stdout.close()
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+    def test_broken_out_file_exit_2(self, tmp_path, monkeypatch, capsys):
+        """Only stdout's reader may go: --out is a file the user named."""
+        monkeypatch.setattr(cli, "open", lambda path, mode: BrokenStdout(),
+                            raising=False)
+        assert main(["enumerate", "--family", "pn", "--out",
+                     str(tmp_path / "out.txt")]) == 2
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+    def test_reader_closes_after_100_bytes(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "logbg.cli", "enumerate", "--family",
+             "pn", "--n", "2..300", "--format", "records"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=tree_env())
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 0
+        assert err == b""
+        assert head.startswith(b'{"bounds":') and len(head) == 100
 
 
 @pytest.fixture

@@ -390,9 +390,11 @@ class TestNoFloat:
             family = ("pn" if model.kind == "projective_space"
                       else "hypersurface")
             config = DEFAULT_BOUNDS[family]
-            partition = tuple(sorted((cls.coeffs[0] for cls in pair.classes),
-                                     reverse=True))
-            case = EqualityCase(family, model.n, model.q, partition,
+            degrees = sorted((cls.coeffs[0] for cls in pair.classes),
+                             reverse=True)
+            runs = tuple((d, len(list(run)))
+                         for d, run in itertools.groupby(degrees))
+            case = EqualityCase(family, model.n, model.q, runs,
                                 report_modes(report), report)
             values.append(json.loads(
                 case_record(case, Echoes(bounds_fields(config)))))

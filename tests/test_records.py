@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import sys
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,13 +108,15 @@ def test_enumerate_lines_match_reference(argv, fields):
         expected
 
 
-# case_record writes the trailing ones of a partition by string repeat
+# case_record writes each (degree, multiplicity) run by string repeat
 @pytest.mark.parametrize("partition", [
     (), (1,), (1,) * 9, (4,), (3, 2, 2), (2, 1, 1), (5, 3, 1) + (1,) * 30])
 def test_case_partition_matches_reference(partition):
     config = SearchConfig(family="pn", n_min=2, n_max=12,
                           exclude_trivial=False)
     report = full_report(pn_pair(12, partition))
-    case = EqualityCase("pn", 12, 1, partition, report_modes(report), report)
+    runs = tuple((d, len(list(run))) for d, run in groupby(partition))
+    case = EqualityCase("pn", 12, 1, runs, report_modes(report), report)
+    assert case.partition == partition
     assert case_record(case, Echoes(bounds_fields(config))) == \
         records.dump(records.case_record(case, config, __version__))

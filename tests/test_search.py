@@ -2,6 +2,7 @@ import ast
 import itertools
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -111,7 +112,8 @@ class TestEnumeratePn:
 
     def test_canonical_order(self):
         cases = enumerate_cases(pn_config(n_min=2, n_max=9))
-        assert [c.key() for c in cases] == sorted(c.key() for c in cases)
+        order = [(c.n, c.q, len(c.partition), c.partition) for c in cases]
+        assert order == sorted(order)
 
     def test_monotone_bounds(self):
         small = keys(enumerate_cases(pn_config(n_min=2, n_max=6)))
@@ -176,9 +178,15 @@ class TestDeterminismAndWorkers:
 
 
 class TestRunOrder:
-    """A key that a lister of (degree, multiplicity) runs can build
-    without padding: at equal length the parts without their ones sort
-    as the padded partitions do, since 1 is below every part >= 2."""
+    """Keys that a lister of (degree, multiplicity) runs can build
+    without expanding them: at equal length the runs, and the parts
+    without their ones, sort as the partitions do, since 1 is below
+    every part >= 2."""
+
+    @staticmethod
+    def case_order(key):
+        n, q, partition = key
+        return n, q, len(partition), partition
 
     @staticmethod
     def run_key(key):
@@ -190,12 +198,16 @@ class TestRunOrder:
         (pn_config(n_max=120, mode="n", require_nef=False,
                    exclude_trivial=False), 625)])
     def test_run_key_gives_case_order(self, config, count):
-        ordered = keys(enumerate_cases(config))
+        cases = enumerate_cases(config)
+        ordered = keys(cases)
         assert len(ordered) == count
-        assert ordered == sorted(ordered, key=search._case_order)
+        assert ordered == sorted(ordered, key=self.case_order)
         assert len(set(map(self.run_key, ordered))) == count
         shuffled = ordered[::-1]
         assert sorted(shuffled, key=self.run_key) == ordered
+        by_runs = [(c.n, c.q, len(c.partition), c.runs) for c in cases]
+        assert len(set(by_runs)) == count
+        assert sorted(by_runs[::-1]) == by_runs
 
 
 class TestEmittedReports:
@@ -532,6 +544,10 @@ class TestPnNefFilter:
             solved(enumerate_cases(unfiltered))
 
 
+def expand(runs):
+    return tuple(d for d, k in runs for _ in range(k))
+
+
 class TestPronicPartitions:
     def test_matches_filtered_partitions(self):
         expected = {B: [] for B in range(31)}
@@ -540,8 +556,38 @@ class TestPronicPartitions:
             if 1 not in partition and B <= 30:
                 expected[B].append(partition)
         for B, partitions in expected.items():
-            assert sorted(search._pronic_partitions(B, B)) == \
+            assert sorted(map(expand, search._pronic_partitions(B, B))) == \
                 sorted(partitions)
+
+
+class TestRunsInvariant:
+    """A case holds its partition only as runs: degrees strictly
+    decreasing, multiplicities >= 1, degree 1 only in the last run, and
+    `partition` is their expansion."""
+
+    @pytest.mark.parametrize("config", [
+        pn_config(n_min=400, n_max=400), DEFAULT_BOUNDS["hypersurface"]],
+        ids=["pn-400", "hypersurface-default"])
+    def test_every_case(self, config):
+        cases = enumerate_cases(config)
+        assert cases
+        for case in cases:
+            degrees = [d for d, _ in case.runs]
+            assert all(a > b for a, b in zip(degrees, degrees[1:]))
+            assert all(k >= 1 for _, k in case.runs)
+            assert 1 not in degrees[:-1]
+            assert case.partition == expand(case.runs)
+
+    def test_traced_peak_below_3mb(self):
+        """n = 500 has 2,133 cases of about 220 components each: their
+        expanded degree tuples alone would take about 4 MB."""
+        tracemalloc.start()
+        try:
+            assert enumerate_cases(pn_config(n_min=500, n_max=500))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
 
 class TestUnfilteredBoxes:

@@ -29,7 +29,7 @@ VALUES = {
                    ("family", "n_min", "n_max", "mode", "require_nef",
                     "exclude_trivial", "s_max", "q_min", "q_max")),
     EqualityCase: (lambda: enumerate_cases(SearchConfig("pn", 7, 8))[-1],
-                   ("family", "n", "q", "partition", "modes", "report")),
+                   ("family", "n", "q", "runs", "modes", "report")),
     FixtureResult: (lambda: remark_tuple_suite()[0],
                     ("name", "citation", "expected", "computed", "passed")),
 }
