@@ -220,6 +220,36 @@ class TestPnPairFromRuns:
             with pytest.raises(TypeError):
                 _pair_from_runs(model, runs, classes)
 
+    @pytest.mark.parametrize("degrees", [[1, True], [1] * 1000 + [True],
+                                         [2, 2, 1, 1.0, 1]])
+    def test_pn_pair_rejects_a_non_int_in_a_run(self, degrees):
+        with pytest.raises(TypeError):
+            pn_pair(4, degrees)
+
+    def test_builder_names_the_first_failing_component(self):
+        with pytest.raises(ChowError, match="'D2'"):
+            _pair_from_runs(projective_space(4), ((2, 1), (0, 2)), {})
+
+    def test_builder_builds_every_class_before_any_check(self):
+        # degree 0 fails the prime-class check, but True is refused first
+        with pytest.raises(TypeError):
+            _pair_from_runs(projective_space(4), ((0, 1), (True, 1)), {})
+
+    @pytest.mark.parametrize("runs, error", [
+        (((2, 1), (0, 2)), ChowError), (((0, 1), (True, 1)), TypeError),
+        (((3, 1), (-1, 1), (1, 2)), ChowError)])
+    def test_failed_build_leaves_no_unchecked_class(self, runs, error):
+        """A cache shared by several calls, as in the search, is never
+        left holding a class that has not passed its check."""
+        model = projective_space(4)
+        classes = {}
+        for _ in range(2):
+            with pytest.raises(error):
+                _pair_from_runs(model, runs, classes)
+        # the classes that passed still serve a later pair
+        assert _pair_from_runs(model, ((3, 1), (2, 1), (1, 1)),
+                               classes) == pn_pair(4, [3, 2, 1])
+
 
 def log_c1(pair):
     return _log_chern_coeffs(pair)[0]
