@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, count, groupby, repeat
-from math import comb
+from math import comb, inf
 from operator import sub
 
 from .models import (AmbientModel, ChowError, CycleClass, GradeError, Value,
@@ -36,18 +36,18 @@ class LogPair(Value):
     classes. Distinct components may share a class (two hyperplanes are
     two components); the SNC hypothesis is a modeling assumption.
 
-    A pair is checked and grouped from runs ((class, multiplicity), ...)
-    in component order: each distinct class object is checked once, at
-    its first occurrence, so an error names the first offending label,
-    and `groups` holds each distinct object's integer coefficients with
-    its multiplicity, in order of first occurrence.  The constructor
-    (its components as runs of one) and _pair_from_runs (runs of equal
-    degrees, behind pn_pair, hypersurface_pair and the search) check by
-    _groups; serialize.parse_document checks each of its classes once
-    per document instead.  All three set the slots by _fill.  Building
-    and verifying a search pair costs O(distinct classes), and its
-    `components`, labeled D1..Dl, is built when first read.  Only model
-    and components take part in equality, hash, repr and pickling."""
+    Each distinct class object of a pair is checked once, at its first
+    component, so an error names the first offending label, and `groups`
+    holds each distinct object's integer coefficients with its
+    multiplicity, in order of first occurrence.  The constructor checks
+    by _groups; _pair_from_runs (runs of equal degrees, behind pn_pair,
+    hypersurface_pair and the search) checks each degree's class once
+    per cache of classes, and serialize.parse_document each of its
+    classes once per document.  All three set the slots by _fill.
+    Building and verifying a search pair costs O(runs), not O(l), and
+    its `components`, labeled D1..Dl, is built when first read.  Only
+    model and components take part in equality, hash, repr and
+    pickling."""
 
     _fields = ("model", "components")
     __slots__ = ("model", "groups", "_runs", "_components")
@@ -55,22 +55,8 @@ class LogPair(Value):
     def __init__(self, model: AmbientModel,
                  components: tuple[tuple[str, CycleClass], ...] = ()):
         components = tuple(components)
-        labels, classes = zip(*components) if components else ((), ())
-        _check_labels(labels)
-        # each component is a run of one; every class stays alive in
-        # components, so the ids _groups keys on stay valid
-        self._fill(model, _groups(model, zip(classes, repeat(1)),
-                                  labels.__getitem__), None, components)
-
-    @classmethod
-    def _from_runs(cls, model: AmbientModel,
-                   runs: tuple[tuple[CycleClass, int], ...]) -> "LogPair":
-        """The pair whose components, labeled D1..Dl, repeat each run's
-        class `multiplicity` times, in order; they are built when first
-        read."""
-        return cls.__new__(cls)._fill(model, _groups(
-            model, runs, lambda j: f"D{1 + sum(k for _, k in runs[:j])}"),
-            runs, None)
+        _check_labels([label for label, _ in components])
+        self._fill(model, _groups(model, components), None, components)
 
     def _fill(self, model: AmbientModel, groups: tuple, runs, components):
         """Set the slots, unchecked: the caller has checked the classes
@@ -101,27 +87,24 @@ class LogPair(Value):
                      for i in range(len(self.model.generators)))
 
 
-def _groups(model: AmbientModel, runs, label_of) -> tuple:
+def _groups(model: AmbientModel, components) -> tuple:
     """The (coefficients, multiplicity) of each distinct class object in
-    `runs`, ((class, multiplicity), ...), in order of first occurrence.
-    Each object is checked once, at its first run; label_of(j) names the
-    first component of run j, and only an error calls it."""
-    counts = {}  # id(class) -> [class, multiplicity]
-    for j, (cls, k) in enumerate(runs):
+    `components`, in order of first occurrence.  Each object is checked
+    once, at its first component, so an error names that label."""
+    counts = {}  # id(class) -> [class, k]; components keeps ids valid
+    for label, cls in components:
         group = counts.get(id(cls))
         if group is not None:
-            group[1] += k
+            group[1] += 1
             continue
-        # _pair_from_runs builds every class on the pair's own model
         if cls.model is not model and cls.model != model:
-            raise ChowError(
-                f"component {label_of(j)!r} lives on {cls.model}, "
-                f"not {model}")
+            raise ChowError(f"component {label!r} lives on {cls.model}, "
+                            f"not {model}")
         if cls.grade != 1:
-            raise GradeError(f"component {label_of(j)!r} must have grade 1")
+            raise GradeError(f"component {label!r} must have grade 1")
         if not is_prime_class(model, cls):
-            raise _not_prime(label_of(j), cls)
-        counts[id(cls)] = [cls, k]
+            raise _not_prime(label, cls)
+        counts[id(cls)] = [cls, 1]
     return tuple([(cls.coeffs, k) for cls, k in counts.values()])
 
 
@@ -137,27 +120,47 @@ def _not_prime(label: str, cls: CycleClass) -> ChowError:
 
 def pn_pair(n: int, degrees) -> LogPair:
     """Convenience: (P^n, D) with D_i of the given degrees, labeled
-    D1..Dl; one run per stretch of equal degrees, so its cost beyond one
-    C-level pass over `degrees` depends on the runs, not on l."""
+    D1..Dl; one run per stretch of equal degrees, so its cost beyond
+    C-level passes over `degrees` depends on the runs, not on l."""
     degrees = tuple(degrees)  # read twice below
-    # True and 1.0 equal 1: keying runs on the type keeps them apart
-    return _pair_from_runs(projective_space(n), tuple(
-        (d, len(list(run))) for (_, d), run
-        in groupby(zip(map(type, degrees), degrees))), {})
+    if set(map(type, degrees)) <= {int}:
+        runs = [(d, len(list(run))) for d, run in groupby(degrees)]
+    else:  # True and 1.0 equal 1: keying runs on the type keeps them apart
+        runs = [(d, len(list(run))) for (_, d), run
+                in groupby(zip(map(type, degrees), degrees))]
+    return _pair_from_runs(projective_space(n), tuple(runs), {})
 
 
 def _pair_from_runs(model: AmbientModel,
                     runs: tuple[tuple[int, int], ...],
                     classes: dict) -> LogPair:
     """(model, D) from runs ((degree, multiplicity), ...) on P^n or a
-    hypersurface; `classes` maps int degrees to their classes and gains
-    those it lacks.  model.divisor sees, and rejects, each True or 1.0."""
-    class_runs = []
+    hypersurface.  `classes` maps int degrees to checked classes: every
+    class it lacks is built (model.divisor rejects each True or 1.0),
+    then each is checked, in order, and all are added if all pass.  A
+    class built on `model` at grade 1 needs only the prime-class test."""
+    new, class_runs, groups, last, decreasing = {}, [], [], inf, True
     for d, k in runs:
-        if type(d) is not int or d not in classes:
-            classes[d] = model.divisor(d)
-        class_runs.append((classes[d], k))
-    return LogPair._from_runs(model, tuple(class_runs))
+        cls = classes.get(d) or new.get(d)
+        if cls is None or type(d) is not int:
+            cls = new[d] = model.divisor(d)
+        class_runs.append((cls, k))
+        groups.append((cls.coeffs, k))
+        decreasing = decreasing and d < last  # then every class differs
+        last = d
+    if new:
+        for d, cls in new.items():
+            if not is_prime_class(model, cls):  # label only the error
+                j = [e for e, _ in runs].index(d)
+                raise _not_prime(f"D{1 + sum(k for _, k in runs[:j])}", cls)
+        classes.update(new)
+    if not decreasing:  # one class per degree: merge equal coefficients
+        merged = {}
+        for E, k in groups:
+            merged[E] = merged.get(E, 0) + k
+        groups = merged.items()
+    return LogPair.__new__(LogPair)._fill(
+        model, tuple(groups), tuple(class_runs), None)
 
 
 def hypersurface_pair(n: int, q: int, l: int) -> LogPair:

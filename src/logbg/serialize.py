@@ -16,9 +16,9 @@ sort_keys=True, separators=(",", ":")): keys sorted, no spaces, and
 non-ASCII and control characters as \\uXXXX escapes.  report_record and
 case_record write that line from a template around JSON fragments that
 one Echoes per command encodes once (each class's echo, each model's
-ambient, each polarization and the run's bounds); per line only labels,
-rationals, integers and flags are encoded.  dump_record encodes a whole
-dict, for the summary line.
+ambient, each polarization, each modes list and the run's bounds); per
+line only labels, rationals, integers and flags are encoded.
+dump_record encodes a whole dict, for the summary line.
 """
 
 from __future__ import annotations
@@ -240,7 +240,8 @@ def _report_head(report: BGReport) -> str:
 class Echoes(dict):
     """The JSON fragments of one command, each encoded on first use: per
     class its display and the head of its divisor item, per model its
-    ambient echo, per polarization its class, and the run's `bounds`.
+    ambient echo, per polarization its class, per modes tuple its list
+    and the run's `bounds`.
 
     Classes and models are keyed by id(object), which hashes in C;
     keying by the object would hash its field tuple (and a class's model)
@@ -248,7 +249,8 @@ class Echoes(dict):
     reused while the instance lives.  A polarization is keyed by (kind,
     coefficients), which fix its echo at grade 1, so the polarizations
     of models of one kind with equal coefficients, such as H on every
-    P^n, share one echo."""
+    P^n, share one echo.  A modes tuple is its own key, equal to none of
+    those."""
 
     __slots__ = ("bounds",)
 
@@ -284,6 +286,12 @@ class Echoes(dict):
             echo = self[key] = _ENCODER.encode(cycle_to_dict(H))
         return echo
 
+    def modes(self, modes: tuple[str, ...]) -> str:
+        echo = self.get(modes)
+        if echo is None:
+            echo = self[modes] = _ENCODER.encode(modes)
+        return echo
+
 
 def report_record(pair: LogPair, report: BGReport, echoes: Echoes) -> str:
     """The record line of one report: json.dumps of the dict {"input":
@@ -314,12 +322,11 @@ def case_record(case: EqualityCase, echoes: Echoes) -> str:
     `echoes`, built with them once per run), "tool_version" and the
     report's fields, keys sorted, no spaces."""
     report = case.report
-    modes = ",".join(map(encode_basestring_ascii, case.modes))
     partition = "".join([f"{d}," * k for d, k in case.runs])[:-1]
     return (f'{{"bounds":{echoes.bounds},{_report_head(report)},'
             f'"family":{encode_basestring_ascii(case.family)},'
             f'"minus_k_plus_d_nef":{_bool(report.minus_k_plus_d_nef)},'
-            f'"modes":[{modes}],"n":{case.n},'
+            f'"modes":{echoes.modes(case.modes)},"n":{case.n},'
             f'"nef":{_bool(report.minus_k_plus_d_nef)},'
             f'"partition":[{partition}],'
             f'"polarization":{echoes.polarization(report.polarization)},'

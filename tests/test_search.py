@@ -684,3 +684,20 @@ class TestGroupSharing:
         assert captured.err.count("\n") == 1
         assert captured.err.endswith(f"on {where}\n")
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("family, checks", [("pn", 46),
+                                                ("hypersurface", 48)])
+    def test_one_class_check_per_degree_of_a_group(self, monkeypatch,
+                                                   family, checks):
+        """The class of a degree is checked once per (n, q) group, when
+        it is first built, not once per case."""
+        from logbg import logchern
+
+        calls = []
+        real = logchern.is_prime_class
+        monkeypatch.setattr(logchern, "is_prime_class",
+                            lambda model, cls: calls.append(1)
+                            or real(model, cls))
+        found = enumerate_cases(DEFAULT_BOUNDS[family])
+        assert len(calls) == checks == len(
+            {(case.n, case.q, d) for case in found for d, _ in case.runs})
