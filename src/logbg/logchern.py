@@ -122,7 +122,7 @@ def pn_pair(n: int, degrees) -> LogPair:
     """Convenience: (P^n, D) with D_i of the given degrees, labeled
     D1..Dl; one run per stretch of equal degrees, so its cost beyond
     C-level passes over `degrees` depends on the runs, not on l."""
-    degrees = tuple(degrees)  # read twice below
+    degrees = tuple(degrees)  # scanned, then grouped
     if set(map(type, degrees)) <= {int}:
         runs = [(d, len(list(run))) for d, run in groupby(degrees)]
     else:  # True and 1.0 equal 1: keying runs on the type keeps them apart

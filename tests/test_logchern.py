@@ -91,7 +91,9 @@ class TestLogPairValidation:
     @pytest.mark.parametrize("degrees", [[1, True], [True, 1], [1, 1.0],
                                          [1.0, 1], [2, 1, False], [True],
                                          [2.0, 2, 2], [1, 1, True, 1],
-                                         [1.0], [2, 1, 1.0]])
+                                         [1.0], [2, 1, 1.0],
+                                         [1] * 1000 + [True],
+                                         [2, 2, 1, 1.0, 1]])
     def test_pn_pair_rejects_non_integer_degrees(self, degrees):
         with pytest.raises(TypeError):
             pn_pair(3, degrees)
@@ -220,31 +222,20 @@ class TestPnPairFromRuns:
             with pytest.raises(TypeError):
                 _pair_from_runs(model, runs, classes)
 
-    @pytest.mark.parametrize("degrees", [[1, True], [1] * 1000 + [True],
-                                         [2, 2, 1, 1.0, 1]])
-    def test_pn_pair_rejects_a_non_int_in_a_run(self, degrees):
-        with pytest.raises(TypeError):
-            pn_pair(4, degrees)
-
-    def test_builder_names_the_first_failing_component(self):
-        with pytest.raises(ChowError, match="'D2'"):
-            _pair_from_runs(projective_space(4), ((2, 1), (0, 2)), {})
-
-    def test_builder_builds_every_class_before_any_check(self):
-        # degree 0 fails the prime-class check, but True is refused first
-        with pytest.raises(TypeError):
-            _pair_from_runs(projective_space(4), ((0, 1), (True, 1)), {})
-
-    @pytest.mark.parametrize("runs, error", [
-        (((2, 1), (0, 2)), ChowError), (((0, 1), (True, 1)), TypeError),
-        (((3, 1), (-1, 1), (1, 2)), ChowError)])
-    def test_failed_build_leaves_no_unchecked_class(self, runs, error):
+    # a label names the first failing component; every class is built
+    # before any is checked, so True is refused before degree 0 fails
+    @pytest.mark.parametrize("runs, error, match", [
+        (((2, 1), (0, 2)), ChowError, "'D2'"),
+        (((0, 1), (True, 1)), TypeError, "int"),
+        (((3, 1), (-1, 1), (1, 2)), ChowError, "'D2'")])
+    def test_failed_build_leaves_no_unchecked_class(self, runs, error,
+                                                    match):
         """A cache shared by several calls, as in the search, is never
         left holding a class that has not passed its check."""
         model = projective_space(4)
         classes = {}
         for _ in range(2):
-            with pytest.raises(error):
+            with pytest.raises(error, match=match):
                 _pair_from_runs(model, runs, classes)
         # the classes that passed still serve a later pair
         assert _pair_from_runs(model, ((3, 1), (2, 1), (1, 1)),

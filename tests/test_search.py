@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from logbg import search
+from logbg import logchern, search
 from logbg.bg import BGReport, full_report
 from logbg.cli import main
 from logbg.logchern import hypersurface_pair, pn_pair
@@ -691,8 +691,6 @@ class TestGroupSharing:
                                                    family, checks):
         """The class of a degree is checked once per (n, q) group, when
         it is first built, not once per case."""
-        from logbg import logchern
-
         calls = []
         real = logchern.is_prime_class
         monkeypatch.setattr(logchern, "is_prime_class",
