@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, count, groupby, repeat
-from math import comb, inf
+from math import comb
 from operator import sub
 
 from .models import (AmbientModel, ChowError, CycleClass, GradeError, Value,
@@ -122,13 +122,14 @@ def pn_pair(n: int, degrees) -> LogPair:
     """Convenience: (P^n, D) with D_i of the given degrees, labeled
     D1..Dl; one run per stretch of equal degrees, so its cost beyond
     C-level passes over `degrees` depends on the runs, not on l."""
+    model = projective_space(n)
     degrees = tuple(degrees)  # scanned, then grouped
-    if set(map(type, degrees)) <= {int}:
-        runs = [(d, len(list(run))) for d, run in groupby(degrees)]
-    else:  # True and 1.0 equal 1: keying runs on the type keeps them apart
-        runs = [(d, len(list(run))) for (_, d), run
-                in groupby(zip(map(type, degrees), degrees))]
-    return _pair_from_runs(projective_space(n), tuple(runs), {})
+    types = set(map(type, degrees))
+    if not types <= {int}:  # True and 1.0 would join a run of 1
+        raise TypeError("degrees must be int, got " + ", ".join(
+            sorted(t.__name__ for t in types - {int})))
+    runs = tuple([(d, len(list(run))) for d, run in groupby(degrees)])
+    return _pair_from_runs(model, runs, {})
 
 
 def _pair_from_runs(model: AmbientModel,
@@ -138,29 +139,23 @@ def _pair_from_runs(model: AmbientModel,
     hypersurface.  `classes` maps int degrees to checked classes: every
     class it lacks is built (model.divisor rejects each True or 1.0),
     then each is checked, in order, and all are added if all pass.  A
-    class built on `model` at grade 1 needs only the prime-class test."""
-    new, class_runs, groups, last, decreasing = {}, [], [], inf, True
+    class built on `model` at grade 1 needs only the prime-class test.
+    Runs of one degree share its class and its group."""
+    new, class_runs, groups = {}, [], {}
     for d, k in runs:
         cls = classes.get(d) or new.get(d)
         if cls is None or type(d) is not int:
             cls = new[d] = model.divisor(d)
         class_runs.append((cls, k))
-        groups.append((cls.coeffs, k))
-        decreasing = decreasing and d < last  # then every class differs
-        last = d
+        groups[cls.coeffs] = groups.get(cls.coeffs, 0) + k
     if new:
         for d, cls in new.items():
             if not is_prime_class(model, cls):  # label only the error
                 j = [e for e, _ in runs].index(d)
                 raise _not_prime(f"D{1 + sum(k for _, k in runs[:j])}", cls)
         classes.update(new)
-    if not decreasing:  # one class per degree: merge equal coefficients
-        merged = {}
-        for E, k in groups:
-            merged[E] = merged.get(E, 0) + k
-        groups = merged.items()
     return LogPair.__new__(LogPair)._fill(
-        model, tuple(groups), tuple(class_runs), None)
+        model, tuple(groups.items()), tuple(class_runs), None)
 
 
 def hypersurface_pair(n: int, q: int, l: int) -> LogPair:

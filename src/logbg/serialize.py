@@ -16,9 +16,9 @@ sort_keys=True, separators=(",", ":")): keys sorted, no spaces, and
 non-ASCII and control characters as \\uXXXX escapes.  report_record and
 case_record write that line from a template around JSON fragments that
 one Echoes per command encodes once (each class's echo, each model's
-ambient, each polarization, each modes list and the run's bounds); per
-line only labels, rationals, integers and flags are encoded.
-dump_record encodes a whole dict, for the summary line.
+ambient, each polarization and the run's bounds); per line only labels,
+rationals, integers and flags are encoded.  dump_record encodes a whole
+dict, for the summary line.
 """
 
 from __future__ import annotations
@@ -221,6 +221,9 @@ def parse_document(data: str | bytes) -> list[LogPair]:
 # summary line and for the fragments an Echoes caches
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _VERSION = encode_basestring_ascii(__version__)
+# every value of search.report_modes, a case's modes, as its JSON list
+_MODES = {modes: _ENCODER.encode(modes)
+          for modes in [(), ("n",), ("n1",), ("n", "n1")]}
 
 
 def _bool(flag: bool) -> str:
@@ -240,8 +243,7 @@ def _report_head(report: BGReport) -> str:
 class Echoes(dict):
     """The JSON fragments of one command, each encoded on first use: per
     class its display and the head of its divisor item, per model its
-    ambient echo, per polarization its class, per modes tuple its list
-    and the run's `bounds`.
+    ambient echo, per polarization its class, and the run's `bounds`.
 
     Classes and models are keyed by id(object), which hashes in C;
     keying by the object would hash its field tuple (and a class's model)
@@ -249,8 +251,7 @@ class Echoes(dict):
     reused while the instance lives.  A polarization is keyed by (kind,
     coefficients), which fix its echo at grade 1, so the polarizations
     of models of one kind with equal coefficients, such as H on every
-    P^n, share one echo.  A modes tuple is its own key, equal to none of
-    those."""
+    P^n, share one echo."""
 
     __slots__ = ("bounds",)
 
@@ -284,12 +285,6 @@ class Echoes(dict):
         echo = self.get(key)
         if echo is None:
             echo = self[key] = _ENCODER.encode(cycle_to_dict(H))
-        return echo
-
-    def modes(self, modes: tuple[str, ...]) -> str:
-        echo = self.get(modes)
-        if echo is None:
-            echo = self[modes] = _ENCODER.encode(modes)
         return echo
 
 
@@ -326,7 +321,7 @@ def case_record(case: EqualityCase, echoes: Echoes) -> str:
     return (f'{{"bounds":{echoes.bounds},{_report_head(report)},'
             f'"family":{encode_basestring_ascii(case.family)},'
             f'"minus_k_plus_d_nef":{_bool(report.minus_k_plus_d_nef)},'
-            f'"modes":{echoes.modes(case.modes)},"n":{case.n},'
+            f'"modes":{_MODES[case.modes]},"n":{case.n},'
             f'"nef":{_bool(report.minus_k_plus_d_nef)},'
             f'"partition":[{partition}],'
             f'"polarization":{echoes.polarization(report.polarization)},'

@@ -95,7 +95,7 @@ class TestLogPairValidation:
                                          [1] * 1000 + [True],
                                          [2, 2, 1, 1.0, 1]])
     def test_pn_pair_rejects_non_integer_degrees(self, degrees):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="degrees must be int"):
             pn_pair(3, degrees)
 
     @pytest.mark.parametrize("l", [2.0, "2", None])
@@ -237,9 +237,8 @@ class TestPnPairFromRuns:
         for _ in range(2):
             with pytest.raises(error, match=match):
                 _pair_from_runs(model, runs, classes)
-        # the classes that passed still serve a later pair
-        assert _pair_from_runs(model, ((3, 1), (2, 1), (1, 1)),
-                               classes) == pn_pair(4, [3, 2, 1])
+        # a failed call adds no class, not even the ones that passed
+        assert classes == {}
 
 
 def log_c1(pair):
