@@ -14,8 +14,10 @@ The rank-(n+1) extension of T_X(-log D) by the trivial sheaf shares
 its c1 and c2 for every extension class, so no extension class appears
 in the API: bg reads the same c1 and c2 at rank n+1.
 
-_log_chern_coeffs reads both in one pass over a pair's distinct classes;
-the search builds each pair from its degree runs by _pair_from_runs.
+Every pair comes from one checked core, _build: the constructor, the
+runs builder _pair_from_runs and the descriptor parser hand it the
+classes they have not checked.  _log_chern_coeffs reads c1 and c2 in
+one pass over a pair's groups.
 """
 
 from __future__ import annotations
@@ -36,18 +38,13 @@ class LogPair(Value):
     classes. Distinct components may share a class (two hyperplanes are
     two components); the SNC hypothesis is a modeling assumption.
 
-    Each distinct class object of a pair is checked once, at its first
-    component, so an error names the first offending label, and `groups`
-    holds each distinct object's integer coefficients with its
-    multiplicity, in order of first occurrence.  The constructor checks
-    by _groups; _pair_from_runs (runs of equal degrees, behind pn_pair,
-    hypersurface_pair and the search) checks each degree's class once
-    per cache of classes, and serialize.parse_document each of its
-    classes once per document.  All three set the slots by _fill.
-    Building and verifying a search pair costs O(runs), not O(l), and
-    its `components`, labeled D1..Dl, is built when first read.  Only
-    model and components take part in equality, hash, repr and
-    pickling."""
+    The constructor checks each distinct class object once, at its
+    first component, so an error names the first offending label.
+    `groups` holds each coefficient tuple with its multiplicity, in
+    order of first occurrence.  A pair built from runs costs O(runs),
+    not O(l), and its `components`, labeled D1..Dl, is built when first
+    read.  Only model and components take part in equality, hash, repr
+    and pickling."""
 
     _fields = ("model", "components")
     __slots__ = ("model", "groups", "_runs", "_components")
@@ -55,17 +52,8 @@ class LogPair(Value):
     def __init__(self, model: AmbientModel,
                  components: tuple[tuple[str, CycleClass], ...] = ()):
         components = tuple(components)
-        _check_labels([label for label, _ in components])
-        self._fill(model, _groups(model, components), None, components)
-
-    def _fill(self, model: AmbientModel, groups: tuple, runs, components):
-        """Set the slots, unchecked: the caller has checked the classes
-        behind `groups`.  One of `runs` and `components` is None."""
-        _set(self, "model", model)
-        _set(self, "groups", groups)
-        _set(self, "_runs", runs)
-        _set(self, "_components", components)
-        return self
+        _build(self, model, None, components,
+               {id(cls): cls for _, cls in components}.values())
 
     @property
     def components(self) -> tuple[tuple[str, CycleClass], ...]:
@@ -87,35 +75,47 @@ class LogPair(Value):
                      for i in range(len(self.model.generators)))
 
 
-def _groups(model: AmbientModel, components) -> tuple:
-    """The (coefficients, multiplicity) of each distinct class object in
-    `components`, in order of first occurrence.  Each object is checked
-    once, at its first component, so an error names that label."""
-    counts = {}  # id(class) -> [class, k]; components keeps ids valid
-    for label, cls in components:
-        group = counts.get(id(cls))
-        if group is not None:
-            group[1] += 1
-            continue
+def _build(pair: LogPair, model: AmbientModel, runs, components,
+           new) -> LogPair:
+    """Check, then set the slots of `pair`; every LogPair comes from here.
+
+    Either `runs`, ((class, multiplicity), ...) labeled D1..Dl, or
+    `components`, ((label, class), ...) with distinct labels, is None.
+    `new` holds the classes not yet checked, in order of first
+    occurrence; each must live on `model`, at grade 1, and be prime, and
+    an error names the label of its first component.  Checked classes
+    live on equal models, so `groups` merges the runs by coefficients."""
+    if components is not None:
+        labels = [label for label, _ in components]
+        if len(set(labels)) != len(labels):
+            raise ChowError(f"duplicate component labels in {labels}")
+        runs = tuple([(cls, 1) for _, cls in components])
+    for cls in new:
         if cls.model is not model and cls.model != model:
-            raise ChowError(f"component {label!r} lives on {cls.model}, "
-                            f"not {model}")
-        if cls.grade != 1:
-            raise GradeError(f"component {label!r} must have grade 1")
-        if not is_prime_class(model, cls):
-            raise _not_prime(label, cls)
-        counts[id(cls)] = [cls, 1]
-    return tuple([(cls.coeffs, k) for cls, k in counts.values()])
-
-
-def _check_labels(labels) -> None:
-    if len(set(labels)) != len(labels):
-        raise ChowError(f"duplicate component labels in {list(labels)}")
-
-
-def _not_prime(label: str, cls: CycleClass) -> ChowError:
-    return ChowError(f"component {label!r} = {cls} is not an effective "
-                     "prime-divisor class on this model")
+            error, text = ChowError, f"lives on {cls.model}, not {model}"
+        elif cls.grade != 1:
+            error, text = GradeError, "must have grade 1"
+        elif not is_prime_class(model, cls):
+            error, text = ChowError, (f"= {cls} is not an effective "
+                                      "prime-divisor class on this model")
+        else:
+            continue
+        i = 0  # the index of the class's first component
+        for other, k in runs:
+            if other is cls:
+                break
+            i += k
+        label = f"D{i + 1}" if components is None else components[i][0]
+        raise error(f"component {label!r} {text}")
+    groups = {}
+    for cls, k in runs:
+        coeffs = cls.coeffs
+        groups[coeffs] = groups.get(coeffs, 0) + k
+    _set(pair, "model", model)
+    _set(pair, "groups", tuple(groups.items()))
+    _set(pair, "_runs", runs)
+    _set(pair, "_components", components)
+    return pair
 
 
 def pn_pair(n: int, degrees) -> LogPair:
@@ -138,24 +138,18 @@ def _pair_from_runs(model: AmbientModel,
     """(model, D) from runs ((degree, multiplicity), ...) on P^n or a
     hypersurface.  `classes` maps int degrees to checked classes: every
     class it lacks is built (model.divisor rejects each True or 1.0),
-    then each is checked, in order, and all are added if all pass.  A
-    class built on `model` at grade 1 needs only the prime-class test.
-    Runs of one degree share its class and its group."""
-    new, class_runs, groups = {}, [], {}
+    then _build checks them, and all are added if all pass."""
+    new, class_runs = {}, []
     for d, k in runs:
         cls = classes.get(d) or new.get(d)
         if cls is None or type(d) is not int:
             cls = new[d] = model.divisor(d)
         class_runs.append((cls, k))
-        groups[cls.coeffs] = groups.get(cls.coeffs, 0) + k
-    if new:
-        for d, cls in new.items():
-            if not is_prime_class(model, cls):  # label only the error
-                j = [e for e, _ in runs].index(d)
-                raise _not_prime(f"D{1 + sum(k for _, k in runs[:j])}", cls)
+    pair = _build(LogPair.__new__(LogPair), model, tuple(class_runs), None,
+                  new.values() if new else ())
+    if new:  # most search cases build no class
         classes.update(new)
-    return LogPair.__new__(LogPair)._fill(
-        model, tuple(groups.items()), tuple(class_runs), None)
+    return pair
 
 
 def hypersurface_pair(n: int, q: int, l: int) -> LogPair:
@@ -171,8 +165,8 @@ def hypersurface_pair(n: int, q: int, l: int) -> LogPair:
 
 def _log_chern_coeffs(pair: LogPair) -> tuple[tuple[int, ...], int]:
     """Integer coefficients of log c1 and log c2, with no class built: one
-    pass over the distinct class objects, times their multiplicity, sums
-    D and sum_i D_i^2 for the module docstring's c2."""
+    pass over the pair's groups, each times its multiplicity, sums D and
+    sum_i D_i^2 for the module docstring's c2."""
     model = pair.model
     t1, t2 = tangent_coefficients(model)
     intersect = model.intersect

@@ -20,8 +20,8 @@ R = B - q (q - 1) in the plan once, ends them with a run of ones for
 each of R's roots, sorts the cases and re-verifies each, in canonical
 order, through the integer core (full_report), so the emitted reports
 never depend on the solver.  The cases of one (n, q) share one model,
-its default polarization and one class per degree, checked once, when
-_pair_from_runs first builds it; each case still gets its own pair and
+its default polarization and one class per degree, checked once, by
+the pair that first builds it; each case still gets its own pair and
 report.  A case is held as its runs from the lister to the record, so
 building and verifying it costs O(runs), not O(l); the pair's
 components and the case's partition list every part only when read.

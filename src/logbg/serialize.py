@@ -4,12 +4,11 @@ Pair descriptors are JSON; unknown keys are errors, not warnings.
 parse_document's memo, which lives for one document, also keys each
 checked ambient and class object by its raw JSON items (_items): a
 repeat costs one type check and one dict lookup, and anything else takes
-the full checks, with the same errors in the same order.  Parsed pairs
-skip LogPair's per-pair checks: the parser checks each class once per
-document, where it first builds it, and groups each pair's components
-itself (_parse_pair), with the errors LogPair would raise.  Rationals
-serialize as canonical "p/q" strings ("p" when the denominator is one)
-and round-trip losslessly.
+the full checks, with the same errors in the same order.  A parsed pair
+comes from logchern._build, as every LogPair does, and has it check
+only the classes that pair built: each class once per document, with
+the errors LogPair would raise.  Rationals serialize as canonical "p/q"
+strings ("p" when the denominator is one) and round-trip losslessly.
 
 A record is one line with the bytes of json.dumps(record,
 sort_keys=True, separators=(",", ":")): keys sorted, no spaces, and
@@ -28,9 +27,8 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .bg import BGReport
-from .logchern import LogPair, _check_labels, _not_prime
-from .models import (FAMILIES, AmbientModel, CycleClass, is_c_infinity,
-                     is_prime_class)
+from .logchern import LogPair, _build
+from .models import FAMILIES, AmbientModel, CycleClass, is_c_infinity
 from .search import EqualityCase, SearchConfig
 
 
@@ -99,8 +97,8 @@ def _parse_divisor(obj, entry: tuple, index: int,
                    built: list) -> tuple[str, CycleClass]:
     """A component; `entry` is parse_document's memo entry for its
     ambient, (model, classes), whose `classes` hands out one CycleClass
-    per coefficient tuple.  A class it lacks is built, and `index` is
-    appended to `built`, for _parse_pair to check."""
+    per coefficient tuple.  A class it lacks is built and appended to
+    `built`, the classes of the pair that _build must check."""
     where = f"divisors[{index}]"
     if not isinstance(obj, dict):
         raise InputError(f"{where} must be an object")
@@ -124,7 +122,7 @@ def _parse_divisor(obj, entry: tuple, index: int,
     divisor = classes.get(key)
     if divisor is None:
         divisor = classes[key] = model.divisor(*key)
-        built.append(index)
+        built.append(divisor)
     return label, divisor
 
 
@@ -134,14 +132,10 @@ def _parse_pair(obj, memo: dict, where: str = "document") -> LogPair:
     component whose class object repeats checked raw items, under a str
     label and no unknown key, skips _parse_divisor.
 
-    Every class here is built by model.divisor on the pair's model, so
-    it has that model and grade 1, and only the prime-class test is
-    left.  It runs once per class per document, in the pair that built
-    the class: a class from an earlier pair has passed, as any failure
-    ends the document.  That holds only while no caller keeps using a
-    memo after an error, so parse_document must stay the only caller.
-    The test runs after the duplicate-label check, in order of first
-    occurrence, so the errors and their labels are those of LogPair."""
+    _build checks only the classes this pair built: a class from an
+    earlier pair has passed, as any failure ends the document.  That
+    holds only while no caller keeps using a memo after an error, so
+    parse_document must stay the only caller."""
     if not isinstance(obj, dict):
         raise InputError(f"{where} must be an object")
     _check_keys(obj, _PAIR_KEYS, where)
@@ -159,9 +153,8 @@ def _parse_pair(obj, memo: dict, where: str = "document") -> LogPair:
     if not isinstance(divisors, list):
         raise InputError(f"key 'divisors' in {where} must be a list")
     model, classes = entry
-    labels = []
     components = []
-    built = []  # indices of the components whose class this pair built
+    built = []  # the classes this pair built, in order
     for i, d in enumerate(divisors):
         label = items = None
         if type(d) is dict and d.keys() <= _DIVISOR_KEYS:
@@ -171,21 +164,9 @@ def _parse_pair(obj, memo: dict, where: str = "document") -> LogPair:
             label, divisor = _parse_divisor(d, entry, i, built)
             if items is not None:
                 classes[items] = divisor
-        labels.append(label)
         components.append((label, divisor))
-    _check_labels(labels)
-    for i in built:
-        label, cls = components[i]
-        if not is_prime_class(model, cls):
-            raise _not_prime(label, cls)
-    # one class per coefficient tuple on this model, so coefficients
-    # group as class objects do in _groups
-    counts = {}
-    for _, cls in components:
-        coeffs = cls.coeffs
-        counts[coeffs] = counts.get(coeffs, 0) + 1
-    return LogPair.__new__(LogPair)._fill(
-        model, tuple(counts.items()), None, tuple(components))
+    return _build(LogPair.__new__(LogPair), model, None, tuple(components),
+                  built)
 
 
 def parse_document(data: str | bytes) -> list[LogPair]:

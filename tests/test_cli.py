@@ -8,11 +8,12 @@ import sys
 import types
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import logbg
 from logbg import cli
 from logbg.cli import main
+from logbg.logchern import hypersurface_pair, pn_pair
 from logbg.models import FAMILIES, ChowError
 from logbg.serialize import InputError, parse_document
 from test_golden import REPEATED_DOCUMENT
@@ -296,8 +297,26 @@ def library_pairs(document):
     return pairs, None
 
 
+def _divisors(classes):
+    return [{"label": label, "class": cls} for label, cls in classes]
+
+
+F2 = {"kind": "hirzebruch", "m": 2}
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(class_documents())
+# a non-prime first component, a non-prime later one, and a non-prime
+# class repeated after a prime one, also across pairs
+@example({"pairs": [{"ambient": F2, "divisors": _divisors([
+    ("A", {"C0": 1, "f": 1}), ("B", {"C0": 1})])}]})
+@example({"pairs": [{"ambient": F2, "divisors": _divisors([
+    ("A", {"C0": 1}), ("B", {"f": 1}), ("C", {"f": 2}), ("D", {"C0": 2})])}]})
+@example({"pairs": [
+    {"ambient": F2, "divisors": _divisors([("A", {"f": 1})])},
+    {"ambient": F2, "divisors": _divisors([
+        ("A", {"f": 1}), ("B", {"C0": 1, "f": 1}), ("C", {"f": 1}),
+        ("D", {"C0": 1, "f": 1})])}]})
 def test_parser_matches_library_pairs(document):
     """parse_document checks each class once per document, LogPair once
     per pair; both accept the same pairs, with the same groups, and
@@ -311,6 +330,59 @@ def test_parser_matches_library_pairs(document):
         with pytest.raises(ChowError) as exc:
             parse_document(json.dumps(document))
         assert str(exc.value) == error
+
+
+# (n, q, degrees, label): one component list D1..Dl of multiples of
+# the hyperplane class, on P^n when q is None, and the label its error
+# names, or None when it is accepted
+BUILDER_CASES = [
+    (7, None, [2, 1, 1, 2], None),
+    (12, None, [3, 1, 3, 3, 2, 1, 1, 2], None),
+    (5, None, [], None),
+    (7, 2, [1] * 5, None),
+    (7, 2, [], None),
+    (3, None, [0, 1], "D1"),
+    (3, None, [2, 1, -1, 1, 0], "D3"),
+    (3, None, [1, 0, 1, 0], "D2"),
+    (3, None, [2, 1, 2, 1, -2, 2, -2], "D5"),
+]
+
+
+@pytest.mark.parametrize("n, q, degrees, label", BUILDER_CASES)
+def test_builders_agree(n, q, degrees, label):
+    """LogPair, with one class object per component, the runs builder
+    behind pn_pair and hypersurface_pair, and parse_document build one
+    labeled component list into equal pairs with equal groups, or refuse
+    it with the same error, naming the same first label."""
+    ambient = ({"kind": "projective_space", "n": n} if q is None else
+               {"kind": "hypersurface", "n": n, "q": q})
+    family = FAMILIES[ambient["kind"]]
+    model = family.build(*[ambient[key] for key in family.fields])
+    [generator] = family.generators
+    labeled = [(f"D{i}", d) for i, d in enumerate(degrees, 1)]
+    document = {"ambient": ambient, "divisors": _divisors(
+        [(name, {generator: d}) for name, d in labeled])}
+    builders = (
+        lambda: logbg.LogPair(model, [(name, model.divisor(d))
+                                      for name, d in labeled]),
+        lambda: (pn_pair(n, degrees) if q is None
+                 else hypersurface_pair(n, q, len(degrees))),
+        lambda: parse_document(json.dumps(document))[0])
+    outcomes = []
+    for build in builders:
+        try:
+            pair = build()
+        except ChowError as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append((pair, pair.groups))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    if label is None:
+        assert isinstance(outcomes[0][0], logbg.LogPair)
+    else:
+        assert outcomes[0][0] is ChowError
+        assert outcomes[0][1].startswith(f"component {label!r} = ")
+        assert outcomes[0][1].endswith("prime-divisor class on this model")
 
 
 class TestParseMemo:

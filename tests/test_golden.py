@@ -5,7 +5,8 @@ its stdout, and its exit code, with tests/golden.json.  The digests pin
 `enumerate` (both families, both formats, with and without the nef
 filter, single modes with trivial cases kept, a hypersurface box from q = 1
 with trivial cases dropped, where the trivial rule differs from P^n's,
-an unfiltered hypersurface box out to q = 400, and wide boxes: P^n to n = 100 and,
+an unfiltered hypersurface box out to q = 400, and wide boxes: P^n to n = 100 and
+n = 300 (19,275 records) and,
 unfiltered in mode n with trivial cases, to n = 40, hypersurfaces to
 n = 220 and q = 400, one-n P^n boxes at n = 400, whose long partitions
 have many runs, with and without --s-max 60, one-n P^n boxes whose
@@ -217,6 +218,8 @@ CASES = {
         "--include-trivial", "--format", "records"),
     "enum-pn-wide-records": ENUM + ("pn", "--n", "2..100", "--format",
                                     "records"),
+    "enum-pn-wider-records": ENUM + ("pn", "--n", "2..300", "--format",
+                                     "records"),
     "enum-pn-one-n-records": ENUM + ("pn", "--n", "400..400", "--format",
                                      "records"),
     "enum-pn-one-n-s-max-records": ENUM + ("pn", "--n", "400..400",
