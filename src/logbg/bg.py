@@ -2,13 +2,16 @@
 
 For a rank-r sheaf the discriminant against a polarization H is
 
-    (c2 - (r-1)/(2r) * c1^2) . H^{n-2}
+    (c2 - (r-1)/(2r) * c1^2) . H^{n-2} = N_r / 2r,
+    N_r = 2r * c2.H^{n-2} - (r-1) * c1^2.H^{n-2},
 
-evaluated as an exact rational; on a surface H^0 is the identity.  A
-report's equality_n and equality_n_plus_1 test the rank-n and
-rank-(n+1) coefficients (n-1)/2n and n/(2(n+1)) on one shared
-(c1^2.H^{n-2}, c2.H^{n-2}) pair: the latter equals the discriminant of
-the trivial-sheaf extension, which has the same c1 and c2.
+with H^0 the identity on a surface.  _numerator is the one place N_r
+is written, and every equality is decided on it: the discriminant is 0
+exactly when the integer N_r is.  A report's equality_n and
+equality_n_plus_1 test N_n and N_{n+1} on one shared
+(c1^2.H^{n-2}, c2.H^{n-2}) pair: the latter is the discriminant of the
+trivial-sheaf extension, which has the same c1 and c2.  A Fraction is
+built only where a value is returned or printed.
 
 One integer pairing, _pairing, serves full_report and the verify-paper
 fixtures.  A report builds no cycle class but the default H; it shares
@@ -61,8 +64,14 @@ def _pairing(model: AmbientModel, c1: tuple[int, ...], c2: int,
     return qh * model.intersect(c1, c1), qh * c2
 
 
+def _numerator(rank: int, c1_sq: int, c2_eval: int) -> int:
+    """N_r = 2r * c2.H^{n-2} - (r-1) * c1^2.H^{n-2}, the rank-r
+    discriminant times 2r."""
+    return 2 * rank * c2_eval - (rank - 1) * c1_sq
+
+
 def _at_rank(rank: int, c1_sq: int, c2_eval: int) -> Fraction:
-    return Fraction(2 * rank * c2_eval - (rank - 1) * c1_sq, 2 * rank)
+    return Fraction(_numerator(rank, c1_sq, c2_eval), 2 * rank)
 
 
 def full_report(pair: LogPair, H: CycleClass | None = None) -> BGReport:
@@ -73,8 +82,7 @@ def full_report(pair: LogPair, H: CycleClass | None = None) -> BGReport:
     c1, c2 = _log_chern_coeffs(pair)
     c1_sq, c2_eval = _pairing(model, c1, c2, H)
     n = model.n
-    value = _at_rank(n, c1_sq, c2_eval)
-    # rank n + 1: _at_rank(n + 1, ...) == 0 without a Fraction; c1 = -(K+D)
-    return BGReport(n, c1_sq, c2_eval, value, value == 0,
-                    2 * (n + 1) * c2_eval == n * c1_sq,
+    numerator = _numerator(n, c1_sq, c2_eval)
+    return BGReport(n, c1_sq, c2_eval, Fraction(numerator, 2 * n),
+                    numerator == 0, _numerator(n + 1, c1_sq, c2_eval) == 0,
                     is_nef_coeffs(model, c1), H)

@@ -8,16 +8,17 @@ integer data once, by the core that `report` and `enumerate` use, which
 tests/test_bg.py::TestAgainstClassPipeline ties to the reference in
 tests/classes.py.
 A check returns None where its row holds at the point, else the
-computed text, and builds a class only to print it.
+computed text, and builds a class or a Fraction only to print it: the
+discriminant rows test the integer numerator N_r of bg, and the wedge
+row cross-multiplies.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
 
-from .bg import _at_rank, _pairing, full_report
+from .bg import _at_rank, _numerator, _pairing, full_report
 from .logchern import (LogPair, _log_chern_coeffs, hypersurface_pair,
                        pn_pair, slope, wedge_cotangent_slope)
 from .models import (Value, _set, c_infinity, default_polarization,
@@ -54,6 +55,22 @@ def _mismatch(value, want, at: str | None = None) -> str | None:
     if value == want:
         return None
     return str(value) if at is None else f"{at}: {value}"
+
+
+def _zero_discriminant(rank: int, p) -> str | None:
+    """None where the rank-`rank` discriminant at point p is 0."""
+    if _numerator(rank, *p.pairing) == 0:
+        return None
+    return f"{p.at}: {_at_rank(rank, *p.pairing)}"
+
+
+def _wedge_mismatch(p) -> str | None:
+    """None where the wedge slope is -r(n+1)/n: its denominator and n
+    are positive, so cross-multiplying is exact."""
+    value = wedge_cotangent_slope(p.n, p.r)
+    if value.numerator * p.n == -p.r * (p.n + 1) * value.denominator:
+        return None
+    return f"{p.at}: {value}"
 
 
 def _deg(model, a: tuple, b: tuple):  # deg(a.b) of two divisors
@@ -100,7 +117,7 @@ def lemma_4_1_suite() -> list[FixtureResult]:
          lambda p: None if p.c2 == comb(p.n, 2)
          else f"{p.at}: {p.model.cycle(2, p.c2)}"),
         (f"rank-n discriminant on {_PN}", "Lemma 4.1", "0",
-         lambda p: _mismatch(_at_rank(p.n, *p.pairing), 0, p.at)),
+         lambda p: _zero_discriminant(p.n, p)),
         ("-(K + H) nef on P^n, n=2..12", "Lemma 4.1", "nef",
          lambda p: None if is_nef_coeffs(p.model, p.c1)
          else f"{p.at}: not nef"),
@@ -125,9 +142,9 @@ def lemma_4_4_suite() -> list[FixtureResult]:
         ("(2f)^2 on F_m, m=1..50", "Lemma 4.4", "0",
          lambda p: None if _deg(p.model, p.c1, p.c1) == 0 else p.at),
         (f"rank-2 discriminant on {_FM}", "Lemma 4.4", "0",
-         lambda p: _mismatch(_at_rank(2, *p.pairing), 0, p.at)),
+         lambda p: _zero_discriminant(2, p)),
         (f"rank-3 discriminant on {_FM}", "Lemma 4.4", "0",
-         lambda p: _mismatch(_at_rank(3, *p.pairing), 0, p.at)),
+         lambda p: _zero_discriminant(3, p)),
         ("-(K + D) = 2f nef on F_m, m=1..50", "Lemma 4.4", "nef",
          lambda p: None if is_nef_coeffs(p.model, p.c1) else p.at),
         ("(K + D).C0 on F_m, m=1..50", "Section 5", "-2",
@@ -142,9 +159,7 @@ def slope_suite() -> list[FixtureResult]:
             for n in range(2, 13) for r in range(1, n + 1)]
     wedge = _suite(grid, (
         ("slope of wedge^r cotangent on P^n, n=2..12, r=1..n",
-         "Section 4.1", "-r(n+1)/n",
-         lambda p: _mismatch(wedge_cotangent_slope(p.n, p.r),
-                             Fraction(-p.r * (p.n + 1), p.n), p.at)),
+         "Section 4.1", "-r(n+1)/n", _wedge_mismatch),
     ))
     return wedge + _suite([_log_point(pn_pair(3, [1]), "n=3")], (
         ("slope of Omega^1(log H) on P^3", "Section 4.1", "-1",

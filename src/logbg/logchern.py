@@ -71,8 +71,11 @@ class LogPair(Value):
 
     def _boundary_coeffs(self) -> tuple[int, ...]:
         """The coefficients of D = sum D_i (zero with no components)."""
-        return tuple(sum(k * E[i] for E, k in self.groups)
-                     for i in range(len(self.model.generators)))
+        D = [0] * len(self.model.generators)
+        for E, k in self.groups:
+            for i, e in enumerate(E):
+                D[i] += k * e
+        return tuple(D)
 
 
 def _build(pair: LogPair, model: AmbientModel, runs, components,
@@ -190,8 +193,8 @@ def _log_chern_coeffs(pair: LogPair) -> tuple[tuple[int, ...], int]:
 
 def slope(model: AmbientModel, c1: CycleClass, rank: int,
           H: CycleClass) -> Fraction:
-    """mu_H = c1 . H^{n-1} / rank, for an ample H: q (c1.H) h0^(n-2), with
-    h0 the first coefficient of H; h0^0 = 1 on the surface F_m."""
+    """mu_H = c1 . H^{n-1} / rank, for a positive rank and an ample H on
+    `model`, both classes of grade 1; _slope computes it."""
     if rank < 1:
         raise ChowError("rank must be positive")
     if c1.grade != 1 or H.grade != 1:
@@ -200,17 +203,24 @@ def slope(model: AmbientModel, c1: CycleClass, rank: int,
         raise ChowError(f"slope needs c1 and H on {model}")
     if not is_ample_coeffs(model, H.coeffs):
         raise ChowError(f"polarization {H} is not ample")
-    degree = (model.q * model.intersect(c1.coeffs, H.coeffs)
-              * H.coeffs[0] ** (model.n - 2))
+    return _slope(model, c1.coeffs, rank, H.coeffs)
+
+
+def _slope(model: AmbientModel, c1: tuple[int, ...], rank: int,
+           H: tuple[int, ...]) -> Fraction:
+    """slope from coefficients, unchecked: q (c1.H) h0^(n-2) / rank, with
+    h0 the first coefficient of H; h0^0 = 1 on the surface F_m."""
+    degree = model.q * model.intersect(c1, H) * H[0] ** (model.n - 2)
     # int / int would be a float
     return Fraction(degree, rank)
 
 
 def wedge_cotangent_slope(n: int, r: int) -> Fraction:
-    """Slope of the r-th wedge of the cotangent bundle on P^n, from
-    c1(wedge^r Omega^1) = -C(n-1, r-1)(n+1) H and rank C(n, r)."""
+    """Slope of the r-th wedge of the cotangent bundle on P^n against H,
+    from c1(wedge^r Omega^1) = -C(n-1, r-1)(n+1) H and rank C(n, r); it
+    builds no c1 class, and its rank and H need no check."""
     if not 1 <= r <= n:
         raise ChowError(f"need 1 <= r <= n, got r={r}, n={n}")
     model = projective_space(n)
-    c1 = model.divisor(-comb(n - 1, r - 1) * (n + 1))
-    return slope(model, c1, comb(n, r), default_polarization(model))
+    return _slope(model, (-comb(n - 1, r - 1) * (n + 1),), comb(n, r),
+                  default_polarization(model).coeffs)

@@ -4,8 +4,9 @@ classes.
 
 This is the only module that tells the families apart.  FAMILIES holds
 what the descriptor, display and basis layers need; the rules that
-differ (the F_m intersection form, tangent data, default polarization,
-nef and prime-class tests, C_inf) are the only `kind` branches.
+differ (the parameter checks of AmbientModel, the F_m intersection
+form, tangent data, default polarization, nef and prime-class tests,
+C_inf) are the only `kind` branches.
 
 Numerically P^n is the q = 1 hypersurface, and every model stores n and
 q (n = 2, q = 1 on F_m), so the degree of a top class is q times its
@@ -125,10 +126,42 @@ class CycleClass(Value):
 
 
 class AmbientModel(Value):
+    """A model of one family.  It refuses what the builders refuse, and
+    any value of a parameter that the family fixes but the int n = 2,
+    q = 1 or m = 0."""
+
     _fields = ("kind", "n", "q", "m")
     __slots__ = _fields + ("generators",)
 
     def __init__(self, kind: str, n: int, q: int = 1, m: int = 0):
+        if type(kind) is not str or kind not in FAMILIES:
+            raise ChowError(f"unknown model kind {kind!r}")
+        if kind == "projective_space":
+            title, fixed = "projective space", (("q", q, 1), ("m", m, 0))
+            if type(n) is not int:
+                raise TypeError(f"{title} needs an int n, got "
+                                f"{type(n).__name__}")
+            if n < 2:
+                raise ChowError(f"{title} needs n >= 2, got {n}")
+        elif kind == "hypersurface":
+            title, fixed = "hypersurface", (("m", m, 0),)
+            if type(n) is not int or type(q) is not int:
+                raise TypeError(f"{title} needs int n and q, got "
+                                f"({type(n).__name__}, {type(q).__name__})")
+            if n < 2 or q < 1:
+                raise ChowError(f"{title} needs n >= 2 and q >= 1, "
+                                f"got ({n}, {q})")
+        else:
+            title, fixed = "Hirzebruch surface", (("n", n, 2), ("q", q, 1))
+            if type(m) is not int:
+                raise TypeError(f"{title} needs an int m, got "
+                                f"{type(m).__name__}")
+            if m < 1:
+                raise ChowError(f"{title} needs m >= 1, got {m}")
+        for name, value, want in fixed:
+            if type(value) is not int or value != want:
+                raise ChowError(f"{title} needs {name} = {want}, "
+                                f"got {value!r}")
         _set(self, "kind", kind)  # a key of FAMILIES
         _set(self, "n", n)  # dimension
         # degree: deg(generator^n) on the Picard-rank-one models
@@ -171,30 +204,15 @@ class AmbientModel(Value):
 
 
 def projective_space(n: int) -> AmbientModel:
-    if type(n) is not int:
-        raise TypeError(f"projective space needs an int n, got "
-                        f"{type(n).__name__}")
-    if n < 2:
-        raise ChowError(f"projective space needs n >= 2, got {n}")
-    return AmbientModel("projective_space", n=n)
+    return AmbientModel("projective_space", n)
 
 
 def hypersurface(n: int, q: int) -> AmbientModel:
-    if type(n) is not int or type(q) is not int:
-        raise TypeError(f"hypersurface needs int n and q, got "
-                        f"({type(n).__name__}, {type(q).__name__})")
-    if n < 2 or q < 1:
-        raise ChowError(f"hypersurface needs n >= 2 and q >= 1, got ({n}, {q})")
-    return AmbientModel("hypersurface", n=n, q=q)
+    return AmbientModel("hypersurface", n, q)
 
 
 def hirzebruch(m: int) -> AmbientModel:
-    if type(m) is not int:
-        raise TypeError(f"Hirzebruch surface needs an int m, got "
-                        f"{type(m).__name__}")
-    if m < 1:
-        raise ChowError(f"Hirzebruch surface needs m >= 1, got {m}")
-    return AmbientModel("hirzebruch", n=2, m=m)
+    return AmbientModel("hirzebruch", 2, m=m)
 
 
 class Family(Value):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from logbg import models
@@ -15,4 +17,18 @@ def cycle_calls(monkeypatch):
         real_post_init(self)
 
     monkeypatch.setattr(models.CycleClass, "__post_init__", counting_post_init)
+    return calls
+
+
+@pytest.fixture
+def fraction_calls(monkeypatch):
+    """A list that gains one entry per Fraction built in the test."""
+    calls = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        calls.append(1)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
     return calls

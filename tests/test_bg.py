@@ -212,6 +212,9 @@ class TestAgainstClassPipeline:
         assert (type(report.c1_sq), type(report.c2_eval)) == (int, int)
         assert report.discriminant == \
             classes.discriminant(model, model.n, c1, c2, h)
+        assert report.equality_n is (_at_rank(model.n, c1_sq, c2_eval) == 0)
+        assert report.equality_n_plus_1 is \
+            (_at_rank(model.n + 1, c1_sq, c2_eval) == 0)
         assert report.minus_k_plus_d_nef is \
             is_nef(model, model.divisor(*c1))
 

@@ -1,6 +1,6 @@
 """Intersection numbers: the models' form on coefficient tuples, and the
-closed-form pairings of slope and bg._pairing against the iterated
-products of the reference module."""
+closed-form pairings of slope and bg._pairing, and bg._numerator,
+against the iterated products of the reference module."""
 
 import ast
 from fractions import Fraction
@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 import classes
 from classes import intersect, iterated_pairing
-from logbg.bg import _pairing
+from logbg.bg import _numerator, _pairing
 from logbg.logchern import slope
 from logbg.models import (ChowError, hirzebruch, hypersurface,
                           projective_space)
@@ -104,9 +104,13 @@ class TestClosedFormPairing:
         else:
             with pytest.raises(ChowError, match="is not ample$"):
                 slope(model, model.divisor(*c1), rank, model.divisor(*H))
-        assert _pairing(model, c1, c2, model.divisor(*H)) == (
+        pairing = _pairing(model, c1, c2, model.divisor(*H))
+        assert pairing == (
             iterated_pairing(model, 2, (intersect(model, c1, c1),), H, n - 2),
             iterated_pairing(model, 2, (c2,), H, n - 2))
+        # the integer numerator N_r is the discriminant times 2r
+        assert Fraction(_numerator(rank, *pairing), 2 * rank) == \
+            classes.discriminant(model, rank, c1, c2, H)
 
     def test_non_unit_polarization(self):
         model = hypersurface(9, 3)

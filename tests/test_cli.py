@@ -712,6 +712,14 @@ class TestVerifyPaperCommand:
         all_fixtures()
         assert len(cycle_calls) <= 400
 
+    def test_fixtures_build_a_fraction_only_for_a_slope_or_report(
+            self, fraction_calls):
+        # the discriminant and wedge rows decide on integers: Fractions
+        # are the 77 wedge slopes, the log-H slope and 4 remark reports
+        from logbg.fixtures import all_fixtures
+        all_fixtures()
+        assert len(fraction_calls) <= 82
+
     # the rows that fail when log c2 on (F_m, C0 + C_inf) is 1, not 0
     FM_LOG_C2_ONE = [
         ("log c2 on (F_m, C0+Cinf), m=1..50", "0", "m=1: 1*pt; m=2: 1*pt; "

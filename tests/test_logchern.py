@@ -86,7 +86,7 @@ class TestLogPairValidation:
             # groups merge by coefficients, not by class object
             assert one.groups == two.groups == ((coeffs, 2),)
             assert _log_chern_coeffs(one) == _log_chern_coeffs(two)
-            assert one == two
+            assert one == two and hash(one) == hash(two)
 
     # True == 1 == 1.0, so a degree must not be matched up by value
     @pytest.mark.parametrize("degrees", [[1, True], [True, 1], [1, 1.0],
@@ -503,8 +503,14 @@ class TestWedgeCotangentSlope:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_closed_form_identity(self, n):
+        # and slope's class API with the default H agrees
+        model = projective_space(n)
+        H = default_polarization(model)
         for r in range(1, n + 1):
-            assert wedge_cotangent_slope(n, r) * n + r * (n + 1) == 0
+            value = wedge_cotangent_slope(n, r)
+            assert value * n + r * (n + 1) == 0
+            c1 = model.divisor(-comb(n - 1, r - 1) * (n + 1))
+            assert value == slope(model, c1, comb(n, r), H)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ChowError):

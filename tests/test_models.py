@@ -1,4 +1,6 @@
 import ast
+import copy
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import pytest
 import logbg
 from classes import tangent_series_oracle
 from logbg.logchern import hypersurface_pair
-from logbg.models import (ChowError, GradeError, c_infinity,
+from logbg.models import (AmbientModel, ChowError, GradeError, c_infinity,
                           default_polarization, hirzebruch, hypersurface,
                           is_c_infinity, is_nef, is_prime_class,
                           projective_space, tangent_coefficients)
@@ -212,6 +214,88 @@ class TestBuildersTakeInts:
     def test_non_ints_rejected(self, build, bad):
         with pytest.raises(TypeError, match="needs (an )?int|must be int"):
             build(bad)
+
+
+class TestAmbientModelChecks:
+    """AmbientModel(...) refuses what the builders refuse, with their
+    exception types and messages, and every value of a parameter that
+    its family fixes (q = 1 and m = 0 on P^n, m = 0 on a hypersurface,
+    n = 2 and q = 1 on F_m) but that one int."""
+
+    @pytest.mark.parametrize("args, kwargs, error, text", [
+        (("projective_space", 1), {"q": 5, "m": 7}, ChowError,
+         "projective space needs n >= 2, got 1"),
+        (("projective_space", 3.0), {}, TypeError,
+         "projective space needs an int n, got float"),
+        (("projective_space", True), {}, TypeError,
+         "projective space needs an int n, got bool"),
+        (("projective_space", 3), {"q": 5}, ChowError,
+         "projective space needs q = 1, got 5"),
+        (("projective_space", 3), {"q": True}, ChowError,
+         "projective space needs q = 1, got True"),
+        (("projective_space", 3), {"m": 7}, ChowError,
+         "projective space needs m = 0, got 7"),
+        (("projective_space", 3), {"m": 0.0}, ChowError,
+         "projective space needs m = 0, got 0.0"),
+        (("hypersurface", 1, 2), {}, ChowError,
+         "hypersurface needs n >= 2 and q >= 1, got (1, 2)"),
+        (("hypersurface", 3, 0), {}, ChowError,
+         "hypersurface needs n >= 2 and q >= 1, got (3, 0)"),
+        (("hypersurface", 3, 2.0), {}, TypeError,
+         "hypersurface needs int n and q, got (int, float)"),
+        (("hypersurface", 3, 2), {"m": 1}, ChowError,
+         "hypersurface needs m = 0, got 1"),
+        (("hirzebruch", 5), {"m": 2}, ChowError,
+         "Hirzebruch surface needs n = 2, got 5"),
+        (("hirzebruch", 2.0), {"m": 2}, ChowError,
+         "Hirzebruch surface needs n = 2, got 2.0"),
+        (("hirzebruch", 2, 3), {"m": 2}, ChowError,
+         "Hirzebruch surface needs q = 1, got 3"),
+        (("hirzebruch", 2), {}, ChowError,
+         "Hirzebruch surface needs m >= 1, got 0"),
+        (("hirzebruch", 2), {"m": Fraction(2)}, TypeError,
+         "Hirzebruch surface needs an int m, got Fraction"),
+        (("P^3", 3), {}, ChowError, "unknown model kind 'P^3'"),
+        ((None, 3), {}, ChowError, "unknown model kind None"),
+        ((["hirzebruch"], 2), {"m": 1}, ChowError,
+         "unknown model kind ['hirzebruch']"),
+    ])
+    def test_refused(self, args, kwargs, error, text):
+        with pytest.raises(error) as excinfo:
+            AmbientModel(*args, **kwargs)
+        assert excinfo.type is error
+        assert str(excinfo.value) == text
+
+    @pytest.mark.parametrize("build, construct", [
+        (lambda: projective_space(1),
+         lambda: AmbientModel("projective_space", 1)),
+        (lambda: projective_space(3.0),
+         lambda: AmbientModel("projective_space", 3.0)),
+        (lambda: hypersurface(3, 0),
+         lambda: AmbientModel("hypersurface", 3, 0)),
+        (lambda: hypersurface(True, 2),
+         lambda: AmbientModel("hypersurface", True, 2)),
+        (lambda: hirzebruch(0), lambda: AmbientModel("hirzebruch", 2, m=0)),
+        (lambda: hirzebruch(True),
+         lambda: AmbientModel("hirzebruch", 2, m=True))])
+    def test_builders_refuse_as_the_constructor(self, build, construct):
+        errors = []
+        for call in (build, construct):
+            with pytest.raises((ChowError, TypeError)) as excinfo:
+                call()
+            errors.append((excinfo.type, str(excinfo.value)))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("model", [
+        projective_space(4), hypersurface(5, 3), hirzebruch(2)],
+        ids=["P^4", "X_3", "F_2"])
+    def test_pickle_and_copy_round_trip(self, model):
+        for twin in (pickle.loads(pickle.dumps(model)), copy.copy(model),
+                     copy.deepcopy(model)):
+            assert type(twin) is AmbientModel
+            assert twin == model and hash(twin) == hash(model)
+            assert str(twin) == str(model)
+            assert twin.generators == model.generators
 
 
 def _imports(tree: ast.AST) -> list[str]:
