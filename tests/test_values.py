@@ -113,6 +113,17 @@ def test_reprs():
         "q=1, m=0), grade=1, coeffs=(1,)))))")
 
 
+def test_log_pair_groups_take_no_part_in_equality():
+    model = projective_space(5)
+    h = model.divisor(1)
+    shared = LogPair(model, (("D1", h), ("D2", h)))
+    apart = LogPair(model, (("D1", model.divisor(1)),
+                            ("D2", model.divisor(1))))
+    assert shared.groups == (((1,), 2),)
+    assert apart.groups == (((1,), 2),)
+    assert shared == apart and hash(shared) == hash(apart)
+
+
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
 def test_family_table_pickles(kind):
     family = FAMILIES[kind]
