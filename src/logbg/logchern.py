@@ -14,10 +14,10 @@ The rank-(n+1) extension of T_X(-log D) by the trivial sheaf shares
 its c1 and c2 for every extension class, so no extension class appears
 in the API: bg reads the same c1 and c2 at rank n+1.
 
-Every pair comes from one checked core, _build: the constructor, the
-runs builder _pair_from_runs and the descriptor parser hand it the
-classes they have not checked.  _log_chern_coeffs reads c1 and c2 in
-one pass over a pair's groups.
+Every pair, held as its runs ((class, multiplicity), ...), comes from
+one checked core, _build: the constructor, the runs builder
+_pair_from_runs and the descriptor parser hand it the classes they have
+not checked.  _log_chern_coeffs reads c1 and c2 from the runs.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from math import comb
 from operator import sub
 
 from .models import (AmbientModel, ChowError, CycleClass, GradeError, Value,
-                     _set, default_polarization, hypersurface,
-                     is_ample_coeffs, is_prime_class, projective_space,
-                     tangent_coefficients)
+                     _set, hypersurface, is_ample_coeffs, is_prime_class,
+                     projective_space, tangent_coefficients)
 
 
 class LogPair(Value):
@@ -40,14 +39,13 @@ class LogPair(Value):
 
     The constructor checks each distinct class object once, at its
     first component, so an error names the first offending label.
-    `groups` holds each coefficient tuple with its multiplicity, in
-    order of first occurrence.  A pair built from runs costs O(runs),
-    not O(l), and its `components`, labeled D1..Dl, is built when first
-    read.  Only model and components take part in equality, hash, repr
-    and pickling."""
+    `_runs` holds the classes, one run per component for a constructed
+    pair.  A pair built from runs costs O(runs), not O(l), and its
+    `components`, labeled D1..Dl, is built when first read.  Only model
+    and components take part in equality, hash, repr and pickling."""
 
     _fields = ("model", "components")
-    __slots__ = ("model", "groups", "_runs", "_components")
+    __slots__ = ("model", "_runs", "_components")
 
     def __init__(self, model: AmbientModel,
                  components: tuple[tuple[str, CycleClass], ...] = ()):
@@ -72,8 +70,8 @@ class LogPair(Value):
     def _boundary_coeffs(self) -> tuple[int, ...]:
         """The coefficients of D = sum D_i (zero with no components)."""
         D = [0] * len(self.model.generators)
-        for E, k in self.groups:
-            for i, e in enumerate(E):
+        for cls, k in self._runs:
+            for i, e in enumerate(cls.coeffs):
                 D[i] += k * e
         return tuple(D)
 
@@ -86,8 +84,8 @@ def _build(pair: LogPair, model: AmbientModel, runs, components,
     `components`, ((label, class), ...) with distinct labels, is None.
     `new` holds the classes not yet checked, in order of first
     occurrence; each must live on `model`, at grade 1, and be prime, and
-    an error names the label of its first component.  Checked classes
-    live on equal models, so `groups` merges the runs by coefficients."""
+    an error names the label of its first component.  The runs are
+    stored as they come: equal classes in different runs stay apart."""
     if components is not None:
         labels = [label for label, _ in components]
         if len(set(labels)) != len(labels):
@@ -110,12 +108,7 @@ def _build(pair: LogPair, model: AmbientModel, runs, components,
             i += k
         label = f"D{i + 1}" if components is None else components[i][0]
         raise error(f"component {label!r} {text}")
-    groups = {}
-    for cls, k in runs:
-        coeffs = cls.coeffs
-        groups[coeffs] = groups.get(coeffs, 0) + k
     _set(pair, "model", model)
-    _set(pair, "groups", tuple(groups.items()))
     _set(pair, "_runs", runs)
     _set(pair, "_components", components)
     return pair
@@ -167,25 +160,23 @@ def hypersurface_pair(n: int, q: int, l: int) -> LogPair:
 
 
 def _log_chern_coeffs(pair: LogPair) -> tuple[tuple[int, ...], int]:
-    """Integer coefficients of log c1 and log c2, with no class built: one
-    pass over the pair's groups, each times its multiplicity, sums D and
-    sum_i D_i^2 for the module docstring's c2."""
+    """Integer coefficients of log c1 and log c2, with no class built: the
+    pair's runs, each class times its multiplicity, sum D and sum_i D_i^2
+    for the module docstring's c2, in one pass on P^n and hypersurfaces."""
     model = pair.model
     t1, t2 = tangent_coefficients(model)
     intersect = model.intersect
-    squares = 0
-    if len(t1) == 1:  # the common case, without the inner loop
-        d = 0
-        for E, k in pair.groups:
+    if len(t1) == 1:  # the common case, in one pass
+        d = squares = 0
+        for cls, k in pair._runs:
+            E = cls.coeffs
             d += k * E[0]
             squares += k * intersect(E, E)
         D = (d,)
     else:
-        D = [0] * len(t1)
-        for E, k in pair.groups:
-            for i, e in enumerate(E):
-                D[i] += k * e
-            squares += k * intersect(E, E)
+        D = pair._boundary_coeffs()
+        squares = sum([k * intersect(cls.coeffs, cls.coeffs)
+                       for cls, k in pair._runs])
     # K.D = -c1(T).D
     c2 = t2 - intersect(t1, D) + (intersect(D, D) + squares) // 2
     return tuple(map(sub, t1, D)), c2
@@ -193,34 +184,32 @@ def _log_chern_coeffs(pair: LogPair) -> tuple[tuple[int, ...], int]:
 
 def slope(model: AmbientModel, c1: CycleClass, rank: int,
           H: CycleClass) -> Fraction:
-    """mu_H = c1 . H^{n-1} / rank, for a positive rank and an ample H on
-    `model`, both classes of grade 1; _slope computes it."""
+    """mu_H = c1 . H^{n-1} / rank, for an int rank >= 1 and an ample H on
+    `model`, both classes of grade 1: q (c1.H) h0^(n-2) / rank, with h0
+    the first coefficient of H; h0^0 = 1 on the surface F_m."""
+    if type(rank) is not int:  # True would be rank 1
+        raise TypeError(f"rank must be int, got {type(rank).__name__}")
     if rank < 1:
         raise ChowError("rank must be positive")
     if c1.grade != 1 or H.grade != 1:
         raise GradeError("slope needs grade-1 classes")
     if c1.model != model or H.model != model:
         raise ChowError(f"slope needs c1 and H on {model}")
-    if not is_ample_coeffs(model, H.coeffs):
+    h = H.coeffs
+    if not is_ample_coeffs(model, h):
         raise ChowError(f"polarization {H} is not ample")
-    return _slope(model, c1.coeffs, rank, H.coeffs)
-
-
-def _slope(model: AmbientModel, c1: tuple[int, ...], rank: int,
-           H: tuple[int, ...]) -> Fraction:
-    """slope from coefficients, unchecked: q (c1.H) h0^(n-2) / rank, with
-    h0 the first coefficient of H; h0^0 = 1 on the surface F_m."""
-    degree = model.q * model.intersect(c1, H) * H[0] ** (model.n - 2)
-    # int / int would be a float
-    return Fraction(degree, rank)
+    degree = model.q * model.intersect(c1.coeffs, h) * h[0] ** (model.n - 2)
+    return Fraction(degree, rank)  # int / int would be a float
 
 
 def wedge_cotangent_slope(n: int, r: int) -> Fraction:
-    """Slope of the r-th wedge of the cotangent bundle on P^n against H,
-    from c1(wedge^r Omega^1) = -C(n-1, r-1)(n+1) H and rank C(n, r); it
-    builds no c1 class, and its rank and H need no check."""
-    if not 1 <= r <= n:
-        raise ChowError(f"need 1 <= r <= n, got r={r}, n={n}")
-    model = projective_space(n)
-    return _slope(model, (-comb(n - 1, r - 1) * (n + 1),), comb(n, r),
-                  default_polarization(model).coeffs)
+    """Slope of the r-th wedge of the cotangent bundle on P^n against H:
+    c1(wedge^r Omega^1) = -C(n-1, r-1)(n+1) H over rank C(n, r), as
+    deg H^n = 1.  It builds no model, and refuses what projective_space
+    refuses."""
+    if type(n) is not int or type(r) is not int:  # True would be 1
+        raise TypeError(f"n and r must be int, got ({type(n).__name__}, "
+                        f"{type(r).__name__})")
+    if n < 2 or not 1 <= r <= n:
+        raise ChowError(f"need n >= 2 and 1 <= r <= n, got r={r}, n={n}")
+    return Fraction(-comb(n - 1, r - 1) * (n + 1), comb(n, r))

@@ -211,17 +211,18 @@ def _pronic_partitions(B: int, largest: int):
 
 
 def _verified_case(family: str, model: AmbientModel, H: CycleClass,
-                   classes: dict, n: int, q: int, runs: tuple,
+                   classes: dict, runs: tuple,
                    modes: tuple[str, ...]) -> EqualityCase:
     report = full_report(_pair_from_runs(model, runs, classes), H)
-    case = EqualityCase(family, n, q, runs, modes, report)
-    if report_modes(report) == modes and report.minus_k_plus_d_nef:
-        return case
-    where = f"({family}, n={n}, q={q}, partition={case.partition})"
-    if report_modes(report) != modes:
+    got = report_modes(report)
+    if got == modes and report.minus_k_plus_d_nef:
+        return EqualityCase(family, model.n, model.q, runs, modes, report)
+    partition = tuple(d for d, k in runs for _ in range(k))
+    where = f"({family}, n={model.n}, q={model.q}, partition={partition})"
+    if got != modes:
         raise VerificationError(
             f"the solver gives modes {modes} but full_report gives "
-            f"{report_modes(report)} on {where}")
+            f"{got} on {where}")
     raise VerificationError(
         f"full_report gives -(K+D) not nef on {where}, but every "
         "solution has t >= 0")
@@ -271,8 +272,8 @@ def enumerate_cases(config: SearchConfig) -> list[EqualityCase]:
     for (n, q), group in groupby(solutions, key=itemgetter(0, 1)):
         model = projective_space(n) if family == "pn" else hypersurface(n, q)
         H, classes = default_polarization(model), {}
-        cases += [_verified_case(family, model, H, classes, n, q, runs, modes)
-                  for n, q, _, runs, modes in group]
+        cases += [_verified_case(family, model, H, classes, runs, modes)
+                  for _, _, _, runs, modes in group]
     return cases
 
 

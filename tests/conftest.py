@@ -21,6 +21,21 @@ def cycle_calls(monkeypatch):
 
 
 @pytest.fixture
+def model_calls(monkeypatch):
+    """A list that gains one entry per AmbientModel built in the test;
+    clear it to start a new count."""
+    calls = []
+    real_init = models.AmbientModel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(models.AmbientModel, "__init__", counting_init)
+    return calls
+
+
+@pytest.fixture
 def fraction_calls(monkeypatch):
     """A list that gains one entry per Fraction built in the test."""
     calls = []

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import logbg
 from logbg import cli
 from logbg.cli import main
-from logbg.logchern import hypersurface_pair, pn_pair
+from logbg.logchern import _log_chern_coeffs, hypersurface_pair, pn_pair
 from logbg.models import FAMILIES, ChowError
 from logbg.serialize import InputError, parse_document
 from test_golden import REPEATED_DOCUMENT
@@ -151,6 +151,27 @@ class TestReportCommand:
         path.write_text(json.dumps(doc))
         assert main(["report", str(path)]) == 2
         assert "prime" in capsys.readouterr().err
+
+    P3 = {"kind": "projective_space", "n": 3}
+
+    # the second label follows a class already parsed, so it is seen on
+    # the parser's repeated-class path
+    @pytest.mark.parametrize("doc, message", [
+        ({"ambient": P3, "divisors": [{"label": 1, "class": {"H": 1}}]},
+         "key 'label' in divisors[0] must be a string"),
+        ({"ambient": P3, "divisors": [{"label": "A", "class": {"H": 1}},
+                                      {"label": ["A"], "class": {"H": 1}}]},
+         "key 'label' in divisors[1] must be a string"),
+        ({"ambient": P3, "divisors": {"label": "A"}},
+         "key 'divisors' in document must be a list"),
+        ({"pairs": [{"ambient": P3, "divisors": []},
+                    {"ambient": P3, "divisors": "D1"}]},
+         "key 'divisors' in pairs[1] must be a list")])
+    def test_malformed_divisors_exit_2(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_prime_hirzebruch_class_accepted(self, tmp_path):
         doc = {"ambient": {"kind": "hirzebruch", "m": 2},
@@ -319,13 +340,14 @@ F2 = {"kind": "hirzebruch", "m": 2}
         ("D", {"C0": 1, "f": 1})])}]})
 def test_parser_matches_library_pairs(document):
     """parse_document checks each class once per document, LogPair once
-    per pair; both accept the same pairs, with the same groups, and
-    refuse the same first pair with the same error."""
+    per pair; both accept the same pairs, with the same log Chern
+    coefficients, and refuse the same first pair with the same error."""
     expected, error = library_pairs(document)
     if error is None:
         pairs = parse_document(json.dumps(document))
         assert pairs == expected
-        assert [p.groups for p in pairs] == [p.groups for p in expected]
+        assert [_log_chern_coeffs(p) for p in pairs] == \
+            [_log_chern_coeffs(p) for p in expected]
     else:
         with pytest.raises(ChowError) as exc:
             parse_document(json.dumps(document))
@@ -352,7 +374,8 @@ BUILDER_CASES = [
 def test_builders_agree(n, q, degrees, label):
     """LogPair, with one class object per component, the runs builder
     behind pn_pair and hypersurface_pair, and parse_document build one
-    labeled component list into equal pairs with equal groups, or refuse
+    labeled component list into equal pairs with equal log Chern
+    coefficients and boundaries, or refuse
     it with the same error, naming the same first label."""
     ambient = ({"kind": "projective_space", "n": n} if q is None else
                {"kind": "hypersurface", "n": n, "q": q})
@@ -375,7 +398,8 @@ def test_builders_agree(n, q, degrees, label):
         except ChowError as exc:
             outcomes.append((type(exc), str(exc)))
         else:
-            outcomes.append((pair, pair.groups))
+            outcomes.append((pair, _log_chern_coeffs(pair),
+                             pair._boundary_coeffs()))
     assert outcomes[0] == outcomes[1] == outcomes[2]
     if label is None:
         assert isinstance(outcomes[0][0], logbg.LogPair)
@@ -622,9 +646,9 @@ class TestEnumerateCommand:
         monkeypatch.setattr(bg, "is_nef_coeffs", lambda model, coeffs: False)
         assert main(["enumerate", "--family", "pn", "--n", "7..7",
                      "--s-max", "4", nef_flag]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "not nef on (pn, n=7, q=1, partition=(2, 1, 1))" in err
+        assert capsys.readouterr().err == (
+            "error: full_report gives -(K+D) not nef on (pn, n=7, q=1, "
+            "partition=(2, 1, 1)), but every solution has t >= 0\n")
 
     def test_default_box_without_nef_filter(self, capsys):
         assert main(["enumerate", "--family", "pn", "--no-nef"]) == 0
@@ -711,6 +735,15 @@ class TestVerifyPaperCommand:
         from logbg.fixtures import all_fixtures
         all_fixtures()
         assert len(cycle_calls) <= 400
+
+    def test_builds_few_models_and_classes(self, model_calls, cycle_calls,
+                                           capsys):
+        # the wedge slopes are a closed form: the 77 grid points build
+        # no model and no class
+        assert main(["verify-paper"]) == 0
+        assert capsys.readouterr().out.strip().endswith("fixtures passed")
+        assert len(model_calls) <= 66
+        assert len(cycle_calls) <= 186
 
     def test_fixtures_build_a_fraction_only_for_a_slope_or_report(
             self, fraction_calls):

@@ -14,7 +14,7 @@ from logbg.bg import _at_rank, _pairing, full_report
 from logbg.logchern import (LogPair, _log_chern_coeffs, _pair_from_runs,
                             hypersurface_pair, pn_pair, slope,
                             wedge_cotangent_slope)
-from logbg.models import (ChowError, Value, c_infinity,
+from logbg.models import (ChowError, GradeError, Value, c_infinity,
                           default_polarization, hirzebruch, hypersurface,
                           projective_space, tangent_coefficients)
 from logbg.search import DEFAULT_BOUNDS, EqualityCase, report_modes
@@ -83,8 +83,9 @@ class TestLogPairValidation:
             one = LogPair(model, (("A", shared), ("B", shared)))
             two = LogPair(model, (("A", model.divisor(*coeffs)),
                                   ("B", model.divisor(*coeffs))))
-            # groups merge by coefficients, not by class object
-            assert one.groups == two.groups == ((coeffs, 2),)
+            # D sums by coefficients, not by class object
+            assert one._boundary_coeffs() == two._boundary_coeffs() == \
+                tuple(2 * c for c in coeffs)
             assert _log_chern_coeffs(one) == _log_chern_coeffs(two)
             assert one == two and hash(one) == hash(two)
 
@@ -146,14 +147,14 @@ RUN_BUILT = [
 
 class TestRunBuiltPairs:
     """pn_pair and hypersurface_pair build their pairs from runs; each
-    equals, hashes, shows, groups and pickles as the pair built from its
-    explicit components."""
+    equals, hashes, shows, pickles and gives the log Chern coefficients
+    of the pair built from its explicit components."""
 
     @pytest.mark.parametrize("make, make_explicit", RUN_BUILT)
     def test_same_as_explicit_components(self, make, make_explicit):
         explicit = make_explicit()
         for pair in (make(), make()):
-            assert pair.groups == explicit.groups
+            assert _log_chern_coeffs(pair) == _log_chern_coeffs(explicit)
             assert pair == explicit and explicit == pair
             assert hash(pair) == hash(explicit)
             assert repr(pair) == repr(explicit)
@@ -162,7 +163,8 @@ class TestRunBuiltPairs:
             # first read of components is the pickling itself
             assert pickle.dumps(pair) == pickle.dumps(explicit)
             twin = pickle.loads(pickle.dumps(pair))
-            assert twin == explicit and twin.groups == explicit.groups
+            assert twin == explicit
+            assert _log_chern_coeffs(twin) == _log_chern_coeffs(explicit)
 
     @pytest.mark.parametrize("make, make_explicit", RUN_BUILT)
     def test_same_reports_as_explicit_components(self, make, make_explicit):
@@ -201,16 +203,18 @@ class TestPnPairFromRuns:
         reference = pn_pair(n, degrees)
         assert built == reference
         assert hash(built) == hash(reference)
-        assert built.groups == reference.groups
+        assert _log_chern_coeffs(built) == _log_chern_coeffs(reference)
         assert built.components == reference.components
         assert full_report(built) == full_report(reference)
         # pn_pair shares the builder, so also check the explicit pair
         explicit = explicit_pair(projective_space(n), degrees)
-        assert built == explicit and built.groups == explicit.groups
+        assert built == explicit
+        assert built._boundary_coeffs() == explicit._boundary_coeffs()
         assert full_report(built) == full_report(explicit)
 
     def test_pn_pair_reads_a_one_shot_iterable_once(self):
-        assert pn_pair(7, iter([2, 1, 1])).groups == (((2,), 1), ((1,), 2))
+        pair = pn_pair(7, iter([2, 1, 1]))
+        assert [cls.coeffs for cls in pair.classes] == [(2,), (1,), (1,)]
         assert pn_pair(7, (d for d in [3, 3, 1])) == pn_pair(7, [3, 3, 1])
 
     @pytest.mark.parametrize("runs", [((True, 1),), ((1, 3), (True, 1)),
@@ -488,6 +492,27 @@ class TestSlope:
                 slope(model, c1, 3, H)
         assert slope(X, X.divisor(-4), 3, X.divisor(1)) == Fraction(-8, 3)
 
+    # True == 1, and 1.5 would reach Fraction
+    @pytest.mark.parametrize("rank, error, match", [
+        *[(bad, TypeError, "^rank must be int, got ")
+          for bad in (True, False, 1.5, 2.0, Fraction(2), "2", None)],
+        *[(bad, ChowError, "^rank must be positive$")
+          for bad in (0, -1, -10**20)]])
+    def test_bad_rank_rejected(self, rank, error, match):
+        P3 = projective_space(3)
+        with pytest.raises(error, match=match):
+            slope(P3, P3.divisor(2), rank, P3.divisor(1))
+
+    def test_classes_not_of_grade_1_rejected(self):
+        for model in (projective_space(3), hirzebruch(2)):
+            H = default_polarization(model)
+            point = model.cycle(2, 1)
+            for c1, polarization in ((point, H), (H, point),
+                                     (model.cycle(0, 1), H)):
+                with pytest.raises(GradeError,
+                                   match="^slope needs grade-1 classes$"):
+                    slope(model, c1, 2, polarization)
+
 
 class TestWedgeCotangentSlope:
     def test_determinant_bundle(self):
@@ -517,3 +542,25 @@ class TestWedgeCotangentSlope:
             wedge_cotangent_slope(5, 0)
         with pytest.raises(ChowError):
             wedge_cotangent_slope(5, 6)
+
+    # what projective_space(n) refuses, with the same error type
+    @pytest.mark.parametrize("n, error", [
+        (True, TypeError), (1.0, TypeError), ("3", TypeError),
+        (None, TypeError), (1, ChowError), (0, ChowError), (-2, ChowError)])
+    def test_refuses_what_projective_space_refuses(self, n, error):
+        for call in (lambda: wedge_cotangent_slope(n, 1),
+                     lambda: projective_space(n)):
+            with pytest.raises(error) as refused:
+                call()
+            assert refused.type is error
+
+    @pytest.mark.parametrize("r", [True, 1.0, "1", None])
+    def test_r_not_int_rejected(self, r):
+        with pytest.raises(TypeError, match="^n and r must be int, got "):
+            wedge_cotangent_slope(3, r)
+
+    def test_builds_no_model_or_class(self, model_calls, cycle_calls):
+        values = [wedge_cotangent_slope(n, r)
+                  for n in range(2, 13) for r in range(1, n + 1)]
+        assert len(values) == 77
+        assert model_calls == [] and cycle_calls == []

@@ -133,6 +133,14 @@ class TestIsNef:
         with pytest.raises(GradeError):
             is_nef(hirzebruch(1), hirzebruch(1).cycle(2, 1))
 
+    def test_divisor_from_another_model_rejected(self):
+        for model, other in ((projective_space(3), hypersurface(3, 2)),
+                             (hirzebruch(2), hirzebruch(3)),
+                             (projective_space(3), projective_space(4))):
+            with pytest.raises(ChowError,
+                               match="^divisor does not live on this model$"):
+                is_nef(model, other.divisor(*(1,) * len(model.generators)))
+
 
 class Int(int):
     """An int subclass: not an int coefficient."""
@@ -156,6 +164,15 @@ class TestConstructors:
         with pytest.raises(TypeError):
             F2.divisor(1, bad)
 
+    @pytest.mark.parametrize("grade", [-1, 4, 10])
+    def test_grade_out_of_range_rejected(self, grade):
+        P3 = projective_space(3)
+        with pytest.raises(GradeError,
+                           match=f"^grade {grade} out of range for P\\^3$"):
+            P3.cycle(grade, 1)
+        with pytest.raises(GradeError, match="out of range for F_2$"):
+            hirzebruch(2).cycle(3, 1)
+
     def test_ints_accepted(self):
         P3, F2 = projective_space(3), hirzebruch(2)
         assert P3.cycle(1, 2).coeffs == (2,)
@@ -174,6 +191,13 @@ class TestCInfinity:
                 assert not is_c_infinity(model.divisor(a, b))
             assert not is_c_infinity(model.cycle(2, 1))
         assert not is_c_infinity(projective_space(3).divisor(1))
+
+    def test_only_on_a_hirzebruch_surface(self):
+        for model in (projective_space(3), hypersurface(4, 2)):
+            with pytest.raises(
+                    ChowError,
+                    match="^C_inf only exists on a Hirzebruch surface$"):
+                c_infinity(model)
 
 
 class TestIsPrimeClass:

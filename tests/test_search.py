@@ -53,6 +53,19 @@ class TestConfigValidation:
         with pytest.raises(SearchSpaceError):
             SearchConfig(family="quadric", n_min=2, n_max=3)
 
+    @pytest.mark.parametrize("mode", ["n+1", "both", "", None])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(SearchSpaceError) as error:
+            pn_config(n_max=5, mode=mode)
+        assert str(error.value) == f"unknown mode {mode!r}"
+
+    @pytest.mark.parametrize("s_max", [0, -1, -10**20])
+    def test_s_max_below_one_rejected(self, s_max):
+        for config in (pn_config, hyp_config):
+            with pytest.raises(SearchSpaceError,
+                               match="^s_max must be positive$"):
+                config(n_max=5, s_max=s_max)
+
     @pytest.mark.parametrize("family", ["pn", "hypersurface"])
     def test_dimension_past_sequence_index_rejected(self, family):
         """A partition of n_max + 1 parts must fit a tuple.  Only 10^20
@@ -612,8 +625,11 @@ class TestVerificationFailure:
         solve = search._solve
         monkeypatch.setattr(search, "_solve", lambda config, B: dict.fromkeys(
             solve(config, B), ("n", "n1")))
-        with pytest.raises(VerificationError, match="hypersurface, n=7, q=2"):
+        with pytest.raises(VerificationError) as error:
             enumerate_cases(hyp_config(n_min=7, n_max=7))
+        assert str(error.value) == (
+            "the solver gives modes ('n', 'n1') but full_report gives "
+            "('n1',) on (hypersurface, n=7, q=2, partition=(1, 1, 1))")
 
     @pytest.mark.parametrize("family, q_max, where", [
         ("pn", None, "(pn, n=7, q=1, "),
