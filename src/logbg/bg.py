@@ -13,9 +13,12 @@ equality_n_plus_1 test N_n and N_{n+1} on one shared
 trivial-sheaf extension, which has the same c1 and c2.  A Fraction is
 built only where a value is returned or printed.
 
-One integer pairing, _pairing, serves full_report and the verify-paper
-fixtures.  A report builds no cycle class but the default H; it shares
-no code with the search's solver, which it re-verifies.
+reporter(model, H) checks H and reads the tangent data and the pairing
+factor q h0^(n-2) once, and returns the function that reports each pair
+on the model; full_report(pair, H) is reporter(pair.model, H)(pair).
+_pairing, with the same factor, serves the verify-paper fixtures.  A
+report builds no cycle class but the default H; it shares no code with
+the search's solver, which it re-verifies.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 from .logchern import LogPair, _log_chern_coeffs
 from .models import (AmbientModel, ChowError, CycleClass, GradeError, Value,
                      _set, default_polarization, is_ample_coeffs,
-                     is_nef_coeffs)
+                     is_nef_coeffs, tangent_coefficients)
 
 
 class BGReport(Value):
@@ -74,15 +77,29 @@ def _at_rank(rank: int, c1_sq: int, c2_eval: int) -> Fraction:
     return Fraction(_numerator(rank, c1_sq, c2_eval), 2 * rank)
 
 
-def full_report(pair: LogPair, H: CycleClass | None = None) -> BGReport:
-    model = pair.model
+def reporter(model: AmbientModel, H: CycleClass | None = None):
+    """The report function of pairs on `model` against H (default: the
+    default polarization); it refuses a pair on another model."""
     if H is None:
         H = default_polarization(model)
     _check_polarization(H, model)
-    c1, c2 = _log_chern_coeffs(pair)
-    c1_sq, c2_eval = _pairing(model, c1, c2, H)
-    n = model.n
-    numerator = _numerator(n, c1_sq, c2_eval)
-    return BGReport(n, c1_sq, c2_eval, Fraction(numerator, 2 * n),
-                    numerator == 0, _numerator(n + 1, c1_sq, c2_eval) == 0,
-                    is_nef_coeffs(model, c1), H)
+    tangent = tangent_coefficients(model)
+    n, intersect = model.n, model.intersect
+    qh = model.q * H.coeffs[0] ** (n - 2)  # _pairing's factor
+
+    def report(pair: LogPair) -> BGReport:
+        if pair.model is not model and pair.model != model:
+            raise ChowError(f"pair lives on {pair.model}, not {model}")
+        c1, c2 = _log_chern_coeffs(pair, tangent)
+        c1_sq, c2_eval = qh * intersect(c1, c1), qh * c2
+        numerator = _numerator(n, c1_sq, c2_eval)
+        return BGReport(n, c1_sq, c2_eval, Fraction(numerator, 2 * n),
+                        numerator == 0,
+                        _numerator(n + 1, c1_sq, c2_eval) == 0,
+                        is_nef_coeffs(model, c1), H)
+
+    return report
+
+
+def full_report(pair: LogPair, H: CycleClass | None = None) -> BGReport:
+    return reporter(pair.model, H)(pair)

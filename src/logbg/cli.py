@@ -27,9 +27,9 @@ import os
 import re
 import sys
 
-from .bg import full_report
+from .bg import reporter
 from .fixtures import all_fixtures
-from .models import FAMILIES, ChowError, default_polarization, is_nef
+from .models import FAMILIES, ChowError, is_nef
 from .search import (DEFAULT_BOUNDS, MODES, SearchConfig, VerificationError,
                      enumerate_cases)
 from .serialize import (Echoes, InputError, bounds_fields, case_record,
@@ -92,19 +92,18 @@ def cmd_report(args) -> int:
         with open(args.input, "rb") as fh:
             data = fh.read()
     pairs = parse_document(data)
-    # for this command only: the JSON fragments of each distinct class
-    # and model, and the default polarization of each distinct model,
-    # keyed by id(model), which hashes in C; `pairs` holds every model
-    # until the command ends
+    # for this command only: the JSON fragments of each class shape and
+    # model, and one reporter (bg.reporter) per distinct model, keyed by
+    # id(model), which hashes in C; `pairs` holds every model until the
+    # command ends
     echoes = Echoes()
-    polarizations = {}
+    reporters = {}
     with _out_stream(args) as out:
         for i, pair in enumerate(pairs):
-            H = polarizations.get(id(pair.model))
-            if H is None:
-                H = polarizations[id(pair.model)] = default_polarization(
-                    pair.model)
-            report = full_report(pair, H)
+            evaluate = reporters.get(id(pair.model))
+            if evaluate is None:
+                evaluate = reporters[id(pair.model)] = reporter(pair.model)
+            report = evaluate(pair)
             try:
                 if args.format == "records":
                     text = report_record(pair, report, echoes) + "\n"

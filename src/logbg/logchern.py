@@ -50,8 +50,8 @@ class LogPair(Value):
     def __init__(self, model: AmbientModel,
                  components: tuple[tuple[str, CycleClass], ...] = ()):
         components = tuple(components)
-        _build(self, model, None, components,
-               {id(cls): cls for _, cls in components}.values())
+        _build(self, model, tuple([(cls, 1) for _, cls in components]),
+               components, {id(cls): cls for _, cls in components}.values())
 
     @property
     def components(self) -> tuple[tuple[str, CycleClass], ...]:
@@ -80,17 +80,17 @@ def _build(pair: LogPair, model: AmbientModel, runs, components,
            new) -> LogPair:
     """Check, then set the slots of `pair`; every LogPair comes from here.
 
-    Either `runs`, ((class, multiplicity), ...) labeled D1..Dl, or
-    `components`, ((label, class), ...) with distinct labels, is None.
-    `new` holds the classes not yet checked, in order of first
-    occurrence; each must live on `model`, at grade 1, and be prime, and
-    an error names the label of its first component.  The runs are
-    stored as they come: equal classes in different runs stay apart."""
+    `runs` is ((class, multiplicity), ...), labeled D1..Dl when
+    `components` is None; else `components` is ((label, class), ...) with
+    distinct labels, and `runs` its ((class, 1), ...).  `new` holds the
+    classes not yet checked, in order of first occurrence; each must live
+    on `model`, at grade 1, and be prime, and an error names the label of
+    its first component.  The runs are stored as they come: equal classes
+    in different runs stay apart."""
     if components is not None:
         labels = [label for label, _ in components]
         if len(set(labels)) != len(labels):
             raise ChowError(f"duplicate component labels in {labels}")
-        runs = tuple([(cls, 1) for _, cls in components])
     for cls in new:
         if cls.model is not model and cls.model != model:
             error, text = ChowError, f"lives on {cls.model}, not {model}"
@@ -159,19 +159,21 @@ def hypersurface_pair(n: int, q: int, l: int) -> LogPair:
     return _pair_from_runs(model, ((1, l),) if l > 0 else (), {})
 
 
-def _log_chern_coeffs(pair: LogPair) -> tuple[tuple[int, ...], int]:
+def _log_chern_coeffs(pair: LogPair, tangent: tuple | None = None
+                      ) -> tuple[tuple[int, ...], int]:
     """Integer coefficients of log c1 and log c2, with no class built: the
     pair's runs, each class times its multiplicity, sum D and sum_i D_i^2
-    for the module docstring's c2, in one pass on P^n and hypersurfaces."""
+    for the module docstring's c2, in one pass on P^n and hypersurfaces,
+    where E.E = e^2.  `tangent` is the model's tangent_coefficients."""
     model = pair.model
-    t1, t2 = tangent_coefficients(model)
+    t1, t2 = tangent or tangent_coefficients(model)
     intersect = model.intersect
     if len(t1) == 1:  # the common case, in one pass
         d = squares = 0
         for cls, k in pair._runs:
-            E = cls.coeffs
-            d += k * E[0]
-            squares += k * intersect(E, E)
+            e = cls.coeffs[0]
+            d += k * e
+            squares += k * e * e
         D = (d,)
     else:
         D = pair._boundary_coeffs()

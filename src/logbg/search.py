@@ -18,13 +18,13 @@ rule, each with its modes, the ranks that produced it; it lists
 nothing.  enumerate_cases lists the pronic partitions of each
 R = B - q (q - 1) in the plan once, ends them with a run of ones for
 each of R's roots, sorts the cases and re-verifies each, in canonical
-order, through the integer core (full_report), so the emitted reports
+order, through the integer core (bg.reporter), so the emitted reports
 never depend on the solver.  The cases of one (n, q) share one model,
-its default polarization and one class per degree, checked once, by
-the pair that first builds it; each case still gets its own pair and
-report.  A case is held as its runs from the lister to the record, so
-building and verifying it costs O(runs), not O(l); the pair's
-components and the case's partition list every part only when read.
+one reporter and one class per degree, checked once, by the pair that
+first builds it; each case still gets its own pair and report.  A case
+is held as its runs from the lister to the record, so building and
+verifying it costs O(runs), not O(l); the pair's components and the
+case's partition list every part only when read.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from itertools import groupby
 from math import isqrt
 from operator import itemgetter
 
-from .bg import BGReport, full_report
+from .bg import BGReport, reporter
 from .logchern import _pair_from_runs
-from .models import (AmbientModel, ChowError, CycleClass, Value, _set,
-                     default_polarization, hypersurface, projective_space)
+from .models import (AmbientModel, ChowError, Value, _set, hypersurface,
+                     projective_space)
 
 MODES = ("n", "n1", "either")
 
@@ -199,21 +199,25 @@ def _solve(config: SearchConfig, B: int) -> dict[tuple[int, int], tuple]:
 def _pronic_partitions(B: int, largest: int):
     """The partitions of B into pronic numbers d (d - 1), d in
     [2, largest], as runs ((d, k), ...): d strictly decreasing, each
-    with its multiplicity k >= 1 (no runs at B = 0)."""
+    with its multiplicity k >= 1 (no runs at B = 0).  Pronic numbers are
+    even and 2 is one, so a rest has a partition into degrees up to d iff
+    it is 0, or even with d >= 2: only such a rest is entered."""
     if B == 0:
         yield ()
         return
     for d in range(min(largest, (1 + isqrt(4 * B + 1)) // 2), 1, -1):
         pronic = d * (d - 1)
         for k in range(1, B // pronic + 1):
-            for rest in _pronic_partitions(B - k * pronic, d - 1):
-                yield ((d, k),) + rest
+            rest = B - k * pronic
+            if rest == 0 or (d > 2 and rest % 2 == 0):
+                for runs in _pronic_partitions(rest, d - 1):
+                    yield ((d, k),) + runs
 
 
-def _verified_case(family: str, model: AmbientModel, H: CycleClass,
+def _verified_case(family: str, model: AmbientModel, evaluate,
                    classes: dict, runs: tuple,
                    modes: tuple[str, ...]) -> EqualityCase:
-    report = full_report(_pair_from_runs(model, runs, classes), H)
+    report = evaluate(_pair_from_runs(model, runs, classes))
     got = report_modes(report)
     if got == modes and report.minus_k_plus_d_nef:
         return EqualityCase(family, model.n, model.q, runs, modes, report)
@@ -271,8 +275,9 @@ def enumerate_cases(config: SearchConfig) -> list[EqualityCase]:
     cases = []
     for (n, q), group in groupby(solutions, key=itemgetter(0, 1)):
         model = projective_space(n) if family == "pn" else hypersurface(n, q)
-        H, classes = default_polarization(model), {}
-        cases += [_verified_case(family, model, H, classes, runs, modes)
+        evaluate, classes = reporter(model), {}
+        cases += [_verified_case(family, model, evaluate, classes, runs,
+                                 modes)
                   for _, _, _, runs, modes in group]
     return cases
 

@@ -4,8 +4,9 @@ Pair descriptors are JSON; unknown keys are errors, not warnings.
 parse_document's memo, which lives for one document, also keys each
 checked ambient and class object by its raw JSON items (_items): a
 repeat costs one type check and one dict lookup, and anything else takes
-the full checks, with the same errors in the same order.  A parsed pair
-comes from logchern._build, as every LogPair does, and has it check
+the full checks, with the same errors in the same order; a pair's
+location is formatted only for an error.  A parsed pair comes from
+logchern._build, as every LogPair does, with its runs, and has it check
 only the classes that pair built: each class once per document, with
 the errors LogPair would raise.  Rationals serialize as canonical "p/q"
 strings ("p" when the denominator is one) and round-trip losslessly.
@@ -14,10 +15,10 @@ A record is one line with the bytes of json.dumps(record,
 sort_keys=True, separators=(",", ":")): keys sorted, no spaces, and
 non-ASCII and control characters as \\uXXXX escapes.  report_record and
 case_record write that line from a template around JSON fragments that
-one Echoes per command encodes once (each class's echo, each model's
-ambient, each polarization and the run's bounds); per line only labels,
-rationals, integers and flags are encoded.  dump_record encodes a whole
-dict, for the summary line.
+one Echoes per command encodes once (each class shape's echo, each
+model's ambient, each polarization and the run's bounds); per line only
+labels, rationals, integers and flags are encoded.  dump_record encodes
+a whole dict, for the summary line.
 """
 
 from __future__ import annotations
@@ -126,47 +127,57 @@ def _parse_divisor(obj, entry: tuple, index: int,
     return label, divisor
 
 
-def _parse_pair(obj, memo: dict, where: str = "document") -> LogPair:
-    """One checked pair; `memo` is parse_document's, and hands out one
-    model, and one dict of its classes, per distinct ambient.  A
-    component whose class object repeats checked raw items, under a str
-    label and no unknown key, skips _parse_divisor.
+def _parse_pair(obj, memo: dict, index: int | None = None) -> LogPair:
+    """One checked pair, the document's or pairs[index]; `memo` is
+    parse_document's, and hands out one model, and one dict of its
+    classes, per distinct ambient.  A component whose class object
+    repeats checked raw items (_items' test, inline), under a str label
+    and no unknown key, skips _parse_divisor.
 
     _build checks only the classes this pair built: a class from an
     earlier pair has passed, as any failure ends the document.  That
     holds only while no caller keeps using a memo after an error, so
     parse_document must stay the only caller."""
-    if not isinstance(obj, dict):
-        raise InputError(f"{where} must be an object")
-    _check_keys(obj, _PAIR_KEYS, where)
-    ambient = _require(obj, "ambient", where)
+    if type(obj) is not dict or obj.keys() != _PAIR_KEYS:
+        where = "document" if index is None else f"pairs[{index}]"
+        if not isinstance(obj, dict):
+            raise InputError(f"{where} must be an object")
+        _check_keys(obj, _PAIR_KEYS, where)
+        _require(obj, "ambient", where)
+    ambient = obj["ambient"]
     items = _items(ambient)
     entry = None if items is None else memo.get(items)
     if entry is None:
         model = parse_ambient(ambient)
-        entry = memo.get(model)
-        if entry is None:
-            entry = memo[model] = (model, {})
+        entry = memo.setdefault(model, (model, {}))
         if items is not None:
             memo[items] = entry
-    divisors = _require(obj, "divisors", where)
-    if not isinstance(divisors, list):
-        raise InputError(f"key 'divisors' in {where} must be a list")
+    divisors = obj.get("divisors")
+    if type(divisors) is not list:
+        where = "document" if index is None else f"pairs[{index}]"
+        if not isinstance(_require(obj, "divisors", where), list):
+            raise InputError(f"key 'divisors' in {where} must be a list")
     model, classes = entry
-    components = []
-    built = []  # the classes this pair built, in order
+    components, runs, built = [], [], []  # built: its new classes, in order
     for i, d in enumerate(divisors):
-        label = items = None
+        divisor = items = None
         if type(d) is dict and d.keys() <= _DIVISOR_KEYS:
-            label, items = d.get("label"), _items(d.get("class"))
-        divisor = None if items is None else classes.get(items)
-        if divisor is None or type(label) is not str:
+            label, cls = d.get("label"), d.get("class")
+            if type(cls) is dict and type(label) is str:
+                for value in cls.values():
+                    if type(value) is not int and type(value) is not str:
+                        break
+                else:
+                    items = tuple(cls.items())
+                    divisor = classes.get(items)
+        if divisor is None:
             label, divisor = _parse_divisor(d, entry, i, built)
             if items is not None:
                 classes[items] = divisor
         components.append((label, divisor))
-    return _build(LogPair.__new__(LogPair), model, None, tuple(components),
-                  built)
+        runs.append((divisor, 1))
+    return _build(LogPair.__new__(LogPair), model, tuple(runs),
+                  tuple(components), built)
 
 
 def parse_document(data: str | bytes) -> list[LogPair]:
@@ -191,8 +202,7 @@ def parse_document(data: str | bytes) -> list[LogPair]:
         _check_keys(doc, {"pairs"}, "document")
         if not isinstance(doc["pairs"], list):
             raise InputError("key 'pairs' must be a list")
-        return [_parse_pair(p, memo, f"pairs[{i}]")
-                for i, p in enumerate(doc["pairs"])]
+        return [_parse_pair(p, memo, i) for i, p in enumerate(doc["pairs"])]
     return [_parse_pair(doc, memo)]
 
 
@@ -223,16 +233,17 @@ def _report_head(report: BGReport) -> str:
 
 class Echoes(dict):
     """The JSON fragments of one command, each encoded on first use: per
-    class its display and the head of its divisor item, per model its
-    ambient echo, per polarization its class, and the run's `bounds`.
+    class shape its display and the head of its divisor item, per model
+    its ambient echo, per polarization its class, and the run's `bounds`.
 
     Classes and models are keyed by id(object), which hashes in C;
     keying by the object would hash its field tuple (and a class's model)
     on every lookup.  Each of those entries holds its object, so no id is
-    reused while the instance lives.  A polarization is keyed by (kind,
-    coefficients), which fix its echo at grade 1, so the polarizations
-    of models of one kind with equal coefficients, such as H on every
-    P^n, share one echo."""
+    reused while the instance lives.  A class's echo is encoded once per
+    shape (kind, m, grade, coefficients), which fixes the display and the
+    head (C_inf needs m), so H on every P^n shares one echo.  A
+    polarization is keyed by (kind, coefficients), which fix its echo at
+    grade 1, likewise."""
 
     __slots__ = ("bounds",)
 
@@ -245,11 +256,15 @@ class Echoes(dict):
         JSON up to its label: {"class":...,"display":...,"label":"""
         entry = self.get(id(cls))
         if entry is None:
-            display = cycle_display(cls)
-            head = (f'{{"class":{_ENCODER.encode(cycle_to_dict(cls))},'
+            shape = (cls.model.kind, cls.model.m, cls.grade, cls.coeffs)
+            echo = self.get(shape)
+            if echo is None:
+                display = cycle_display(cls)
+                echo = self[shape] = (display, (
+                    f'{{"class":{_ENCODER.encode(cycle_to_dict(cls))},'
                     f'"display":{encode_basestring_ascii(display)},'
-                    '"label":')
-            entry = self[id(cls)] = (cls, (display, head))
+                    '"label":'))
+            entry = self[id(cls)] = (cls, echo)
         return entry[1]
 
     def ambient(self, model: AmbientModel) -> str:

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -46,4 +47,23 @@ def fraction_calls(monkeypatch):
         return real_new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
+    return calls
+
+
+@pytest.fixture
+def tangent_calls(monkeypatch):
+    """A list that gains the name of each tangent_coefficients and
+    bg._check_polarization call made in the test, the work a report does
+    once per model; clear it to start a new count."""
+    from logbg import bg
+    calls = []
+    for real in (models.tangent_coefficients, bg._check_polarization):
+        def counting(*args, real=real):
+            calls.append(real.__name__)
+            return real(*args)
+
+        for name, module in list(sys.modules.items()):
+            if ((name == "logbg" or name.startswith("logbg."))
+                    and getattr(module, real.__name__, None) is real):
+                monkeypatch.setattr(module, real.__name__, counting)
     return calls

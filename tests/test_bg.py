@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import classes
 from classes import intersect, iterated_pairing, split_bundle_chern
-from logbg.bg import _at_rank, _pairing, full_report
+from logbg.bg import _at_rank, _pairing, full_report, reporter
 from logbg.cli import main
 from logbg.logchern import LogPair, hypersurface_pair, pn_pair, slope
 from logbg.models import (ChowError, CycleClass, GradeError, c_infinity,
@@ -62,6 +62,40 @@ class TestDiscriminant:
         assert core_discriminant(model, 2, ((3,), 3), model.divisor(1)) == \
             Fraction(3, 4)
         assert full_report(pn_pair(2, [])).discriminant == Fraction(3, 4)
+
+
+class TestReporter:
+    """bg.reporter checks H and reads the tangent data once per model;
+    its function reports only pairs on that model."""
+
+    def test_refuses_a_pair_on_another_model(self):
+        report = reporter(projective_space(3))
+        assert report(pn_pair(3, [2, 1])) == full_report(pn_pair(3, [2, 1]))
+        with pytest.raises(ChowError) as excinfo:
+            report(pn_pair(4, [2, 1]))
+        assert excinfo.type is ChowError
+        assert str(excinfo.value) == "pair lives on P^4, not P^3"
+
+    def test_equal_model_object_accepted(self):
+        H = projective_space(3).divisor(2)
+        report = reporter(projective_space(3), H)
+        assert report(pn_pair(3, [1])) == full_report(pn_pair(3, [1]), H)
+
+    def test_report_pays_once_per_model(self, tangent_calls, tmp_path):
+        ambients = ({"kind": "projective_space", "n": 3},
+                    {"kind": "hypersurface", "n": 4, "q": 2},
+                    {"kind": "hirzebruch", "m": 2})
+        classes = ({"H": 1}, {"h": 2}, {"C0": 1, "f": 2})
+        pairs = [{"ambient": ambients[i % 3],
+                  "divisors": [{"label": "D", "class": classes[i % 3]}]}
+                 for i in range(300)]
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"pairs": pairs}))
+        assert main(["report", str(path), "--format", "records",
+                     "--out", str(tmp_path / "out.txt")]) == 0
+        assert len((tmp_path / "out.txt").read_text().splitlines()) == 300
+        assert sorted(tangent_calls) == \
+            ["_check_polarization"] * 3 + ["tangent_coefficients"] * 3
 
 
 class TestPolarizationChecks:

@@ -809,8 +809,8 @@ class TestVerifyPaperCommand:
         from logbg import logchern
         real = logchern._log_chern_coeffs
 
-        def log_chern_coeffs(pair):  # log c2 one too large on P^n
-            c1, c2 = real(pair)
+        def log_chern_coeffs(pair, tangent=None):  # log c2 + 1 on P^n
+            c1, c2 = real(pair, tangent)
             return c1, c2 + 1 if pair.model.kind == "projective_space" else c2
 
         mutate(monkeypatch, real, log_chern_coeffs)

@@ -120,3 +120,42 @@ def test_case_partition_matches_reference(partition):
     assert case.partition == partition
     assert case_record(case, Echoes(bounds_fields(config))) == \
         records.dump(records.case_record(case, config, __version__))
+
+
+def test_class_echoes_are_shared_per_shape(monkeypatch):
+    """A class's display and item head are encoded once per (kind, m,
+    grade, coefficients): (1, 2) is C_inf on F_2 but not on F_1, and H on
+    P^3 and on P^5 is one shape, encoded once."""
+    from logbg import serialize
+    pairs = [{"ambient": ambient, "divisors": [{"label": label, "class": c}]}
+             for ambient, label, c in (
+                 ({"kind": "hirzebruch", "m": 1}, "A", {"C0": 1, "f": 2}),
+                 ({"kind": "hirzebruch", "m": 2}, "B", {"C0": 1, "f": 2}),
+                 ({"kind": "projective_space", "n": 3}, "H3", {"H": 1}),
+                 ({"kind": "projective_space", "n": 5}, "H5", {"H": 1}))]
+    text = json.dumps({"pairs": pairs})
+    parsed = parse_document(text)
+    reports = [full_report(pair) for pair in parsed]
+    assert [records.display(cls) for pair in parsed for cls in pair.classes
+            ] == ["1*C0 + 2*f", "1*C0 + 2*f (= Cinf)", "1*H", "1*H"]
+    displays = []
+    real = serialize.cycle_display
+    monkeypatch.setattr(serialize, "cycle_display",
+                        lambda cls: displays.append(cls) or real(cls))
+    assert run(["report", "-", "--format", "records"], text) == [
+        records.dump(records.report_record(pair, report, __version__))
+        for pair, report in zip(parsed, reports)]
+    assert len(displays) == 3
+    table = []
+    for pair, report in zip(parsed, reports):
+        table += [
+            f"({pair.model}, D = [{records.display(pair.classes[0])}])",
+            f"  rank {report.rank}  c1^2.H^(n-2) = {report.c1_sq}"
+            f"  c2.H^(n-2) = {report.c2_eval}",
+            f"  discriminant = {report.discriminant}"
+            f"  equality(rank n) = {report.equality_n}"
+            f"  equality(rank n+1) = {report.equality_n_plus_1}"
+            f"  -(K+D) nef = {report.minus_k_plus_d_nef}"]
+    displays.clear()
+    assert run(["report", "-", "--format", "table"], text) == table
+    assert len(displays) == 3

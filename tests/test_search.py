@@ -4,13 +4,14 @@ import json
 import sys
 import tracemalloc
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from logbg import logchern, search
-from logbg.bg import BGReport, full_report
+from logbg.bg import BGReport, full_report, reporter
 from logbg.cli import main
 from logbg.logchern import hypersurface_pair, pn_pair
 from logbg.models import AmbientModel
@@ -573,6 +574,53 @@ class TestPronicPartitions:
                 sorted(partitions)
 
 
+    @staticmethod
+    def unpruned(B, largest):
+        """The lister with no feasibility table."""
+        if B == 0:
+            yield ()
+            return
+        for d in range(min(largest, (1 + isqrt(4 * B + 1)) // 2), 1, -1):
+            for k in range(1, B // (d * (d - 1)) + 1):
+                for rest in TestPronicPartitions.unpruned(
+                        B - k * d * (d - 1), d - 1):
+                    yield ((d, k),) + rest
+
+    def test_same_runs_in_the_same_order(self):
+        for B in range(121):
+            for largest in (B, 4, 2, 1):
+                assert list(search._pronic_partitions(B, largest)) == \
+                    list(self.unpruned(B, largest)), (B, largest)
+
+    def test_feasibility_table_is_parity(self):
+        """The lister's rule equals the table ok[d][r]: r is a sum of
+        parts j (j - 1) with 2 <= j <= d."""
+        ok = [[True] + [False] * 200] * 2
+        for d in range(2, 16):
+            row = ok[-1][:]
+            for r in range(d * (d - 1), 201):
+                row[r] = row[r] or row[r - d * (d - 1)]
+            ok.append(row)
+        assert all(ok[d][r] == (r == 0 or (d >= 2 and r % 2 == 0))
+                   for d in range(16) for r in range(201))
+
+    def test_every_call_yields(self, monkeypatch):
+        """No branch that yields nothing is entered: at R = 100 the
+        lister is called 818 times, recursion included, for its 417
+        partitions (the unpruned lister, 5,159 times)."""
+        calls = []
+        real = search._pronic_partitions
+
+        def counting(B, largest):
+            calls.append(1)
+            return real(B, largest)
+
+        monkeypatch.setattr(search, "_pronic_partitions", counting)
+        partitions = list(search._pronic_partitions(100, 100))
+        assert len(partitions) == len(set(partitions)) == 417
+        assert len(calls) < 2 * len(partitions)
+
+
 class TestRunsInvariant:
     """A case holds its partition only as runs: degrees strictly
     decreasing, multiplicities >= 1, degree 1 only in the last run, and
@@ -667,33 +715,48 @@ class TestGroupSharing:
         assert len(found) == cases
         assert len({(case.n, case.q) for case in found}) == models
 
+    @pytest.mark.parametrize("family, groups", [("pn", 29),
+                                                ("hypersurface", 48)])
+    def test_one_reporter_per_group(self, tangent_calls, family, groups):
+        """H is checked, and the tangent data read, once per (n, q)
+        group, not once per case."""
+        enumerate_cases(DEFAULT_BOUNDS[family])
+        assert sorted(tangent_calls) == ["_check_polarization"] * groups \
+            + ["tangent_coefficients"] * groups
+
     @pytest.mark.parametrize("family, q, where", [
         ("pn", 1, "(pn, n=8, q=1, partition=(2, 1, 1, 1))"),
         ("hypersurface", 2,
          "(hypersurface, n=8, q=2, partition=(1, 1, 1, 1))")])
     def test_every_case_of_a_group_is_reverified(self, monkeypatch, capsys,
                                                  family, q, where):
-        """full_report disagrees only on the second of the group's three
-        or four cases; the run must still name that case."""
+        """The group's reporter disagrees only on the second of the
+        group's three or four cases; the run must still name that case."""
         group = [case for case in enumerate_cases(DEFAULT_BOUNDS[family])
                  if (case.n, case.q) == (8, q)]
         assert len(group) >= 3
         assert where.endswith(f"partition={group[1].partition})")
         calls = []
 
-        def second_disagrees(pair, H=None):
-            report = full_report(pair, H)
-            if (pair.model.n, pair.model.q) != (8, q):
-                return report
-            calls.append(pair)
-            if len(calls) != 2:
-                return report
-            return BGReport(report.rank, report.c1_sq, report.c2_eval,
-                            report.discriminant, not report.equality_n,
-                            report.equality_n_plus_1,
-                            report.minus_k_plus_d_nef, report.polarization)
+        def second_disagrees(model, H=None):
+            evaluate = reporter(model, H)
+            if (model.n, model.q) != (8, q):
+                return evaluate
 
-        monkeypatch.setattr(search, "full_report", second_disagrees)
+            def report_of(pair):
+                report = evaluate(pair)
+                calls.append(pair)
+                if len(calls) != 2:
+                    return report
+                return BGReport(report.rank, report.c1_sq, report.c2_eval,
+                                report.discriminant, not report.equality_n,
+                                report.equality_n_plus_1,
+                                report.minus_k_plus_d_nef,
+                                report.polarization)
+
+            return report_of
+
+        monkeypatch.setattr(search, "reporter", second_disagrees)
         assert main(["enumerate", "--family", family]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
