@@ -2,9 +2,10 @@
 
 Commands: report (evaluate pair descriptors), enumerate (equality-case
 search), verify-paper (built-in fixture suite), nef (divisor positivity
-query).  Exit codes: 0 success, 1 verification failure, 2 usage or
-input error.  A stdout whose reader has closed ends the command with
-exit 0 and no message.
+query).  Every command writes serialize's lines to _out_stream.  Exit
+codes: 0 success, 1 verification failure, 2 usage or input error (a
+closed stdin or stdout among them).  A stdout whose reader has closed
+ends the command with exit 0 and no message.
 
 main() builds the parser on its first call and reuses it on every later
 call in the same process, so it may be called repeatedly; importing the
@@ -33,8 +34,9 @@ from .models import FAMILIES, ChowError, is_nef
 from .search import (DEFAULT_BOUNDS, MODES, SearchConfig, VerificationError,
                      enumerate_cases)
 from .serialize import (Echoes, InputError, bounds_fields, case_record,
-                        cycle_display, dump_record, parse_ambient,
-                        parse_document, report_record)
+                        case_table, enumerate_summary, fixture_table,
+                        nef_line, parse_ambient, parse_document,
+                        report_record, report_table)
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -63,39 +65,27 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _out_stream(args):
+    """The one stream every command writes its lines to."""
     if args.out:
         return open(args.out, "w")
+    if sys.stdout is None:
+        raise OSError("stdout is closed")
     return contextlib.nullcontext(sys.stdout)
-
-
-def _pair_summary(pair, echoes) -> str:
-    divisors = ", ".join(echoes.of(cls)[0] for _, cls in pair.components)
-    return f"({pair.model}, D = [{divisors}])"
-
-
-def _report_table(pair, report, echoes) -> str:
-    return (f"{_pair_summary(pair, echoes)}\n"
-            f"  rank {report.rank}"
-            f"  c1^2.H^(n-2) = {report.c1_sq!s}"
-            f"  c2.H^(n-2) = {report.c2_eval!s}\n"
-            f"  discriminant = {report.discriminant!s}"
-            f"  equality(rank n) = {report.equality_n}"
-            f"  equality(rank n+1) = {report.equality_n_plus_1}"
-            f"  -(K+D) nef = {report.minus_k_plus_d_nef}\n")
 
 
 def cmd_report(args) -> int:
     if args.input == "-":
+        if sys.stdin is None:
+            raise OSError("stdin is closed")
         # bytes when stdin has them, so parse_document checks the UTF-8
         data = getattr(sys.stdin, "buffer", sys.stdin).read()
     else:
         with open(args.input, "rb") as fh:
             data = fh.read()
     pairs = parse_document(data)
-    # for this command only: the JSON fragments of each class shape and
-    # model, and one reporter (bg.reporter) per distinct model, keyed by
-    # id(model), which hashes in C; `pairs` holds every model until the
-    # command ends
+    write = report_record if args.format == "records" else report_table
+    # one reporter (bg.reporter) per distinct model, keyed by id(model)
+    # as Echoes keys; `pairs` holds every model until the command ends
     echoes = Echoes()
     reporters = {}
     with _out_stream(args) as out:
@@ -105,10 +95,7 @@ def cmd_report(args) -> int:
                 evaluate = reporters[id(pair.model)] = reporter(pair.model)
             report = evaluate(pair)
             try:
-                if args.format == "records":
-                    text = report_record(pair, report, echoes) + "\n"
-                else:
-                    text = _report_table(pair, report, echoes)
+                text = write(pair, report, echoes)
             except ValueError:
                 # the only one formatting raises: int-to-str past the
                 # interpreter's digit limit
@@ -117,7 +104,7 @@ def cmd_report(args) -> int:
                     "integer over the interpreter's "
                     f"{sys.get_int_max_str_digits()}-digit limit for "
                     "printing")
-            out.write(text)
+            out.write(text + "\n")
     return 0
 
 
@@ -133,56 +120,26 @@ def _search_config(args) -> SearchConfig:
         s_max=args.s_max, q_min=q_min, q_max=q_max)
 
 
-def _case_summary(case) -> str:
-    partition = ",".join(str(d) for d in case.partition) or "empty"
-    modes = ",".join(case.modes)
-    head = (f"n={case.n} q={case.q}" if case.family == "hypersurface"
-            else f"n={case.n}")
-    return (f"{head} degrees=({partition}) equality={modes} "
-            f"nef={case.report.minus_k_plus_d_nef}")
-
-
 def cmd_enumerate(args) -> int:
     if args.workers < 1:
         raise InputError(f"workers must be at least 1, got {args.workers}")
     config = _search_config(args)
     cases = enumerate_cases(config)
+    records = args.format == "records"
+    write = case_record if records else case_table
+    echoes = Echoes(bounds_fields(config) if records else None)
     with _out_stream(args) as out:
-        if args.format == "records":
-            run_bounds = bounds_fields(config)
-            echoes = Echoes(run_bounds)
-            for case in cases:
-                out.write(case_record(case, echoes) + "\n")
-            summary = {"summary": {"family": config.family,
-                                   "count": len(cases),
-                                   "bounds": run_bounds}}
-            out.write(dump_record(summary) + "\n")
-        else:
-            for case in cases:
-                out.write(_case_summary(case) + "\n")
-            bounds = (f"n in [{config.n_min}, {config.n_max}]"
-                      + (f", q in [{config.q_min}, {config.q_max}]"
-                         if config.family == "hypersurface" else "")
-                      + (", -(K+D) nef required" if config.require_nef
-                         else ", no nef filter"))
-            out.write(f"found {len(cases)} equality case(s); bounds: "
-                      f"{bounds}\n")
+        for case in cases:
+            out.write(write(case, echoes) + "\n")
+        out.write(enumerate_summary(config, len(cases), echoes) + "\n")
     return 0
 
 
 def cmd_verify(args) -> int:
     results = all_fixtures()
-    width = max(len(r.name) for r in results)
-    failures = 0
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        line = f"[{status}] {r.name:<{width}}  expected {r.expected}"
-        if not r.passed:
-            line += f"  computed {r.computed}  ({r.citation})"
-            failures += 1
-        print(line)
-    print(f"{len(results) - failures}/{len(results)} fixtures passed")
-    return 0 if failures == 0 else VERIFY_ERROR
+    with _out_stream(args) as out:
+        out.write(fixture_table(results) + "\n")
+    return 0 if all(r.passed for r in results) else VERIFY_ERROR
 
 
 def cmd_nef(args) -> int:
@@ -196,8 +153,8 @@ def cmd_nef(args) -> int:
         raise InputError(f"divisor {args.divisor!r} must be integers")
     divisor = model.divisor(*coeffs)
     result = is_nef(model, divisor)
-    print(f"{cycle_display(divisor)} on {model}: "
-          f"{'nef' if result else 'not nef'}")
+    with _out_stream(args) as out:
+        out.write(nef_line(model, divisor, result) + "\n")
     return 0
 
 
@@ -240,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser(
         "verify-paper", help="run the pinned source-fixture suite")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, out=None)
 
     p_nef = sub.add_parser("nef", help="test a divisor class for nefness")
     p_nef.add_argument("--kind", choices=tuple(FAMILIES), required=True)
@@ -249,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_nef.add_argument("--m", type=integer, default=None)
     p_nef.add_argument("--divisor", required=True,
                        help="comma-separated integer coefficients")
-    p_nef.set_defaults(func=cmd_nef)
+    p_nef.set_defaults(func=cmd_nef, out=None)
     return parser
 
 
@@ -268,17 +225,15 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         code = args.func(args)
-        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        if not args.out:  # so that a closed pipe shows here, not at exit
+            sys.stdout.flush()
         return code
-    except BrokenPipeError as exc:
-        if getattr(args, "out", None) is not None:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        # stdout's reader has gone, which is no error of the input; the
-        # interpreter's flush at exit must not meet the closed pipe again
-        sys.stdout = open(os.devnull, "w")
-        return 0
     except (InputError, ChowError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError) and not args.out:
+            # stdout's reader has gone, which is no error of the input; the
+            # interpreter's flush at exit must not meet the closed pipe again
+            sys.stdout = open(os.devnull, "w")
+            return 0
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except VerificationError as exc:

@@ -47,8 +47,8 @@ class SearchSpaceError(ChowError):
 
 
 class VerificationError(Exception):
-    """full_report, the re-verification, disagrees with the solver: on a
-    root's modes, or on the nefness of -(K + D)."""
+    """The re-verification through bg.reporter disagrees with the
+    solver: on a root's modes, or on the nefness of -(K + D)."""
 
 
 class SearchConfig(Value):

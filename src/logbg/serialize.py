@@ -1,4 +1,4 @@
-"""Descriptor parsing and record serialization for the CLI.
+"""Descriptor parsing, and every line the CLI writes.
 
 Pair descriptors are JSON; unknown keys are errors, not warnings.
 parse_document's memo, which lives for one document, also keys each
@@ -11,14 +11,14 @@ only the classes that pair built: each class once per document, with
 the errors LogPair would raise.  Rationals serialize as canonical "p/q"
 strings ("p" when the denominator is one) and round-trip losslessly.
 
-A record is one line with the bytes of json.dumps(record,
+Each writer returns one output text without its final newline; a table
+writer takes its record writer's arguments, so a command picks its
+writer once.  A record is one line with the bytes of json.dumps(record,
 sort_keys=True, separators=(",", ":")): keys sorted, no spaces, and
-non-ASCII and control characters as \\uXXXX escapes.  report_record and
-case_record write that line from a template around JSON fragments that
-one Echoes per command encodes once (each class shape's echo, each
-model's ambient, each polarization and the run's bounds); per line only
-labels, rationals, integers and flags are encoded.  dump_record encodes
-a whole dict, for the summary line.
+non-ASCII and control characters as \\uXXXX escapes, written from a
+template around JSON fragments that one Echoes per command encodes once
+(each class shape's echo, each model's ambient and the run's bounds);
+per line only labels, rationals, integers and flags are encoded.
 """
 
 from __future__ import annotations
@@ -35,11 +35,6 @@ from .search import EqualityCase, SearchConfig
 
 class InputError(ValueError):
     """Malformed descriptor document."""
-
-
-def cycle_to_dict(cls: CycleClass) -> dict:
-    names = cls.model.basis_names(cls.grade)
-    return {name: f"{c!s}" for name, c in zip(names, cls.coeffs)}
 
 
 def cycle_display(cls: CycleClass) -> str:
@@ -206,10 +201,10 @@ def parse_document(data: str | bytes) -> list[LogPair]:
     return [_parse_pair(doc, memo)]
 
 
-# -- output records --------------------------------------------------------
+# -- output lines ----------------------------------------------------------
 
 # json.dumps(record, sort_keys=True, separators=(",", ":")), for the
-# summary line and for the fragments an Echoes caches
+# fragments an Echoes caches
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _VERSION = encode_basestring_ascii(__version__)
 # every value of search.report_modes, a case's modes, as its JSON list
@@ -233,37 +228,39 @@ def _report_head(report: BGReport) -> str:
 
 class Echoes(dict):
     """The JSON fragments of one command, each encoded on first use: per
-    class shape its display and the head of its divisor item, per model
-    its ambient echo, per polarization its class, and the run's `bounds`.
+    class shape its display, the head of its divisor item and its class
+    JSON, per model its ambient echo, and the run's `bounds`.
 
     Classes and models are keyed by id(object), which hashes in C;
     keying by the object would hash its field tuple (and a class's model)
     on every lookup.  Each of those entries holds its object, so no id is
     reused while the instance lives.  A class's echo is encoded once per
-    shape (kind, m, grade, coefficients), which fixes the display and the
-    head (C_inf needs m), so H on every P^n shares one echo.  A
-    polarization is keyed by (kind, coefficients), which fix its echo at
-    grade 1, likewise."""
+    shape (kind, m, grade, coefficients), which fixes all three fragments
+    (C_inf needs m), so H on every P^n, as a component or as the
+    polarization, shares one echo."""
 
     __slots__ = ("bounds",)
 
     def __init__(self, bounds: dict | None = None):
-        # bounds_fields of the run's config, for case_record
+        # bounds_fields of the run's config, for the records of enumerate
         self.bounds = None if bounds is None else _ENCODER.encode(bounds)
 
-    def of(self, cls: CycleClass) -> tuple[str, str]:
-        """(display, divisor-item head) of a class; the head is the item's
-        JSON up to its label: {"class":...,"display":...,"label":"""
+    def of(self, cls: CycleClass) -> tuple[str, str, str]:
+        """(display, divisor-item head, class JSON) of a class; the head
+        is the item's JSON up to its label:
+        {"class":...,"display":...,"label":"""
         entry = self.get(id(cls))
         if entry is None:
             shape = (cls.model.kind, cls.model.m, cls.grade, cls.coeffs)
             echo = self.get(shape)
             if echo is None:
                 display = cycle_display(cls)
+                encoded = _ENCODER.encode(dict(zip(
+                    cls.model.basis_names(cls.grade), map(str, cls.coeffs))))
                 echo = self[shape] = (display, (
-                    f'{{"class":{_ENCODER.encode(cycle_to_dict(cls))},'
+                    f'{{"class":{encoded},'
                     f'"display":{encode_basestring_ascii(display)},'
-                    '"label":'))
+                    '"label":'), encoded)
             entry = self[id(cls)] = (cls, echo)
         return entry[1]
 
@@ -276,12 +273,17 @@ class Echoes(dict):
             entry = self[id(model)] = (model, _ENCODER.encode(echo))
         return entry[1]
 
-    def polarization(self, H: CycleClass) -> str:
-        key = (H.model.kind, H.coeffs)
-        echo = self.get(key)
-        if echo is None:
-            echo = self[key] = _ENCODER.encode(cycle_to_dict(H))
-        return echo
+
+def report_table(pair: LogPair, report: BGReport, echoes: Echoes) -> str:
+    divisors = ", ".join([echoes.of(cls)[0] for _, cls in pair.components])
+    return (f"({pair.model}, D = [{divisors}])\n"
+            f"  rank {report.rank}"
+            f"  c1^2.H^(n-2) = {report.c1_sq!s}"
+            f"  c2.H^(n-2) = {report.c2_eval!s}\n"
+            f"  discriminant = {report.discriminant!s}"
+            f"  equality(rank n) = {report.equality_n}"
+            f"  equality(rank n+1) = {report.equality_n_plus_1}"
+            f"  -(K+D) nef = {report.minus_k_plus_d_nef}")
 
 
 def report_record(pair: LogPair, report: BGReport, echoes: Echoes) -> str:
@@ -295,7 +297,7 @@ def report_record(pair: LogPair, report: BGReport, echoes: Echoes) -> str:
             f'"input":{{"ambient":{echoes.ambient(pair.model)},'
             f'"divisors":[{divisors}]}},'
             f'"minus_k_plus_d_nef":{_bool(report.minus_k_plus_d_nef)},'
-            f'"polarization":{echoes.polarization(report.polarization)},'
+            f'"polarization":{of(report.polarization)[2]},'
             f'"rank":{report.rank},"tool_version":{_VERSION}}}')
 
 
@@ -305,6 +307,15 @@ def bounds_fields(config: SearchConfig) -> dict:
         fields.pop("q_min")
         fields.pop("q_max")
     return fields
+
+
+def case_table(case: EqualityCase, echoes: Echoes) -> str:
+    """The table line of one case; takes case_record's arguments."""
+    partition = ",".join(str(d) for d in case.partition) or "empty"
+    head = (f"n={case.n} q={case.q}" if case.family == "hypersurface"
+            else f"n={case.n}")
+    return (f"{head} degrees=({partition}) equality={','.join(case.modes)} "
+            f"nef={case.report.minus_k_plus_d_nef}")
 
 
 def case_record(case: EqualityCase, echoes: Echoes) -> str:
@@ -320,10 +331,41 @@ def case_record(case: EqualityCase, echoes: Echoes) -> str:
             f'"modes":{_MODES[case.modes]},"n":{case.n},'
             f'"nef":{_bool(report.minus_k_plus_d_nef)},'
             f'"partition":[{partition}],'
-            f'"polarization":{echoes.polarization(report.polarization)},'
+            f'"polarization":{echoes.of(report.polarization)[2]},'
             f'"q":{case.q},"rank":{report.rank},'
             f'"tool_version":{_VERSION}}}')
 
 
-def dump_record(record: dict) -> str:
-    return _ENCODER.encode(record)
+def enumerate_summary(config: SearchConfig, count: int,
+                      echoes: Echoes) -> str:
+    """The last line of enumerate: the summary record when `echoes` holds
+    the run's bounds (records), else the table's count and box."""
+    if echoes.bounds is not None:
+        return (f'{{"summary":{{"bounds":{echoes.bounds},"count":{count},'
+                f'"family":{encode_basestring_ascii(config.family)}}}}}')
+    bounds = (f"n in [{config.n_min}, {config.n_max}]"
+              + (f", q in [{config.q_min}, {config.q_max}]"
+                 if config.family == "hypersurface" else "")
+              + (", -(K+D) nef required" if config.require_nef
+                 else ", no nef filter"))
+    return f"found {count} equality case(s); bounds: {bounds}"
+
+
+def fixture_table(results: list) -> str:
+    """The verify-paper lines, one per fixtures.FixtureResult."""
+    width = max(len(r.name) for r in results)
+    lines = []
+    for r in results:
+        line = (f"[{'PASS' if r.passed else 'FAIL'}] {r.name:<{width}}"
+                f"  expected {r.expected}")
+        if not r.passed:
+            line += f"  computed {r.computed}  ({r.citation})"
+        lines.append(line)
+    passed = sum(r.passed for r in results)
+    lines.append(f"{passed}/{len(results)} fixtures passed")
+    return "\n".join(lines)
+
+
+def nef_line(model: AmbientModel, divisor: CycleClass, nef: bool) -> str:
+    return (f"{cycle_display(divisor)} on {model}: "
+            f"{'nef' if nef else 'not nef'}")

@@ -1025,6 +1025,61 @@ class TestClosedStdout:
         assert head.startswith(b'{"bounds":') and len(head) == 100
 
 
+# one argv per command, with the document as {document}
+COMMANDS = {
+    "report": ["report", "{document}"],
+    "enumerate": ["enumerate", "--family", "pn", "--n", "2..12"],
+    "verify-paper": ["verify-paper"],
+    "nef": ["nef", "--kind", "hirzebruch", "--m", "2", "--divisor", "1,2"],
+}
+
+
+class TestClosedStream:
+    """A stream that was closed before the run starts (sys.stdin or
+    sys.stdout is None, as `<&-` and `>&-` leave it) is a usage error:
+    exit 2 and one error line, not a traceback."""
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_closed_stdout_exit_2(self, tmp_path, capsys, monkeypatch, name):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(REPEATED_DOCUMENT))
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main([arg.format(document=path)
+                     for arg in COMMANDS[name]]) == 2
+        assert capsys.readouterr().err == "error: stdout is closed\n"
+
+    @pytest.mark.parametrize("argv", [["report"], ["report", "-"]])
+    def test_closed_stdin_exit_2(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdin", None)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: stdin is closed\n"
+
+    @pytest.mark.parametrize("name", ["report", "enumerate"])
+    def test_out_file_with_closed_stdout_exit_0(self, tmp_path, capsys,
+                                                monkeypatch, name):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(REPEATED_DOCUMENT))
+        argv = [arg.format(document=path) for arg in COMMANDS[name]]
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--out", str(out)]) == 0
+        expected = out.read_text()
+        out.unlink()
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == expected
+        assert capsys.readouterr().err == ""
+
+    def test_closed_stdout_in_a_shell(self):
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m logbg.cli verify-paper >&-',
+             sys.executable], capture_output=True, text=True, env=tree_env())
+        assert proc.returncode == 2
+        assert proc.stderr == "error: stdout is closed\n"
+
+
 @pytest.fixture
 def collector():
     """The cyclic collector's state, put back after the test."""

@@ -269,8 +269,9 @@ CASES = {
 }
 
 
-def run_case(name, directory):
-    """(sha256 of stdout, exit code) of one case."""
+def run_case(name, directory, *extra):
+    """(sha256 of stdout, exit code) of one case, run with the further
+    arguments `extra`."""
     paths = {}
     for key, document in (("doc", REPORT_DOCUMENT),
                           ("many", MANY_COMPONENTS_DOCUMENT),
@@ -280,7 +281,7 @@ def run_case(name, directory):
         paths[key] = os.path.join(directory, f"{key}.json")
         with open(paths[key], "w") as fh:
             json.dump(document, fh)
-    argv = [arg.format(**paths) for arg in CASES[name]]
+    argv = [arg.format(**paths) for arg in CASES[name]] + list(extra)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -296,3 +297,16 @@ def test_output_matches_golden(name, tmp_path):
     digest, code = run_case(name, str(tmp_path))
     assert code == GOLDEN[name]["exit"]
     assert digest == GOLDEN[name]["sha256"]
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, argv in CASES.items()
+    if argv[0] in ("report", "enumerate") and GOLDEN[name]["exit"] == 0))
+def test_out_file_matches_golden(name, tmp_path):
+    """--out gets the bytes stdout gets, and stdout gets none."""
+    path = tmp_path / "out.txt"
+    digest, code = run_case(name, str(tmp_path), "--out", str(path))
+    assert code == 0
+    assert digest == hashlib.sha256(b"").hexdigest()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        GOLDEN[name]["sha256"]

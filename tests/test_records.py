@@ -123,9 +123,11 @@ def test_case_partition_matches_reference(partition):
 
 
 def test_class_echoes_are_shared_per_shape(monkeypatch):
-    """A class's display and item head are encoded once per (kind, m,
-    grade, coefficients): (1, 2) is C_inf on F_2 but not on F_1, and H on
-    P^3 and on P^5 is one shape, encoded once."""
+    """A class's display, item head and class JSON are encoded once per
+    (kind, m, grade, coefficients): (1, 2) is C_inf on F_2 but not on
+    F_1, and H on P^3 and on P^5 is one shape, encoded once.  A record
+    also echoes the polarization through its shape: (1, 2) on F_1 and H
+    are components' shapes, and F_2's (1, 3) is the fourth."""
     from logbg import serialize
     pairs = [{"ambient": ambient, "divisors": [{"label": label, "class": c}]}
              for ambient, label, c in (
@@ -145,7 +147,7 @@ def test_class_echoes_are_shared_per_shape(monkeypatch):
     assert run(["report", "-", "--format", "records"], text) == [
         records.dump(records.report_record(pair, report, __version__))
         for pair, report in zip(parsed, reports)]
-    assert len(displays) == 3
+    assert len(displays) == 4
     table = []
     for pair, report in zip(parsed, reports):
         table += [
