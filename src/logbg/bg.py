@@ -10,8 +10,10 @@ is written, and every equality is decided on it: the discriminant is 0
 exactly when the integer N_r is.  A report's equality_n and
 equality_n_plus_1 test N_n and N_{n+1} on one shared
 (c1^2.H^{n-2}, c2.H^{n-2}) pair: the latter is the discriminant of the
-trivial-sheaf extension, which has the same c1 and c2.  A Fraction is
-built only where a value is returned or printed.
+trivial-sheaf extension, which has the same c1 and c2.  No command
+builds a Fraction or imports `fractions`: a report keeps its integers,
+reading its discriminant builds N_n/2n, and the CLI prints it from N_n
+and 2n.
 
 reporter(model, H) checks H and reads the tangent data and the pairing
 factor q h0^(n-2) once, and returns the function that reports each pair
@@ -23,8 +25,6 @@ the search's solver, which it re-verifies.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .logchern import LogPair, _log_chern_coeffs
 from .models import (AmbientModel, ChowError, CycleClass, GradeError, Value,
                      _set, default_polarization, is_ample_coeffs,
@@ -32,21 +32,34 @@ from .models import (AmbientModel, ChowError, CycleClass, GradeError, Value,
 
 
 class BGReport(Value):
-    __slots__ = ("rank", "c1_sq", "c2_eval", "discriminant", "equality_n",
+    """The BG data of a pair at rank n against H.  `discriminant` is a
+    field read through a property, N_n/2n from rank, c1_sq and c2_eval:
+    the constructor takes None for it, or a value it must equal, so
+    pickling and copying, which pass every field, rebuild the report."""
+
+    _fields = ("rank", "c1_sq", "c2_eval", "discriminant", "equality_n",
+               "equality_n_plus_1", "minus_k_plus_d_nef", "polarization")
+    __slots__ = ("rank", "c1_sq", "c2_eval", "equality_n",
                  "equality_n_plus_1", "minus_k_plus_d_nef", "polarization")
 
     def __init__(self, rank: int, c1_sq: int, c2_eval: int,
-                 discriminant: Fraction, equality_n: bool,
+                 discriminant: Fraction | None, equality_n: bool,
                  equality_n_plus_1: bool, minus_k_plus_d_nef: bool,
                  polarization: CycleClass):
         _set(self, "rank", rank)  # dim X: rank of the log tangent bundle
         _set(self, "c1_sq", c1_sq)  # c1^2 . H^{n-2}
         _set(self, "c2_eval", c2_eval)  # c2 . H^{n-2}
-        _set(self, "discriminant", discriminant)
+        if discriminant is not None and discriminant != self.discriminant:
+            raise ValueError(f"discriminant {discriminant} is not "
+                             f"{self.discriminant}, N_n/2n of the report")
         _set(self, "equality_n", equality_n)
         _set(self, "equality_n_plus_1", equality_n_plus_1)
         _set(self, "minus_k_plus_d_nef", minus_k_plus_d_nef)
         _set(self, "polarization", polarization)
+
+    @property
+    def discriminant(self) -> Fraction:
+        return _at_rank(self.rank, self.c1_sq, self.c2_eval)
 
 
 def _check_polarization(H: CycleClass, model: AmbientModel) -> None:
@@ -74,6 +87,8 @@ def _numerator(rank: int, c1_sq: int, c2_eval: int) -> int:
 
 
 def _at_rank(rank: int, c1_sq: int, c2_eval: int) -> Fraction:
+    """The rank-`rank` discriminant N_r/2r."""
+    from fractions import Fraction
     return Fraction(_numerator(rank, c1_sq, c2_eval), 2 * rank)
 
 
@@ -92,9 +107,8 @@ def reporter(model: AmbientModel, H: CycleClass | None = None):
             raise ChowError(f"pair lives on {pair.model}, not {model}")
         c1, c2 = _log_chern_coeffs(pair, tangent)
         c1_sq, c2_eval = qh * intersect(c1, c1), qh * c2
-        numerator = _numerator(n, c1_sq, c2_eval)
-        return BGReport(n, c1_sq, c2_eval, Fraction(numerator, 2 * n),
-                        numerator == 0,
+        return BGReport(n, c1_sq, c2_eval, None,
+                        _numerator(n, c1_sq, c2_eval) == 0,
                         _numerator(n + 1, c1_sq, c2_eval) == 0,
                         is_nef_coeffs(model, c1), H)
 

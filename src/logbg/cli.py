@@ -66,7 +66,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _out_stream(args):
     """The one stream every command writes its lines to."""
-    if args.out:
+    if args.out is not None:  # "" too: open("") is the error to report
         return open(args.out, "w")
     if sys.stdout is None:
         raise OSError("stdout is closed")
@@ -225,11 +225,11 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         code = args.func(args)
-        if not args.out:  # so that a closed pipe shows here, not at exit
+        if args.out is None:  # so that a closed pipe shows here, not at exit
             sys.stdout.flush()
         return code
     except (InputError, ChowError, OSError) as exc:
-        if isinstance(exc, BrokenPipeError) and not args.out:
+        if isinstance(exc, BrokenPipeError) and args.out is None:
             # stdout's reader has gone, which is no error of the input; the
             # interpreter's flush at exit must not meet the closed pipe again
             sys.stdout = open(os.devnull, "w")

@@ -9,8 +9,10 @@ tests/test_bg.py::TestAgainstClassPipeline ties to the reference in
 tests/classes.py.
 A check returns None where its row holds at the point, else the
 computed text, and builds a class or a Fraction only to print it: the
-discriminant rows test the integer numerator N_r of bg, and the wedge
-row cross-multiplies.
+discriminant rows test the integer numerator N_r of bg, and the two
+slope rows cross-multiply the (numerator, denominator) of logchern's
+checked slope helpers, so a passing run builds no Fraction and imports
+no `fractions`.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from math import comb
 from types import SimpleNamespace
 
 from .bg import _at_rank, _numerator, _pairing, full_report
-from .logchern import (LogPair, _log_chern_coeffs, hypersurface_pair,
-                       pn_pair, slope, wedge_cotangent_slope)
+from .logchern import (LogPair, _log_chern_coeffs, _slope_terms,
+                       _wedge_terms, hypersurface_pair, pn_pair)
 from .models import (Value, _set, c_infinity, default_polarization,
                      hirzebruch, is_nef_coeffs, tangent_coefficients)
 
@@ -64,13 +66,17 @@ def _zero_discriminant(rank: int, p) -> str | None:
     return f"{p.at}: {_at_rank(rank, *p.pairing)}"
 
 
-def _wedge_mismatch(p) -> str | None:
-    """None where the wedge slope is -r(n+1)/n: its denominator and n
-    are positive, so cross-multiplying is exact."""
-    value = wedge_cotangent_slope(p.n, p.r)
-    if value.numerator * p.n == -p.r * (p.n + 1) * value.denominator:
+def _slope_mismatch(terms: tuple[int, int], want: int, per: int,
+                    at: str | None = None) -> str | None:
+    """None where the slope of `terms`, (numerator, denominator), is
+    want/per: both denominators are positive, so cross-multiplying is
+    exact.  Only a mismatch builds the Fraction that prints it."""
+    num, den = terms
+    if num * per == want * den:
         return None
-    return f"{p.at}: {value}"
+    from fractions import Fraction
+    value = Fraction(num, den)
+    return str(value) if at is None else f"{at}: {value}"
 
 
 def _deg(model, a: tuple, b: tuple):  # deg(a.b) of two divisors
@@ -159,13 +165,15 @@ def slope_suite() -> list[FixtureResult]:
             for n in range(2, 13) for r in range(1, n + 1)]
     wedge = _suite(grid, (
         ("slope of wedge^r cotangent on P^n, n=2..12, r=1..n",
-         "Section 4.1", "-r(n+1)/n", _wedge_mismatch),
+         "Section 4.1", "-r(n+1)/n",
+         lambda p: _slope_mismatch(_wedge_terms(p.n, p.r),
+                                   -p.r * (p.n + 1), p.n, p.at)),
     ))
     return wedge + _suite([_log_point(pn_pair(3, [1]), "n=3")], (
         ("slope of Omega^1(log H) on P^3", "Section 4.1", "-1",
-         lambda p: _mismatch(slope(p.model,
-                                   p.model.divisor(*(-c for c in p.c1)),
-                                   p.model.n, p.model.divisor(1)), -1)),
+         lambda p: _slope_mismatch(
+             _slope_terms(p.model, p.model.divisor(*(-c for c in p.c1)),
+                          p.model.n, p.model.divisor(1)), -1, 1)),
     ))
 
 

@@ -18,11 +18,13 @@ Every pair, held as its runs ((class, multiplicity), ...), comes from
 one checked core, _build: the constructor, the runs builder
 _pair_from_runs and the descriptor parser hand it the classes they have
 not checked.  _log_chern_coeffs reads c1 and c2 from the runs.
+
+slope and wedge_cotangent_slope import `fractions` only when called,
+so that no command loads it; the fixtures read their integer terms.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, count, groupby, repeat
 from math import comb
 from operator import sub
@@ -184,11 +186,11 @@ def _log_chern_coeffs(pair: LogPair, tangent: tuple | None = None
     return tuple(map(sub, t1, D)), c2
 
 
-def slope(model: AmbientModel, c1: CycleClass, rank: int,
-          H: CycleClass) -> Fraction:
-    """mu_H = c1 . H^{n-1} / rank, for an int rank >= 1 and an ample H on
-    `model`, both classes of grade 1: q (c1.H) h0^(n-2) / rank, with h0
-    the first coefficient of H; h0^0 = 1 on the surface F_m."""
+def _slope_terms(model: AmbientModel, c1: CycleClass, rank: int,
+                 H: CycleClass) -> tuple[int, int]:
+    """slope's (numerator, denominator), with all its checks:
+    (q (c1.H) h0^(n-2), rank), with h0 the first coefficient of H; h0^0 = 1
+    on the surface F_m.  The denominator is positive."""
     if type(rank) is not int:  # True would be rank 1
         raise TypeError(f"rank must be int, got {type(rank).__name__}")
     if rank < 1:
@@ -200,18 +202,34 @@ def slope(model: AmbientModel, c1: CycleClass, rank: int,
     h = H.coeffs
     if not is_ample_coeffs(model, h):
         raise ChowError(f"polarization {H} is not ample")
-    degree = model.q * model.intersect(c1.coeffs, h) * h[0] ** (model.n - 2)
-    return Fraction(degree, rank)  # int / int would be a float
+    return (model.q * model.intersect(c1.coeffs, h) * h[0] ** (model.n - 2),
+            rank)
 
 
-def wedge_cotangent_slope(n: int, r: int) -> Fraction:
-    """Slope of the r-th wedge of the cotangent bundle on P^n against H:
-    c1(wedge^r Omega^1) = -C(n-1, r-1)(n+1) H over rank C(n, r), as
-    deg H^n = 1.  It builds no model, and refuses what projective_space
-    refuses."""
+def slope(model: AmbientModel, c1: CycleClass, rank: int,
+          H: CycleClass) -> Fraction:
+    """mu_H = c1 . H^{n-1} / rank, for an int rank >= 1 and an ample H on
+    `model`, both classes of grade 1, as a Fraction built from
+    _slope_terms; the fixtures compare those integers instead."""
+    from fractions import Fraction
+    return Fraction(*_slope_terms(model, c1, rank, H))
+
+
+def _wedge_terms(n: int, r: int) -> tuple[int, int]:
+    """wedge_cotangent_slope's (numerator, denominator), with all its
+    checks: (-C(n-1, r-1)(n+1), C(n, r)).  The denominator is positive."""
     if type(n) is not int or type(r) is not int:  # True would be 1
         raise TypeError(f"n and r must be int, got ({type(n).__name__}, "
                         f"{type(r).__name__})")
     if n < 2 or not 1 <= r <= n:
         raise ChowError(f"need n >= 2 and 1 <= r <= n, got r={r}, n={n}")
-    return Fraction(-comb(n - 1, r - 1) * (n + 1), comb(n, r))
+    return -comb(n - 1, r - 1) * (n + 1), comb(n, r)
+
+
+def wedge_cotangent_slope(n: int, r: int) -> Fraction:
+    """Slope of the r-th wedge of the cotangent bundle on P^n against H:
+    c1(wedge^r Omega^1) = -C(n-1, r-1)(n+1) H over rank C(n, r), as
+    deg H^n = 1, as a Fraction built from _wedge_terms.  It builds no
+    model, and refuses what projective_space refuses."""
+    from fractions import Fraction
+    return Fraction(*_wedge_terms(n, r))

@@ -33,10 +33,10 @@ and calls `inspect.signature` (about 1 ms per class).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from math import comb
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable
 
 
 class ChowError(ValueError):
@@ -53,8 +53,8 @@ _set = object.__setattr__
 class Value:
     """An immutable record compared, hashed and shown by its fields.
 
-    A subclass lists its fields in `__slots__` (or in `_fields`, when it
-    has slots that are not fields), in constructor order, and sets them
+    A subclass lists its fields in `__slots__` (or in `_fields`, when its
+    fields and slots differ), in constructor order, and sets them
     with `object.__setattr__` in its `__init__`.  Equality, hash and repr
     match those of a frozen dataclass with the same fields; pickling and
     copying rebuild through the constructor."""

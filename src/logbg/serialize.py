@@ -9,7 +9,9 @@ location is formatted only for an error.  A parsed pair comes from
 logchern._build, as every LogPair does, with its runs, and has it check
 only the classes that pair built: each class once per document, with
 the errors LogPair would raise.  Rationals serialize as canonical "p/q"
-strings ("p" when the denominator is one) and round-trip losslessly.
+strings ("p" when the denominator is one) and round-trip losslessly;
+a discriminant is printed from its integers N_n and 2n (_ratio), with
+the bytes of str(Fraction), so no writer builds a Fraction.
 
 Each writer returns one output text without its final newline; a table
 writer takes its record writer's arguments, so a command picks its
@@ -25,9 +27,10 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from . import __version__
-from .bg import BGReport
+from .bg import BGReport, _numerator
 from .logchern import LogPair, _build
 from .models import FAMILIES, AmbientModel, CycleClass, is_c_infinity
 from .search import EqualityCase, SearchConfig
@@ -216,12 +219,26 @@ def _bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
+def _ratio(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, from the ints: p/q in lowest terms,
+    the sign on p, and "p" when q divides p.  An int past the
+    interpreter's digit limit raises ValueError, as str(Fraction) does."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
+def _discriminant(report: BGReport) -> str:
+    """str(report.discriminant), from N_n and 2n."""
+    rank = report.rank
+    return _ratio(_numerator(rank, report.c1_sq, report.c2_eval), 2 * rank)
+
+
 def _report_head(report: BGReport) -> str:
     """The report's fields from c1_sq to equality_n_plus_1, which sort
     together at the head of both kinds of record."""
     return (f'"c1_sq":"{report.c1_sq!s}",'
             f'"c2_eval":"{report.c2_eval!s}",'
-            f'"discriminant":"{report.discriminant!s}",'
+            f'"discriminant":"{_discriminant(report)}",'
             f'"equality_n":{_bool(report.equality_n)},'
             f'"equality_n_plus_1":{_bool(report.equality_n_plus_1)}')
 
@@ -280,7 +297,7 @@ def report_table(pair: LogPair, report: BGReport, echoes: Echoes) -> str:
             f"  rank {report.rank}"
             f"  c1^2.H^(n-2) = {report.c1_sq!s}"
             f"  c2.H^(n-2) = {report.c2_eval!s}\n"
-            f"  discriminant = {report.discriminant!s}"
+            f"  discriminant = {_discriminant(report)}"
             f"  equality(rank n) = {report.equality_n}"
             f"  equality(rank n+1) = {report.equality_n_plus_1}"
             f"  -(K+D) nef = {report.minus_k_plus_d_nef}")

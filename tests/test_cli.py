@@ -68,6 +68,33 @@ class TestRationalSerialization:
         for x in (Fraction(0), Fraction(22, 7), Fraction(-5, 3), Fraction(9)):
             assert Fraction(f"{x!s}") == x
 
+    # ints past the digit limit: 10**LIMIT has LIMIT + 1 digits, and
+    # -7 * 10**LIMIT over 7 reduces to one
+    LIMIT = sys.get_int_max_str_digits()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(), st.just(0),
+                     st.just(10 ** LIMIT), st.just(-7 * 10 ** LIMIT)),
+           st.one_of(st.integers(1, 10 ** 30), st.just(7),
+                     st.just(10 ** LIMIT)))
+    @example(0, 1)
+    @example(-6, 4)
+    @example(10 ** LIMIT, 1)
+    @example(1, 10 ** LIMIT + 1)
+    def test_integer_text_is_str_of_fraction(self, num, den):
+        """The writers print a discriminant from N_n and 2n with the bytes
+        of str(Fraction), and fail past the digit limit as it does."""
+        from fractions import Fraction
+
+        from logbg.serialize import _ratio
+        try:
+            expected = str(Fraction(num, den))
+        except ValueError:
+            with pytest.raises(ValueError):
+                _ratio(num, den)
+        else:
+            assert _ratio(num, den) == expected
+
 
 class TestDescriptorParsing:
     def test_unknown_key_named_in_error(self):
@@ -714,11 +741,8 @@ class TestVerifyPaperCommand:
         assert out.strip().endswith("fixtures passed")
 
     def test_failed_fixture_exit_1(self, monkeypatch, capsys):
-        from fractions import Fraction
-
         from logbg import fixtures
-        monkeypatch.setattr(fixtures, "wedge_cotangent_slope",
-                            lambda n, r: Fraction(5, 3))
+        monkeypatch.setattr(fixtures, "_wedge_terms", lambda n, r: (5, 3))
         assert main(["verify-paper"]) == 1
         lines = capsys.readouterr().out.splitlines()
         failed = [line for line in lines if line.startswith("[FAIL]")]
@@ -747,11 +771,11 @@ class TestVerifyPaperCommand:
 
     def test_fixtures_build_a_fraction_only_for_a_slope_or_report(
             self, fraction_calls):
-        # the discriminant and wedge rows decide on integers: Fractions
-        # are the 77 wedge slopes, the log-H slope and 4 remark reports
+        # every row decides on integers, and a report holds no Fraction:
+        # a passing run builds none (a mismatch builds one to print it)
         from logbg.fixtures import all_fixtures
         all_fixtures()
-        assert len(fraction_calls) <= 82
+        assert len(fraction_calls) == 0
 
     # the rows that fail when log c2 on (F_m, C0 + C_inf) is 1, not 0
     FM_LOG_C2_ONE = [
@@ -911,6 +935,42 @@ class TestEntryPoint:
         assert "dataclasses" not in loaded
         assert "inspect" not in loaded
 
+    def test_no_command_loads_fractions(self, tmp_path):
+        # fractions and the decimal and numbers modules it pulls in were
+        # a fifth of CLI start-up; every output is printed from ints
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(REPEATED_DOCUMENT))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(logbg.__file__)))
+        slow = ("fractions", "decimal", "numbers")
+        proc = subprocess.run([sys.executable, "-I", "-c", "\n".join([
+            "import contextlib, io, sys",
+            "before = set(sys.modules)",
+            "sys.path.insert(0, sys.argv[1])",
+            "import logbg.cli",
+            "logbg.cli.build_parser()",
+            "print(*sorted(set(sys.modules) - before))",
+            "argvs = [['report', sys.argv[2], '--format', 'records'],",
+            "         ['enumerate', '--family', 'pn', '--n', '2..12'],",
+            "         ['enumerate', '--family', 'hypersurface',",
+            "          '--n', '2..12', '--format', 'records'],",
+            "         ['verify-paper'],",
+            "         ['nef', '--kind', 'hirzebruch', '--m', '2',",
+            "          '--divisor', '1,2']]",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    codes = [logbg.cli.main(argv) for argv in argvs]",
+            "print(*codes)",
+            f"print(*[name for name in {slow!r} if name in sys.modules])",
+            "print('typing' in before)"]), src, str(path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        imported, codes, loaded, site_typing, _ = proc.stdout.split("\n")
+        imported = imported.split()
+        assert "logbg.cli" in imported
+        assert not set(slow) & set(imported)
+        assert site_typing == "True" or "typing" not in imported
+        assert codes == "0 0 0 0 0"
+        assert loaded == ""
+
     def test_module_invocation(self):
         proc = run_python("-m", "logbg.cli", "nef", "--kind",
                           "projective_space", "--n", "7", "--divisor", "4")
@@ -1055,6 +1115,19 @@ class TestClosedStream:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: stdin is closed\n"
+
+    @pytest.mark.parametrize("name", ["report", "enumerate"])
+    def test_empty_out_exit_2(self, tmp_path, capsys, name):
+        """--out "" names no file: exit 2 with one error line, and
+        nothing on stdout."""
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(REPEATED_DOCUMENT))
+        argv = [arg.format(document=path) for arg in COMMANDS[name]]
+        assert main(argv + ["--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and "''" in captured.err
 
     @pytest.mark.parametrize("name", ["report", "enumerate"])
     def test_out_file_with_closed_stdout_exit_0(self, tmp_path, capsys,

@@ -3,6 +3,7 @@ freezes, pickles and copies by its fields, as a frozen dataclass would."""
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -88,6 +89,18 @@ def test_pickle_and_copy_round_trip(cls):
                  copy.deepcopy(a)):
         assert type(twin) is cls
         assert twin == a and hash(twin) == hash(a)
+
+
+def test_report_discriminant_is_read_from_its_integers():
+    """A BGReport stores no discriminant: it is N_n/2n of rank, c1_sq and
+    c2_eval, and the constructor takes None for it or that value (as
+    pickling passes it), and refuses any other."""
+    a = full_report(pn_pair(7, [2, 1, 1]))
+    values = [getattr(a, name) for name in VALUES[BGReport][1]]
+    assert a.discriminant == Fraction(14 * a.c2_eval - 6 * a.c1_sq, 14) != 0
+    assert BGReport(*values[:3], None, *values[4:]) == a
+    with pytest.raises(ValueError, match="discriminant"):
+        BGReport(*values[:3], a.discriminant + 1, *values[4:])
 
 
 def test_defaults():
