@@ -35,12 +35,15 @@ class BGReport(Value):
     """The BG data of a pair at rank n against H.  `discriminant` is a
     field read through a property, N_n/2n from rank, c1_sq and c2_eval:
     the constructor takes None for it, or a value it must equal, so
-    pickling and copying, which pass every field, rebuild the report."""
+    pickling and copying, which pass every field, rebuild the report.
+    Equality and hash read only the stored fields, so they build no
+    Fraction."""
 
     _fields = ("rank", "c1_sq", "c2_eval", "discriminant", "equality_n",
                "equality_n_plus_1", "minus_k_plus_d_nef", "polarization")
-    __slots__ = ("rank", "c1_sq", "c2_eval", "equality_n",
-                 "equality_n_plus_1", "minus_k_plus_d_nef", "polarization")
+    __slots__ = _compared = ("rank", "c1_sq", "c2_eval", "equality_n",
+                             "equality_n_plus_1", "minus_k_plus_d_nef",
+                             "polarization")
 
     def __init__(self, rank: int, c1_sq: int, c2_eval: int,
                  discriminant: Fraction | None, equality_n: bool,

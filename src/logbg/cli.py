@@ -11,7 +11,9 @@ main() builds the parser on its first call and reuses it on every later
 call in the same process, so it may be called repeatedly; importing the
 module builds none.  build_parser() returns a new parser on each call.
 The start-up that perfbench's setup probe times is the import plus one
-build_parser(), the one build a shell run makes.
+build_parser(), the one build a shell run makes.  A command loads only
+what it runs: report's parse_document imports json, and verify-paper
+imports the fixtures module when it runs.
 
 main() pauses the cyclic garbage collector for each command and then
 restores the caller's setting: logbg builds no reference cycles, so a
@@ -29,7 +31,6 @@ import re
 import sys
 
 from .bg import reporter
-from .fixtures import all_fixtures
 from .models import FAMILIES, ChowError, is_nef
 from .search import (DEFAULT_BOUNDS, MODES, SearchConfig, VerificationError,
                      enumerate_cases)
@@ -136,6 +137,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .fixtures import all_fixtures  # only verify-paper needs them
     results = all_fixtures()
     with _out_stream(args) as out:
         out.write(fixture_table(results) + "\n")

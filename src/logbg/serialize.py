@@ -21,13 +21,16 @@ non-ASCII and control characters as \\uXXXX escapes, written from a
 template around JSON fragments that one Echoes per command encodes once
 (each class shape's echo, each model's ambient and the run's bounds);
 per line only labels, rationals, integers and flags are encoded.
+_fragment writes those fragments, and every string is escaped by
+encode_basestring_ascii from _json, the C function json.encoder uses, so
+only report, whose parse_document imports json, loads the json package.
 """
 
 from __future__ import annotations
 
-import json
-from json.encoder import encode_basestring_ascii
 from math import gcd
+
+from _json import encode_basestring_ascii
 
 from . import __version__
 from .bg import BGReport, _numerator
@@ -184,6 +187,7 @@ def parse_document(data: str | bytes) -> list[LogPair]:
     Equal ambients in one document share one model, and equal classes
     on it one CycleClass (see the module docstring).  The memo lives for
     this call only, so two calls share no object."""
+    import json  # only report parses a document
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes)
                          else data)
@@ -206,17 +210,36 @@ def parse_document(data: str | bytes) -> list[LogPair]:
 
 # -- output lines ----------------------------------------------------------
 
-# json.dumps(record, sort_keys=True, separators=(",", ":")), for the
-# fragments an Echoes caches
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_VERSION = encode_basestring_ascii(__version__)
-# every value of search.report_modes, a case's modes, as its JSON list
-_MODES = {modes: _ENCODER.encode(modes)
-          for modes in [(), ("n",), ("n1",), ("n", "n1")]}
-
-
 def _bool(flag: bool) -> str:
     return "true" if flag else "false"
+
+
+def _value(value) -> str:
+    """The JSON of a str, an int, a bool or None."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is bool:
+        return _bool(value)
+    if type(value) is int:
+        return str(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"{type(value).__name__} is not a fragment value")
+
+
+def _fragment(obj: dict | tuple) -> str:
+    """json.dumps(obj, sort_keys=True, separators=(",", ":")) of a dict
+    with str keys, or of a tuple, whose values _value writes."""
+    if type(obj) is dict:
+        return "{" + ",".join([f"{encode_basestring_ascii(key)}:{_value(v)}"
+                               for key, v in sorted(obj.items())]) + "}"
+    return "[" + ",".join(map(_value, obj)) + "]"
+
+
+_VERSION = encode_basestring_ascii(__version__)
+# every value of search.report_modes, a case's modes, as its JSON list
+_MODES = {modes: _fragment(modes)
+          for modes in [(), ("n",), ("n1",), ("n", "n1")]}
 
 
 def _ratio(p: int, q: int) -> str:
@@ -260,7 +283,7 @@ class Echoes(dict):
 
     def __init__(self, bounds: dict | None = None):
         # bounds_fields of the run's config, for the records of enumerate
-        self.bounds = None if bounds is None else _ENCODER.encode(bounds)
+        self.bounds = None if bounds is None else _fragment(bounds)
 
     def of(self, cls: CycleClass) -> tuple[str, str, str]:
         """(display, divisor-item head, class JSON) of a class; the head
@@ -272,7 +295,7 @@ class Echoes(dict):
             echo = self.get(shape)
             if echo is None:
                 display = cycle_display(cls)
-                encoded = _ENCODER.encode(dict(zip(
+                encoded = _fragment(dict(zip(
                     cls.model.basis_names(cls.grade), map(str, cls.coeffs))))
                 echo = self[shape] = (display, (
                     f'{{"class":{encoded},'
@@ -287,7 +310,7 @@ class Echoes(dict):
             echo = {"kind": model.kind}
             echo.update((key, getattr(model, key))
                         for key in FAMILIES[model.kind].fields)
-            entry = self[id(model)] = (model, _ENCODER.encode(echo))
+            entry = self[id(model)] = (model, _fragment(echo))
         return entry[1]
 
 

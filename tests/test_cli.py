@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import logbg
+import logbg.fixtures
 from logbg import cli
 from logbg.cli import main
 from logbg.logchern import _log_chern_coeffs, hypersurface_pair, pn_pair
@@ -937,39 +938,53 @@ class TestEntryPoint:
 
     def test_no_command_loads_fractions(self, tmp_path):
         # fractions and the decimal and numbers modules it pulls in were
-        # a fifth of CLI start-up; every output is printed from ints
+        # a fifth of CLI start-up; every output is printed from ints.
+        # Only report reads JSON and only verify-paper runs the fixtures,
+        # so no other command, and no start-up, loads json or fixtures.
         path = tmp_path / "pairs.json"
         path.write_text(json.dumps(REPEATED_DOCUMENT))
         src = os.path.dirname(os.path.dirname(os.path.abspath(logbg.__file__)))
         slow = ("fractions", "decimal", "numbers")
-        proc = subprocess.run([sys.executable, "-I", "-c", "\n".join([
-            "import contextlib, io, sys",
-            "before = set(sys.modules)",
-            "sys.path.insert(0, sys.argv[1])",
-            "import logbg.cli",
-            "logbg.cli.build_parser()",
-            "print(*sorted(set(sys.modules) - before))",
-            "argvs = [['report', sys.argv[2], '--format', 'records'],",
-            "         ['enumerate', '--family', 'pn', '--n', '2..12'],",
-            "         ['enumerate', '--family', 'hypersurface',",
-            "          '--n', '2..12', '--format', 'records'],",
-            "         ['verify-paper'],",
-            "         ['nef', '--kind', 'hirzebruch', '--m', '2',",
-            "          '--divisor', '1,2']]",
-            "with contextlib.redirect_stdout(io.StringIO()):",
-            "    codes = [logbg.cli.main(argv) for argv in argvs]",
-            "print(*codes)",
-            f"print(*[name for name in {slow!r} if name in sys.modules])",
-            "print('typing' in before)"]), src, str(path)],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        imported, codes, loaded, site_typing, _ = proc.stdout.split("\n")
-        imported = imported.split()
-        assert "logbg.cli" in imported
-        assert not set(slow) & set(imported)
-        assert site_typing == "True" or "typing" not in imported
-        assert codes == "0 0 0 0 0"
-        assert loaded == ""
+        lazy = ("json", "logbg.fixtures")
+        commands = [  # (argv, what it may load beyond start-up)
+            (["report", str(path), "--format", "records"], ("json",)),
+            (["verify-paper"], ("logbg.fixtures",)),
+            (["nef", "--kind", "hirzebruch", "--m", "2", "--divisor", "1,2"],
+             ())]
+        commands += [(["enumerate", "--family", family, "--n", "2..12",
+                       "--format", form], ())
+                     for family in ("pn", "hypersurface")
+                     for form in ("table", "records")]
+
+        def barred(names, allowed=()):
+            # the names of `slow` and `lazy` but not `allowed`, with a
+            # submodule (json.decoder) counting as its package
+            banned = {*slow, *lazy} - set(allowed)
+            return sorted(name for name in names if name in banned
+                          or name.partition(".")[0] in banned)
+
+        for argv, allowed in commands:
+            proc = subprocess.run([sys.executable, "-I", "-c", "\n".join([
+                "import contextlib, io, sys",
+                "before = set(sys.modules)",
+                "sys.path.insert(0, sys.argv[1])",
+                "import logbg.cli",
+                "logbg.cli.build_parser()",
+                "print(*sorted(set(sys.modules) - before))",
+                "with contextlib.redirect_stdout(io.StringIO()):",
+                "    code = logbg.cli.main(sys.argv[2:])",
+                "print(code)",
+                "print(*sorted(set(sys.modules) - before))",
+                "print('typing' in before)"]), src, *argv],
+                capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            imported, code, loaded, site_typing, _ = proc.stdout.split("\n")
+            imported, loaded = imported.split(), loaded.split()
+            assert "logbg.cli" in imported
+            assert barred(imported) == []
+            assert site_typing == "True" or "typing" not in imported
+            assert code == "0", argv
+            assert barred(loaded, allowed) == [], argv
 
     def test_module_invocation(self):
         proc = run_python("-m", "logbg.cli", "nef", "--kind",
@@ -1174,13 +1189,13 @@ class TestCollectorPause:
     back as the caller had it, whatever way the command ends."""
 
     def test_off_while_the_command_runs(self, monkeypatch, capsys):
-        seen, real = [], logbg.cli.all_fixtures
+        seen, real = [], logbg.fixtures.all_fixtures
 
         def recording():
             seen.append(gc.isenabled())
             return real()
 
-        monkeypatch.setattr(logbg.cli, "all_fixtures", recording)
+        monkeypatch.setattr(logbg.fixtures, "all_fixtures", recording)
         gc.enable()
         assert main(["verify-paper"]) == 0
         assert seen == [False]
@@ -1208,7 +1223,7 @@ class TestCollectorPause:
         def failing():
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(logbg.cli, "all_fixtures", failing)
+        monkeypatch.setattr(logbg.fixtures, "all_fixtures", failing)
         gc.enable()
         with pytest.raises(RuntimeError, match="boom"):
             main(["verify-paper"])

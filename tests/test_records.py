@@ -8,7 +8,7 @@ import sys
 from itertools import groupby
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import records
 from logbg import __version__
@@ -18,11 +18,31 @@ from logbg.logchern import pn_pair
 from logbg.models import default_polarization
 from logbg.search import (EqualityCase, SearchConfig, enumerate_cases,
                           report_modes)
-from logbg.serialize import (Echoes, bounds_fields, case_record,
-                             parse_document)
+from logbg.serialize import (_MODES, Echoes, _fragment, bounds_fields,
+                             case_record, parse_document)
 
 # every code point, lone surrogates included
 labels = st.text(st.characters(exclude_categories=()), max_size=6)
+
+
+# every value type an Echoes or _MODES fragment holds
+scalars = st.one_of(labels, st.integers(-2 ** 70, 2 ** 70), st.booleans(),
+                    st.none())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(st.dictionaries(labels, scalars, max_size=6),
+                 st.lists(scalars, max_size=4).map(tuple)))
+@example({'"\\\x00\x1f\x7f\xe9\u2028\U0001f600': 'q"\\\n\xe9', "": ""})
+@example({"a": True, "b": False, "c": None, "d": 1, "e": 0})
+@example({"big": 2 ** 64, "neg": -2 ** 64 - 1})
+@example(())
+@example(("n",))
+@example(("n1",))
+@example(("n", "n1"))
+def test_fragment_is_json_dumps(obj):
+    assert _fragment(obj) == json.dumps(obj, sort_keys=True,
+                                        separators=(",", ":"))
 
 
 @st.composite

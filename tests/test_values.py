@@ -2,11 +2,15 @@
 freezes, pickles and copies by its fields, as a frozen dataclass would."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import logbg
 from logbg.bg import BGReport, full_report
 from logbg.fixtures import FixtureResult, remark_tuple_suite
 from logbg.logchern import LogPair, pn_pair
@@ -101,6 +105,23 @@ def test_report_discriminant_is_read_from_its_integers():
     assert BGReport(*values[:3], None, *values[4:]) == a
     with pytest.raises(ValueError, match="discriminant"):
         BGReport(*values[:3], a.discriminant + 1, *values[4:])
+
+
+def test_report_equality_and_hash_build_no_fraction():
+    """Equality and hash read the stored fields, which determine the
+    discriminant, so comparing and hashing reports loads no fractions."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(logbg.__file__)))
+    proc = subprocess.run([sys.executable, "-I", "-c", "\n".join([
+        "import sys",
+        "sys.path.insert(0, sys.argv[1])",
+        "from logbg.bg import full_report",
+        "from logbg.logchern import pn_pair",
+        "a, b = [full_report(pn_pair(7, [2, 1, 1])) for _ in range(2)]",
+        "print(a is not b and a == b and hash(a) == hash(b))",
+        "print('fractions' in sys.modules)"]), src],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
 
 
 def test_defaults():
