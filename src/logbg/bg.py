@@ -12,18 +12,20 @@ equality_n_plus_1 test N_n and N_{n+1} on one shared
 (c1^2.H^{n-2}, c2.H^{n-2}) pair: the latter is the discriminant of the
 trivial-sheaf extension, which has the same c1 and c2.  No command
 builds a Fraction or imports `fractions`: a report keeps its integers,
-reading its discriminant builds N_n/2n, and the CLI prints it from N_n
-and 2n.
+reading its discriminant builds N_n/2n, and _ratio writes every rational
+a command prints, a discriminant from N_n and 2n among them.
 
 reporter(model, H) checks H and reads the tangent data and the pairing
-factor q h0^(n-2) once, and returns the function that reports each pair
-on the model; full_report(pair, H) is reporter(pair.model, H)(pair).
-_pairing, with the same factor, serves the verify-paper fixtures.  A
-report builds no cycle class but the default H; it shares no code with
-the search's solver, which it re-verifies.
+factor (AmbientModel.pairing_factor) once, and returns the function that
+reports each pair on the model; full_report(pair, H) is
+reporter(pair.model, H)(pair).  _pairing serves the verify-paper
+fixtures.  A report builds no cycle class but the default H; it shares
+no code with the search's solver, which it re-verifies.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .logchern import LogPair, _log_chern_coeffs
 from .models import (AmbientModel, ChowError, CycleClass, GradeError, Value,
@@ -76,10 +78,9 @@ def _check_polarization(H: CycleClass, model: AmbientModel) -> None:
 
 def _pairing(model: AmbientModel, c1: tuple[int, ...], c2: int,
              H: CycleClass) -> tuple[int, int]:
-    """(c1^2 . H^{n-2}, c2 . H^{n-2}) from coefficients: q h0^(n-2) (c1.c1)
-    and q h0^(n-2) c2, with h0 the first coefficient of H; h0^0 = 1 on
-    the surface F_m."""
-    qh = model.q * H.coeffs[0] ** (model.n - 2)
+    """(c1^2 . H^{n-2}, c2 . H^{n-2}) from coefficients: the model's
+    pairing factor times (c1.c1) and times c2."""
+    qh = model.pairing_factor(H.coeffs)
     return qh * model.intersect(c1, c1), qh * c2
 
 
@@ -95,6 +96,14 @@ def _at_rank(rank: int, c1_sq: int, c2_eval: int) -> Fraction:
     return Fraction(_numerator(rank, c1_sq, c2_eval), 2 * rank)
 
 
+def _ratio(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, from the ints: p/q in lowest terms,
+    the sign on p, and "p" when q divides p.  An int past the
+    interpreter's digit limit raises ValueError, as str(Fraction) does."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
 def reporter(model: AmbientModel, H: CycleClass | None = None):
     """The report function of pairs on `model` against H (default: the
     default polarization); it refuses a pair on another model."""
@@ -103,7 +112,7 @@ def reporter(model: AmbientModel, H: CycleClass | None = None):
     _check_polarization(H, model)
     tangent = tangent_coefficients(model)
     n, intersect = model.n, model.intersect
-    qh = model.q * H.coeffs[0] ** (n - 2)  # _pairing's factor
+    qh = model.pairing_factor(H.coeffs)
 
     def report(pair: LogPair) -> BGReport:
         if pair.model is not model and pair.model != model:

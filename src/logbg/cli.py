@@ -35,9 +35,9 @@ from .models import FAMILIES, ChowError, is_nef
 from .search import (DEFAULT_BOUNDS, MODES, SearchConfig, VerificationError,
                      enumerate_cases)
 from .serialize import (Echoes, InputError, bounds_fields, case_record,
-                        case_table, enumerate_summary, fixture_table,
-                        nef_line, parse_ambient, parse_document,
-                        report_record, report_table)
+                        case_table, fixture_table, nef_line, parse_ambient,
+                        parse_document, report_record, report_table,
+                        summary_record, summary_table)
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -126,13 +126,15 @@ def cmd_enumerate(args) -> int:
         raise InputError(f"workers must be at least 1, got {args.workers}")
     config = _search_config(args)
     cases = enumerate_cases(config)
-    records = args.format == "records"
-    write = case_record if records else case_table
-    echoes = Echoes(bounds_fields(config) if records else None)
+    if args.format == "records":
+        write, summary = case_record, summary_record
+        echoes = Echoes(bounds_fields(config))
+    else:
+        write, summary, echoes = case_table, summary_table, Echoes()
     with _out_stream(args) as out:
         for case in cases:
             out.write(write(case, echoes) + "\n")
-        out.write(enumerate_summary(config, len(cases), echoes) + "\n")
+        out.write(summary(config, len(cases), echoes) + "\n")
     return 0
 
 

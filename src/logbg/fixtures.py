@@ -8,11 +8,11 @@ integer data once, by the core that `report` and `enumerate` use, which
 tests/test_bg.py::TestAgainstClassPipeline ties to the reference in
 tests/classes.py.
 A check returns None where its row holds at the point, else the
-computed text, and builds a class or a Fraction only to print it: the
-discriminant rows test the integer numerator N_r of bg, and the two
-slope rows cross-multiply the (numerator, denominator) of logchern's
-checked slope helpers, so a passing run builds no Fraction and imports
-no `fractions`.
+computed text, and builds a class only to print it: the discriminant
+rows test the integer numerator N_r of bg, and the two slope rows
+cross-multiply the (numerator, denominator) of logchern's checked slope
+helpers.  A mismatched rational is printed from those integers by
+bg._ratio, so no run, passing or failing, imports `fractions`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from math import comb
 from types import SimpleNamespace
 
-from .bg import _at_rank, _numerator, _pairing, full_report
+from .bg import _numerator, _pairing, _ratio, full_report
 from .logchern import (LogPair, _log_chern_coeffs, _slope_terms,
                        _wedge_terms, hypersurface_pair, pn_pair)
 from .models import (Value, _set, c_infinity, default_polarization,
@@ -61,22 +61,20 @@ def _mismatch(value, want, at: str | None = None) -> str | None:
 
 def _zero_discriminant(rank: int, p) -> str | None:
     """None where the rank-`rank` discriminant at point p is 0."""
-    if _numerator(rank, *p.pairing) == 0:
-        return None
-    return f"{p.at}: {_at_rank(rank, *p.pairing)}"
+    num = _numerator(rank, *p.pairing)
+    return None if num == 0 else f"{p.at}: {_ratio(num, 2 * rank)}"
 
 
 def _slope_mismatch(terms: tuple[int, int], want: int, per: int,
                     at: str | None = None) -> str | None:
     """None where the slope of `terms`, (numerator, denominator), is
     want/per: both denominators are positive, so cross-multiplying is
-    exact.  Only a mismatch builds the Fraction that prints it."""
+    exact."""
     num, den = terms
     if num * per == want * den:
         return None
-    from fractions import Fraction
-    value = Fraction(num, den)
-    return str(value) if at is None else f"{at}: {value}"
+    value = _ratio(num, den)
+    return value if at is None else f"{at}: {value}"
 
 
 def _deg(model, a: tuple, b: tuple):  # deg(a.b) of two divisors

@@ -189,8 +189,8 @@ def _log_chern_coeffs(pair: LogPair, tangent: tuple | None = None
 def _slope_terms(model: AmbientModel, c1: CycleClass, rank: int,
                  H: CycleClass) -> tuple[int, int]:
     """slope's (numerator, denominator), with all its checks:
-    (q (c1.H) h0^(n-2), rank), with h0 the first coefficient of H; h0^0 = 1
-    on the surface F_m.  The denominator is positive."""
+    (c1.H times the model's pairing factor, rank).  The denominator is
+    positive."""
     if type(rank) is not int:  # True would be rank 1
         raise TypeError(f"rank must be int, got {type(rank).__name__}")
     if rank < 1:
@@ -202,8 +202,7 @@ def _slope_terms(model: AmbientModel, c1: CycleClass, rank: int,
     h = H.coeffs
     if not is_ample_coeffs(model, h):
         raise ChowError(f"polarization {H} is not ample")
-    return (model.q * model.intersect(c1.coeffs, h) * h[0] ** (model.n - 2),
-            rank)
+    return model.pairing_factor(h) * model.intersect(c1.coeffs, h), rank
 
 
 def slope(model: AmbientModel, c1: CycleClass, rank: int,

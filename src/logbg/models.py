@@ -3,10 +3,11 @@ and Hirzebruch surfaces F_m, their intrinsic data and their cycle
 classes.
 
 This is the only module that tells the families apart.  FAMILIES holds
-what the descriptor, display and basis layers need; the rules that
-differ (the parameter checks of AmbientModel, the F_m intersection
-form, tangent data, default polarization, nef and prime-class tests,
-C_inf) are the only `kind` branches.
+what the descriptor and basis layers need: each family's descriptor
+fields, its codimension-1 basis and its builder.  The rules that differ
+(the parameter checks and display of AmbientModel, the F_m intersection
+form, the pairing factor, tangent data, default polarization, nef and
+prime-class tests, C_inf) are the only `kind` branches.
 
 Numerically P^n is the q = 1 hypersurface, and every model stores n and
 q (n = 2, q = 1 on F_m), so the degree of a top class is q times its
@@ -184,7 +185,11 @@ class AmbientModel(Value):
         return (f"{generators[0]}^{grade}",)
 
     def __str__(self) -> str:
-        return FAMILIES[self.kind].label(self)
+        if self.kind == "projective_space":
+            return f"P^{self.n}"
+        if self.kind == "hypersurface":
+            return f"X_{self.q} in P^{self.n + 1}"
+        return f"F_{self.m}"
 
     def intersect(self, a: tuple, b: tuple) -> int:
         """The one coefficient of a.b, from the coefficient tuples of two
@@ -194,6 +199,13 @@ class AmbientModel(Value):
             (a0, a1), (b0, b1) = a, b
             return a0 * b0 * (-self.m) + a0 * b1 + a1 * b0
         return a[0] * b[0]
+
+    def pairing_factor(self, h: tuple) -> int:
+        """q h0^(n-2), with h0 the first coefficient h[0] of a grade-1
+        class H: c.H^{n-2} is this factor times c, for the one
+        coefficient c of a codimension-2 class (c2, or intersect(c1, c1)).
+        It is 1 on the surface F_m, where H^0 is the identity."""
+        return self.q * h[0] ** (self.n - 2)
 
     # -- class constructors ------------------------------------------------
 
@@ -219,36 +231,22 @@ def hirzebruch(m: int) -> AmbientModel:
 
 
 class Family(Value):
-    __slots__ = ("fields", "generators", "label", "build")
+    __slots__ = ("fields", "generators", "build")
 
     def __init__(self, fields: tuple[str, ...], generators: tuple[str, ...],
-                 label: Callable[[AmbientModel], str],
                  build: Callable[..., AmbientModel]):
         # descriptor keys besides "kind", in order
         _set(self, "fields", fields)
         _set(self, "generators", generators)  # the codimension-1 basis
-        _set(self, "label", label)
-        _set(self, "build", build)  # constructor taking `fields`
-
-
-# module-level label functions, so that a Family pickles by reference
-def _pn_label(x: AmbientModel) -> str:
-    return f"P^{x.n}"
-
-
-def _hypersurface_label(x: AmbientModel) -> str:
-    return f"X_{x.q} in P^{x.n + 1}"
-
-
-def _hirzebruch_label(x: AmbientModel) -> str:
-    return f"F_{x.m}"
+        # constructor taking `fields`; AmbientModel itself cannot be it,
+        # since F_m fixes n = 2 and its descriptor gives only m
+        _set(self, "build", build)
 
 
 FAMILIES = MappingProxyType({
-    "projective_space": Family(("n",), ("H",), _pn_label, projective_space),
-    "hypersurface": Family(("n", "q"), ("h",), _hypersurface_label,
-                           hypersurface),
-    "hirzebruch": Family(("m",), ("C0", "f"), _hirzebruch_label, hirzebruch),
+    "projective_space": Family(("n",), ("H",), projective_space),
+    "hypersurface": Family(("n", "q"), ("h",), hypersurface),
+    "hirzebruch": Family(("m",), ("C0", "f"), hirzebruch),
 })
 
 

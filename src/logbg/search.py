@@ -2,15 +2,12 @@
 
 Two families: hypersurface arrangements of degrees d_1 >= ... >= d_l on
 P^n, and arrangements of l degree-1 sections on a degree-q hypersurface
-in P^{n+1}.  The search does not scan its box.  In both families, with t
-the c1 coefficient and B = q (q - 1) + sum d_i (d_i - 1) (q = 1 on P^n),
-rank-k equality is the integer quadratic t^2 - k t + k B = 0, solved
-once per B from the divisors of B^2.  On P^n, B runs over 0..k_max / 4,
-and only a B with a root in the plan lists its partitions into pronic
-parts d (d - 1), once, as (degree, multiplicity) runs; on a
-hypersurface B = q (q - 1) with 4 B <= k_max, so the work is known
-before the run and does not grow with the q box.  Every root has
-0 <= t <= k, so -(K + D) = t h is nef: the nef filter drops nothing.
+in P^{n+1}.  The search does not scan its box: rank-k equality is the
+integer quadratic t^2 - k t + k B = 0 in the c1 coefficient t, with B
+fixed by q and the degrees, solved once per B, as the comment block
+above report_modes derives.  So the search is exhaustive, the nef
+filter drops nothing, and hypersurface work does not grow with the q
+box.
 
 Both families share one pipeline.  _plan solves each B and keeps the
 roots (n, t) that survive the box, the mode, --s-max and the trivial

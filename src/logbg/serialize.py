@@ -10,8 +10,8 @@ logchern._build, as every LogPair does, with its runs, and has it check
 only the classes that pair built: each class once per document, with
 the errors LogPair would raise.  Rationals serialize as canonical "p/q"
 strings ("p" when the denominator is one) and round-trip losslessly;
-a discriminant is printed from its integers N_n and 2n (_ratio), with
-the bytes of str(Fraction), so no writer builds a Fraction.
+a discriminant is printed from its integers N_n and 2n by bg._ratio,
+with the bytes of str(Fraction), so no writer builds a Fraction.
 
 Each writer returns one output text without its final newline; a table
 writer takes its record writer's arguments, so a command picks its
@@ -28,12 +28,10 @@ only report, whose parse_document imports json, loads the json package.
 
 from __future__ import annotations
 
-from math import gcd
-
 from _json import encode_basestring_ascii
 
 from . import __version__
-from .bg import BGReport, _numerator
+from .bg import BGReport, _numerator, _ratio
 from .logchern import LogPair, _build
 from .models import FAMILIES, AmbientModel, CycleClass, is_c_infinity
 from .search import EqualityCase, SearchConfig
@@ -242,14 +240,6 @@ _MODES = {modes: _fragment(modes)
           for modes in [(), ("n",), ("n1",), ("n", "n1")]}
 
 
-def _ratio(p: int, q: int) -> str:
-    """str(Fraction(p, q)) for q > 0, from the ints: p/q in lowest terms,
-    the sign on p, and "p" when q divides p.  An int past the
-    interpreter's digit limit raises ValueError, as str(Fraction) does."""
-    g = gcd(p, q)
-    return str(p // g) if g == q else f"{p // g}/{q // g}"
-
-
 def _discriminant(report: BGReport) -> str:
     """str(report.discriminant), from N_n and 2n."""
     rank = report.rank
@@ -376,13 +366,16 @@ def case_record(case: EqualityCase, echoes: Echoes) -> str:
             f'"tool_version":{_VERSION}}}')
 
 
-def enumerate_summary(config: SearchConfig, count: int,
-                      echoes: Echoes) -> str:
-    """The last line of enumerate: the summary record when `echoes` holds
-    the run's bounds (records), else the table's count and box."""
-    if echoes.bounds is not None:
-        return (f'{{"summary":{{"bounds":{echoes.bounds},"count":{count},'
-                f'"family":{encode_basestring_ascii(config.family)}}}}}')
+def summary_record(config: SearchConfig, count: int, echoes: Echoes) -> str:
+    """The last line of enumerate's records: the count, the family and
+    the run's bounds, from `echoes`."""
+    return (f'{{"summary":{{"bounds":{echoes.bounds},"count":{count},'
+            f'"family":{encode_basestring_ascii(config.family)}}}}}')
+
+
+def summary_table(config: SearchConfig, count: int, echoes: Echoes) -> str:
+    """The last line of enumerate's table: the count and the box; takes
+    summary_record's arguments."""
     bounds = (f"n in [{config.n_min}, {config.n_max}]"
               + (f", q in [{config.q_min}, {config.q_max}]"
                  if config.family == "hypersurface" else "")

@@ -87,7 +87,7 @@ class TestRationalSerialization:
         of str(Fraction), and fail past the digit limit as it does."""
         from fractions import Fraction
 
-        from logbg.serialize import _ratio
+        from logbg.bg import _ratio
         try:
             expected = str(Fraction(num, den))
         except ValueError:
@@ -985,6 +985,26 @@ class TestEntryPoint:
             assert site_typing == "True" or "typing" not in imported
             assert code == "0", argv
             assert barred(loaded, allowed) == [], argv
+
+        # a failing verify-paper prints its mismatched slopes from ints too
+        proc = subprocess.run([sys.executable, "-I", "-c", "\n".join([
+            "import contextlib, io, sys",
+            "before = set(sys.modules)",
+            "sys.path.insert(0, sys.argv[1])",
+            "import logbg.cli, logbg.fixtures",
+            "logbg.fixtures._wedge_terms = lambda n, r: (5, 3)",
+            "out = io.StringIO()",
+            "with contextlib.redirect_stdout(out):",
+            "    code = logbg.cli.main(['verify-paper'])",
+            "print(code)",
+            "print(*sorted(set(sys.modules) - before))",
+            "print(out.getvalue(), end='')"]), src],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded, table = proc.stdout.split("\n", 2)
+        assert code == "1"
+        assert "computed (n,r)=(2,1): 5/3;" in table
+        assert barred(loaded.split(), ("logbg.fixtures",)) == []
 
     def test_module_invocation(self):
         proc = run_python("-m", "logbg.cli", "nef", "--kind",

@@ -8,12 +8,16 @@ output is the documented one: a later pair whose report holds an integer
 past the interpreter's digit limit for printing, after the lines of the
 pairs before it.
 
+test_parse_memo_never_changes_a_result also holds a pair read after
+another, whose parse filled the document's memo, to what it gives alone.
+
 Every test runs its examples through main() in one process, so each also
 runs a few hundred commands, usage errors among them, on the one parser
 that main() keeps.
 """
 
 import contextlib
+import copy
 import io
 import json
 import re
@@ -32,17 +36,24 @@ big = st.one_of(
     st.integers(0, 2 ** 80),
     st.sampled_from([40, 1000, 2200, 3000]).map(lambda d: 10 ** d - 1))
 huge = st.one_of(big, big.map(lambda x: -x))
-junk = st.one_of(st.none(), st.booleans(), st.floats(),
-                 st.text(max_size=3), huge, st.integers(-3, 3),
-                 st.lists(st.integers(0, 3), max_size=2),
-                 st.dictionaries(st.text(max_size=2), st.integers(0, 3),
-                                 max_size=1))
+
+
+def junk_of(ints):
+    """A value of any JSON type, its ints from `ints` or -3..3."""
+    return st.one_of(st.none(), st.booleans(), st.floats(),
+                     st.text(max_size=3), ints, st.integers(-3, 3),
+                     st.lists(st.integers(0, 3), max_size=2),
+                     st.dictionaries(st.text(max_size=2), st.integers(0, 3),
+                                     max_size=1))
+
+
+junk = junk_of(huge)
 
 
 @st.composite
-def valid_pairs(draw):
-    """A pair descriptor that parses: any family, small or huge fields,
-    prime classes with small or huge coefficients."""
+def valid_pairs(draw, big=big):
+    """A pair descriptor that parses: any family, fields of 2..9 or from
+    `big`, prime classes with coefficients of 1..4 or from `big`."""
     kind = draw(st.sampled_from(sorted(FAMILIES)))
     size = st.integers(2, 9) | big.map(lambda x: x + 2)
     if kind == "hirzebruch":
@@ -80,6 +91,12 @@ def documents(draw):
     pairs = draw(st.lists(valid_pairs(), min_size=1, max_size=4))
     doc = {"pairs": pairs} if len(pairs) > 1 or draw(st.booleans()) \
         else pairs[0]
+    return edit(draw, doc, junk)
+
+
+def edit(draw, doc, junk):
+    """`doc` after up to three edits in place, each drawing its new
+    value, if any, from `junk`."""
     for _ in range(draw(st.integers(0, 3))):
         places = list(slots(doc))
         if not places:
@@ -137,6 +154,46 @@ def test_report_exits_0_or_2(document, fmt):
         assert out == ""
     else:
         assert out.count("\n") == lines_per_pair * (int(written[1]) - 1)
+
+
+# small ints only: no report reaches the digit limit, whose error line
+# names the pair's position
+small = st.integers(0, 3)
+
+
+@st.composite
+def memo_pairs(draw):
+    """(V, M): a valid pair V, and a pair M that had V's ambient and
+    classes before up to three edits.  V holds M's classes in a drawn
+    order, under new labels, and its dicts may list their keys in
+    another order, so a raw JSON item may miss the memo where the model
+    or class it names is already there."""
+    pair = draw(valid_pairs(small))
+
+    def shuffled(obj):
+        return dict(draw(st.permutations(list(obj.items()))))
+
+    classes = draw(st.permutations([d["class"] for d in pair["divisors"]]))
+    v = {"ambient": shuffled(pair["ambient"]),
+         "divisors": [{"label": f"V{i}", "class": shuffled(c)}
+                      for i, c in enumerate(classes)]}
+    return v, edit(draw, copy.deepcopy(pair), junk_of(small))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(memo_pairs(), st.sampled_from(["table", "records"]))
+def test_parse_memo_never_changes_a_result(pairs, fmt):
+    """M after V, which fills parse_document's memo with M's ambient and
+    classes, gives what M alone gives: the same exit code and error, and
+    on exit 0 V's lines followed by M's."""
+    v, m = pairs
+    argv = ["report", "-", "--format", fmt]
+    code_v, out_v, _ = run(argv, json.dumps({"pairs": [v]}).encode())
+    code_m, out_m, err_m = run(argv, json.dumps({"pairs": [m]}).encode())
+    code, out, err = run(argv, json.dumps({"pairs": [v, m]}).encode())
+    assert code_v == 0
+    assert (code, err) == (code_m, err_m.replace("pairs[0]", "pairs[1]"))
+    assert out == (out_v + out_m if code == 0 else "")
 
 
 @st.composite

@@ -23,8 +23,8 @@ VALUES = {
     CycleClass: (lambda: hirzebruch(3).divisor(1, 4),
                  ("model", "grade", "coeffs")),
     AmbientModel: (lambda: hypersurface(4, 3), ("kind", "n", "q", "m")),
-    Family: (lambda: Family(("n",), ("H",), str, projective_space),
-             ("fields", "generators", "label", "build")),
+    Family: (lambda: Family(("n",), ("H",), projective_space),
+             ("fields", "generators", "build")),
     LogPair: (lambda: pn_pair(7, [2, 1, 1]), ("model", "components")),
     BGReport: (lambda: full_report(pn_pair(7, [2, 1, 1])),
                ("rank", "c1_sq", "c2_eval", "discriminant", "equality_n",
@@ -152,5 +152,5 @@ def test_family_table_pickles(kind):
     family = FAMILIES[kind]
     twin = pickle.loads(pickle.dumps(family))
     assert twin == family and hash(twin) == hash(family)
-    assert twin.label is family.label
+    assert twin.build is family.build
     assert copy.deepcopy(family) == family
