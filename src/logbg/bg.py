@@ -34,29 +34,19 @@ from .models import (AmbientModel, ChowError, CycleClass, GradeError, Value,
 
 
 class BGReport(Value):
-    """The BG data of a pair at rank n against H.  `discriminant` is a
-    field read through a property, N_n/2n from rank, c1_sq and c2_eval:
-    the constructor takes None for it, or a value it must equal, so
-    pickling and copying, which pass every field, rebuild the report.
-    Equality and hash read only the stored fields, so they build no
-    Fraction."""
+    """The BG data of a pair at rank n against H.  Its discriminant is no
+    field but a property, N_n/2n read from rank, c1_sq and c2_eval, so
+    equality, hash and pickling build no Fraction."""
 
-    _fields = ("rank", "c1_sq", "c2_eval", "discriminant", "equality_n",
-               "equality_n_plus_1", "minus_k_plus_d_nef", "polarization")
-    __slots__ = _compared = ("rank", "c1_sq", "c2_eval", "equality_n",
-                             "equality_n_plus_1", "minus_k_plus_d_nef",
-                             "polarization")
+    __slots__ = ("rank", "c1_sq", "c2_eval", "equality_n",
+                 "equality_n_plus_1", "minus_k_plus_d_nef", "polarization")
 
     def __init__(self, rank: int, c1_sq: int, c2_eval: int,
-                 discriminant: Fraction | None, equality_n: bool,
-                 equality_n_plus_1: bool, minus_k_plus_d_nef: bool,
-                 polarization: CycleClass):
+                 equality_n: bool, equality_n_plus_1: bool,
+                 minus_k_plus_d_nef: bool, polarization: CycleClass):
         _set(self, "rank", rank)  # dim X: rank of the log tangent bundle
         _set(self, "c1_sq", c1_sq)  # c1^2 . H^{n-2}
         _set(self, "c2_eval", c2_eval)  # c2 . H^{n-2}
-        if discriminant is not None and discriminant != self.discriminant:
-            raise ValueError(f"discriminant {discriminant} is not "
-                             f"{self.discriminant}, N_n/2n of the report")
         _set(self, "equality_n", equality_n)
         _set(self, "equality_n_plus_1", equality_n_plus_1)
         _set(self, "minus_k_plus_d_nef", minus_k_plus_d_nef)
@@ -119,7 +109,7 @@ def reporter(model: AmbientModel, H: CycleClass | None = None):
             raise ChowError(f"pair lives on {pair.model}, not {model}")
         c1, c2 = _log_chern_coeffs(pair, tangent)
         c1_sq, c2_eval = qh * intersect(c1, c1), qh * c2
-        return BGReport(n, c1_sq, c2_eval, None,
+        return BGReport(n, c1_sq, c2_eval,
                         _numerator(n, c1_sq, c2_eval) == 0,
                         _numerator(n + 1, c1_sq, c2_eval) == 0,
                         is_nef_coeffs(model, c1), H)

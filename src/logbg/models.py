@@ -56,11 +56,9 @@ class Value:
 
     A subclass lists its fields in `__slots__` (or in `_fields`, when its
     fields and slots differ), in constructor order, and sets them
-    with `object.__setattr__` in its `__init__`.  A field that the others
-    determine may be left out of `_compared`, the fields that equality and
-    hash read (default: all).  Equality, hash and repr match those of a
-    frozen dataclass with the same fields, the rest marked compare=False;
-    pickling and copying rebuild through the constructor."""
+    with `object.__setattr__` in its `__init__`.  Equality, hash and repr
+    match those of a frozen dataclass with the same fields; pickling and
+    copying rebuild through the constructor."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -69,18 +67,17 @@ class Value:
         super().__init_subclass__(**kwargs)
         cls._fields = cls.__dict__.get("_fields", cls.__slots__)
         cls._values = attrgetter(*cls._fields)  # the field tuple, in C
-        cls._key = attrgetter(*cls.__dict__.get("_compared", cls._fields))
 
     def __eq__(self, other):
         if self is other:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        key = self._key
-        return key(self) == key(other)
+        values = self._values
+        return values(self) == values(other)
 
     def __hash__(self):
-        return hash(self._key(self))
+        return hash(self._values(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"

@@ -56,13 +56,17 @@ class SearchConfig(Value):
                  mode: str = "either", require_nef: bool = True,
                  exclude_trivial: bool = True, s_max: int | None = None,
                  q_min: int = 2, q_max: int | None = None):
-        # exactly int, as model parameters are: True would echo true
-        for name, bound in {"n_min": n_min, "n_max": n_max, "q_min": q_min,
-                            "q_max": q_max, "s_max": s_max}.items():
-            if type(bound) is not int and not (
-                    bound is None and name in ("q_max", "s_max")):
-                raise TypeError(
-                    f"{name} must be int, got {type(bound).__name__}")
+        # exactly int or bool, as model parameters are: the bounds echo
+        # each value as given, so True would echo true and 1 would echo 1
+        for name, value, kind in (
+                ("n_min", n_min, int), ("n_max", n_max, int),
+                ("q_min", q_min, int), ("q_max", q_max, int),
+                ("s_max", s_max, int), ("require_nef", require_nef, bool),
+                ("exclude_trivial", exclude_trivial, bool)):
+            if type(value) is not kind and not (
+                    value is None and name in ("q_max", "s_max")):
+                raise TypeError(f"{name} must be {kind.__name__}, "
+                                f"got {type(value).__name__}")
         if family not in ("pn", "hypersurface"):
             raise SearchSpaceError(f"unknown family {family!r}")
         if mode not in MODES:
@@ -215,11 +219,11 @@ def _verified_case(family: str, model: AmbientModel, evaluate,
                    classes: dict, runs: tuple,
                    modes: tuple[str, ...]) -> EqualityCase:
     report = evaluate(_pair_from_runs(model, runs, classes))
+    case = EqualityCase(family, model.n, model.q, runs, modes, report)
     got = report_modes(report)
     if got == modes and report.minus_k_plus_d_nef:
-        return EqualityCase(family, model.n, model.q, runs, modes, report)
-    partition = tuple(d for d, k in runs for _ in range(k))
-    where = f"({family}, n={model.n}, q={model.q}, partition={partition})"
+        return case
+    where = f"({family}, n={case.n}, q={case.q}, partition={case.partition})"
     if got != modes:
         raise VerificationError(
             f"the solver gives modes {modes} but full_report gives "

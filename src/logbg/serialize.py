@@ -3,9 +3,10 @@
 Pair descriptors are JSON; unknown keys are errors, not warnings.
 parse_document's memo, which lives for one document, also keys each
 checked ambient and class object by its raw JSON items (_items): a
-repeat costs one type check and one dict lookup, and anything else takes
-the full checks, with the same errors in the same order; a pair's
-location is formatted only for an error.  A parsed pair comes from
+repeated ambient costs one type check and one dict lookup, and a
+repeated class skips only the checks of its generator keys and
+coefficients, which its first copy passed.  Each check is written once,
+and a location is formatted only for an error.  A parsed pair comes from
 logchern._build, as every LogPair does, with its runs, and has it check
 only the classes that pair built: each class once per document, with
 the errors LogPair would raise.  Rationals serialize as canonical "p/q"
@@ -93,45 +94,16 @@ def _items(obj) -> tuple | None:
     return tuple(obj.items())
 
 
-def _parse_divisor(obj, entry: tuple, index: int,
-                   built: list) -> tuple[str, CycleClass]:
-    """A component; `entry` is parse_document's memo entry for its
-    ambient, (model, classes), whose `classes` hands out one CycleClass
-    per coefficient tuple.  A class it lacks is built and appended to
-    `built`, the classes of the pair that _build must check."""
-    where = f"divisors[{index}]"
-    if not isinstance(obj, dict):
-        raise InputError(f"{where} must be an object")
-    model, classes = entry
-    generators = model.generators
-    _check_keys(obj, _DIVISOR_KEYS, where)
-    label = _require(obj, "label", where)
-    if not isinstance(label, str):
-        raise InputError(f"key 'label' in {where} must be a string")
-    cls = _require(obj, "class", where)
-    if not isinstance(cls, dict):
-        raise InputError(f"key 'class' in {where} must be an object")
-    _check_keys(cls, generators, f"{where}.class")
-    key = tuple([cls.get(gen, 0) for gen in generators])
-    # True and 1.0 hash like 1, so every coefficient is checked before
-    # the key is looked up
-    for gen, c in zip(generators, key):
-        if type(c) is not int:
-            raise InputError(
-                f"coefficient {gen!r} in {where}.class must be an integer")
-    divisor = classes.get(key)
-    if divisor is None:
-        divisor = classes[key] = model.divisor(*key)
-        built.append(divisor)
-    return label, divisor
-
-
 def _parse_pair(obj, memo: dict, index: int | None = None) -> LogPair:
     """One checked pair, the document's or pairs[index]; `memo` is
     parse_document's, and hands out one model, and one dict of its
-    classes, per distinct ambient.  A component whose class object
-    repeats checked raw items (_items' test, inline), under a str label
-    and no unknown key, skips _parse_divisor.
+    classes, per distinct ambient.  Each component takes each check once,
+    in this order: it is an object with no unknown key, a str label and
+    an object class; then the class's raw items (_items' test, inline)
+    are looked up in the model's classes, and only a miss checks the
+    generator keys and int coefficients and takes the class by its
+    coefficient tuple, built if new.  A passing check formats no
+    location.
 
     _build checks only the classes this pair built: a class from an
     earlier pair has passed, as any failure ends the document.  That
@@ -149,30 +121,54 @@ def _parse_pair(obj, memo: dict, index: int | None = None) -> LogPair:
     if entry is None:
         model = parse_ambient(ambient)
         entry = memo.setdefault(model, (model, {}))
-        if items is not None:
-            memo[items] = entry
+        # items is not None: parse_ambient refuses an ambient with a
+        # value that is no int or str
+        memo[items] = entry
     divisors = obj.get("divisors")
     if type(divisors) is not list:
         where = "document" if index is None else f"pairs[{index}]"
         if not isinstance(_require(obj, "divisors", where), list):
             raise InputError(f"key 'divisors' in {where} must be a list")
     model, classes = entry
+    generators = model.generators
     components, runs, built = [], [], []  # built: its new classes, in order
     for i, d in enumerate(divisors):
+        if type(d) is not dict:
+            raise InputError(f"divisors[{i}] must be an object")
+        if not d.keys() <= _DIVISOR_KEYS:
+            _check_keys(d, _DIVISOR_KEYS, f"divisors[{i}]")
+        label = d.get("label")
+        if type(label) is not str:
+            _require(d, "label", f"divisors[{i}]")
+            raise InputError(f"key 'label' in divisors[{i}] must be a string")
+        cls = d.get("class")
+        if type(cls) is not dict:
+            _require(d, "class", f"divisors[{i}]")
+            raise InputError(f"key 'class' in divisors[{i}] must be an object")
         divisor = items = None
-        if type(d) is dict and d.keys() <= _DIVISOR_KEYS:
-            label, cls = d.get("label"), d.get("class")
-            if type(cls) is dict and type(label) is str:
-                for value in cls.values():
-                    if type(value) is not int and type(value) is not str:
-                        break
-                else:
-                    items = tuple(cls.items())
-                    divisor = classes.get(items)
+        for value in cls.values():
+            if type(value) is not int and type(value) is not str:
+                break
+        else:
+            items = tuple(cls.items())
+            divisor = classes.get(items)
         if divisor is None:
-            label, divisor = _parse_divisor(d, entry, i, built)
-            if items is not None:
-                classes[items] = divisor
+            if cls.keys() - generators:
+                _check_keys(cls, generators, f"divisors[{i}].class")
+            key = tuple([cls.get(gen, 0) for gen in generators])
+            # True and 1.0 hash like 1, so every coefficient is checked
+            # before the key is looked up
+            for gen, c in zip(generators, key):
+                if type(c) is not int:
+                    raise InputError(f"coefficient {gen!r} in "
+                                     f"divisors[{i}].class must be an integer")
+            divisor = classes.get(key)
+            if divisor is None:
+                divisor = classes[key] = model.divisor(*key)
+                built.append(divisor)
+            # items is not None: a value that is no int or str fails a
+            # check above
+            classes[items] = divisor
         components.append((label, divisor))
         runs.append((divisor, 1))
     return _build(LogPair.__new__(LogPair), model, tuple(runs),

@@ -121,6 +121,18 @@ class TestDescriptorParsing:
         assert len(parse_document(json.dumps(doc))) == 2
 
 
+def bad_component_docs(component, message):
+    """Two documents on P^3 that break one component rule, each with its
+    error message: the component alone, and the component after a valid
+    class that the parser's memo then holds.  `message` has an {i} for
+    the component's index."""
+    ambient = {"kind": "projective_space", "n": 3}
+    valid = {"label": "A", "class": {"H": 1}}
+    return [({"ambient": ambient, "divisors": divisors},
+             message.format(i=len(divisors) - 1))
+            for divisors in ([component], [valid, component])]
+
+
 class TestReportCommand:
     def test_hirzebruch_fixture(self, tmp_path):
         code, text = run_report(tmp_path, HIRZEBRUCH_DOC)
@@ -194,7 +206,26 @@ class TestReportCommand:
          "key 'divisors' in document must be a list"),
         ({"pairs": [{"ambient": P3, "divisors": []},
                     {"ambient": P3, "divisors": "D1"}]},
-         "key 'divisors' in pairs[1] must be a list")])
+         "key 'divisors' in pairs[1] must be a list"),
+        # each component rule, in the order the parser checks them
+        *bad_component_docs(["A", {"H": 1}],
+                            "divisors[{i}] must be an object"),
+        *bad_component_docs({"label": "B", "class": {"H": 1}, "colour": 1},
+                            "unknown key 'colour' in divisors[{i}]"),
+        *bad_component_docs({"class": {"H": 1}},
+                            "missing key 'label' in divisors[{i}]"),
+        *bad_component_docs({"label": "B"},
+                            "missing key 'class' in divisors[{i}]"),
+        *bad_component_docs({"label": "B", "class": [["H", 1]]},
+                            "key 'class' in divisors[{i}] must be an object"),
+        *bad_component_docs({"label": "B", "class": {"H": 1, "h": 1}},
+                            "unknown key 'h' in divisors[{i}].class"),
+        # two rules broken at once: the earlier check fires
+        ({"ambient": P3, "divisors": [{"class": {"H": 1}, "colour": 1}]},
+         "unknown key 'colour' in divisors[0]"),
+        ({"ambient": P3, "divisors": [{"label": "A", "class": {"H": 1}},
+                                      {"label": 7, "class": [1]}]},
+         "key 'label' in divisors[1] must be a string")])
     def test_malformed_divisors_exit_2(self, tmp_path, capsys, doc, message):
         path = tmp_path / "pair.json"
         path.write_text(json.dumps(doc))

@@ -91,6 +91,15 @@ class TestConfigValidation:
         with pytest.raises(TypeError, match=f"{bound} must be int"):
             hyp_config(**{"n_max": 8, "q_max": 8, bound: bad})
 
+    @pytest.mark.parametrize("bad", [1, 0, "", None, 1.0])
+    @pytest.mark.parametrize("flag", ["require_nef", "exclude_trivial"])
+    def test_non_bool_flags_rejected(self, flag, bad):
+        """At construction: require_nef=1 would echo 1 in the bounds, and
+        exclude_trivial="" kept the trivial cases."""
+        with pytest.raises(TypeError, match=f"{flag} must be bool, got "
+                                            f"{type(bad).__name__}"):
+            pn_config(**{flag: bad})
+
 
 class TestEnumeratePn:
     def test_finds_remark_tuple_n7(self):
@@ -749,7 +758,7 @@ class TestGroupSharing:
                 if len(calls) != 2:
                     return report
                 return BGReport(report.rank, report.c1_sq, report.c2_eval,
-                                report.discriminant, not report.equality_n,
+                                not report.equality_n,
                                 report.equality_n_plus_1,
                                 report.minus_k_plus_d_nef,
                                 report.polarization)

@@ -27,7 +27,7 @@ VALUES = {
              ("fields", "generators", "build")),
     LogPair: (lambda: pn_pair(7, [2, 1, 1]), ("model", "components")),
     BGReport: (lambda: full_report(pn_pair(7, [2, 1, 1])),
-               ("rank", "c1_sq", "c2_eval", "discriminant", "equality_n",
+               ("rank", "c1_sq", "c2_eval", "equality_n",
                 "equality_n_plus_1", "minus_k_plus_d_nef", "polarization")),
     SearchConfig: (lambda: SearchConfig("hypersurface", 2, 9, "n1", False,
                                         False, 5, 3, 4),
@@ -97,14 +97,9 @@ def test_pickle_and_copy_round_trip(cls):
 
 def test_report_discriminant_is_read_from_its_integers():
     """A BGReport stores no discriminant: it is N_n/2n of rank, c1_sq and
-    c2_eval, and the constructor takes None for it or that value (as
-    pickling passes it), and refuses any other."""
+    c2_eval."""
     a = full_report(pn_pair(7, [2, 1, 1]))
-    values = [getattr(a, name) for name in VALUES[BGReport][1]]
     assert a.discriminant == Fraction(14 * a.c2_eval - 6 * a.c1_sq, 14) != 0
-    assert BGReport(*values[:3], None, *values[4:]) == a
-    with pytest.raises(ValueError, match="discriminant"):
-        BGReport(*values[:3], a.discriminant + 1, *values[4:])
 
 
 def test_report_equality_and_hash_build_no_fraction():
