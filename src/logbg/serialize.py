@@ -121,8 +121,8 @@ def _parse_pair(obj, memo: dict, index: int | None = None) -> LogPair:
     if entry is None:
         model = parse_ambient(ambient)
         entry = memo.setdefault(model, (model, {}))
-        # items is not None: parse_ambient refuses an ambient with a
-        # value that is no int or str
+        # items is not None: parse_ambient refuses an ambient that is no
+        # object or has a value that is no int or str
         memo[items] = entry
     divisors = obj.get("divisors")
     if type(divisors) is not list:
