@@ -7,13 +7,16 @@ codes: 0 success, 1 verification failure, 2 usage or input error (a
 closed stdin or stdout among them).  A stdout whose reader has closed
 ends the command with exit 0 and no message.
 
-main() builds the parser on its first call and reuses it on every later
-call in the same process, so it may be called repeatedly; importing the
-module builds none.  build_parser() returns a new parser on each call.
-The start-up that perfbench's setup probe times is the import plus one
-build_parser(), the one build a shell run makes.  A command loads only
-what it runs: report's parse_document imports json, and verify-paper
-imports the fixtures module when it runs.
+COMMANDS, built at import, is the one description of the command line:
+each command's function and help line, its options (namespace field,
+kind, choices, default), the options it requires, the pair it forbids
+together and its positionals.  parse_args walks argv against it, and
+--help and usage errors are written from it; no argument parser is
+built and argparse is not loaded.  build_parser() returns COMMANDS
+itself, so the start-up that perfbench's setup probe times (the import
+plus build_parser()) is what a shell run pays before parsing.  A
+command loads only what it runs: report's parse_document imports json,
+and verify-paper imports the fixtures module when it runs.
 
 main() pauses the cyclic garbage collector for each command and then
 restores the caller's setting: logbg builds no reference cycles, so a
@@ -22,13 +25,12 @@ collection would free nothing, at a cost that grows with the input.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import gc
 import os
 import re
 import sys
+import types
 
 from .bg import reporter
 from .models import FAMILIES, ChowError, is_nef
@@ -44,6 +46,8 @@ VERIFY_ERROR = 1
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+# an argument led by `-` that names no option but is a positional
+_NEGATIVE_NUMBER = re.compile(r"-[0-9]+|-[0-9]*\.[0-9]+")
 
 
 def integer(text: str) -> int:
@@ -162,67 +166,244 @@ def cmd_nef(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="logbg",
-        description="Exact calculator and search tool for logarithmic "
-                    "Chern classes and Bogomolov-Gieseker discriminants.")
-    sub = parser.add_subparsers(dest="command", required=True)
+class Option:
+    """One option of a command: the namespace field it sets, its kind
+    (str or integer for an option that takes a value, the constant it
+    stores for a flag), the values it allows and its default."""
 
-    p_report = sub.add_parser(
-        "report", help="evaluate pair descriptors from a JSON document")
-    p_report.add_argument("input", nargs="?", default="-",
-                          help="descriptor file, or - for stdin")
-    p_report.add_argument("--format", choices=("table", "records"),
-                          default="table")
-    p_report.add_argument("--out", default=None)
-    p_report.set_defaults(func=cmd_report)
+    __slots__ = ("dest", "kind", "choices", "default", "help")
 
-    p_enum = sub.add_parser("enumerate", help="search for equality cases")
-    p_enum.add_argument("--family", choices=tuple(DEFAULT_BOUNDS),
-                        required=True)
-    p_enum.add_argument("--mode", choices=MODES, default="either")
-    nef_group = p_enum.add_mutually_exclusive_group()
-    nef_group.add_argument("--nef", dest="nef", action="store_true",
-                           default=True,
-                           help="require -(K+D) nef (default)")
-    nef_group.add_argument("--no-nef", dest="nef", action="store_false")
-    p_enum.add_argument("--n", default=None, metavar="A..B")
-    p_enum.add_argument("--q", default=None, metavar="A..B")
-    p_enum.add_argument("--s-max", type=integer, default=None)
-    p_enum.add_argument("--include-trivial", action="store_true",
-                        help="keep D = 0 and, on P^n, D = H")
-    p_enum.add_argument("--workers", type=integer, default=1,
-                        help="at least 1; the search runs in one process")
-    p_enum.add_argument("--format", choices=("table", "records"),
-                        default="table")
-    p_enum.add_argument("--out", default=None)
-    p_enum.set_defaults(func=cmd_enumerate)
+    def __init__(self, dest, kind=str, choices=None, default=None, help=""):
+        self.dest, self.kind, self.choices = dest, kind, choices
+        self.default, self.help = default, help
 
-    p_verify = sub.add_parser(
-        "verify-paper", help="run the pinned source-fixture suite")
-    p_verify.set_defaults(func=cmd_verify, out=None)
-
-    p_nef = sub.add_parser("nef", help="test a divisor class for nefness")
-    p_nef.add_argument("--kind", choices=tuple(FAMILIES), required=True)
-    p_nef.add_argument("--n", type=integer, default=None)
-    p_nef.add_argument("--q", type=integer, default=None)
-    p_nef.add_argument("--m", type=integer, default=None)
-    p_nef.add_argument("--divisor", required=True,
-                       help="comma-separated integer coefficients")
-    p_nef.set_defaults(func=cmd_nef, out=None)
-    return parser
+    def synopsis(self, name: str) -> str:
+        if type(self.kind) is bool:
+            return name
+        if self.choices is None:
+            return f"{name} {self.dest.upper()}"
+        return f"{name} {{{','.join(self.choices)}}}"
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # safe to share: parse_args keeps its state in the Namespace it
-    # returns, and usage errors and --help format at call time
-    return build_parser()
+class Command:
+    """One command: its function and help line, its options by name,
+    the names it requires, the one pair of names it forbids together,
+    and its positionals as (dest, default, help)."""
+
+    __slots__ = ("func", "help", "options", "required", "exclusive",
+                 "positionals", "defaults")
+
+    def __init__(self, func, help, options=(), required=(), exclusive=(),
+                 positionals=()):
+        self.func, self.help, self.options = func, help, dict(options)
+        self.required, self.exclusive = required, exclusive
+        self.positionals = positionals
+        # the namespace before argv: every command has an `out`
+        self.defaults = {"func": func, "out": None}
+        self.defaults.update((o.dest, o.default) for o in self.options.values())
+        self.defaults.update((dest, default) for dest, default, _ in positionals)
+
+
+# the options of the commands that write records or a table
+OUTPUT_OPTIONS = {
+    "--format": Option("format", choices=("table", "records"),
+                       default="table"),
+    "--out": Option("out", help="write to this file, not stdout")}
+
+COMMANDS = {
+    "report": Command(
+        cmd_report, "evaluate pair descriptors from a JSON document",
+        OUTPUT_OPTIONS,
+        positionals=(("input", "-", "descriptor file, or - for stdin"),)),
+    "enumerate": Command(
+        cmd_enumerate, "search for equality cases", {
+            "--family": Option("family", choices=tuple(DEFAULT_BOUNDS)),
+            "--mode": Option("mode", choices=MODES, default="either"),
+            "--nef": Option("nef", True, default=True,
+                            help="require -(K+D) nef (default)"),
+            "--no-nef": Option("nef", False, default=True),
+            "--n": Option("n", help="A..B, or one integer"),
+            "--q": Option("q", help="A..B, or one integer"),
+            "--s-max": Option("s_max", integer),
+            "--include-trivial": Option(
+                "include_trivial", True, default=False,
+                help="keep D = 0 and, on P^n, D = H"),
+            "--workers": Option(
+                "workers", integer, default=1,
+                help="at least 1; the search runs in one process"),
+            **OUTPUT_OPTIONS},
+        required=("--family",), exclusive=("--nef", "--no-nef")),
+    "verify-paper": Command(cmd_verify, "run the pinned source-fixture suite"),
+    "nef": Command(
+        cmd_nef, "test a divisor class for nefness", {
+            "--kind": Option("kind", choices=tuple(FAMILIES)),
+            "--n": Option("n", integer),
+            "--q": Option("q", integer),
+            "--m": Option("m", integer),
+            "--divisor": Option(
+                "divisor", help="comma-separated integer coefficients")},
+        required=("--kind", "--divisor")),
+}
+
+DESCRIPTION = ("Exact calculator and search tool for logarithmic Chern "
+               "classes and\nBogomolov-Gieseker discriminants.")
+
+
+def build_parser() -> dict:
+    """The command table that parse_args reads: COMMANDS itself, built
+    when the module is imported."""
+    return COMMANDS
+
+
+def _usage(name) -> str:
+    """The usage line of command `name`, or of logbg when None."""
+    if name is None:
+        return f"usage: logbg [-h] {{{','.join(COMMANDS)}}} ...\n"
+    command = COMMANDS[name]
+    parts = [f"usage: logbg {name} [-h]"]
+    for option, spec in command.options.items():
+        if option in command.exclusive:
+            if option == command.exclusive[0]:
+                parts.append(f"[{' | '.join(command.exclusive)}]")
+        elif option in command.required:
+            parts.append(spec.synopsis(option))
+        else:
+            parts.append(f"[{spec.synopsis(option)}]")
+    parts += (f"[{dest}]" for dest, _, _ in command.positionals)
+    return " ".join(parts) + "\n"
+
+
+def _help(name) -> str:
+    """The --help text of command `name`, or of logbg when None."""
+    def row(left, text):
+        return f"  {left:<22} {text}".rstrip()
+
+    if name is None:
+        rows = [row(each, command.help) for each, command in COMMANDS.items()]
+        return (f"{_usage(None)}\n{DESCRIPTION}\n\ncommands:\n"
+                + "\n".join(rows)
+                + "\n\n'logbg <command> --help' lists a command's options.\n")
+    command = COMMANDS[name]
+    rows = [row("-h, --help", "show this help and exit")]
+    rows += (row(spec.synopsis(option), spec.help)
+             for option, spec in command.options.items())
+    rows += (row(dest, text) for dest, _, text in command.positionals)
+    return f"{_usage(name)}\n{command.help}\n\noptions:\n" + "\n".join(rows) + "\n"
+
+
+def _exit_help(name):
+    if sys.stdout is not None:
+        sys.stdout.write(_help(name))
+    raise SystemExit(0)
+
+
+def _usage_error(name, message):
+    """Exit 2 with the usage line of command `name` (of logbg when None)
+    and one error line."""
+    prog = "logbg" if name is None else f"logbg {name}"
+    if sys.stderr is not None:
+        sys.stderr.write(f"{_usage(name)}{prog}: error: {message}\n")
+    raise SystemExit(USAGE_ERROR)
+
+
+def _option_named(name, names, text):
+    """The one of `names` that `text` names: itself, or the one name it
+    is a prefix of, with "-h" for "--help"; None if it names none.  An
+    ambiguous prefix is a usage error of command `name`."""
+    if text == "-h" or text in names:
+        return "--help" if text == "-h" else text
+    if len(text) < 3 or not text.startswith("--"):
+        return None
+    matches = [option for option in names if option.startswith(text)]
+    if len(matches) > 1:
+        _usage_error(name, f"ambiguous option: {text} could match "
+                           f"{', '.join(matches)}")
+    return matches[0] if matches else None
+
+
+def parse_args(argv):
+    """The namespace that main() runs for `argv`, read against COMMANDS.
+
+    An option is its full name or any unique prefix of it, with its
+    value in the next argument or after `=`; the argument after an
+    option that takes a value is that value unless it starts with `--`,
+    so it may start with one `-`.  A repeated option keeps its last
+    value.  An argument that names no option is a positional if it does
+    not start with `-`, is `-` itself, holds a space, looks like a
+    negative number or follows `--`; any other is unrecognized.  --help
+    prints to stdout and exits 0; a usage error exits 2 (_usage_error)."""
+    if not argv:
+        _usage_error(None, "the following arguments are required: command")
+    name = argv[0]
+    if _option_named(None, ("--help",), name):
+        _exit_help(None)
+    command = COMMANDS.get(name)
+    if command is None:
+        choices = ", ".join(map(repr, COMMANDS))
+        _usage_error(None, f"argument command: invalid choice: {name!r} "
+                           f"(choose from {choices})")
+    values = dict(command.defaults)
+    names = (*command.options, "--help")
+    seen, positionals, extras = set(), [], []
+    args = iter(argv[1:])
+    for arg in args:
+        if arg == "--":
+            positionals.extend(args)
+            break
+        text, eq, value = arg.partition("=")
+        option = _option_named(name, names, text) if arg[:1] == "-" else None
+        if option is None:
+            if arg[:1] != "-" or arg == "-" or " " in arg \
+                    or _NEGATIVE_NUMBER.fullmatch(arg):
+                positionals.append(arg)
+            else:
+                extras.append(arg)
+            continue
+        spec = command.options.get(option)  # None for --help
+        if spec is None or type(spec.kind) is bool:
+            if eq:
+                _usage_error(name, f"argument {option}: ignored explicit "
+                                   f"argument {value!r}")
+            if spec is None:
+                _exit_help(name)
+            value = spec.kind
+        else:
+            if not eq:
+                value = next(args, None)
+                if value is None or value.startswith("--"):
+                    _usage_error(name, f"argument {option}: expected one "
+                                       "argument")
+            try:
+                value = spec.kind(value)
+            except ValueError:
+                _usage_error(name, f"argument {option}: invalid "
+                                   f"{spec.kind.__name__} value: {value!r}")
+            if spec.choices is not None and value not in spec.choices:
+                choices = ", ".join(map(repr, spec.choices))
+                _usage_error(name, f"argument {option}: invalid choice: "
+                                   f"{value!r} (choose from {choices})")
+        if option in command.exclusive:
+            first, second = command.exclusive
+            other = second if option == first else first
+            if other in seen:
+                _usage_error(name, f"argument {option}: not allowed with "
+                                   f"argument {other}")
+        seen.add(option)
+        values[spec.dest] = value
+    missing = [option for option in command.required if option not in seen]
+    if missing:
+        _usage_error(name, "the following arguments are required: "
+                           + ", ".join(missing))
+    for (dest, _, _), arg in zip(command.positionals, positionals):
+        values[dest] = arg
+    extras += positionals[len(command.positionals):]
+    if extras:
+        _usage_error(name, f"unrecognized arguments: {' '.join(extras)}")
+    return types.SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     # no cycles to free (tests/test_cli.py pins that), so a collection
     # would only walk live data: the parsed document, its pairs, the cases
     gc_was_on = gc.isenabled()

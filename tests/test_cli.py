@@ -142,6 +142,22 @@ class TestReportCommand:
         assert record["equality_n"] is True
         assert record["minus_k_plus_d_nef"] is True
 
+    @pytest.mark.parametrize("name", ["-1", "-.5", "-x y"])
+    def test_input_led_by_one_dash(self, tmp_path, monkeypatch, capsys,
+                                   name):
+        """An argument led by `-` that names no option is the input when
+        it looks like a negative number or holds a space, as it was
+        under argparse; any other is unrecognized."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text(json.dumps(HIRZEBRUCH_DOC))
+        assert main(["report", name]) == 0
+        assert "F_2" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "-x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "logbg report: error: unrecognized arguments: -x\n")
+
     def test_cinf_alias_in_echo(self, tmp_path):
         _, text = run_report(tmp_path, HIRZEBRUCH_DOC)
         record = json.loads(text)
@@ -733,7 +749,7 @@ class TestIntegerArguments:
     def exit_code(argv):
         try:
             return main(argv)
-        except SystemExit as exc:  # argparse rejects a bad type= value
+        except SystemExit as exc:  # parse_args rejects a bad integer value
             return exc.code
 
     NEF = ["nef", "--kind", "projective_space"]
@@ -763,6 +779,20 @@ class TestIntegerArguments:
         assert capsys.readouterr().out == "-2*H on P^3: not nef\n"
         assert main(self.PN + ["--n", "+7..7", "--s-max", "+4"]) == 0
         assert "degrees=(2,1,1)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("equals", [False, True], ids=["apart", "equals"])
+    def test_value_may_start_with_one_dash(self, capsys, equals):
+        """The argument after an option that takes a value is its value
+        unless it starts with '--', so '-1,2' and '-3..4' need no '='."""
+        def spell(option, value):
+            return [f"{option}={value}"] if equals else [option, value]
+
+        assert main(["nef", "--kind", "hirzebruch", "--m", "1",
+                     *spell("--divisor", "-1,2")]) == 0
+        assert capsys.readouterr() == ("-1*C0 + 2*f on F_1: not nef\n", "")
+        assert main(self.PN + spell("--n", "-3..4")) == 2
+        assert capsys.readouterr() == (
+            "", "error: empty or invalid dimension range [-3, 4]\n")
 
 
 class TestVerifyPaperCommand:
@@ -970,12 +1000,17 @@ class TestEntryPoint:
     def test_no_command_loads_fractions(self, tmp_path):
         # fractions and the decimal and numbers modules it pulls in were
         # a fifth of CLI start-up; every output is printed from ints.
-        # Only report reads JSON and only verify-paper runs the fixtures,
-        # so no other command, and no start-up, loads json or fixtures.
+        # argparse, with the gettext and locale it loads, was two thirds
+        # of what was left; logbg reads its command line from its own
+        # table.  Only report reads JSON and only verify-paper runs the
+        # fixtures, so no other command, and no start-up, loads json or
+        # fixtures.  Every list below is of modules not in sys.modules
+        # before logbg's import, so one that site loaded is never barred.
         path = tmp_path / "pairs.json"
         path.write_text(json.dumps(REPEATED_DOCUMENT))
         src = os.path.dirname(os.path.dirname(os.path.abspath(logbg.__file__)))
-        slow = ("fractions", "decimal", "numbers")
+        slow = ("fractions", "decimal", "numbers", "argparse", "gettext",
+                "locale")
         lazy = ("json", "logbg.fixtures")
         commands = [  # (argv, what it may load beyond start-up)
             (["report", str(path), "--format", "records"], ("json",)),
@@ -1042,30 +1077,6 @@ class TestEntryPoint:
                           "projective_space", "--n", "7", "--divisor", "4")
         assert proc.returncode == 0
         assert "nef" in proc.stdout
-
-    def test_parser_built_once_per_process(self):
-        """Import builds no parser, and three main() calls build one
-        parser's worth: the top-level parser and its four subparsers."""
-        proc = run_python("-c", "\n".join([
-            "import argparse, contextlib, io",
-            "built = []",
-            "real_init = argparse.ArgumentParser.__init__",
-            "def counting_init(self, *args, **kwargs):",
-            "    built.append(1)",
-            "    real_init(self, *args, **kwargs)",
-            "argparse.ArgumentParser.__init__ = counting_init",
-            "import logbg.cli",
-            "print(len(built))",
-            "with contextlib.redirect_stdout(io.StringIO()):",
-            "    for _ in range(3):",
-            "        logbg.cli.main(['nef', '--kind', 'projective_space',",
-            "                        '--n', '3', '--divisor', '1'])",
-            "print(len(built))",
-            "del built[:]",
-            "logbg.cli.build_parser()",
-            "print(len(built))"]))
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "5", "5"]
 
     # main() may run many commands in one process; no call may leak into
     # the next

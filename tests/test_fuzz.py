@@ -1,7 +1,8 @@
 """Fuzz gate for the `report`, `nef` and `enumerate` commands: whatever
 the input, a run exits 0 with its output, or 2 with nothing on stdout,
 never a traceback.  An exit 2 from logbg's own checks leaves one
-`error:` line on stderr; one from argparse leaves its usage text.
+`error:` line on stderr; a usage error from the command-line parser
+leaves a usage line before its `error:` line.
 
 `report` writes each pair as it goes, so the one exit 2 that follows
 output is the documented one: a later pair whose report holds an integer
@@ -11,9 +12,12 @@ pairs before it.
 test_parse_memo_never_changes_a_result also holds a pair read after
 another, whose parse filled the document's memo, to what it gives alone.
 
+test_parser_matches_argparse_reference holds logbg.cli.parse_args to
+the argparse parser it replaced (tests/argparse_reference.py).
+
 Every test runs its examples through main() in one process, so each also
-runs a few hundred commands, usage errors among them, on the one parser
-that main() keeps.
+runs a few hundred commands, usage errors among them, on the one command
+table that main() reads.
 """
 
 import contextlib
@@ -25,7 +29,8 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from logbg.cli import main
+import argparse_reference
+from logbg.cli import build_parser, main, parse_args
 from logbg.models import FAMILIES
 from logbg.search import DEFAULT_BOUNDS, MODES
 
@@ -116,7 +121,7 @@ def edit(draw, doc, junk):
 
 def run(argv, stdin=b""):
     """(exit code, stdout, stderr) of main(argv) with `stdin` as input;
-    argparse's usage errors end in SystemExit(2)."""
+    usage errors end in SystemExit(2)."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.TextIOWrapper(io.BytesIO(stdin))
@@ -294,3 +299,119 @@ def test_enumerate_exits_0_or_2(argv):
     else:
         count = int(re.match(r"found (\d+) equality case", lines[-1])[1])
     assert len(lines) == count + 1, out
+
+
+@st.composite
+def spelled(draw, argv):
+    """`argv` with each `--name=value` kept, or split into `--name
+    value`, now and then a flag given a value, and each option name now
+    and then cut to a prefix of at least one letter, which may name
+    another option or several."""
+    spelling = []
+    for arg in argv:
+        if not arg.startswith("--"):
+            spelling.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        if draw(st.booleans()):
+            name = name[:draw(st.integers(3, len(name)))]
+        if eq and draw(st.booleans()):
+            spelling += [name, value]
+        elif not eq and draw(st.integers(0, 9)) == 0:
+            spelling.append(name + "=1")
+        else:
+            spelling.append(name + eq + value)
+    return spelling
+
+
+def argparse_spelling(argv):
+    """`argv` as the reference must read it to take what logbg takes.
+    logbg reads the argument after an option that takes a value as that
+    value unless it starts with `--`; argparse reads one led by a single
+    `-` as an option, so here it is joined to its option by `=`.  This
+    is the one rule in which the two parsers differ on purpose."""
+    options = build_parser()[argv[0]].options
+
+    def takes_value(arg):
+        if not arg.startswith("--") or "=" in arg:
+            return False
+        names = [arg] if arg in options else [
+            name for name in options if name.startswith(arg)]
+        return len(names) == 1 and type(options[names[0]].kind) is not bool
+
+    spelling = []
+    for arg in argv:
+        if arg[:1] == "-" and arg[:2] != "--" and spelling \
+                and takes_value(spelling[-1]):
+            spelling[-1] += "=" + arg
+        else:
+            spelling.append(arg)
+    return spelling
+
+
+# values for `nef` and `report` options: valid ones, and ones a check
+# refuses (no integer, no choice, empty, or led by one or two dashes)
+integers = st.sampled_from([*map(str, range(-3, 10)), "+2", "1_0", "",
+                            " 3", "\u0663", "-x", "--2"])
+OPTION_VALUES = {
+    "nef": {"--kind": st.sampled_from([*sorted(FAMILIES), "x"]),
+            "--n": integers, "--q": integers, "--m": integers,
+            "--divisor": st.sampled_from(
+                ["1", "1,2", "-1,2", "0,-2", "x", "", "-h", "--1"])},
+    "report": {"--format": st.sampled_from(["table", "records", "json"]),
+               "--out": st.sampled_from(["o.txt", "", "-", "-o", "--o"])},
+}
+REQUIRED = {"nef": ["--kind", "--divisor"], "report": []}
+
+
+@st.composite
+def command_arguments(draw, command):
+    """`command` with its required options and up to four more, repeats
+    among them, in any order, each `--name=value`, and for `report` up
+    to two positionals among them, led by `-` now and then."""
+    values = OPTION_VALUES[command]
+    names = REQUIRED[command] + draw(st.lists(st.sampled_from(sorted(values)),
+                                              max_size=4))
+    args = [f"{name}={draw(values[name])}"
+            for name in draw(st.permutations(names))]
+    if command == "report":
+        for word in draw(st.lists(st.sampled_from(["-", "doc.json", "-1", "-x y"]),
+                                  max_size=2)):
+            args.insert(draw(st.integers(0, len(args))), word)
+    return [command, *args]
+
+
+# what may follow an argv: nothing, an unknown option, a flag given a
+# value, a stray word or (a prefix of) --help; always last, so that
+# argparse, which finds an ambiguous prefix anywhere before it acts on
+# any option, meets each argument in the same order as logbg
+TAILS = st.sampled_from(
+    [[], [], [], [], [], [], ["--bogus"], ["-x"], ["--nef=1"], ["stray"],
+     ["--help"], ["--he"], ["-h"], ["--help=1"]])
+
+REFERENCE = argparse_reference.build_parser()
+
+
+def parsed(parse, argv):
+    """(0, every namespace field the `cmd_*` functions read) when
+    parse(argv) accepts argv, else (SystemExit code, None)."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            namespace = parse(argv)
+        except SystemExit as exc:
+            return exc.code, None
+    return 0, {dest: getattr(namespace, dest)
+               for dest in build_parser()[argv[0]].defaults}
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.one_of(enumerate_arguments(), command_arguments("nef"),
+                 command_arguments("report")).flatmap(spelled), TAILS)
+def test_parser_matches_argparse_reference(argv, tail):
+    """parse_args and the argparse parser it replaced both accept an
+    argv, with the same value in every field a command reads, or both
+    exit with the same code: 0 after --help, 2 on a usage error."""
+    argv = argv + tail
+    assert parsed(parse_args, argv) == \
+        parsed(REFERENCE.parse_args, argparse_spelling(argv))
